@@ -1,94 +1,43 @@
-"""Hot numeric kernels with a numba backend and a pure-numpy fallback.
+"""Hot numeric kernels, in numpy.
 
-Backend selection: set CAYEXP_BACKEND=numpy to force the numpy path, anything
-else (or unset) uses numba when it is importable. The choice only affects
-speed; both paths compute the same quantities, and per-element work is
-ordered identically so results are deterministic for a fixed backend.
-``bench/benchmark.py`` compares the two.
+Per-element work is ordered deterministically, so every kernel returns the
+same bits for the same inputs. ``BACKEND`` names the implementation for
+run records.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_requested = os.environ.get("CAYEXP_BACKEND", "").strip().lower()
-if _requested == "numpy":
-    _use_numba = False
-else:
-    # workqueue is available everywhere and keeps thread scheduling simple
-    os.environ.setdefault("NUMBA_THREADING_LAYER", "workqueue")
-    try:
-        from numba import njit, prange
-        _use_numba = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _use_numba = False
-
-BACKEND = "numba" if _use_numba else "numpy"
+BACKEND = "numpy"
 
 
 # ---------------------------------------------------------------------------
 # Cayley matvec: y[i] = sum_j w[j] * x[tables[j, i]]
 # (equals (M_S x)[i] for symmetric multisets)
 
-def _matvec_numpy(tables, weights, x):
+def cayley_matvec(tables, weights, x):
+    tables = np.ascontiguousarray(tables)
+    weights = np.ascontiguousarray(weights, dtype=np.float64)
+    x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.zeros_like(x)
     for j in range(tables.shape[0]):
         y += weights[j] * x[tables[j]]
     return y
 
 
-if _use_numba:
-    @njit(cache=True, parallel=True)
-    def _matvec_numba(tables, weights, x):
-        k, n = tables.shape
-        y = np.zeros(n, dtype=np.float64)
-        for i in prange(n):
-            acc = 0.0
-            for j in range(k):
-                acc += weights[j] * x[tables[j, i]]
-            y[i] = acc
-        return y
-
-
-def cayley_matvec(tables, weights, x):
-    tables = np.ascontiguousarray(tables)
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if _use_numba:
-        return _matvec_numba(tables, weights, x)
-    return _matvec_numpy(tables, weights, x)
-
-
 # ---------------------------------------------------------------------------
 # dense normalized adjacency fill: M[i, tables[j, i]] += w[j]
-
-def _dense_fill_numpy(tables, weights, n):
-    m = np.zeros((n, n), dtype=np.float64)
-    rows = np.arange(n)
-    for j in range(tables.shape[0]):
-        np.add.at(m, (rows, tables[j]), weights[j])
-    return m
-
-
-if _use_numba:
-    @njit(cache=True, parallel=True)
-    def _dense_fill_numba(tables, weights, n):
-        k = tables.shape[0]
-        m = np.zeros((n, n), dtype=np.float64)
-        for i in prange(n):
-            for j in range(k):
-                m[i, tables[j, i]] += weights[j]
-        return m
-
+#
+# One scatter over the j-major flattened tables: every entry receives its
+# contributions in ascending j, the order of a per-row fill.
 
 def dense_adjacency(tables, weights, n):
     tables = np.ascontiguousarray(tables)
     weights = np.ascontiguousarray(weights, dtype=np.float64)
-    if _use_numba:
-        return _dense_fill_numba(tables, weights, n)
-    return _dense_fill_numpy(tables, weights, n)
+    flat = (np.arange(n) * n + tables).ravel()
+    vals = np.repeat(weights, n)
+    return np.bincount(flat, weights=vals, minlength=n * n).reshape(n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +50,12 @@ def dense_adjacency(tables, weights, n):
 #          table for coordinate t
 # returns complex sums: out[b] = sum_p w[p] * prod_t roots_t[(beta_bt * v_pt) mod m_t]
 
-def _char_sums_numpy(points, weights, betas, moduli, roots, offsets):
+def char_sums(points, weights, betas, moduli, roots, offsets):
+    points = np.ascontiguousarray(points, dtype=np.int64)
+    weights = np.ascontiguousarray(weights, dtype=np.float64)
+    betas = np.ascontiguousarray(betas, dtype=np.int64)
+    moduli = np.ascontiguousarray(moduli, dtype=np.int64)
+    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
     out = np.empty(betas.shape[0], dtype=np.complex128)
     for b in range(betas.shape[0]):
         val = np.ones(points.shape[0], dtype=np.complex128)
@@ -110,35 +64,6 @@ def _char_sums_numpy(points, weights, betas, moduli, roots, offsets):
             val *= roots[offsets[t] + idx]
         out[b] = np.dot(weights, val)
     return out
-
-
-if _use_numba:
-    @njit(cache=True, parallel=True)
-    def _char_sums_numba(points, weights, betas, moduli, roots, offsets):
-        nb, nl = betas.shape
-        npts = points.shape[0]
-        out = np.empty(nb, dtype=np.complex128)
-        for b in prange(nb):
-            acc = 0.0 + 0.0j
-            for p in range(npts):
-                val = 1.0 + 0.0j
-                for t in range(nl):
-                    idx = (betas[b, t] * points[p, t]) % moduli[t]
-                    val *= roots[offsets[t] + idx]
-                acc += weights[p] * val
-            out[b] = acc
-        return out
-
-
-def char_sums(points, weights, betas, moduli, roots, offsets):
-    points = np.ascontiguousarray(points, dtype=np.int64)
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
-    betas = np.ascontiguousarray(betas, dtype=np.int64)
-    moduli = np.ascontiguousarray(moduli, dtype=np.int64)
-    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-    if _use_numba:
-        return _char_sums_numba(points, weights, betas, moduli, roots, offsets)
-    return _char_sums_numpy(points, weights, betas, moduli, roots, offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +77,13 @@ def char_sums(points, weights, betas, moduli, roots, offsets):
 # minimizing an even moment instead of the max norm avoids the massive ties
 # the max produces on small groups.
 
-def _greedy_scores_numpy(c, digits, cands, mults, moduli, roots, offsets):
+def greedy_scores(c, digits, cands, mults, moduli, roots, offsets):
+    c = np.ascontiguousarray(c, dtype=np.float64)
+    digits = np.ascontiguousarray(digits, dtype=np.int64)
+    cands = np.ascontiguousarray(cands, dtype=np.int64)
+    mults = np.ascontiguousarray(mults, dtype=np.float64)
+    moduli = np.ascontiguousarray(moduli, dtype=np.int64)
+    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
     scores = np.empty(cands.shape[0], dtype=np.float64)
     for p in range(cands.shape[0]):
         val = np.ones(digits.shape[0], dtype=np.complex128)
@@ -166,45 +97,11 @@ def _greedy_scores_numpy(c, digits, cands, mults, moduli, roots, offsets):
     return scores
 
 
-if _use_numba:
-    @njit(cache=True, parallel=True)
-    def _greedy_scores_numba(c, digits, cands, mults, moduli, roots, offsets):
-        np_, nl = cands.shape
-        na = digits.shape[0]
-        scores = np.empty(np_, dtype=np.float64)
-        for p in prange(np_):
-            acc = 0.0
-            for j in range(na):
-                val = 1.0 + 0.0j
-                for t in range(nl):
-                    idx = (digits[j, t] * cands[p, t]) % moduli[t]
-                    val *= roots[offsets[t] + idx]
-                v = c[j] + mults[p] * val.real
-                v2 = v * v
-                v4 = v2 * v2
-                acc += v4 * v4
-            scores[p] = acc
-        return scores
-
-
-def greedy_scores(c, digits, cands, mults, moduli, roots, offsets):
-    c = np.ascontiguousarray(c, dtype=np.float64)
-    digits = np.ascontiguousarray(digits, dtype=np.int64)
-    cands = np.ascontiguousarray(cands, dtype=np.int64)
-    mults = np.ascontiguousarray(mults, dtype=np.float64)
-    moduli = np.ascontiguousarray(moduli, dtype=np.int64)
-    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-    if _use_numba:
-        return _greedy_scores_numba(c, digits, cands, mults, moduli, roots,
-                                    offsets)
-    return _greedy_scores_numpy(c, digits, cands, mults, moduli, roots,
-                                offsets)
-
-
 # ---------------------------------------------------------------------------
 # BFS over a Cayley graph given by action tables; returns distances from 0
 
-def _bfs_numpy(tables):
+def bfs_distances(tables):
+    tables = np.ascontiguousarray(tables)
     n = tables.shape[1]
     dist = np.full(n, -1, dtype=np.int64)
     dist[0] = 0
@@ -217,37 +114,3 @@ def _bfs_numpy(tables):
         dist[nxt] = d
         frontier = nxt
     return dist
-
-
-if _use_numba:
-    @njit(cache=True)
-    def _bfs_numba(tables):
-        k, n = tables.shape
-        dist = np.full(n, -1, dtype=np.int64)
-        dist[0] = 0
-        frontier = np.empty(n, dtype=np.int64)
-        frontier[0] = 0
-        fsize = 1
-        d = 0
-        while fsize:
-            nxt = np.empty(n, dtype=np.int64)
-            nsize = 0
-            d += 1
-            for fi in range(fsize):
-                i = frontier[fi]
-                for j in range(k):
-                    b = tables[j, i]
-                    if dist[b] < 0:
-                        dist[b] = d
-                        nxt[nsize] = b
-                        nsize += 1
-            frontier = nxt
-            fsize = nsize
-        return dist
-
-
-def bfs_distances(tables):
-    tables = np.ascontiguousarray(tables)
-    if _use_numba:
-        return _bfs_numba(tables)
-    return _bfs_numpy(tables)

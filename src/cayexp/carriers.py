@@ -5,6 +5,11 @@ action tables (index-level right-multiplication maps) for building Cayley
 operators. Three kinds cover the whole pipeline: permutation groups,
 quotients H/N by canonical coset representatives, and products of cyclic
 groups given by per-coordinate moduli.
+
+A permutation group is held as an (order, degree) integer array of images in
+lexicographic order, built from the BSGS transversals; elements are looked
+up by their base-point images, so its action tables are numpy gathers and
+binary searches. Quotient and vector carriers work element by element.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 
 from .bsgs import BSGS, CapacityError
 from .multiset import Multiset
-from .perm import GenSet, Perm
+from .perm import DegreeMismatch, GenSet, Perm
 from .series import QuotientContext
 
 
@@ -65,10 +70,6 @@ class AbelianShape:
 
     def neg(self, a) -> tuple[int, ...]:
         return tuple((-x) % m for x, m in zip(a, self.moduli))
-
-
-def shape_for_moduli(moduli) -> "VectorCarrier":
-    return VectorCarrier(tuple(int(m) for m in moduli))
 
 
 class VectorCarrier:
@@ -124,7 +125,21 @@ class VectorCarrier:
 
 
 class PermCarrier:
-    """A permutation group enumerated in lexicographic image order."""
+    """A permutation group enumerated in lexicographic image order.
+
+    The group is held as an (order, degree) array of 0-based images, built
+    as a vectorised product of the BSGS transversals; row i is the i-th
+    element in lexicographic order, so row 0 is the identity. A group
+    element is determined by its images of the base points (Seress,
+    *Permutation Group Algorithms*, 2003), and two distinct elements first
+    differ at a base point: the base is ascending and the group at a level
+    is the pointwise stabilizer of every point below its base point. Rows
+    sorted by their base images are therefore sorted lexicographically.
+    Lookups encode the base images of a row as big-endian bytes viewed as
+    one void scalar, which is collision-free for any degree and base
+    length, and binary-search the sorted keys. ``Perm`` objects are made
+    only when asked for.
+    """
 
     def __init__(self, bsgs: BSGS, cap: int = 10**6):
         self.bsgs = bsgs
@@ -147,30 +162,81 @@ class PermCarrier:
     def inv(self, a: Perm) -> Perm:
         return a.inv()
 
+    @property
+    def _key_points(self) -> list[int]:
+        # the trivial group has no base; any point keys its one element
+        return self.bsgs.base or [0]
+
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(images, base images, keys) with rows in lexicographic order."""
+        n = self.order
+        if n > self.cap:
+            raise CapacityError(f"group order {n} exceeds cap {self.cap}")
+        deg = self.bsgs.degree
+        dtype = np.min_scalar_type(deg - 1)
+        img = np.arange(deg, dtype=dtype)[None, :]
+        for lv in reversed(self.bsgs.levels):
+            reps = np.array([u.img for u in lv.transversal.values()],
+                            dtype=dtype)
+            img = reps[:, img].reshape(-1, deg)   # (p * u)[x] = u[p[x]]
+        cols = np.ascontiguousarray(img[:, self._key_points])
+        keys = _row_keys(cols)
+        order = np.argsort(keys, kind="stable")
+        return img[order], cols[order], keys[order]
+
+    def _find(self, cols: np.ndarray) -> np.ndarray:
+        """Indices of the elements with the given base-image rows."""
+        keys = self._table[2]
+        want = _row_keys(cols)
+        pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        if np.any(keys[pos] != want):
+            raise KeyError("element is not in the group")
+        return pos
+
+    def _indices(self, perms) -> np.ndarray:
+        """Indices of group elements; foreign elements raise KeyError."""
+        images, _, _ = self._table
+        deg = self.bsgs.degree
+        for p in perms:
+            if p.degree != deg:
+                raise DegreeMismatch(f"degree {p.degree} vs {deg}")
+        rows = np.array([p.img for p in perms],
+                        dtype=images.dtype).reshape(-1, deg)
+        pos = self._find(rows[:, self._key_points])
+        if np.any(images[pos] != rows):
+            raise KeyError("element is not in the group")
+        return pos
+
     @cached_property
     def _elements(self) -> list[Perm]:
-        return sorted(self.bsgs.elements(cap=self.cap))
+        return self.perms(slice(None))
 
     def elements(self, cap: int | None = None) -> list[Perm]:
         if cap is not None and self.order > cap:
             raise CapacityError(f"group order {self.order} exceeds cap {cap}")
         return self._elements
 
-    @cached_property
-    def _index(self) -> dict[Perm, int]:
-        return {p: i for i, p in enumerate(self._elements)}
+    def perms(self, indices) -> list[Perm]:
+        """The elements at the given indices, without building elements()."""
+        return [Perm(r) for r in self._table[0][indices].tolist()]
 
     def index_of(self, p: Perm) -> int:
-        return self._index[p]
+        return int(self._indices([p])[0])
 
     def action_tables(self, ms: Multiset) -> tuple[np.ndarray, np.ndarray]:
-        els = self._elements
-        idx = self._index
-        tables = np.empty((ms.support, len(els)), dtype=np.int64)
-        for j, (s, _) in enumerate(ms.pairs()):
-            tables[j] = [idx[e * s] for e in els]
+        images, cols, _ = self._table
+        tables = np.empty((ms.support, len(images)), dtype=np.int64)
+        for j, s in enumerate(images[self._indices(ms.elems)]):
+            tables[j] = self._find(s[cols])       # (e * s)[b] = s[e[b]]
         weights = np.array(ms.mults, dtype=np.float64)
         return tables, weights / weights.sum()
+
+
+def _row_keys(cols: np.ndarray) -> np.ndarray:
+    """One sortable void scalar per row: its entries as big-endian bytes."""
+    be = np.ascontiguousarray(cols, dtype=cols.dtype.newbyteorder(">"))
+    return be.view(np.dtype((np.void, be.itemsize * be.shape[1]))).ravel()
 
 
 class QuotientCarrier:

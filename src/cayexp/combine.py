@@ -405,7 +405,8 @@ def square_multiset(carrier: Carrier, ms: Multiset) -> Multiset:
     This is derandomized squaring with the degenerate full-group auxiliary
     (mu = 0): every index pair contributes, and since S is symmetric the
     inverse-indexed half coincides with the direct half. Vector carriers use
-    an FFT convolution; others multiply support pairs directly.
+    an FFT convolution, permutation groups their action tables; quotients
+    multiply support pairs directly.
     """
     if isinstance(carrier, VectorCarrier) \
             and carrier.order <= EXHAUSTIVE_CHAR_CAP \
@@ -421,6 +422,8 @@ def square_multiset(carrier: Carrier, ms: Multiset) -> Multiset:
         coords = np.unravel_index(nz, carrier.moduli)
         pairs = [(tuple(int(c[i]) for c in coords), int(counts[j]))
                  for i, j in enumerate(nz)]
+    elif isinstance(carrier, PermCarrier):
+        return _square_perm(carrier, ms)
     else:
         mul = carrier.mul
         acc: dict = {}
@@ -431,6 +434,26 @@ def square_multiset(carrier: Carrier, ms: Multiset) -> Multiset:
         pairs = acc.items()
     cert = ms.cert * ms.cert if ms.cert is not None else None
     return multiset(pairs, cert=cert)
+
+
+def _square_perm(carrier: PermCarrier, ms: Multiset) -> Multiset:
+    """square_multiset on a permutation group, by index arithmetic.
+
+    Row j of the action tables maps element i to e_i * s_j and element 0 is
+    the identity, so tables[j, tables[l, 0]] is the index of s_l * s_j. The
+    weight products are scattered as exact integers: int64 while no count
+    can reach 2**63, Python ints beyond.
+    """
+    tables, _ = carrier.action_tables(ms)
+    prods = tables[:, tables[:, 0]]
+    dtype = np.int64 if ms.total ** 2 < 2**63 else object
+    w = np.array(ms.mults, dtype=dtype)
+    counts = np.zeros(carrier.order, dtype=dtype)
+    np.add.at(counts, prods.ravel(), np.outer(w, w).ravel())
+    nz = np.flatnonzero(counts)
+    cert = ms.cert * ms.cert if ms.cert is not None else None
+    return Multiset(tuple(carrier.perms(nz)),
+                    tuple(int(c) for c in counts[nz]), cert)
 
 
 def analytic_rounds(lam: float, mu: float, target: float = 0.25,

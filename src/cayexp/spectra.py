@@ -26,6 +26,7 @@ from . import _kernels
 from .carriers import (AbelianShape, Carrier, VectorCarrier,
                        multiset_order_check)
 from .multiset import Multiset
+from .perm import Perm
 
 DENSE_CAP = 10_000
 ITER_CAP = 1_000_000
@@ -97,7 +98,8 @@ def instance_seed(moduli, ms: Multiset) -> int:
     h = hashlib.sha256()
     h.update(repr(tuple(moduli)).encode())
     for e, m in ms.pairs():
-        h.update(repr((tuple(e), m)).encode())
+        elem = e.img if isinstance(e, Perm) else tuple(e)
+        h.update(repr((elem, m)).encode())
     return int.from_bytes(h.digest()[:8], "big")
 
 

@@ -1,0 +1,135 @@
+"""The index-native permutation carrier against Perm-loop oracles."""
+
+import math
+import random
+
+import pytest
+
+from cayexp import catalog
+from cayexp.bsgs import CapacityError
+from cayexp.carriers import PermCarrier
+from cayexp.combine import square_multiset
+from cayexp.multiset import multiset
+from cayexp.perm import DegreeMismatch, GenSet, Perm, parse_perm
+
+
+def z2_power(k: int, degree: int) -> GenSet:
+    """Z_2^k as k disjoint transpositions (i, degree - 1 - i)."""
+    gens = tuple(Perm.from_cycles(degree, [(i, degree - 1 - i)])
+                 for i in range(k))
+    return GenSet(degree, gens)
+
+
+GROUPS = {
+    "S4": catalog.s4,
+    "D8": catalog.d8,
+    "Q8": catalog.q8,
+    "A5": catalog.a5,
+    # 200**9 >= 2**63: a radix key over base images would overflow int64
+    "Z2^9 on 200": lambda: z2_power(9, 200),
+    # images above 255 need two-byte keys
+    "Z2^9 on 300": lambda: z2_power(9, 300),
+}
+
+
+def sample_multiset(els, seed, k=5):
+    rng = random.Random(seed)
+    pick = rng.sample(els, min(k, len(els)))
+    return multiset([(p, rng.randint(1, 4)) for p in pick]
+                    + [(p.inv(), 1) for p in pick])
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_matches_perm_loop_oracle(name):
+    g = GROUPS[name]()
+    carrier = PermCarrier.of(g)
+    oracle = sorted(carrier.bsgs.elements())
+    assert carrier.elements() == oracle
+    index = {p: i for i, p in enumerate(oracle)}
+    assert [carrier.index_of(p) for p in oracle] == list(range(len(oracle)))
+    assert carrier.perms([3 % len(oracle), 0]) == [oracle[3 % len(oracle)],
+                                                   oracle[0]]
+    ms = sample_multiset(oracle, 1)
+    tables, weights = carrier.action_tables(ms)
+    expected = [[index[e * s] for e in oracle] for s in ms.elems]
+    assert tables.tolist() == expected
+    assert weights.tolist() == [m / ms.total for m in ms.mults]
+
+
+def test_foreign_element_raises():
+    carrier = PermCarrier.of(catalog.a5())
+    odd = parse_perm("(1 2)", 5)
+    with pytest.raises(KeyError):
+        carrier.index_of(odd)
+    with pytest.raises(KeyError):
+        carrier.action_tables(multiset([(odd, 1)]))
+
+
+def test_foreign_element_with_matching_base_images_raises():
+    # <(1 2)> on 3 points has base [0]; (2 3) fixes it like the identity
+    carrier = PermCarrier.of(GenSet(3, (parse_perm("(1 2)", 3),)))
+    with pytest.raises(KeyError):
+        carrier.index_of(parse_perm("(2 3)", 3))
+
+
+def test_degree_mismatch_raises():
+    carrier = PermCarrier.of(catalog.s4())
+    wrong = parse_perm("(1 2)", 5)
+    with pytest.raises(DegreeMismatch):
+        carrier.index_of(wrong)
+    with pytest.raises(DegreeMismatch):
+        carrier.action_tables(multiset([(wrong, 1)]))
+
+
+def test_capacity_error_before_enumeration():
+    carrier = PermCarrier(PermCarrier.of(catalog.s5()).bsgs, cap=100)
+    with pytest.raises(CapacityError):
+        carrier.elements()
+    with pytest.raises(CapacityError):
+        carrier.index_of(Perm.identity(5))
+
+
+def test_trivial_group():
+    carrier = PermCarrier.of(GenSet(3, ()))
+    e = Perm.identity(3)
+    assert carrier.elements() == [e]
+    tables, _ = carrier.action_tables(multiset([(e, 2)]))
+    assert tables.tolist() == [[0]]
+
+
+def naive_square(ms):
+    acc = {}
+    for x, wx in ms.pairs():
+        for y, wy in ms.pairs():
+            acc[x * y] = acc.get(x * y, 0) + wx * wy
+    return multiset(acc.items())
+
+
+@pytest.mark.parametrize("name", ["S4", "D8", "A5", "Z2^9 on 300"])
+def test_square_multiset_matches_dict_convolution(name):
+    carrier = PermCarrier.of(GROUPS[name]())
+    ms = sample_multiset(carrier.elements(), 2, k=8).with_cert(0.5)
+    out = square_multiset(carrier, ms)
+    assert out == naive_square(ms).with_cert(0.25)
+
+
+def test_square_multiset_exact_beyond_int64():
+    carrier = PermCarrier.of(catalog.s4())
+    ms = sample_multiset(carrier.elements(), 3, k=6)
+    big = multiset([(e, m * (1 << 40) + 1) for e, m in ms.pairs()])
+    assert big.total ** 2 >= 2**63
+    out = square_multiset(carrier, big)
+    assert out == naive_square(big)
+    assert out.total == big.total ** 2
+    assert all(type(m) is int for m in out.mults)
+
+
+def test_square_multiset_int64_edge():
+    # the largest total whose square stays below 2**63 takes the int64 path
+    carrier = PermCarrier.of(catalog.s4())
+    t = parse_perm("(1 2)", 4)
+    total = math.isqrt(2**63 - 1)
+    ms = multiset([(t, total)])
+    out = square_multiset(carrier, ms)
+    assert out.elems == (Perm.identity(4),)
+    assert out.mults == (total * total,)

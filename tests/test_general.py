@@ -118,3 +118,12 @@ class TestGeneralExpander:
     def test_trivial_group(self):
         out = general_expander(GenSet(3, ()), 0.25)
         assert out.cert == 0.0
+
+    def test_s6_sixteenth_seeded_trim(self):
+        # reaches the seeded support trim in compact, whose instance seed
+        # once called tuple() on a Perm and raised TypeError
+        g = GenSet(6, (parse_perm("(1 2 3 4 5 6)", 6),
+                       parse_perm("(1 2)", 6)))
+        out = general_expander(g, 1 / 16)
+        assert out.cert <= 1 / 16
+        assert dense_lambda2(PermCarrier.of(g), out) <= 1 / 16 + 1e-9
