@@ -372,26 +372,21 @@ def final_R(n: int, primes, c: int = 8, base: Multiset | None = None,
         pws.append(pw)
     ymats = [np.array([y[jp].coeffs for y in ys], dtype=np.int64)
              for jp in range(len(fields))]
-    # aggregate tuple chunks so memory stays bounded for large bases
-    acc_counts: dict = {}
+    # point rows are built in tuple chunks so memory stays bounded for large
+    # bases; only their codes are kept
+    carrier = r_carrier(n, primes)
+    codes = []
     chunk = max(1, 4_000_000 // max(1, len(ys) * len(primes) * n))
     for t0 in range(0, cn, chunk):
         t1 = min(cn, t0 + chunk)
         blocks = [np.einsum("tlm,sm->tsl", pws[jp][t0:t1], ymats[jp]) % p
                   for jp, p in enumerate(primes)]
         flat = np.concatenate(blocks, axis=2).reshape((t1 - t0) * len(ys), -1)
-        weights = np.tile(mults, t1 - t0)
-        uniq, inverse = np.unique(flat, axis=0, return_inverse=True)
-        counts = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(counts, inverse, weights)
-        for row, k in zip(uniq, counts):
-            key = tuple(int(x) for x in row)
-            acc_counts[key] = acc_counts.get(key, 0) + int(k)
-    pairs = list(acc_counts.items())
+        codes.append(carrier.ravel(flat))
     cert = 1 / c + base.cert
-    points = multiset(pairs, cert=cert)
+    points = carrier.tally(np.concatenate(codes), np.tile(mults, cn),
+                           cert=cert)
     assert points.total == cn * base.total
-    carrier = VectorCarrier(tuple(p for p in primes for _ in range(n)))
     if verify and carrier.order <= EXHAUSTIVE_CHAR_CAP:
         measured = bias_exhaustive(carrier, points)
         if measured > cert + 1e-9:

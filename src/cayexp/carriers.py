@@ -9,11 +9,16 @@ groups given by per-coordinate moduli.
 A permutation group is held as an (order, degree) integer array of images in
 lexicographic order, built from the BSGS transversals; elements are looked
 up by their base-point images, so its action tables are numpy gathers and
-binary searches. Quotient and vector carriers work element by element.
+binary searches. A vector group codes each element as its mixed-radix index
+(``ravel_multi_index``), so pairing, trimming, squaring and deduplicating
+vector multisets are integer-array operations; coordinate tuples are made
+only where a ``Multiset`` is built. Quotient carriers work element by
+element.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -79,6 +84,7 @@ class VectorCarrier:
         if any(m < 1 for m in moduli):
             raise ValueError("moduli must be >= 1")
         self.moduli = tuple(int(m) for m in moduli)
+        self._last_coded = ((), None)
 
     @staticmethod
     def of(shape: AbelianShape) -> "VectorCarrier":
@@ -105,6 +111,96 @@ class VectorCarrier:
             raise CapacityError(f"group order {self.order} exceeds cap {cap}")
         grids = np.indices(self.moduli).reshape(len(self.moduli), -1).T
         return [tuple(int(c) for c in row) for row in grids]
+
+    # -- integer codes -------------------------------------------------------
+    #
+    # The code of a reduced coordinate tuple is its mixed-radix index, so
+    # code order is lexicographic tuple order: sorting, merging and
+    # tie-breaking by code is the same as by element. Codes are int64 while
+    # the group order fits, Python ints in an object array beyond.
+
+    def rows(self, elems) -> np.ndarray:
+        """(len(elems), width) int64 coordinates of reduced tuples.
+
+        A tuple of the wrong width or with a coordinate outside [0, m_t)
+        raises ValueError, so it never takes the code path.
+        """
+        width = len(self.moduli)
+        if set(map(len, elems)) - {width}:
+            raise ValueError(f"element width differs from {width}")
+        rows = np.fromiter(itertools.chain.from_iterable(elems),
+                           dtype=np.int64, count=len(elems) * width)
+        rows = rows.reshape(len(elems), width)
+        if np.any((rows < 0) | (rows >= np.array(self.moduli))):
+            raise ValueError("coordinate outside its modulus")
+        return rows
+
+    def ravel(self, rows: np.ndarray) -> np.ndarray:
+        """Codes of reduced coordinate rows."""
+        if self.order < 2**63:
+            return np.ravel_multi_index(tuple(rows.T), self.moduli)
+        code = np.zeros(len(rows), dtype=object)
+        for t, m in enumerate(self.moduli):
+            code = code * m + rows[:, t].astype(object)
+        return code
+
+    def unravel(self, codes: np.ndarray) -> np.ndarray:
+        """Coordinate rows of codes (the inverse of ravel)."""
+        if codes.dtype != object:
+            return np.stack(np.unravel_index(codes, self.moduli), axis=1)
+        rows = np.empty((len(codes), len(self.moduli)), dtype=np.int64)
+        for t in reversed(range(len(self.moduli))):
+            m = self.moduli[t]
+            rows[:, t] = codes % m
+            codes = codes // m
+        return rows
+
+    def codes(self, elems) -> np.ndarray:
+        """Codes of reduced tuples (read-only: they may be shared).
+
+        The elements of the last multiset built by from_codes are not
+        re-coded: a pipeline step usually measures or trims the multiset
+        the step before it built, and with_cert and gcd_reduced keep its
+        element tuple.
+        """
+        last, codes = self._last_coded
+        if elems is not last:
+            codes = self.ravel(self.rows(elems))
+        return codes
+
+    def inv_codes(self, codes: np.ndarray) -> np.ndarray:
+        """Codes of the inverses (negated coordinates)."""
+        return self.ravel(-self.unravel(codes) % np.array(self.moduli))
+
+    def from_codes(self, codes: np.ndarray, mults,
+                   cert: float | None = None) -> Multiset:
+        """The multiset on strictly increasing codes with positive mults.
+
+        Canonical storage directly: the codes are already in element order,
+        so nothing is merged or re-sorted.
+        """
+        elems = tuple(zip(*self.unravel(codes).T.tolist()))
+        shared = codes.view()
+        shared.flags.writeable = False
+        self._last_coded = (elems, shared)
+        return Multiset(elems, tuple(np.asarray(mults).tolist()), cert)
+
+    def tally(self, codes: np.ndarray, weights: np.ndarray | None = None,
+              cert: float | None = None) -> Multiset:
+        """The multiset of the given codes; repeated codes merge.
+
+        Multiplicities are the occurrence counts, or the sums of the
+        integer weights (exact in the weights' dtype).
+        """
+        order = np.argsort(codes)
+        codes = codes[order]
+        starts = np.flatnonzero(np.concatenate(
+            ([True], codes[1:] != codes[:-1])))
+        if weights is None:
+            mults = np.diff(np.append(starts, len(codes)))
+        else:
+            mults = np.add.reduceat(weights[order], starts)
+        return self.from_codes(codes[starts], mults, cert)
 
     def index_of(self, v) -> int:
         idx = 0

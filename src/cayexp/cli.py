@@ -1,8 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 parse error, 3 non-solvable input with
---require-solvable, 4 certification failure, 5 non-symmetric multiset,
-6 group too large for exact verification without --sampled. Diagnostics go
+--require-solvable, 4 certification failure (including a construction that
+cannot certify or amplify its bound, or an unreachable auxiliary mu, with
+the achievable mu printed), 5 non-symmetric multiset, 6 group too large for
+exact verification without --sampled (or, for epsbias, beyond the method's
+capacity). Diagnostics go
 to stderr, data to files or stdout. Re-running a command with identical
 inputs produces byte-identical output files; manifests differ only in their
 timing fields.
@@ -19,14 +22,16 @@ from pathlib import Path
 
 from .bsgs import schreier_sims
 from .carriers import PermCarrier
-from .combine import SolvabilityError, solvable_expander
+from .combine import (AmplificationError, AuxInfeasibleError,
+                      CertificationError, SolvabilityError, solvable_expander)
 from .epsbias import format_bias_space, verify_bias, zdn_bias_space
 from .general import general_expander
 from .multiset import (NonSymmetricError, format_perm_multiset,
                        parse_perm_multiset)
 from .perm import ParseError, parse_group_file
 from .series import derived_series, dixon_bound
-from .spectra import ITER_CAP, FORMAT_VERSION, second_eigenvalue
+from .spectra import (ITER_CAP, FORMAT_VERSION, MethodCapacityError,
+                      second_eigenvalue)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -59,6 +64,18 @@ def _write_manifest(out: Path, command: str, parameters: dict,
     out.write_text(_dump_json(manifest))
 
 
+CONSTRUCTION_FAILURES = (CertificationError, AmplificationError,
+                         AuxInfeasibleError)
+
+
+def _construction_failed(e: ValueError) -> int:
+    print(f"error: {e}", file=sys.stderr)
+    mu = getattr(e, "achievable_mu", None)
+    if mu is not None:
+        print(f"achievable mu = {mu:.6g}", file=sys.stderr)
+    return EXIT_CERT_FAIL
+
+
 def cmd_build_expander(args) -> int:
     t0 = time.time()
     group_path = Path(args.group)
@@ -85,6 +102,8 @@ def cmd_build_expander(args) -> int:
     except SolvabilityError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NOT_SOLVABLE
+    except CONSTRUCTION_FAILURES as e:
+        return _construction_failed(e)
     carrier = PermCarrier.of(gens)
     report = second_eigenvalue(carrier, ms)
     ok = report.lambda2 <= args.lam + report.tolerance
@@ -181,6 +200,11 @@ def cmd_epsbias(args) -> int:
     t0 = time.time()
     try:
         space = zdn_bias_space(args.d, args.n, args.eps)
+    except MethodCapacityError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_TOO_LARGE
+    except CONSTRUCTION_FAILURES as e:
+        return _construction_failed(e)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE

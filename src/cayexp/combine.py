@@ -16,6 +16,7 @@ the carrier is small enough for the verifier.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,8 @@ from .multiset import Multiset, NonSymmetricError, multiset, union
 from .perm import GenSet, Perm
 from .series import QuotientContext, SubgroupChain, quotient_context
 from .spectra import (DENSE_CAP, EXHAUSTIVE_CHAR_CAP, ITER_CAP,
-                      bias_exhaustive, dense_lambda2, power_lambda2)
+                      bias_exhaustive, dense_lambda2, instance_seed,
+                      power_lambda2, seed_body)
 
 
 class CertificationError(ValueError):
@@ -86,46 +88,79 @@ def symmetrize(carrier: Carrier, ms: Multiset) -> Multiset:
 # ---------------------------------------------------------------------------
 # multiplicity bookkeeping
 
-def _pair_units(carrier: Carrier, ms: Multiset):
-    inv = carrier.inv
-    units = []
-    seen = set()
-    for e, m in ms.pairs():
-        if e in seen:
-            continue
-        f = inv(e)
-        seen.add(e)
-        seen.add(f)
-        units.append((-m, e, (e,) if f == e else (e, f)))
-    return units
+@dataclass(frozen=True)
+class _Units:
+    """A multiset's inverse-pair units, heaviest first, ties by element.
+
+    A unit is an element e and, unless e is self-inverse, e^-1; e is the
+    first element of its pair in canonical order. sizes[u] is the unit's
+    element count and members(us) the multiset of the elements of units us,
+    each with weight 1.
+    """
+
+    sizes: np.ndarray
+    members: Callable[[np.ndarray], Multiset]
 
 
-def _take_units(units, k: int) -> Multiset:
-    kept = []
-    total = 0
-    for _, _, elems in units:
-        if total >= k:
-            break
-        kept.extend(elems)
-        total += len(elems)
-    return multiset([(e, 1) for e in kept])
+def _pair_units(carrier: Carrier, ms: Multiset) -> _Units:
+    """Pair the elements of a multiset in canonical storage with inverses.
+
+    Canonical storage sorts the elements, so element order is index order:
+    element i opens a unit unless its inverse is element j < i. An inverse
+    missing from a non-symmetric multiset still joins its unit.
+    """
+    n = ms.support
+    if isinstance(carrier, VectorCarrier):
+        codes = carrier.codes(ms.elems)
+        if np.any(codes[1:] <= codes[:-1]):
+            raise ValueError("multiset is not in canonical storage")
+        inv = carrier.inv_codes(codes)
+        pos = np.minimum(np.searchsorted(codes, inv), n - 1)
+        paired = codes[pos] == inv          # the inverse is an element
+        heads = np.flatnonzero(~paired | (pos >= np.arange(n)))
+        sizes = 1 + (inv[heads] != codes[heads])
+
+        def build(us):
+            h = heads[us]
+            kept = np.unique(np.concatenate((codes[h], inv[h])))
+            return carrier.from_codes(kept, np.ones(len(kept), np.int64))
+    else:
+        index = {e: i for i, e in enumerate(ms.elems)}
+        units = []
+        for i, e in enumerate(ms.elems):
+            f = carrier.inv(e)
+            if index.get(f, i) >= i:
+                units.append((i, (e,) if f == e else (e, f)))
+        heads = np.array([i for i, _ in units], dtype=np.int64)
+        sizes = np.array([len(u) for _, u in units], dtype=np.int64)
+
+        def build(us):
+            return multiset([(e, 1) for u in us.tolist()
+                             for e in units[u][1]])
+    dtype = np.int64 if ms.total < 2**63 else object
+    weight = np.array(ms.mults, dtype=dtype)[heads]
+    order = np.argsort(-weight, kind="stable")
+    return _Units(sizes[order], lambda us: build(order[us]))
 
 
-def _trim_support(carrier: Carrier, ms: Multiset, k: int,
-                  seeded: bool = False) -> Multiset:
+def _trim_support(units: _Units, k: int,
+                  seed_body: bytes | None = None) -> Multiset:
     """Symmetric support trim to ~k elements, all kept weights set to 1.
 
-    Heaviest-first by default. When the top weights align with a structured
-    subset (convolution squares concentrate on subgroups, which do not
-    expand), the seeded variant picks a deterministic pseudorandom subset
-    instead; both are re-measured by the caller before acceptance.
+    Heaviest-first by default: whole units are kept while fewer than k
+    elements are. When the top weights align with a structured subset
+    (convolution squares concentrate on subgroups, which do not expand),
+    the seeded variant (seed_body given, see spectra.seed_body) keeps units
+    in a deterministic pseudorandom order instead; both are re-measured by
+    the caller before acceptance.
     """
-    units = sorted(_pair_units(carrier, ms), key=lambda u: (u[0], u[1]))
-    if seeded:
-        from .spectra import instance_seed
-        rng = np.random.default_rng(instance_seed((k,), ms))
-        units = [units[i] for i in rng.permutation(len(units))]
-    return _take_units(units, k)
+    order = np.arange(len(units.sizes))
+    if seed_body is not None:
+        rng = np.random.default_rng(instance_seed((k,), body=seed_body))
+        order = rng.permutation(len(order))
+    sizes = units.sizes[order]
+    before = np.cumsum(sizes) - sizes
+    return units.members(order[:np.searchsorted(before, k)])
 
 
 def compact(carrier: Carrier, ms: Multiset, target_total: int,
@@ -145,11 +180,16 @@ def compact(carrier: Carrier, ms: Multiset, target_total: int,
         return ms
     accept = target_cert if target_cert is not None else ms.cert
     if ms.support > target_total:
+        units = _pair_units(carrier, ms)
+        body = None
         budget = target_total
         done = False
         while not done and budget < 2 * ms.support:
             for seeded in (False, True):
-                trimmed = _trim_support(carrier, ms, budget, seeded=seeded)
+                if seeded and body is None:
+                    body = seed_body(ms)
+                trimmed = _trim_support(units, budget,
+                                        body if seeded else None)
                 lam = measure_exact(carrier, trimmed)
                 if accept is None or lam <= accept:
                     ms = trimmed.with_cert(lam)
@@ -359,37 +399,33 @@ def derandomized_square(carrier: Carrier, u: Multiset,
     if h.vertex_count != total:
         raise ValueError(
             f"aux vertex count {h.vertex_count} != multiset total {total}")
-    sigma = u.inverse_pairing(carrier.inv)
-    if isinstance(carrier, VectorCarrier):
-        rows = np.array([list(v) for v in u.expand()], dtype=np.int64)
-        moduli = np.array(carrier.moduli, dtype=np.int64)
-        chunks = []
-        for ell in range(h.degree):
-            j = h.neighbors[:, ell]
-            prod = (rows + rows[j]) % moduli
-            chunks.append(prod)
-            chunks.append((-prod) % moduli)   # u_i^-1 u_j^-1 = -(u_i + u_j)
-        allrows = np.concatenate(chunks, axis=0)
-        uniq, counts = np.unique(allrows, axis=0, return_counts=True)
-        pairs = [(tuple(int(c) for c in row), int(k))
-                 for row, k in zip(uniq, counts)]
-    else:
-        expanded = u.expand()
-        mul = carrier.mul
-        acc: dict = {}
-        for ell in range(h.degree):
-            col = h.neighbors[:, ell]
-            for i in range(total):
-                j = int(col[i])
-                p1 = mul(expanded[i], expanded[j])
-                acc[p1] = acc.get(p1, 0) + 1
-                p2 = mul(expanded[sigma[i]], expanded[sigma[j]])
-                acc[p2] = acc.get(p2, 0) + 1
-        pairs = acc.items()
     cert = None
     if u.cert is not None:
         cert = u.cert * u.cert + h.certified_mu
-    return multiset(pairs, cert=cert)
+    if isinstance(carrier, VectorCarrier):
+        u.require_symmetric(carrier.inv)
+        rows = carrier.rows(u.elems).repeat(u.mults, axis=0)
+        moduli = np.array(carrier.moduli, dtype=np.int64)
+        chunks = []
+        for ell in range(h.degree):
+            prod = (rows + rows[h.neighbors[:, ell]]) % moduli
+            chunks.append(carrier.ravel(prod))
+            # u_i^-1 u_j^-1 = -(u_i + u_j)
+            chunks.append(carrier.ravel(-prod % moduli))
+        return carrier.tally(np.concatenate(chunks), cert=cert)
+    sigma = u.inverse_pairing(carrier.inv)
+    expanded = u.expand()
+    mul = carrier.mul
+    acc: dict = {}
+    for ell in range(h.degree):
+        col = h.neighbors[:, ell]
+        for i in range(total):
+            j = int(col[i])
+            p1 = mul(expanded[i], expanded[j])
+            acc[p1] = acc.get(p1, 0) + 1
+            p2 = mul(expanded[sigma[i]], expanded[sigma[j]])
+            acc[p2] = acc.get(p2, 0) + 1
+    return multiset(acc.items(), cert=cert)
 
 
 def is_measurable(carrier: Carrier) -> bool:
@@ -408,32 +444,27 @@ def square_multiset(carrier: Carrier, ms: Multiset) -> Multiset:
     an FFT convolution, permutation groups their action tables; quotients
     multiply support pairs directly.
     """
+    if isinstance(carrier, PermCarrier):
+        return _square_perm(carrier, ms)
+    cert = ms.cert * ms.cert if ms.cert is not None else None
     if isinstance(carrier, VectorCarrier) \
             and carrier.order <= EXHAUSTIVE_CHAR_CAP \
             and ms.total <= 1 << 26:
-        pts = np.array([list(v) for v in ms.elems], dtype=np.int64)
-        w = np.zeros(carrier.order, dtype=np.float64)
-        idx = np.ravel_multi_index(pts.T, carrier.moduli)
-        np.add.at(w, idx, np.array(ms.mults, dtype=np.float64))
+        w = np.bincount(carrier.codes(ms.elems),
+                        weights=np.array(ms.mults, dtype=np.float64),
+                        minlength=carrier.order)
         spec = np.fft.fftn(w.reshape(carrier.moduli))
         conv = np.fft.ifftn(spec * spec).real.ravel()
         counts = np.rint(conv).astype(np.int64)
         nz = np.flatnonzero(counts)
-        coords = np.unravel_index(nz, carrier.moduli)
-        pairs = [(tuple(int(c[i]) for c in coords), int(counts[j]))
-                 for i, j in enumerate(nz)]
-    elif isinstance(carrier, PermCarrier):
-        return _square_perm(carrier, ms)
-    else:
-        mul = carrier.mul
-        acc: dict = {}
-        for x, wx in ms.pairs():
-            for y, wy in ms.pairs():
-                z = mul(x, y)
-                acc[z] = acc.get(z, 0) + wx * wy
-        pairs = acc.items()
-    cert = ms.cert * ms.cert if ms.cert is not None else None
-    return multiset(pairs, cert=cert)
+        return carrier.from_codes(nz, counts[nz], cert=cert)
+    mul = carrier.mul
+    acc: dict = {}
+    for x, wx in ms.pairs():
+        for y, wy in ms.pairs():
+            z = mul(x, y)
+            acc[z] = acc.get(z, 0) + wx * wy
+    return multiset(acc.items(), cert=cert)
 
 
 def _square_perm(carrier: PermCarrier, ms: Multiset) -> Multiset:

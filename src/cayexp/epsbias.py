@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .abexp import _compact_r_points, _final_r_cached, factorize
 from .carriers import VectorCarrier
 from .combine import (balance, combine_union, reduce_to_quarter, reverify,
@@ -68,6 +70,27 @@ def _kfold_embed(vec, fac, n, lo, hi, src_lo, src_hi):
         if ws:
             pos += n
     return tuple(out)
+
+
+def _crt_digits(ms: Multiset, fac, carrier: VectorCarrier) -> Multiset:
+    """Recombine per-prime residue blocks into digits of Z_d by CRT.
+
+    Block j holds the n residues mod q_j = p_j^e_j; digit i is
+    sum_j r_ji * m_j * (m_j^-1 mod q_j) mod d with m_j = d / q_j, computed
+    over the (support, k*n) residue array. Every term is below d^2 <= 10^12
+    and there are at most 7 blocks, so int64 is exact. carrier is Z_d^n.
+    """
+    d, n = carrier.moduli[0], len(carrier.moduli)
+    res = VectorCarrier(tuple(p**e for p, e in fac for _ in range(n))
+                        ).rows(ms.elems)
+    digits = np.zeros((len(res), n), dtype=np.int64)
+    for jb, (p, e) in enumerate(fac):
+        q = p**e
+        m = d // q
+        digits += res[:, jb * n:(jb + 1) * n] * (m * pow(m, -1, q) % d)
+    dtype = np.int64 if ms.total < 2**63 else object
+    return carrier.tally(carrier.ravel(digits % d),
+                         np.array(ms.mults, dtype=dtype), cert=ms.cert)
 
 
 def zdn_bias_space(d: int, n: int, eps: float, c: int = 8,
@@ -130,23 +153,8 @@ def zdn_bias_space(d: int, n: int, eps: float, c: int = 8,
         sets, spans = nxt_sets, nxt_spans
     out = sets[0]
 
-    # recombine per-prime residue blocks into digits of Z_d by CRT
     carrier = VectorCarrier((d,) * n)
-
-    def crt_vec(v) -> tuple[int, ...]:
-        digits = []
-        for i in range(n):
-            x = 0
-            for jb, (p, e) in enumerate(fac):
-                q = p**e
-                r = v[jb * n + i] % q
-                m = d // q
-                x = (x + r * m * pow(m, -1, q)) % d
-            digits.append(x)
-        return tuple(digits)
-
-    pts = out.map_elems(crt_vec, cert=out.cert)
-    pts = reverify(carrier, pts)
+    pts = reverify(carrier, _crt_digits(out, fac, carrier))
     method = "character-sum" if carrier.order <= EXHAUSTIVE_CHAR_CAP \
         else "analytic"
     if pts.cert is None:

@@ -27,7 +27,7 @@ class Multiset:
     def __post_init__(self):
         if not self.elems:
             raise ValueError("multiset must have total multiplicity >= 1")
-        if any(m < 1 for m in self.mults):
+        if min(self.mults, default=1) < 1:
             raise ValueError("multiplicities must be positive")
 
     @property
@@ -56,9 +56,7 @@ class Multiset:
 
     def gcd_reduced(self) -> "Multiset":
         """Divide multiplicities by their gcd (spectrum-invariant)."""
-        g = 0
-        for m in self.mults:
-            g = math.gcd(g, m)
+        g = math.gcd(*self.mults)
         if g <= 1:
             return self
         return Multiset(self.elems, tuple(m // g for m in self.mults),

@@ -88,19 +88,21 @@ def root_tables(moduli) -> tuple[np.ndarray, np.ndarray]:
     return roots, offsets
 
 
-def _vector_points(ms: Multiset) -> tuple[np.ndarray, np.ndarray]:
-    pts = np.array([list(v) for v in ms.elems], dtype=np.int64)
-    w = np.array([float(m) for m in ms.mults], dtype=np.float64)
-    return pts, w
+def seed_body(ms: Multiset) -> bytes:
+    """The multiset's part of instance_seed: repr((elem, m)) per pair."""
+    elems = ms.elems
+    if isinstance(elems[0], Perm):
+        elems = [e.img for e in elems]
+    return "".join(map(repr, zip(elems, ms.mults))).encode()
 
 
-def instance_seed(moduli, ms: Multiset) -> int:
-    h = hashlib.sha256()
-    h.update(repr(tuple(moduli)).encode())
-    for e, m in ms.pairs():
-        elem = e.img if isinstance(e, Perm) else tuple(e)
-        h.update(repr((elem, m)).encode())
-    return int.from_bytes(h.digest()[:8], "big")
+def instance_seed(moduli, ms: Multiset | None = None,
+                  body: bytes | None = None) -> int:
+    """Deterministic seed of (moduli, ms); body, if given, is seed_body(ms)."""
+    if body is None:
+        body = seed_body(ms)
+    digest = hashlib.sha256(repr(tuple(moduli)).encode() + body).digest()
+    return int.from_bytes(digest[:8], "big")
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +117,8 @@ def bias_exhaustive(carrier: VectorCarrier, ms: Multiset) -> float:
             f"{EXHAUSTIVE_CHAR_CAP}")
     if order == 1:
         return 0.0
-    pts, w = _vector_points(ms)
-    flat = np.zeros(order, dtype=np.float64)
-    idx = np.ravel_multi_index(pts.T, carrier.moduli)
-    np.add.at(flat, idx, w)
+    w = np.array(ms.mults, dtype=np.float64)
+    flat = np.bincount(carrier.codes(ms.elems), weights=w, minlength=order)
     spec = np.fft.fftn(flat.reshape(carrier.moduli))
     mags = np.abs(spec).ravel()
     total = mags[0]
@@ -129,7 +129,8 @@ def bias_exhaustive(carrier: VectorCarrier, ms: Multiset) -> float:
 def bias_direct(carrier: VectorCarrier, ms: Multiset,
                 betas: np.ndarray) -> np.ndarray:
     """Character sums |E_s chi(s)| for the given character rows."""
-    pts, w = _vector_points(ms)
+    pts = np.array(ms.elems, dtype=np.int64)
+    w = np.array(ms.mults, dtype=np.float64)
     roots, offsets = root_tables(carrier.moduli)
     moduli = np.array(carrier.moduli, dtype=np.int64)
     sums = _kernels.char_sums(pts, w, betas, moduli, roots, offsets)

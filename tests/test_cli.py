@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from cayexp import cli
 from cayexp.cli import main
+from cayexp.combine import (AmplificationError, AuxInfeasibleError,
+                            CertificationError)
 
 S4 = "degree 4\n(1 2 3 4)\n(1 2)\n"
 S5 = "degree 5\n(1 2 3 4 5)\n(1 2)\n"
@@ -138,3 +141,59 @@ def test_bsgs_command(s4_file, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["order"] == 24
     assert payload["strong_generators"] <= 16
+
+
+def test_epsbias_beyond_method_capacity_exit_6(tmp_path, capsys):
+    # d^n = 2^22 is above the exhaustive character cap, so eps < 1/4
+    # cannot be amplified and certified
+    rc = main(["epsbias", "--d", "2", "--n", "22", "--eps", "0.0625",
+               "--out", str(tmp_path / "x.pts")])
+    assert rc == 6
+    assert "exceeds" in capsys.readouterr().err
+
+
+def test_epsbias_bad_arguments_exit_2(tmp_path):
+    assert main(["epsbias", "--d", "1", "--n", "3", "--eps", "0.25",
+                 "--out", str(tmp_path / "x.pts")]) == 2
+
+
+CONSTRUCTION_ERRORS = [
+    CertificationError("base multiset not certified"),
+    AmplificationError("recurrence stalls"),
+    AuxInfeasibleError("could not reach mu <= 0.01", achievable_mu=0.3125),
+]
+
+
+def _raise(err):
+    def fn(*args, **kwargs):
+        raise err
+    return fn
+
+
+@pytest.mark.parametrize("err", CONSTRUCTION_ERRORS,
+                         ids=lambda e: type(e).__name__)
+def test_epsbias_construction_failure_exit_4(tmp_path, capsys, monkeypatch,
+                                             err):
+    monkeypatch.setattr(cli, "zdn_bias_space", _raise(err))
+    rc = main(["epsbias", "--d", "6", "--n", "3", "--eps", "0.25",
+               "--out", str(tmp_path / "x.pts")])
+    assert rc == 4
+    stderr = capsys.readouterr().err
+    assert str(err) in stderr
+    assert ("achievable mu = 0.3125" in stderr) == \
+        isinstance(err, AuxInfeasibleError)
+
+
+@pytest.mark.parametrize("err", CONSTRUCTION_ERRORS,
+                         ids=lambda e: type(e).__name__)
+def test_build_construction_failure_exit_4(tmp_path, s4_file, capsys,
+                                           monkeypatch, err):
+    monkeypatch.setattr(cli, "solvable_expander", _raise(err))
+    out = tmp_path / "s4.ms"
+    rc = main(["build-expander", "--group", str(s4_file), "--out", str(out)])
+    assert rc == 4
+    assert not out.exists()
+    stderr = capsys.readouterr().err
+    assert str(err) in stderr
+    assert ("achievable mu = 0.3125" in stderr) == \
+        isinstance(err, AuxInfeasibleError)

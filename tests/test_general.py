@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import pytest
@@ -10,7 +11,7 @@ from cayexp.general import (AmplificationSchedule, babai_bound,
                             general_expander, rv_composition,
                             strong_generator_multiset)
 from cayexp.multiset import multiset
-from cayexp.perm import GenSet, parse_perm
+from cayexp.perm import GenSet, Perm, parse_perm
 from cayexp.spectra import dense_lambda2, dense_lambda2_signed, graph_info
 
 
@@ -127,3 +128,58 @@ class TestGeneralExpander:
         out = general_expander(g, 1 / 16)
         assert out.cert <= 1 / 16
         assert dense_lambda2(PermCarrier.of(g), out) <= 1 / 16 + 1e-9
+
+
+def projective_line(q: int, mult: int) -> GenSet:
+    """x -> x+1, x -> mult*x, x -> -1/x on GF(q) u {inf} (point q = inf).
+
+    mult a primitive root gives PGL(2, q), a non-trivial square PSL(2, q).
+    """
+    inf = q
+    maps = (lambda x: inf if x == inf else (x + 1) % q,
+            lambda x: inf if x == inf else (mult * x) % q,
+            lambda x: 0 if x == inf else
+            (inf if x == 0 else (-pow(x, -1, q)) % q))
+    return GenSet(q + 1, tuple(Perm([f(x) for x in range(q + 1)])
+                               for f in maps))
+
+
+# dense_lambda2 calls of general_expander: one fewer than when the adaptive
+# result was re-measured at the end
+ADAPTIVE_MEASUREMENTS = {
+    ("A5", 0.25): 4, ("A5", 0.0625): 6,
+    ("S5", 0.25): 6, ("S5", 0.0625): 8,
+    ("PSL(2,7)", 0.25): 4, ("PSL(2,7)", 0.0625): 6,
+    ("PGL(2,5)", 0.25): 4, ("PGL(2,5)", 0.0625): 6,
+}
+ADAPTIVE_GROUPS = {
+    "A5": lambda: GenSet(5, (parse_perm("(1 2 3)", 5),
+                             parse_perm("(3 4 5)", 5))),
+    "S5": catalog.s5,
+    "PSL(2,7)": lambda: projective_line(7, 4),
+    "PGL(2,5)": lambda: projective_line(5, 2),
+}
+
+
+@pytest.mark.parametrize("name,lam", sorted(ADAPTIVE_MEASUREMENTS))
+def test_adaptive_certificate_is_its_final_measurement(name, lam,
+                                                       monkeypatch):
+    # the package re-exports the function combine under the module's name
+    combine_mod = importlib.import_module("cayexp.combine")
+    g = ADAPTIVE_GROUPS[name]()
+    carrier = PermCarrier.of(g)
+    measured = []
+    original = combine_mod.dense_lambda2
+
+    def counting(c, ms):
+        measured.append((ms.elems, ms.mults))
+        return original(c, ms)
+
+    monkeypatch.setattr(combine_mod, "dense_lambda2", counting)
+    out = general_expander(g, lam)
+    assert len(measured) == ADAPTIVE_MEASUREMENTS[name, lam]
+    # no multiset is measured twice in a row
+    assert all(a != b for a, b in zip(measured, measured[1:]))
+    monkeypatch.undo()
+    assert out.cert == combine_mod.measure_exact(carrier, out)
+    assert out.cert <= lam

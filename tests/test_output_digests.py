@@ -1,0 +1,38 @@
+"""Pinned SHA-256 digests of formatted outputs.
+
+The README promises byte-identical outputs across reruns and releases; an
+internal rewrite that changes any element, multiplicity or order shows up
+here as a digest mismatch. A change of output on purpose updates these
+values and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from cayexp import catalog
+from cayexp.combine import solvable_expander
+from cayexp.epsbias import format_bias_space, zdn_bias_space
+from cayexp.multiset import format_perm_multiset
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("d,n,eps,digest", [
+    (12, 3, 0.25,
+     "6f78bf9222287cb9ad13545b59b2eac31f8383e6719da398b1b0c73289dadd09"),
+    (6, 4, 0.0625,
+     "db993aac9c0dfdcd87f0e7002ac0c8aef971ca77d66998aa08381efceddf6547"),
+    (3, 8, 0.25,
+     "48d9c477d8e7617cd693bddb8d1a3540cc808a93397f15a1185afa8253a45ace"),
+])
+def test_bias_space_digest(d, n, eps, digest):
+    assert sha256(format_bias_space(zdn_bias_space(d, n, eps))) == digest
+
+
+def test_solvable_a4_digest():
+    out = solvable_expander(catalog.a4(), 0.25)
+    assert sha256(format_perm_multiset(out, 4)) == \
+        "d4242a4b4b57a65aaba96e658078edd918c5f1a6e7a42d94f0ffcf640c95efd7"
