@@ -84,7 +84,7 @@ class VectorCarrier:
         if any(m < 1 for m in moduli):
             raise ValueError("moduli must be >= 1")
         self.moduli = tuple(int(m) for m in moduli)
-        self._last_coded = ((), None)
+        self._last_coded = (None, None)   # (elems, read-only codes)
 
     @staticmethod
     def of(shape: AbelianShape) -> "VectorCarrier":

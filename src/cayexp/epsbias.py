@@ -77,12 +77,13 @@ def _crt_digits(ms: Multiset, fac, carrier: VectorCarrier) -> Multiset:
 
     Block j holds the n residues mod q_j = p_j^e_j; digit i is
     sum_j r_ji * m_j * (m_j^-1 mod q_j) mod d with m_j = d / q_j, computed
-    over the (support, k*n) residue array. Every term is below d^2 <= 10^12
-    and there are at most 7 blocks, so int64 is exact. carrier is Z_d^n.
+    over the (support, k*n) residue array. Every term is below d^2 and
+    d <= D_CAP = 10^6 has at most 7 prime factors, so int64 is exact.
+    carrier is Z_d^n.
     """
     d, n = carrier.moduli[0], len(carrier.moduli)
-    res = VectorCarrier(tuple(p**e for p, e in fac for _ in range(n))
-                        ).rows(ms.elems)
+    depth = max(e for _, e in fac)
+    res = _kfold_carrier(fac, n, 0, depth).rows(ms.elems)
     digits = np.zeros((len(res), n), dtype=np.int64)
     for jb, (p, e) in enumerate(fac):
         q = p**e
