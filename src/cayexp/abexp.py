@@ -372,8 +372,9 @@ def final_R(n: int, primes, c: int = 8, base: Multiset | None = None,
         pws.append(pw)
     ymats = [np.array([y[jp].coeffs for y in ys], dtype=np.int64)
              for jp in range(len(fields))]
-    # point rows are built in tuple chunks so memory stays bounded for large
-    # bases; only their codes are kept
+    # point rows are built in tuple chunks, which bounds the int64 row
+    # matrix; the codes and weights of all cn * |base| points are kept and
+    # tallied together, one int64 each
     carrier = r_carrier(n, primes)
     codes = []
     chunk = max(1, 4_000_000 // max(1, len(ys) * len(primes) * n))

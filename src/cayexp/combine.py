@@ -88,26 +88,16 @@ def symmetrize(carrier: Carrier, ms: Multiset) -> Multiset:
 # ---------------------------------------------------------------------------
 # multiplicity bookkeeping
 
-@dataclass(frozen=True)
-class _Units:
+def _pair_units(carrier: Carrier, ms: Multiset
+                ) -> tuple[np.ndarray, Callable[[np.ndarray], Multiset]]:
     """A multiset's inverse-pair units, heaviest first, ties by element.
 
-    A unit is an element e and, unless e is self-inverse, e^-1; e is the
-    first element of its pair in canonical order. sizes[u] is the unit's
-    element count and members(us) the multiset of the elements of units us,
-    each with weight 1.
-    """
-
-    sizes: np.ndarray
-    members: Callable[[np.ndarray], Multiset]
-
-
-def _pair_units(carrier: Carrier, ms: Multiset) -> _Units:
-    """Pair the elements of a multiset in canonical storage with inverses.
-
-    Canonical storage sorts the elements, so element order is index order:
-    element i opens a unit unless its inverse is element j < i. An inverse
-    missing from a non-symmetric multiset still joins its unit.
+    A unit is an element e and, unless e is self-inverse, e^-1. Canonical
+    storage sorts the elements, so element order is index order: element i
+    opens a unit unless its inverse is element j < i. An inverse missing
+    from a non-symmetric multiset still joins its unit. Returns (sizes,
+    members): sizes[u] is unit u's element count and members(us) the
+    multiset of the elements of units us, each with weight 1.
     """
     n = ms.support
     if isinstance(carrier, VectorCarrier):
@@ -140,10 +130,10 @@ def _pair_units(carrier: Carrier, ms: Multiset) -> _Units:
     dtype = np.int64 if ms.total < 2**63 else object
     weight = np.array(ms.mults, dtype=dtype)[heads]
     order = np.argsort(-weight, kind="stable")
-    return _Units(sizes[order], lambda us: build(order[us]))
+    return sizes[order], lambda us: build(order[us])
 
 
-def _trim_support(units: _Units, k: int,
+def _trim_support(units: tuple[np.ndarray, Callable], k: int,
                   seed_body: bytes | None = None) -> Multiset:
     """Symmetric support trim to ~k elements, all kept weights set to 1.
 
@@ -154,13 +144,14 @@ def _trim_support(units: _Units, k: int,
     in a deterministic pseudorandom order instead; both are re-measured by
     the caller before acceptance.
     """
-    order = np.arange(len(units.sizes))
+    sizes, members = units
+    order = np.arange(len(sizes))
     if seed_body is not None:
-        rng = np.random.default_rng(instance_seed((k,), body=seed_body))
+        rng = np.random.default_rng(instance_seed((k,), seed_body))
         order = rng.permutation(len(order))
-    sizes = units.sizes[order]
+    sizes = sizes[order]
     before = np.cumsum(sizes) - sizes
-    return units.members(order[:np.searchsorted(before, k)])
+    return members(order[:np.searchsorted(before, k)])
 
 
 def compact(carrier: Carrier, ms: Multiset, target_total: int,

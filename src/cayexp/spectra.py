@@ -96,11 +96,8 @@ def seed_body(ms: Multiset) -> bytes:
     return "".join(map(repr, zip(elems, ms.mults))).encode()
 
 
-def instance_seed(moduli, ms: Multiset | None = None,
-                  body: bytes | None = None) -> int:
-    """Deterministic seed of (moduli, ms); body, if given, is seed_body(ms)."""
-    if body is None:
-        body = seed_body(ms)
+def instance_seed(moduli, body: bytes) -> int:
+    """Deterministic seed of moduli and a multiset's seed_body."""
     digest = hashlib.sha256(repr(tuple(moduli)).encode() + body).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -140,7 +137,8 @@ def bias_direct(carrier: VectorCarrier, ms: Multiset,
 def bias_sampled(carrier: VectorCarrier, ms: Multiset,
                  count: int = SAMPLED_CHAR_COUNT) -> float:
     """Deterministic pseudorandom character sample; a lower-bound estimate."""
-    rng = np.random.default_rng(instance_seed(carrier.moduli, ms))
+    rng = np.random.default_rng(instance_seed(carrier.moduli,
+                                             seed_body(ms)))
     moduli = np.array(carrier.moduli, dtype=np.int64)
     # keep the kernel work bounded for very large point sets
     count = max(1000, min(count, 10**8 // max(ms.support, 1)))
