@@ -232,10 +232,13 @@ class PermCarrier:
     differ at a base point: the base is ascending and the group at a level
     is the pointwise stabilizer of every point below its base point. Rows
     sorted by their base images are therefore sorted lexicographically.
-    Lookups encode the base images of a row as big-endian bytes viewed as
-    one void scalar, which is collision-free for any degree and base
-    length, and binary-search the sorted keys. ``Perm`` objects are made
-    only when asked for.
+    Lookups key a row by its base images packed as bit fields of one int64,
+    the first base point most significant, and binary-search the sorted
+    keys; where the fields do not fit in 63 bits the key is the images as
+    big-endian bytes viewed as one void scalar. Both keys are
+    collision-free and sort like the base images. Action tables are built
+    a chunk of rows at a time, by one gather and one search per chunk.
+    ``Perm`` objects are made only when asked for.
     """
 
     def __init__(self, bsgs: BSGS, cap: int = 10**6):
@@ -278,14 +281,14 @@ class PermCarrier:
                             dtype=dtype)
             img = reps[:, img].reshape(-1, deg)   # (p * u)[x] = u[p[x]]
         cols = np.ascontiguousarray(img[:, self._key_points])
-        keys = _row_keys(cols)
+        keys = _row_keys(cols, deg)
         order = np.argsort(keys, kind="stable")
         return img[order], cols[order], keys[order]
 
     def _find(self, cols: np.ndarray) -> np.ndarray:
         """Indices of the elements with the given base-image rows."""
         keys = self._table[2]
-        want = _row_keys(cols)
+        want = _row_keys(cols, self.bsgs.degree)
         pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
         if np.any(keys[pos] != want):
             raise KeyError("element is not in the group")
@@ -323,15 +326,38 @@ class PermCarrier:
 
     def action_tables(self, ms: Multiset) -> tuple[np.ndarray, np.ndarray]:
         images, cols, _ = self._table
-        tables = np.empty((ms.support, len(images)), dtype=np.int64)
-        for j, s in enumerate(images[self._indices(ms.elems)]):
-            tables[j] = self._find(s[cols])       # (e * s)[b] = s[e[b]]
+        n, k = cols.shape
+        sup = images[self._indices(ms.elems)]
+        tables = np.empty((ms.support, n), dtype=np.int64)
+        step = max(1, _CHUNK_ENTRIES // n)
+        for j in range(0, ms.support, step):
+            # (e * s)[b] = s[e[b]] for every element e and support row s
+            rows = sup[j:j + step, cols].reshape(-1, k)
+            tables[j:j + step] = self._find(rows).reshape(-1, n)
         weights = np.array(ms.mults, dtype=np.float64)
         return tables, weights / weights.sum()
 
 
-def _row_keys(cols: np.ndarray) -> np.ndarray:
-    """One sortable void scalar per row: its entries as big-endian bytes."""
+# table entries looked up per chunk of action-table rows: bounds the
+# gathered base images and their keys to a few MB for any support size
+_CHUNK_ENTRIES = 1 << 16
+
+
+def _row_keys(cols: np.ndarray, degree: int) -> np.ndarray:
+    """One sortable key per row of points in range(degree).
+
+    The entries packed as bit fields of an int64, first entry most
+    significant, when they fit in 63 bits; otherwise the entries as
+    big-endian bytes viewed as one void scalar. Either way keys compare
+    like the rows, lexicographically.
+    """
+    bits = (degree - 1).bit_length()
+    if cols.shape[1] * bits <= 63:
+        keys = np.zeros(len(cols), dtype=np.int64)
+        for col in cols.T:
+            keys <<= bits
+            keys |= col
+        return keys
     be = np.ascontiguousarray(cols, dtype=cols.dtype.newbyteorder(">"))
     return be.view(np.dtype((np.void, be.itemsize * be.shape[1]))).ravel()
 

@@ -102,6 +102,9 @@ def cmd_build_expander(args) -> int:
     except SolvabilityError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NOT_SOLVABLE
+    except MethodCapacityError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_TOO_LARGE
     except CONSTRUCTION_FAILURES as e:
         return _construction_failed(e)
     carrier = PermCarrier.of(gens)

@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bsgs import schreier_sims
+from .bsgs import BSGS, schreier_sims
 from .carriers import PermCarrier
 from .combine import measure_exact, reduce_to_quarter, reverify
 from .multiset import Multiset, multiset
 from .perm import GenSet, Perm
-from .spectra import ITER_CAP, graph_info
+from .spectra import ITER_CAP, MethodCapacityError, graph_info
 
 
 def babai_bound(deg: int, diam: int) -> float:
@@ -56,10 +56,13 @@ class AmplificationSchedule:
 
 def strong_generator_multiset(g: GenSet) -> Multiset:
     """Symmetrized, deduplicated strong generators of <g>."""
-    bs = schreier_sims(g)
+    return _strong_generator_multiset(schreier_sims(g))
+
+
+def _strong_generator_multiset(bs: BSGS) -> Multiset:
     gens = bs.strong_gens()
     if not gens:
-        return multiset([(Perm.identity(g.degree), 1)])
+        return multiset([(Perm.identity(bs.degree), 1)])
     sym = set()
     for p in gens:
         sym.add(p)
@@ -80,11 +83,11 @@ def general_expander(g: GenSet, lam: float = 0.25,
         raise ValueError("lambda must be in (0, 1)")
     bs = schreier_sims(g)
     carrier = PermCarrier(bs)
-    ms = strong_generator_multiset(g)
+    ms = _strong_generator_multiset(bs)
     if carrier.order == 1:
         return ms.with_cert(0.0)
     if carrier.order > ITER_CAP:
-        raise ValueError(
+        raise MethodCapacityError(
             f"group order {carrier.order} exceeds the verification cap "
             f"{ITER_CAP}; analytic-only certificates are not emitted")
     info = graph_info(carrier, ms)

@@ -162,3 +162,17 @@ def np_commutator_closure(els: np.ndarray) -> np.ndarray:
             all_rows.append(frontier)
     out = np.unique(np.concatenate(all_rows, axis=0), axis=0)
     return out
+
+
+def projective_line(q: int, mult: int) -> GenSet:
+    """x -> x+1, x -> mult*x, x -> -1/x on GF(q) u {inf} (point q = inf).
+
+    mult a primitive root gives PGL(2, q), a non-trivial square PSL(2, q).
+    """
+    inf = q
+    maps = (lambda x: inf if x == inf else (x + 1) % q,
+            lambda x: inf if x == inf else (mult * x) % q,
+            lambda x: 0 if x == inf else
+            (inf if x == 0 else (-pow(x, -1, q)) % q))
+    return GenSet(q + 1, tuple(Perm([f(x) for x in range(q + 1)])
+                               for f in maps))

@@ -25,6 +25,7 @@ class TestSchreierSims:
     @pytest.mark.parametrize("name,order", [
         ("Z8", 8), ("Z12", 12), ("D8", 8), ("A4", 12), ("S3xS4", 144),
         ("Sylow2_S8", 128), ("Q8", 8), ("A5", 60), ("S5", 120),
+        ("A6", 360), ("A7", 2520),
     ])
     def test_catalog_orders(self, name, order):
         g = catalog.FULL_CATALOG[name]()

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from cayexp import catalog
+from cayexp import carriers, catalog
 from cayexp.bsgs import CapacityError
 from cayexp.carriers import PermCarrier
 from cayexp.combine import square_multiset
@@ -25,11 +25,15 @@ GROUPS = {
     "D8": catalog.d8,
     "Q8": catalog.q8,
     "A5": catalog.a5,
-    # 200**9 >= 2**63: a radix key over base images would overflow int64
+    # 9 base points of 8 bits each do not fit an int64 key
     "Z2^9 on 200": lambda: z2_power(9, 200),
     # images above 255 need two-byte keys
     "Z2^9 on 300": lambda: z2_power(9, 300),
 }
+
+# dtype kind of the lookup keys: "i" packed int64, "V" big-endian bytes
+KEY_KIND = {"S4": "i", "D8": "i", "Q8": "i", "A5": "i",
+            "Z2^9 on 200": "V", "Z2^9 on 300": "V"}
 
 
 def sample_multiset(els, seed, k=5):
@@ -45,6 +49,7 @@ def test_matches_perm_loop_oracle(name):
     carrier = PermCarrier.of(g)
     oracle = sorted(carrier.bsgs.elements())
     assert carrier.elements() == oracle
+    assert carrier._table[2].dtype.kind == KEY_KIND[name]
     index = {p: i for i, p in enumerate(oracle)}
     assert [carrier.index_of(p) for p in oracle] == list(range(len(oracle)))
     assert carrier.perms([3 % len(oracle), 0]) == [oracle[3 % len(oracle)],
@@ -54,6 +59,25 @@ def test_matches_perm_loop_oracle(name):
     expected = [[index[e * s] for e in oracle] for s in ms.elems]
     assert tables.tolist() == expected
     assert weights.tolist() == [m / ms.total for m in ms.mults]
+
+
+@pytest.mark.parametrize("name,support,kind", [
+    ("A6", 360, "i"),           # the whole group as support
+    ("Z2^9 on 300", 260, "V"),  # two full chunks of 128 rows and a short one
+])
+def test_action_tables_span_several_chunks(name, support, kind):
+    g = catalog.a6() if name == "A6" else GROUPS[name]()
+    carrier = PermCarrier.of(g)
+    assert carrier._table[2].dtype.kind == kind
+    oracle = sorted(carrier.bsgs.elements())
+    index = {p: i for i, p in enumerate(oracle)}
+    rng = random.Random(4)
+    ms = multiset([(p, rng.randint(1, 3))
+                   for p in rng.sample(oracle, support)])
+    assert ms.support > carriers._CHUNK_ENTRIES // carrier.order
+    tables, _ = carrier.action_tables(ms)
+    expected = [[index[e * s] for e in oracle] for s in ms.elems]
+    assert tables.tolist() == expected
 
 
 def test_foreign_element_raises():

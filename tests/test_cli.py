@@ -97,6 +97,17 @@ def test_too_large_without_sampled_exit_6(tmp_path):
     assert rc == 6
 
 
+def test_build_beyond_verification_cap_exit_6(tmp_path, capsys):
+    # S10 (order 3628800) is above ITER_CAP, so no certificate is emitted
+    big = tmp_path / "s10.grp"
+    big.write_text("degree 10\n(1 2 3 4 5 6 7 8 9 10)\n(1 2)\n")
+    out = tmp_path / "s10.ms"
+    rc = main(["build-expander", "--group", str(big), "--out", str(out)])
+    assert rc == 6
+    assert not out.exists()
+    assert "exceeds the verification cap" in capsys.readouterr().err
+
+
 def test_series_output(s4_file, capsys):
     assert main(["series", "--group", str(s4_file), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

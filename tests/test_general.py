@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from helpers import random_symmetric_multiset
+from helpers import projective_line, random_symmetric_multiset
 
 from cayexp import catalog
 from cayexp.carriers import PermCarrier
@@ -11,7 +11,7 @@ from cayexp.general import (AmplificationSchedule, babai_bound,
                             general_expander, rv_composition,
                             strong_generator_multiset)
 from cayexp.multiset import multiset
-from cayexp.perm import GenSet, Perm, parse_perm
+from cayexp.perm import GenSet, parse_perm
 from cayexp.spectra import dense_lambda2, dense_lambda2_signed, graph_info
 
 
@@ -128,20 +128,6 @@ class TestGeneralExpander:
         out = general_expander(g, 1 / 16)
         assert out.cert <= 1 / 16
         assert dense_lambda2(PermCarrier.of(g), out) <= 1 / 16 + 1e-9
-
-
-def projective_line(q: int, mult: int) -> GenSet:
-    """x -> x+1, x -> mult*x, x -> -1/x on GF(q) u {inf} (point q = inf).
-
-    mult a primitive root gives PGL(2, q), a non-trivial square PSL(2, q).
-    """
-    inf = q
-    maps = (lambda x: inf if x == inf else (x + 1) % q,
-            lambda x: inf if x == inf else (mult * x) % q,
-            lambda x: 0 if x == inf else
-            (inf if x == 0 else (-pow(x, -1, q)) % q))
-    return GenSet(q + 1, tuple(Perm([f(x) for x in range(q + 1)])
-                               for f in maps))
 
 
 # dense_lambda2 calls of general_expander: one fewer than when the adaptive

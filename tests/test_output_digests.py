@@ -10,9 +10,12 @@ import hashlib
 
 import pytest
 
+from helpers import projective_line
+
 from cayexp import catalog
 from cayexp.combine import solvable_expander
 from cayexp.epsbias import format_bias_space, zdn_bias_space
+from cayexp.general import general_expander
 from cayexp.multiset import format_perm_multiset
 
 
@@ -36,3 +39,18 @@ def test_solvable_a4_digest():
     out = solvable_expander(catalog.a4(), 0.25)
     assert sha256(format_perm_multiset(out, 4)) == \
         "d4242a4b4b57a65aaba96e658078edd918c5f1a6e7a42d94f0ffcf640c95efd7"
+
+
+# the general pipeline: permutation carriers, squaring over perms, compact
+@pytest.mark.parametrize("name,group,lam,digest", [
+    ("A5", catalog.a5, 1 / 16,
+     "8185f44ebfd1b565c9208ce99b51c0f23fc6c0a9bfc50565c66e8e617ba6805c"),
+    ("PSL(2,7)", lambda: projective_line(7, 4), 1 / 4,
+     "594f730004ca8ccb111dcd5caf00b565406e1bceed86c9981c84f7c7b04a75f1"),
+    ("S5", catalog.s5, 1 / 16,
+     "85e19a9f012f1c7f4c93ef5d28aa665a372627febd8cfb2df17f0baff36d00db"),
+])
+def test_general_expander_digest(name, group, lam, digest):
+    g = group()
+    out = general_expander(g, lam)
+    assert sha256(format_perm_multiset(out, g.degree)) == digest, name
