@@ -7,8 +7,7 @@ spectral / character-sum verifier.
 """
 
 from .perm import GenSet, Perm, parse_perm, format_perm, parse_group_file
-from .bsgs import BSGS, schreier_sims, membership, enumerate_elements, \
-    jerrum_reduce
+from .bsgs import BSGS, schreier_sims, jerrum_reduce
 from .series import derived_series, quotient_context, SubgroupChain, \
     QuotientContext
 from .multiset import Multiset, multiset

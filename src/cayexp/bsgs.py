@@ -159,14 +159,6 @@ def schreier_sims(g: GenSet) -> BSGS:
     return BSGS.build(g)
 
 
-def membership(b: BSGS, p: Perm) -> bool:
-    return b.contains(p)
-
-
-def enumerate_elements(b: BSGS, cap: int) -> list[Perm]:
-    return b.elements(cap=cap)
-
-
 # ---------------------------------------------------------------------------
 # Jerrum's filter: any G <= S_n is generated by at most n-1 permutations.
 #

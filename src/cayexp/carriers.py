@@ -12,8 +12,8 @@ up by their base-point images, so its action tables are numpy gathers and
 binary searches. A vector group codes each element as its mixed-radix index
 (``ravel_multi_index``), so pairing, trimming, squaring and deduplicating
 vector multisets are integer-array operations; coordinate tuples are made
-only where a ``Multiset`` is built. Quotient carriers work element by
-element.
+only where a ``Multiset`` is built. A quotient H/N is a coset label for
+every row of H's table, so its action tables are H's gathers relabelled.
 """
 
 from __future__ import annotations
@@ -63,18 +63,6 @@ class AbelianShape:
         for m in self.moduli:
             n *= m
         return n
-
-    def identity(self) -> tuple[int, ...]:
-        return (0,) * self.width
-
-    def reduce(self, v) -> tuple[int, ...]:
-        return tuple(int(c) % m for c, m in zip(v, self.moduli))
-
-    def add(self, a, b) -> tuple[int, ...]:
-        return tuple((x + y) % m for x, y, m in zip(a, b, self.moduli))
-
-    def neg(self, a) -> tuple[int, ...]:
-        return tuple((-x) % m for x, m in zip(a, self.moduli))
 
 
 class VectorCarrier:
@@ -203,12 +191,6 @@ class VectorCarrier:
             mults = np.add.reduceat(weights[order], starts)
         return self.from_codes(codes[starts], mults, cert)
 
-    def index_of(self, v) -> int:
-        idx = 0
-        for c, m in zip(v, self.moduli):
-            idx = idx * m + (c % m)
-        return idx
-
     def action_tables(self, ms: Multiset) -> tuple[np.ndarray, np.ndarray]:
         n = self.order
         shape = self.moduli
@@ -217,8 +199,7 @@ class VectorCarrier:
         for j, (v, _) in enumerate(ms.pairs()):
             shifted = [(base[t] + v[t]) % shape[t] for t in range(len(shape))]
             tables[j] = np.ravel_multi_index(shifted, shape)
-        weights = np.array(ms.mults, dtype=np.float64)
-        return tables, weights / weights.sum()
+        return tables, _weights(ms)
 
 
 class PermCarrier:
@@ -324,18 +305,30 @@ class PermCarrier:
     def index_of(self, p: Perm) -> int:
         return int(self._indices([p])[0])
 
-    def action_tables(self, ms: Multiset) -> tuple[np.ndarray, np.ndarray]:
+    def _products(self, support: np.ndarray, rows) -> np.ndarray:
+        """Indices of e * s: a row per support index s, a column per
+        element index e in rows."""
         images, cols, _ = self._table
+        cols = cols[rows]
         n, k = cols.shape
-        sup = images[self._indices(ms.elems)]
-        tables = np.empty((ms.support, n), dtype=np.int64)
+        sup = images[support]
+        out = np.empty((len(sup), n), dtype=np.int64)
         step = max(1, _CHUNK_ENTRIES // n)
-        for j in range(0, ms.support, step):
+        for j in range(0, len(sup), step):
             # (e * s)[b] = s[e[b]] for every element e and support row s
-            rows = sup[j:j + step, cols].reshape(-1, k)
-            tables[j:j + step] = self._find(rows).reshape(-1, n)
-        weights = np.array(ms.mults, dtype=np.float64)
-        return tables, weights / weights.sum()
+            prods = sup[j:j + step, cols].reshape(-1, k)
+            out[j:j + step] = self._find(prods).reshape(-1, n)
+        return out
+
+    def action_tables(self, ms: Multiset) -> tuple[np.ndarray, np.ndarray]:
+        tables = self._products(self._indices(ms.elems), slice(None))
+        return tables, _weights(ms)
+
+
+def _weights(ms: Multiset) -> np.ndarray:
+    """The multiplicities normalized to sum 1 (the action tables' weights)."""
+    weights = np.array(ms.mults, dtype=np.float64)
+    return weights / weights.sum()
 
 
 # table entries looked up per chunk of action-table rows: bounds the
@@ -363,11 +356,16 @@ def _row_keys(cols: np.ndarray, degree: int) -> np.ndarray:
 
 
 class QuotientCarrier:
-    """The quotient H/N represented by canonical coset representatives."""
+    """H/N as coset labels on the rows of H's permutation carrier.
+
+    A coset is its canonical (minimum-image) representative. H's rows are
+    in lexicographic order, so cosets are numbered in the order of their
+    representatives, and coset 0 is N itself.
+    """
 
     def __init__(self, ctx: QuotientContext, cap: int = 10**6):
         self.ctx = ctx
-        self.cap = cap
+        self.parent = PermCarrier(ctx.parent, cap)
 
     @property
     def order(self) -> int:
@@ -382,40 +380,38 @@ class QuotientCarrier:
     def inv(self, a: Perm) -> Perm:
         return self.ctx.inv(a)
 
-    def project(self, a: Perm) -> Perm:
-        return self.ctx.canonicalize(a)
-
     @cached_property
-    def _elements(self) -> list[Perm]:
-        if self.ctx.parent.order() > self.cap:
-            raise CapacityError(
-                f"parent order {self.ctx.parent.order()} exceeds cap "
-                f"{self.cap}")
-        reps = {self.ctx.canonicalize(p)
-                for p in self.ctx.parent.elements(cap=self.cap)}
-        return sorted(reps)
+    def _cosets(self) -> tuple[np.ndarray, np.ndarray]:
+        """(coset of every parent row, parent row of each representative).
+
+        ``QuotientContext.canonicalize`` run on the whole image array: per
+        kernel level one argmin over the orbit's images, one row gather.
+        """
+        canon = self.parent._table[0]
+        for lv in self.ctx.kernel.levels:
+            points = list(lv.transversal)
+            trans = np.array([u.img for u in lv.transversal.values()],
+                             dtype=canon.dtype)
+            pick = np.argmin(canon[:, points], axis=1)
+            # (u * p)[x] = p[u[x]]; u moves the base point to p's argmin
+            canon = np.take_along_axis(canon, trans[pick], axis=1)
+        rows = self.parent._find(canon[:, self.parent._key_points])
+        reps, labels = np.unique(rows, return_inverse=True)
+        return labels, reps
 
     def elements(self, cap: int | None = None) -> list[Perm]:
         if cap is not None and self.order > cap:
             raise CapacityError(f"group order {self.order} exceeds cap {cap}")
-        return self._elements
+        return self.perms(slice(None))
 
-    @cached_property
-    def _index(self) -> dict[Perm, int]:
-        return {p: i for i, p in enumerate(self._elements)}
-
-    def index_of(self, p: Perm) -> int:
-        return self._index[self.ctx.canonicalize(p)]
+    def perms(self, indices) -> list[Perm]:
+        """The canonical representatives of the cosets at the indices."""
+        return self.parent.perms(self._cosets[1][indices])
 
     def action_tables(self, ms: Multiset) -> tuple[np.ndarray, np.ndarray]:
-        els = self._elements
-        idx = self._index
-        can = self.ctx.canonicalize
-        tables = np.empty((ms.support, len(els)), dtype=np.int64)
-        for j, (s, _) in enumerate(ms.pairs()):
-            tables[j] = [idx[can(e * s)] for e in els]
-        weights = np.array(ms.mults, dtype=np.float64)
-        return tables, weights / weights.sum()
+        labels, reps = self._cosets
+        rows = self.parent._products(self.parent._indices(ms.elems), reps)
+        return labels[rows], _weights(ms)
 
     def image_multiset(self, ms: Multiset,
                        cert: float | None = None) -> Multiset:
@@ -427,9 +423,14 @@ Carrier = PermCarrier | QuotientCarrier | VectorCarrier
 
 
 def multiset_order_check(carrier, ms: Multiset) -> bool:
-    """True when the multiset's elements all lie in the carrier's group."""
+    """True when the multiset's elements all lie in the carrier's group
+    (for a quotient, its parent group): one batched table lookup."""
     if isinstance(carrier, VectorCarrier):
         return all(len(v) == len(carrier.moduli) for v in ms.elems)
-    if isinstance(carrier, PermCarrier):
-        return all(carrier.bsgs.contains(p) for p in ms.elems)
-    return all(carrier.ctx.parent.contains(p) for p in ms.elems)
+    if isinstance(carrier, QuotientCarrier):
+        carrier = carrier.parent
+    try:
+        carrier._indices(ms.elems)
+    except KeyError:
+        return False
+    return True

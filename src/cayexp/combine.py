@@ -432,15 +432,13 @@ def square_multiset(carrier: Carrier, ms: Multiset) -> Multiset:
     This is derandomized squaring with the degenerate full-group auxiliary
     (mu = 0): every index pair contributes, and since S is symmetric the
     inverse-indexed half coincides with the direct half. Vector carriers use
-    an FFT convolution, permutation groups their action tables; quotients
-    multiply support pairs directly.
+    an FFT convolution, permutation groups and their quotients their action
+    tables.
     """
-    if isinstance(carrier, PermCarrier):
+    if not isinstance(carrier, VectorCarrier):
         return _square_perm(carrier, ms)
     cert = ms.cert * ms.cert if ms.cert is not None else None
-    if isinstance(carrier, VectorCarrier) \
-            and carrier.order <= EXHAUSTIVE_CHAR_CAP \
-            and ms.total <= 1 << 26:
+    if carrier.order <= EXHAUSTIVE_CHAR_CAP and ms.total <= 1 << 26:
         w = np.bincount(carrier.codes(ms.elems),
                         weights=np.array(ms.mults, dtype=np.float64),
                         minlength=carrier.order)
@@ -458,8 +456,9 @@ def square_multiset(carrier: Carrier, ms: Multiset) -> Multiset:
     return multiset(acc.items(), cert=cert)
 
 
-def _square_perm(carrier: PermCarrier, ms: Multiset) -> Multiset:
-    """square_multiset on a permutation group, by index arithmetic.
+def _square_perm(carrier: PermCarrier | QuotientCarrier,
+                 ms: Multiset) -> Multiset:
+    """square_multiset on a permutation group or quotient, by index arithmetic.
 
     Row j of the action tables maps element i to e_i * s_j and element 0 is
     the identity, so tables[j, tables[l, 0]] is the index of s_l * s_j. The
@@ -631,7 +630,8 @@ def fold_series(chain: SubgroupChain, quotient_sets: list[Multiset],
         groups.append(trivial)
         sets.append(multiset([(Perm.identity(trivial.degree), 1)], cert=0.0))
 
-    orders = [PermCarrier.of(g).order for g in groups]
+    orders = list(chain.orders)
+    orders += orders[-1:] * (len(groups) - len(orders))
 
     def merge(k: int, l: int, m: int, upper: Multiset,
               lower: Multiset) -> Multiset:

@@ -251,8 +251,6 @@ def second_eigenvalue(carrier: Carrier, ms: Multiset, tol: float = 1e-9,
                       method: str = "auto") -> SpectrumReport:
     """Certified lambda2 of Cay(G, S) for a symmetric multiset S."""
     ms.require_symmetric(carrier.inv)
-    if not multiset_order_check(carrier, ms):
-        raise ValueError("multiset contains elements outside the group")
     n = carrier.order
     if method == "auto":
         if isinstance(carrier, VectorCarrier):
@@ -264,6 +262,10 @@ def second_eigenvalue(carrier: Carrier, ms: Multiset, tol: float = 1e-9,
             method = "power-iteration"
         else:
             raise MethodCapacityError(f"group order {n} exceeds all caps")
+    # after the capacity check: a permutation group answers membership from
+    # its element table, which the measurement then reuses
+    if not multiset_order_check(carrier, ms):
+        raise ValueError("multiset contains elements outside the group")
     if method == "dense":
         lam = dense_lambda2(carrier, ms)
         tolerance = 1e-9

@@ -130,17 +130,21 @@ def np_closure(g: GenSet) -> np.ndarray:
 def np_commutator_closure(els: np.ndarray) -> np.ndarray:
     """Subgroup generated by all commutators of the given element array."""
     inv = np.argsort(els, axis=1).astype(np.int16)
+    n = els.shape[1]
+    # a row as one void scalar: unique over these compares bytes, far
+    # cheaper than unique(axis=0); the sorted unique below fixes the order
+    void_row = np.dtype((np.void, els.dtype.itemsize * n))
     chunks = []
     for x in range(els.shape[0]):
         xr = els[x]
         xinv = inv[x]
         tmp = xr[inv[:, xinv]]            # x[yinv[xinv[i]]]
         comm = np.take_along_axis(els, tmp, axis=1)
-        chunks.append(np.unique(comm, axis=0))
-    comms = np.unique(np.concatenate(chunks, axis=0), axis=0)
+        chunks.append(np.unique(np.ascontiguousarray(comm).view(void_row)))
+    comms = np.unique(np.concatenate(chunks)).view(els.dtype).reshape(-1, n)
+    comms = np.unique(comms, axis=0)
     # close under products with the commutator set
     known = {row.tobytes() for row in comms}
-    n = els.shape[1]
     ident = np.arange(n, dtype=np.int16)
     known.add(ident.tobytes())
     frontier = comms

@@ -5,8 +5,7 @@ import pytest
 from helpers import brute_closure
 
 from cayexp import catalog
-from cayexp.bsgs import (CapacityError, enumerate_elements, jerrum_reduce,
-                         membership, schreier_sims)
+from cayexp.bsgs import CapacityError, jerrum_reduce, schreier_sims
 from cayexp.perm import GenSet, Perm, parse_perm
 
 
@@ -60,16 +59,16 @@ class TestSchreierSims:
 class TestMembership:
     def test_a4_excludes_transposition(self):
         b = schreier_sims(catalog.a4())
-        assert not membership(b, parse_perm("(1 2)", 4))
+        assert not b.contains(parse_perm("(1 2)", 4))
 
     def test_identity_always_member(self):
         for fn in (catalog.s4, catalog.z8, catalog.q8):
             g = fn()
-            assert membership(schreier_sims(g), Perm.identity(g.degree))
+            assert schreier_sims(g).contains(Perm.identity(g.degree))
 
     def test_square_of_four_cycle(self):
         b = schreier_sims(GenSet(4, (parse_perm("(1 2 3 4)", 4),)))
-        assert membership(b, parse_perm("(1 3)(2 4)", 4))
+        assert b.contains(parse_perm("(1 3)(2 4)", 4))
 
     def test_agrees_with_enumeration(self):
         g = catalog.d12()
@@ -78,40 +77,40 @@ class TestMembership:
         rng = random.Random(3)
         for _ in range(200):
             p = Perm(rng.sample(range(6), 6))
-            assert membership(b, p) == (p in els)
+            assert b.contains(p) == (p in els)
 
     def test_degree_mismatch(self):
         b = schreier_sims(catalog.s3())
         with pytest.raises(ValueError):
-            membership(b, Perm.identity(4))
+            b.contains(Perm.identity(4))
 
 
 class TestEnumerate:
     def test_trivial(self):
         b = schreier_sims(GenSet(3, ()))
-        assert enumerate_elements(b, 10) == [Perm.identity(3)]
+        assert b.elements(10) == [Perm.identity(3)]
 
     def test_z3(self):
         b = schreier_sims(GenSet(3, (parse_perm("(1 2 3)", 3),)))
-        els = enumerate_elements(b, 10)
+        els = b.elements(10)
         assert len(els) == 3
         assert len(set(els)) == 3
 
     def test_capacity_error(self):
         b = schreier_sims(catalog.s4())
         with pytest.raises(CapacityError):
-            enumerate_elements(b, 10)
+            b.elements(10)
 
     def test_each_element_once(self):
         b = schreier_sims(catalog.sylow2_s8())
-        els = enumerate_elements(b, 1000)
+        els = b.elements(1000)
         assert len(els) == 128
         assert len(set(els)) == 128
 
     def test_deterministic_order(self):
         g = catalog.s4()
-        a = enumerate_elements(schreier_sims(g), 100)
-        b = enumerate_elements(schreier_sims(g), 100)
+        a = schreier_sims(g).elements(100)
+        b = schreier_sims(g).elements(100)
         assert a == b
 
 

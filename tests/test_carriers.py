@@ -1,4 +1,5 @@
-"""The index-native permutation carrier against Perm-loop oracles."""
+"""The index-native permutation and quotient carriers against Perm-loop
+oracles."""
 
 import math
 import random
@@ -7,10 +8,11 @@ import pytest
 
 from cayexp import carriers, catalog
 from cayexp.bsgs import CapacityError
-from cayexp.carriers import PermCarrier
+from cayexp.carriers import PermCarrier, QuotientCarrier, multiset_order_check
 from cayexp.combine import square_multiset
 from cayexp.multiset import multiset
 from cayexp.perm import DegreeMismatch, GenSet, Perm, parse_perm
+from cayexp.series import derived_series, quotient_context
 
 
 def z2_power(k: int, degree: int) -> GenSet:
@@ -156,3 +158,57 @@ def test_square_multiset_int64_edge():
     out = square_multiset(carrier, ms)
     assert out.elems == (Perm.identity(4),)
     assert out.mults == (total * total,)
+
+
+# G/G_i for every term G_i of the derived series: G_0 = G gives the trivial
+# quotient, the last (trivial) term the trivial kernel
+QUOTIENTS = [(name, i) for name, g in (("S4", catalog.s4),
+                                       ("Syl2(S8)", catalog.sylow2_s8))
+             for i in range(len(derived_series(g()).groups))]
+
+
+@pytest.mark.parametrize("name,term", QUOTIENTS)
+def test_quotient_matches_canonical_rep_oracle(name, term):
+    g = {"S4": catalog.s4, "Syl2(S8)": catalog.sylow2_s8}[name]()
+    ctx = quotient_context(g, derived_series(g).groups[term])
+    carrier = QuotientCarrier(ctx)
+    can = ctx.canonicalize
+    parent = ctx.parent.elements()
+    oracle = sorted({can(p) for p in parent})
+    assert carrier.elements() == oracle
+    assert carrier.order == len(oracle)
+    index = {p: i for i, p in enumerate(oracle)}
+    # the support may hold any parent elements, not only representatives
+    ms = sample_multiset(parent, 5, k=6).with_cert(0.5)
+    tables, weights = carrier.action_tables(ms)
+    assert tables.tolist() == [[index[can(e * s)] for e in oracle]
+                               for s in ms.elems]
+    assert weights.tolist() == [m / ms.total for m in ms.mults]
+    acc = {}
+    for x, wx in ms.pairs():
+        for y, wy in ms.pairs():
+            z = can(x * y)
+            acc[z] = acc.get(z, 0) + wx * wy
+    assert square_multiset(carrier, ms) == multiset(acc.items(), cert=0.25)
+
+
+def test_quotient_membership_is_parent_membership():
+    ctx = quotient_context(catalog.a4(), derived_series(catalog.a4()).groups[1])
+    carrier = QuotientCarrier(ctx)
+    inside = multiset([(p, 1) for p in ctx.parent.elements()])
+    assert multiset_order_check(carrier, inside)
+    odd = parse_perm("(1 2)", 4)
+    assert not multiset_order_check(carrier, multiset([(odd, 1)]))
+    with pytest.raises(KeyError):
+        carrier.action_tables(multiset([(odd, 1)]))
+
+
+def test_quotient_capacity_error_on_parent_order():
+    # S4/V4 has order 6, but its labels need the 24 rows of S4
+    ctx = quotient_context(catalog.s4(), derived_series(catalog.s4()).groups[2])
+    carrier = QuotientCarrier(ctx, cap=20)
+    assert carrier.order == 6
+    with pytest.raises(CapacityError):
+        carrier.elements()
+    with pytest.raises(CapacityError):
+        carrier.action_tables(multiset([(Perm.identity(4), 1)]))

@@ -41,6 +41,19 @@ def test_solvable_a4_digest():
         "d4242a4b4b57a65aaba96e658078edd918c5f1a6e7a42d94f0ffcf640c95efd7"
 
 
+# the solvable pipeline: quotient carriers of every fold and abelian level
+@pytest.mark.parametrize("name,group,digest", [
+    ("Syl2(S8)", catalog.sylow2_s8,
+     "27fedff75bcef54b987e8d5fcbec9857b0e53853fee1f14b778ce1a7b1ab4cfe"),
+    ("S4", catalog.s4,
+     "bf7349c1c18db1832ff18c73576a5b1ecd4caf9b26cde6df655a096f15be7ab1"),
+])
+def test_solvable_expander_digest(name, group, digest):
+    g = group()
+    out = solvable_expander(g, 0.25)
+    assert sha256(format_perm_multiset(out, g.degree)) == digest, name
+
+
 # the general pipeline: permutation carriers, squaring over perms, compact
 @pytest.mark.parametrize("name,group,lam,digest", [
     ("A5", catalog.a5, 1 / 16,

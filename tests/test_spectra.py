@@ -56,6 +56,15 @@ class TestSecondEigenvalue:
         with pytest.raises(ValueError):
             second_eigenvalue(carrier, multiset([(swap, 1)]))
 
+    def test_capacity_error_before_any_table(self):
+        s10 = GenSet(10, (parse_perm("(1 2 3 4 5 6 7 8 9 10)", 10),
+                          parse_perm("(1 2)", 10)))
+        carrier = PermCarrier.of(s10)   # order 3628800 > ITER_CAP
+        t = parse_perm("(1 2)", 10)
+        with pytest.raises(MethodCapacityError):
+            second_eigenvalue(carrier, multiset([(t, 1)]))
+        assert "_table" not in carrier.__dict__
+
     def test_json_report_fields(self):
         g, carrier = z_n_carrier(5)
         rep = second_eigenvalue(carrier, multiset([(g, 1), (g.inv(), 1)]))
