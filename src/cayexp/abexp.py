@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
-from .bsgs import schreier_sims
+from .bsgs import BSGS, schreier_sims
 from .carriers import AbelianShape, QuotientCarrier, VectorCarrier
 from .combine import (AuxInfeasibleError, CertificationError, combine_union,
                       balance, compact, fold_series, reduce_to_quarter,
@@ -459,11 +459,11 @@ def factorize(d: int) -> list[tuple[int, int]]:
     return out
 
 
-def build_abelianization(h: GenSet, n: GenSet) -> AbelianizationHom:
+def build_abelianization(hb: BSGS, nb: BSGS) -> AbelianizationHom:
     """The Appendix-style homomorphism onto an abelian quotient H/N."""
     from .bsgs import jerrum_reduce
-    ctx = quotient_context(h, n)
-    nb = ctx.kernel
+    ctx = quotient_context(hb, nb)
+    h = hb.gens
     for x in h.nontrivial_gens():
         for y in h.nontrivial_gens():
             if not nb.contains(commutator(x, y)):
@@ -511,22 +511,22 @@ def hom_image(fn, s: Multiset, codomain=None) -> Multiset:
 # ---------------------------------------------------------------------------
 # abelian quotient pipeline
 
-def _level_groups(hom: AbelianizationHom) -> list[GenSet]:
-    """L_s = <N, y_ij^(p_j^s)>; L_0 = H and L_emax = N."""
-    h = hom.ctx.parent_gens
-    depth = max(hom.exps) if hom.exps else 1
-    out = []
-    for s in range(depth + 1):
-        gens = list(hom.ctx.kernel_gens.gens)
+def _level_groups(hom: AbelianizationHom) -> list[BSGS]:
+    """L_s = <N, y_ij^(p_j^s)>; L_0 = H and L_emax = N are the quotient
+    context's own BSGSs, so only the levels between are built."""
+    ctx = hom.ctx
+    out = [ctx.parent]
+    for s in range(1, max(hom.exps)):
+        gens = list(ctx.kernel.gens.gens)
         for i in range(len(hom.xs)):
             for j, p in enumerate(hom.primes):
                 if hom.e_table[i][j] > s:
                     gens.append(hom.ys[i][j] ** (p**s))
-        out.append(GenSet(h.degree, tuple(gens)))
-    return out
+        out.append(schreier_sims(GenSet(ctx.parent.degree, tuple(gens))))
+    return out + [ctx.kernel]
 
 
-def abelian_quotient_expander(h: GenSet, n: GenSet, target: float = 0.25,
+def abelian_quotient_expander(h: BSGS, n: BSGS, target: float = 0.25,
                               c: int = 8, eps: float = 0.125,
                               trace: list | None = None) -> Multiset:
     """Certified expanding multiset on the abelian quotient H/N.
@@ -572,10 +572,8 @@ def abelian_quotient_expander(h: GenSet, n: GenSet, target: float = 0.25,
         if trace is not None:
             trace.append({"op": "quotient-level", "level": s,
                           "total": img.total, "cert": img.cert})
-    chain = SubgroupChain(tuple(groups), "normal-series", True,
-                          tuple(schreier_sims(g).order() for g in groups))
-    out = fold_series(chain, sets, target=target, trace=trace)
-    return out
+    chain = SubgroupChain(tuple(groups), "normal-series", True)
+    return fold_series(chain, sets, target=target, trace=trace)
 
 
 @lru_cache(maxsize=None)

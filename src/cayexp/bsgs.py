@@ -27,19 +27,13 @@ class _Level:
 
 
 class BSGS:
-    """Strong generating set with transversals along a fixed base."""
+    """Strong generating set with transversals along a fixed base, built by
+    ``schreier_sims`` from the generating set ``gens``."""
 
-    def __init__(self, degree: int):
-        self.degree = degree
+    def __init__(self, gens: GenSet):
+        self.gens = gens
+        self.degree = gens.degree
         self.levels: list[_Level] = []
-
-    @staticmethod
-    def build(g: GenSet) -> "BSGS":
-        b = BSGS(g.degree)
-        for p in g.nontrivial_gens():
-            b._add(p)
-        b._complete()
-        return b
 
     # -- construction -------------------------------------------------------
     #
@@ -111,6 +105,12 @@ class BSGS:
                         if self._add(schreier):
                             changed = True
 
+    def adjoin(self, p: Perm) -> None:
+        """Add p to the generators; the chain stays complete."""
+        self.gens = GenSet(self.degree, self.gens.gens + (p,))
+        self._add(p)
+        self._complete()
+
     # -- queries -------------------------------------------------------------
 
     @property
@@ -156,7 +156,11 @@ class BSGS:
 
 
 def schreier_sims(g: GenSet) -> BSGS:
-    return BSGS.build(g)
+    b = BSGS(g)
+    for p in g.nontrivial_gens():
+        b._add(p)
+    b._complete()
+    return b
 
 
 # ---------------------------------------------------------------------------

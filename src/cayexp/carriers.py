@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bsgs import BSGS, CapacityError
+from .bsgs import BSGS, CapacityError, schreier_sims
 from .multiset import Multiset
 from .perm import DegreeMismatch, GenSet, Perm
 from .series import QuotientContext
@@ -228,7 +228,7 @@ class PermCarrier:
 
     @staticmethod
     def of(g: GenSet, cap: int = 10**6) -> "PermCarrier":
-        return PermCarrier(BSGS.build(g), cap)
+        return PermCarrier(schreier_sims(g), cap)
 
     @property
     def order(self) -> int:

@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 parse error, 3 non-solvable input with
+Exit codes: 0 success, 2 parse error (or, for verify, a multiset with
+elements outside the group), 3 non-solvable input with
 --require-solvable, 4 certification failure (including a construction that
 cannot certify or amplify its bound, or an unreachable auxiliary mu, with
 the achievable mu printed), 5 non-symmetric multiset, 6 group too large for
@@ -30,8 +31,7 @@ from .multiset import (NonSymmetricError, format_perm_multiset,
                        parse_perm_multiset)
 from .perm import ParseError, parse_group_file
 from .series import derived_series, dixon_bound
-from .spectra import (ITER_CAP, FORMAT_VERSION, MethodCapacityError,
-                      second_eigenvalue)
+from .spectra import FORMAT_VERSION, MethodCapacityError, second_eigenvalue
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -96,7 +96,7 @@ def cmd_build_expander(args) -> int:
         return EXIT_NOT_SOLVABLE
     try:
         if use_solvable and chain.solvable:
-            ms = solvable_expander(gens, target=args.lam)
+            ms = solvable_expander(chain, target=args.lam)
         else:
             ms = general_expander(gens, lam=args.lam, mode=args.mode)
     except SolvabilityError as e:
@@ -107,8 +107,7 @@ def cmd_build_expander(args) -> int:
         return EXIT_TOO_LARGE
     except CONSTRUCTION_FAILURES as e:
         return _construction_failed(e)
-    carrier = PermCarrier.of(gens)
-    report = second_eigenvalue(carrier, ms)
+    report = second_eigenvalue(PermCarrier(chain.terms[0]), ms)
     ok = report.lambda2 <= args.lam + report.tolerance
     out = Path(args.out)
     out.write_text(format_perm_multiset(ms, gens.degree))
@@ -144,11 +143,13 @@ def cmd_verify(args) -> int:
               file=sys.stderr)
         return EXIT_PARSE
     carrier = PermCarrier.of(gens)
-    if not ms.is_symmetric(carrier.inv):
+    try:
+        report = second_eigenvalue(carrier, ms)
+    except NonSymmetricError:
         print("error: multiset is not symmetric (inverse-closed)",
               file=sys.stderr)
         return EXIT_NOT_SYMMETRIC
-    if carrier.order > ITER_CAP:
+    except MethodCapacityError:
         if not args.sampled:
             print(f"error: group order {carrier.order} exceeds the exact "
                   f"verification cap; re-run with --sampled", file=sys.stderr)
@@ -157,10 +158,9 @@ def cmd_verify(args) -> int:
                   "sums only; no estimator exists for permutation groups "
                   f"of order {carrier.order}", file=sys.stderr)
         return EXIT_TOO_LARGE
-    try:
-        report = second_eigenvalue(carrier, ms)
-    except NonSymmetricError:
-        return EXIT_NOT_SYMMETRIC
+    except ValueError as e:     # elements outside the group
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_PARSE
     verdict = (args.target is None
                or report.lambda2 <= args.target + report.tolerance)
     payload = dict(report.as_dict(), certified_target=args.target,

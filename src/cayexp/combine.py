@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsgs import BSGS
+from .bsgs import schreier_sims
 from .carriers import Carrier, PermCarrier, QuotientCarrier, VectorCarrier
 from .multiset import Multiset, NonSymmetricError, multiset, union
 from .perm import GenSet, Perm
@@ -584,8 +584,8 @@ def combine(ctx: QuotientContext, a: Multiset, b: Multiset,
     for e in a.elems:
         if not ctx.kernel.contains(e):
             raise ValueError("A-side element lies outside the normal subgroup")
-    gens = list(ctx.kernel_gens.gens) + list(b.elems)
-    if BSGS.build(GenSet(ctx.parent_gens.degree, tuple(gens))).order() \
+    gens = ctx.kernel.gens.gens + tuple(b.elems)
+    if schreier_sims(GenSet(ctx.parent.degree, gens)).order() \
             != ctx.parent.order():
         raise ValueError("B-side image fails to generate the quotient")
     group = PermCarrier(ctx.parent)
@@ -606,7 +606,7 @@ def fold_series(chain: SubgroupChain, quotient_sets: list[Multiset],
     Pairs are merged bottom-up per binary level: combine on G_k/G_m with
     N = G_l/G_m, then amplify back to the target.
     """
-    groups = list(chain.groups)
+    groups = list(chain.terms)
     sets = list(quotient_sets)
     if len(sets) != len(groups) - 1:
         raise ValueError("need one quotient set per series step")
@@ -615,12 +615,11 @@ def fold_series(chain: SubgroupChain, quotient_sets: list[Multiset],
             raise CertificationError(
                 f"quotient set {i} is not certified <= {target}")
     # every term must be normal in the top group
-    top_gens = groups[0].nontrivial_gens()
+    top_gens = groups[0].gens.nontrivial_gens()
     for i, sub in enumerate(groups[1:], start=1):
-        nb = BSGS.build(sub)
-        for x in sub.nontrivial_gens():
+        for x in sub.gens.nontrivial_gens():
             for g in top_gens:
-                if not nb.contains(x.conjugate(g)):
+                if not sub.contains(x.conjugate(g)):
                     raise ValueError(
                         f"chain term {i} is not normal in the top group")
     r = max(1, len(sets))
@@ -630,8 +629,7 @@ def fold_series(chain: SubgroupChain, quotient_sets: list[Multiset],
         groups.append(trivial)
         sets.append(multiset([(Perm.identity(trivial.degree), 1)], cert=0.0))
 
-    orders = list(chain.orders)
-    orders += orders[-1:] * (len(groups) - len(orders))
+    orders = [b.order() for b in groups]
 
     def merge(k: int, l: int, m: int, upper: Multiset,
               lower: Multiset) -> Multiset:
@@ -674,26 +672,26 @@ class SolvabilityError(ValueError):
     pass
 
 
-def solvable_expander(g: GenSet, target: float = 0.25,
+def solvable_expander(chain: SubgroupChain, target: float = 0.25,
                       trace: list | None = None) -> Multiset:
-    """Certified expanding multiset for a solvable permutation group.
+    """Certified expanding multiset for a solvable permutation group, given
+    by its derived series (``series.derived_series``).
 
-    derived series -> per-quotient abelian expanders -> series fold. The
-    result is re-verified by a dense eigensolve whenever the group order is
-    within the dense cap.
+    Per-quotient abelian expanders -> series fold. The result is
+    re-verified by a dense eigensolve whenever the group order is within
+    the dense cap.
     """
     from .abexp import abelian_quotient_expander
-    from .series import derived_series
-    chain = derived_series(g)
     if not chain.solvable:
         raise SolvabilityError(
             "group is not solvable (derived series stabilizes above the "
             "trivial group); use general_expander instead")
-    if chain.orders[0] == 1:
-        return multiset([(Perm.identity(g.degree), 1)], cert=0.0)
+    top = chain.terms[0]
+    if top.order() == 1:
+        return multiset([(Perm.identity(top.degree), 1)], cert=0.0)
     sets = []
-    for i in range(len(chain.groups) - 1):
-        s = abelian_quotient_expander(chain.groups[i], chain.groups[i + 1],
+    for i in range(chain.length):
+        s = abelian_quotient_expander(chain.terms[i], chain.terms[i + 1],
                                       target=target, trace=trace)
         sets.append(s)
         if trace is not None:

@@ -54,12 +54,8 @@ class AmplificationSchedule:
         return AmplificationSchedule(p1, p2, tuple(mus), "analytic")
 
 
-def strong_generator_multiset(g: GenSet) -> Multiset:
-    """Symmetrized, deduplicated strong generators of <g>."""
-    return _strong_generator_multiset(schreier_sims(g))
-
-
-def _strong_generator_multiset(bs: BSGS) -> Multiset:
+def strong_generator_multiset(bs: BSGS) -> Multiset:
+    """Symmetrized, deduplicated strong generators of a BSGS."""
     gens = bs.strong_gens()
     if not gens:
         return multiset([(Perm.identity(bs.degree), 1)])
@@ -83,7 +79,7 @@ def general_expander(g: GenSet, lam: float = 0.25,
         raise ValueError("lambda must be in (0, 1)")
     bs = schreier_sims(g)
     carrier = PermCarrier(bs)
-    ms = _strong_generator_multiset(bs)
+    ms = strong_generator_multiset(bs)
     if carrier.order == 1:
         return ms.with_cert(0.0)
     if carrier.order > ITER_CAP:

@@ -1,5 +1,9 @@
 """Derived series, normal closure, and quotient-group arithmetic.
 
+A group is held as its BSGS, which records its generators: a chain keeps
+the BSGS of each term and a quotient context those of parent and kernel, so
+no group is built twice for its order, membership or normality.
+
 Quotient elements are represented by canonical coset representatives: the
 canonical representative of N*h is the element of the coset with
 lexicographically smallest image array, found by descending the kernel's
@@ -20,24 +24,22 @@ class NormalityError(ValueError):
     pass
 
 
-def normal_closure(ambient: GenSet, seed: list[Perm]) -> GenSet:
+def normal_closure(ambient: GenSet, seed: list[Perm]) -> BSGS:
     """Smallest subgroup of <ambient> containing seed and normal in it."""
-    gens: list[Perm] = [p for p in dict.fromkeys(seed) if not p.is_identity()]
-    closure = BSGS.build(GenSet(ambient.degree, tuple(gens)))
+    gens = [p for p in dict.fromkeys(seed) if not p.is_identity()]
+    closure = schreier_sims(GenSet(ambient.degree, tuple(gens)))
     queue = list(gens)
     while queue:
         c = queue.pop(0)
         for g in ambient.nontrivial_gens():
             t = c.conjugate(g)
             if not closure.contains(t):
-                gens.append(t)
-                closure._add(t)
-                closure._complete()
+                closure.adjoin(t)
                 queue.append(t)
-    return GenSet(ambient.degree, tuple(gens))
+    return closure
 
 
-def commutator_subgroup(g: GenSet) -> GenSet:
+def commutator_subgroup(g: GenSet) -> BSGS:
     seed = []
     for x in g.nontrivial_gens():
         for y in g.nontrivial_gens():
@@ -49,16 +51,24 @@ def commutator_subgroup(g: GenSet) -> GenSet:
 
 @dataclass(frozen=True)
 class SubgroupChain:
-    """A chain of subgroups, outermost first."""
+    """A chain of subgroups, outermost first, each term held as its BSGS;
+    generators and orders are read off the terms, so they cannot disagree."""
 
-    groups: tuple[GenSet, ...]
+    terms: tuple[BSGS, ...]
     kind: str                      # "derived-series" or "normal-series"
     solvable: bool
-    orders: tuple[int, ...]
+
+    @property
+    def groups(self) -> tuple[GenSet, ...]:
+        return tuple(t.gens for t in self.terms)
+
+    @property
+    def orders(self) -> tuple[int, ...]:
+        return tuple(t.order() for t in self.terms)
 
     @property
     def length(self) -> int:
-        return len(self.groups) - 1
+        return len(self.terms) - 1
 
 
 def derived_series(g: GenSet) -> SubgroupChain:
@@ -68,19 +78,15 @@ def derived_series(g: GenSet) -> SubgroupChain:
     input is not an error, the series simply stabilizes above trivial and
     the solvable flag is cleared.
     """
-    groups = [g]
-    orders = [schreier_sims(g).order()]
+    terms = [schreier_sims(g)]
     solvable = True
-    while orders[-1] > 1:
-        nxt = commutator_subgroup(groups[-1])
-        order = schreier_sims(nxt).order()
-        if order == orders[-1]:
+    while terms[-1].order() > 1:
+        nxt = commutator_subgroup(terms[-1].gens)
+        if nxt.order() == terms[-1].order():
             solvable = False
             break
-        groups.append(nxt)
-        orders.append(order)
-    return SubgroupChain(tuple(groups), "derived-series", solvable,
-                         tuple(orders))
+        terms.append(nxt)
+    return SubgroupChain(tuple(terms), "derived-series", solvable)
 
 
 def dixon_bound(degree: int) -> int:
@@ -94,8 +100,6 @@ class QuotientContext:
 
     parent: BSGS
     kernel: BSGS
-    parent_gens: GenSet
-    kernel_gens: GenSet
     _cache: dict[Perm, Perm] = field(default_factory=dict, repr=False)
 
     @property
@@ -126,21 +130,19 @@ class QuotientContext:
         return self.canonicalize(Perm.identity(self.parent.degree))
 
 
-def quotient_context(h: GenSet, n: GenSet) -> QuotientContext:
+def quotient_context(h: BSGS, n: BSGS) -> QuotientContext:
     """Canonical coset arithmetic for H/N; verifies N is normal in H."""
     if h.degree != n.degree:
         raise ValueError("degree mismatch between parent and kernel")
-    hb = schreier_sims(h)
-    nb = schreier_sims(n)
-    for x in n.nontrivial_gens():
-        if not hb.contains(x):
+    for x in n.gens.nontrivial_gens():
+        if not h.contains(x):
             raise NormalityError(
                 f"kernel generator {format_perm(x)} is not in the parent group")
-    for x in n.nontrivial_gens():
-        for g in h.nontrivial_gens():
+    for x in n.gens.nontrivial_gens():
+        for g in h.gens.nontrivial_gens():
             conj = x.conjugate(g)
-            if not nb.contains(conj):
+            if not n.contains(conj):
                 raise NormalityError(
                     f"not normal: conjugate {format_perm(conj)} of "
                     f"{format_perm(x)} by {format_perm(g)} lies outside N")
-    return QuotientContext(hb, nb, h, n)
+    return QuotientContext(h, n)

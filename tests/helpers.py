@@ -1,4 +1,5 @@
-"""Brute-force oracles and instance generators shared by the test suite.
+"""Brute-force oracles, instance generators and a call counter shared by
+the test suite.
 
 Everything here is independent of the code paths it checks: closures are
 plain BFS products, character sums are evaluated term by term, and spectra
@@ -7,9 +8,12 @@ come straight from numpy on explicitly built matrices.
 
 import cmath
 import random
+import sys
 
 import numpy as np
 
+import cayexp
+from cayexp import bsgs
 from cayexp.multiset import Multiset, multiset
 from cayexp.perm import GenSet, Perm
 
@@ -180,3 +184,24 @@ def projective_line(q: int, mult: int) -> GenSet:
             (inf if x == 0 else (-pow(x, -1, q)) % q))
     return GenSet(q + 1, tuple(Perm([f(x) for x in range(q + 1)])
                                for f in maps))
+
+
+def count_schreier_sims(monkeypatch) -> list[GenSet]:
+    """Record every Schreier-Sims build for the rest of a test.
+
+    ``schreier_sims`` is rebound under every name a ``cayexp`` module holds
+    it by, so calls through ``from .bsgs import schreier_sims`` count too.
+    """
+    calls: list[GenSet] = []
+    orig = bsgs.schreier_sims
+
+    def counted(g: GenSet):
+        calls.append(g)
+        return orig(g)
+
+    for name, mod in list(sys.modules.items()):
+        if name == cayexp.__name__ or name.startswith("cayexp."):
+            for attr, val in list(vars(mod).items()):
+                if val is orig:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls

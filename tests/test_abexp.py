@@ -132,7 +132,8 @@ class TestProductBase:
 class TestAbelianization:
     def test_z6_orders(self):
         g = catalog.z6()
-        hom = build_abelianization(g, GenSet(6, ()))
+        hom = build_abelianization(schreier_sims(g),
+                                   schreier_sims(GenSet(6, ())))
         assert hom.primes == (2, 3)
         orders = sorted(hom.ys[0][j].order() for j in range(2))
         assert orders == [2, 3]
@@ -144,27 +145,29 @@ class TestAbelianization:
     def test_s4_mod_a4_parity(self):
         g = catalog.s4()
         chain = derived_series(g)
-        hom = build_abelianization(g, chain.groups[1])
+        hom = build_abelianization(chain.terms[0], chain.terms[1])
         # image must include an odd permutation's coset
         domain = VectorCarrier.of(hom.domain_shape)
         images = {hom.apply(v) for v in domain.elements()[:64]}
         assert len(images) == 2
 
     def test_h_equals_n_constant(self):
-        g = catalog.s4()
-        hom = build_abelianization(g, g)
+        b = schreier_sims(catalog.s4())
+        hom = build_abelianization(b, b)
         width = len(VectorCarrier.of(hom.domain_shape).moduli)
         assert hom.apply((0,) * width) == hom.ctx.identity()
 
     def test_nonabelian_quotient_rejected(self):
         with pytest.raises(ValueError) as exc:
-            build_abelianization(catalog.s4(), GenSet(4, ()))
+            build_abelianization(schreier_sims(catalog.s4()),
+                                 schreier_sims(GenSet(4, ())))
         assert "abelian" in str(exc.value)
 
     def test_homomorphism_property_random(self):
         import random
         g = catalog.z12()
-        hom = build_abelianization(g, GenSet(7, ()))
+        hom = build_abelianization(schreier_sims(g),
+                                   schreier_sims(GenSet(7, ())))
         carrier = VectorCarrier.of(hom.domain_shape)
         rng = random.Random(0)
         moduli = carrier.moduli
@@ -178,7 +181,8 @@ class TestAbelianization:
     def test_generator_preimages_exist(self):
         # Appendix-style CRT witnesses: x_i = prod_j y_ij^(d_j q_j)
         g = catalog.z12()
-        hom = build_abelianization(g, GenSet(7, ()))
+        hom = build_abelianization(schreier_sims(g),
+                                   schreier_sims(GenSet(7, ())))
         for i, (x, r) in enumerate(zip(hom.xs, hom.orders)):
             acc = g.identity()
             for j, p in enumerate(hom.primes):
@@ -298,22 +302,24 @@ class TestLevelGroups:
     def test_z8_chain_orders(self):
         from cayexp.abexp import _level_groups
         g = catalog.z8()
-        hom = build_abelianization(g, GenSet(8, ()))
-        orders = [schreier_sims(h).order() for h in _level_groups(hom)]
+        hom = build_abelianization(schreier_sims(g),
+                                   schreier_sims(GenSet(8, ())))
+        orders = [b.order() for b in _level_groups(hom)]
         assert orders == [8, 4, 2, 1]
 
     def test_z12_chain_orders(self):
         from cayexp.abexp import _level_groups
         g = catalog.z12()
-        hom = build_abelianization(g, GenSet(7, ()))
-        orders = [schreier_sims(h).order() for h in _level_groups(hom)]
+        hom = build_abelianization(schreier_sims(g),
+                                   schreier_sims(GenSet(7, ())))
+        orders = [b.order() for b in _level_groups(hom)]
         assert orders == [12, 2, 1]    # e = (2, 1): primes 3 dies first
 
     def test_fold_trace_logs_merges(self):
         g = catalog.s4()
         trace = []
         from cayexp.combine import solvable_expander
-        solvable_expander(g, trace=trace)
+        solvable_expander(derived_series(g), trace=trace)
         merges = [t for t in trace if t["op"] == "fold-merge"]
         assert merges
         for t in merges:
@@ -324,18 +330,19 @@ class TestAbelianQuotient:
     def test_s4_mod_a4(self):
         g = catalog.s4()
         chain = derived_series(g)
-        out = abelian_quotient_expander(g, chain.groups[1])
-        ctx = quotient_context(g, chain.groups[1])
+        out = abelian_quotient_expander(chain.terms[0], chain.terms[1])
+        ctx = quotient_context(chain.terms[0], chain.terms[1])
         qcar = QuotientCarrier(ctx)
         assert dense_lambda2(qcar, out) <= 0.25 + 1e-9
 
     def test_z12_full(self):
         g = catalog.z12()
-        out = abelian_quotient_expander(g, GenSet(7, ()))
+        out = abelian_quotient_expander(schreier_sims(g),
+                                        schreier_sims(GenSet(7, ())))
         assert dense_lambda2(PermCarrier.of(g), out) <= 0.25 + 1e-9
 
     def test_h_equals_n_neutral(self):
-        g = catalog.s4()
-        out = abelian_quotient_expander(g, g)
+        b = schreier_sims(catalog.s4())
+        out = abelian_quotient_expander(b, b)
         assert out.cert == 0.0
         assert out.total == 1

@@ -170,7 +170,8 @@ QUOTIENTS = [(name, i) for name, g in (("S4", catalog.s4),
 @pytest.mark.parametrize("name,term", QUOTIENTS)
 def test_quotient_matches_canonical_rep_oracle(name, term):
     g = {"S4": catalog.s4, "Syl2(S8)": catalog.sylow2_s8}[name]()
-    ctx = quotient_context(g, derived_series(g).groups[term])
+    chain = derived_series(g)
+    ctx = quotient_context(chain.terms[0], chain.terms[term])
     carrier = QuotientCarrier(ctx)
     can = ctx.canonicalize
     parent = ctx.parent.elements()
@@ -193,7 +194,8 @@ def test_quotient_matches_canonical_rep_oracle(name, term):
 
 
 def test_quotient_membership_is_parent_membership():
-    ctx = quotient_context(catalog.a4(), derived_series(catalog.a4()).groups[1])
+    chain = derived_series(catalog.a4())
+    ctx = quotient_context(chain.terms[0], chain.terms[1])
     carrier = QuotientCarrier(ctx)
     inside = multiset([(p, 1) for p in ctx.parent.elements()])
     assert multiset_order_check(carrier, inside)
@@ -205,7 +207,8 @@ def test_quotient_membership_is_parent_membership():
 
 def test_quotient_capacity_error_on_parent_order():
     # S4/V4 has order 6, but its labels need the 24 rows of S4
-    ctx = quotient_context(catalog.s4(), derived_series(catalog.s4()).groups[2])
+    chain = derived_series(catalog.s4())
+    ctx = quotient_context(chain.terms[0], chain.terms[2])
     carrier = QuotientCarrier(ctx, cap=20)
     assert carrier.order == 6
     with pytest.raises(CapacityError):

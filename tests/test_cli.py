@@ -2,13 +2,17 @@ import json
 
 import pytest
 
-from cayexp import cli
+from helpers import count_schreier_sims
+
+from cayexp import catalog, cli
 from cayexp.cli import main
 from cayexp.combine import (AmplificationError, AuxInfeasibleError,
                             CertificationError)
+from cayexp.perm import format_perm
 
 S4 = "degree 4\n(1 2 3 4)\n(1 2)\n"
 S5 = "degree 5\n(1 2 3 4 5)\n(1 2)\n"
+A4 = "degree 4\n(1 2 3)\n(2 3 4)\n"
 
 
 @pytest.fixture
@@ -85,6 +89,35 @@ def test_tampered_multiset_exit_5(tmp_path, s4_file):
     out.write_text("\n".join(broken) + "\n")
     rc = main(["verify", "--group", str(s4_file), "--multiset", str(out)])
     assert rc == 5
+
+
+def test_verify_foreign_element_exit_2(tmp_path, capsys):
+    # a transposition is symmetric but lies in S4, not in A4
+    group = tmp_path / "a4.grp"
+    group.write_text(A4)
+    ms = tmp_path / "x.ms"
+    ms.write_text("degree 4\n1 (1 2)\n")
+    rc = main(["verify", "--group", str(group), "--multiset", str(ms)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "outside the group" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_build_expander_builds_each_group_once(tmp_path, monkeypatch):
+    # Syl2(S8): its BSGS and those of the three derived-series terms below
+    # it (orders 16, 2, 1); every derived quotient is elementary abelian, so
+    # the abelian levels are the chain's own terms, and the final report
+    # reuses term 0
+    g = catalog.sylow2_s8()
+    group = tmp_path / "syl.grp"
+    group.write_text(f"degree {g.degree}\n"
+                     + "".join(format_perm(p) + "\n" for p in g.gens))
+    calls = count_schreier_sims(monkeypatch)
+    assert main(["build-expander", "--group", str(group), "--lambda", "0.25",
+                 "--out", str(tmp_path / "syl.ms")]) == 0
+    assert len(calls) == 4
+    assert calls[0] == g
 
 
 def test_too_large_without_sampled_exit_6(tmp_path):

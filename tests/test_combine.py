@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from helpers import random_symmetric_multiset
+from helpers import count_schreier_sims, random_symmetric_multiset
 
 from cayexp import catalog
+from cayexp.bsgs import schreier_sims
 from cayexp.carriers import PermCarrier, QuotientCarrier, VectorCarrier
 from cayexp.combine import (AmplificationError, AuxExpander,
                             CertificationError, SolvabilityError, analytic_rounds,
@@ -75,7 +76,7 @@ class TestCombine:
         # lam = 1/4 with |A| = |B| gives (1 + 1/4)/2 = 5/8
         g = catalog.s4()
         chain = derived_series(g)
-        ctx = quotient_context(g, chain.groups[1])
+        ctx = quotient_context(chain.terms[0], chain.terms[1])
         a4 = chain.groups[1]
         acar = PermCarrier.of(a4)
         a = random_symmetric_multiset(acar.elements(), 1, k=6)
@@ -98,15 +99,15 @@ class TestCombine:
         assert abs((1 + 0.25) * 4 / 8 - 5 / 8) < 1e-15
 
     def test_trivial_quotient_returns_a(self):
-        g = catalog.s4()
-        ctx = quotient_context(g, g)
+        b = schreier_sims(catalog.s4())
+        ctx = quotient_context(b, b)
         a = multiset([(parse_perm("(1 2)", 4), 1)], cert=0.9)
         assert combine(ctx, a, a) is a
 
     def test_missing_certification_rejected(self):
         g = catalog.s4()
         chain = derived_series(g)
-        ctx = quotient_context(g, chain.groups[1])
+        ctx = quotient_context(chain.terms[0], chain.terms[1])
         a = multiset([(parse_perm("(1 2 3)", 4), 1),
                       (parse_perm("(1 3 2)", 4), 1)])
         with pytest.raises(CertificationError):
@@ -115,7 +116,7 @@ class TestCombine:
     def test_nongenerating_b_rejected(self):
         g = catalog.s4()
         chain = derived_series(g)
-        ctx = quotient_context(g, chain.groups[1])
+        ctx = quotient_context(chain.terms[0], chain.terms[1])
         even = parse_perm("(1 2 3)", 4)
         a = multiset([(even, 1), (even.inv(), 1)], cert=0.5)
         with pytest.raises(ValueError):
@@ -288,11 +289,9 @@ class TestFoldSeries:
         x = g.gens[0]
         z4sub = GenSet(7, (x ** 3,))
         from cayexp.series import SubgroupChain
-        from cayexp.bsgs import schreier_sims
-        groups = (g, z4sub, GenSet(7, ()))
-        chain = SubgroupChain(groups, "normal-series", True,
-                              tuple(schreier_sims(h).order() for h in groups))
-        qcar01 = QuotientCarrier(quotient_context(g, z4sub))
+        terms = tuple(schreier_sims(h) for h in (g, z4sub, GenSet(7, ())))
+        chain = SubgroupChain(terms, "normal-series", True)
+        qcar01 = QuotientCarrier(quotient_context(terms[0], terms[1]))
         subcar = PermCarrier.of(z4sub)
         top = random_symmetric_multiset(PermCarrier.of(g).elements(), 2, k=4)
         top = qcar01.image_multiset(top)
@@ -315,12 +314,10 @@ class TestFoldSeries:
 
     def test_non_normal_chain_rejected(self):
         from cayexp.series import SubgroupChain
-        from cayexp.bsgs import schreier_sims
         g = catalog.s4()
         bad = GenSet(4, (parse_perm("(1 2)", 4),))   # not normal in S4
-        groups = (g, bad, GenSet(4, ()))
-        chain = SubgroupChain(groups, "normal-series", True,
-                              tuple(schreier_sims(h).order() for h in groups))
+        terms = tuple(schreier_sims(h) for h in (g, bad, GenSet(4, ())))
+        chain = SubgroupChain(terms, "normal-series", True)
         s = multiset([(Perm.identity(4), 1)], cert=0.0)
         with pytest.raises(ValueError, match="not normal"):
             fold_series(chain, [s, s])
@@ -328,23 +325,33 @@ class TestFoldSeries:
 
 class TestSolvableExpander:
     def test_trivial_group(self):
-        out = solvable_expander(GenSet(4, ()))
+        out = solvable_expander(derived_series(GenSet(4, ())))
         assert out.cert == 0.0
         assert out.elems == (Perm.identity(4),)
 
     def test_z8(self):
         g = catalog.z8()
-        out = solvable_expander(g)
+        out = solvable_expander(derived_series(g))
         assert dense_lambda2(PermCarrier.of(g), out) <= 0.25 + 1e-9
 
     def test_s4(self):
         g = catalog.s4()
-        out = solvable_expander(g)
+        out = solvable_expander(derived_series(g))
         assert dense_lambda2(PermCarrier.of(g), out) <= 0.25 + 1e-9
 
     def test_nonsolvable_rejected(self):
         with pytest.raises(SolvabilityError):
-            solvable_expander(catalog.a5())
+            solvable_expander(derived_series(catalog.a5()))
+
+    def test_builds_each_group_once(self, monkeypatch):
+        # S4 > A4 > V4 > 1: one BSGS per term; then one abelian level,
+        # <A4, x^2> for the 4-cycle x that makes S4/A4 a level of exponent
+        # 2, the only level that is not a chain term
+        calls = count_schreier_sims(monkeypatch)
+        chain = derived_series(catalog.s4())
+        assert len(calls) == 4
+        solvable_expander(chain)
+        assert len(calls) == 5
 
     def test_symmetrize_noop_on_symmetric(self):
         g, carrier = z_n(5)

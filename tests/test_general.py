@@ -34,7 +34,7 @@ class TestBabai:
             carrier = PermCarrier.of(g)
             if carrier.order > 2000 or carrier.order == 1:
                 continue
-            ms = strong_generator_multiset(g)
+            ms = strong_generator_multiset(carrier.bsgs)
             lam = dense_lambda2_signed(carrier, ms)
             diam = graph_info(carrier, ms)["diameter"]
             assert lam <= babai_bound(ms.total, diam) + 1e-9, name
@@ -91,8 +91,9 @@ class TestGeneralExpander:
 
     def test_zero_rounds_when_target_loose(self):
         g = catalog.s4()
-        ms = strong_generator_multiset(g)
-        lam = dense_lambda2(PermCarrier.of(g), ms)
+        carrier = PermCarrier.of(g)
+        ms = strong_generator_multiset(carrier.bsgs)
+        lam = dense_lambda2(carrier, ms)
         out = general_expander(g, min(0.999, lam + 0.2))
         assert out.counts() == ms.counts()
 

@@ -17,6 +17,7 @@ from cayexp.combine import solvable_expander
 from cayexp.epsbias import format_bias_space, zdn_bias_space
 from cayexp.general import general_expander
 from cayexp.multiset import format_perm_multiset
+from cayexp.series import derived_series
 
 
 def sha256(text: str) -> str:
@@ -36,7 +37,7 @@ def test_bias_space_digest(d, n, eps, digest):
 
 
 def test_solvable_a4_digest():
-    out = solvable_expander(catalog.a4(), 0.25)
+    out = solvable_expander(derived_series(catalog.a4()), 0.25)
     assert sha256(format_perm_multiset(out, 4)) == \
         "d4242a4b4b57a65aaba96e658078edd918c5f1a6e7a42d94f0ffcf640c95efd7"
 
@@ -50,7 +51,7 @@ def test_solvable_a4_digest():
 ])
 def test_solvable_expander_digest(name, group, digest):
     g = group()
-    out = solvable_expander(g, 0.25)
+    out = solvable_expander(derived_series(g), 0.25)
     assert sha256(format_perm_multiset(out, g.degree)) == digest, name
 
 

@@ -64,11 +64,12 @@ class TestDerivedSeries:
 class TestQuotientContext:
     def test_s4_mod_a4_order_two(self):
         chain = derived_series(catalog.s4())
-        ctx = quotient_context(catalog.s4(), chain.groups[1])
+        ctx = quotient_context(chain.terms[0], chain.terms[1])
         assert ctx.order == 2
 
     def test_h_equals_n_gives_trivial_quotient(self):
-        ctx = quotient_context(catalog.s4(), catalog.s4())
+        s4 = schreier_sims(catalog.s4())
+        ctx = quotient_context(s4, s4)
         assert ctx.order == 1
         els = schreier_sims(catalog.s4()).elements()
         reps = {ctx.canonicalize(p) for p in els}
@@ -76,15 +77,15 @@ class TestQuotientContext:
 
     def test_not_normal_is_an_error(self):
         with pytest.raises(NormalityError) as exc:
-            quotient_context(catalog.s4(),
-                             GenSet(4, (parse_perm("(1 2)", 4),)))
+            quotient_context(schreier_sims(catalog.s4()), schreier_sims(
+                GenSet(4, (parse_perm("(1 2)", 4),))))
         assert "conjugate" in str(exc.value)
 
     def test_canonicalize_constant_on_cosets(self):
         g = catalog.s4()
         chain = derived_series(g)
         v4 = chain.groups[2]
-        ctx = quotient_context(g, v4)
+        ctx = quotient_context(chain.terms[0], chain.terms[2])
         els = schreier_sims(g).elements()
         nb = schreier_sims(v4)
         for h1 in els[:8]:
@@ -95,7 +96,7 @@ class TestQuotientContext:
     def test_multiplication_well_defined_thousand_pairs(self):
         g = catalog.s4()
         chain = derived_series(g)
-        ctx = quotient_context(g, chain.groups[2])
+        ctx = quotient_context(chain.terms[0], chain.terms[2])
         els = schreier_sims(g).elements()
         rng = random.Random(5)
         for _ in range(1000):
@@ -107,5 +108,5 @@ class TestQuotientContext:
     def test_index_computation(self):
         g = catalog.sylow2_s8()
         chain = derived_series(g)
-        ctx = quotient_context(g, chain.groups[1])
+        ctx = quotient_context(chain.terms[0], chain.terms[1])
         assert ctx.order == 128 // chain.orders[1]

@@ -228,8 +228,8 @@ class TestGraphStructure:
         chain = derived_series(g)
         pcar = PermCarrier.of(g)
         ms = random_symmetric_multiset(pcar.elements(), 3, k=4)
-        for nsub in chain.groups[1:]:
-            ctx = quotient_context(g, nsub)
+        for nsub in chain.terms[1:]:
+            ctx = quotient_context(chain.terms[0], nsub)
             qcar = QuotientCarrier(ctx)
             qms = qcar.image_multiset(ms)
             parent = dense_spectrum(pcar, ms)
