@@ -1,5 +1,14 @@
 """Hot numeric kernels, in numpy.
 
+- ``cayley_matvec`` and ``dense_adjacency``: the normalized Cayley operator
+  from action tables, applied to a vector or filled densely.
+- ``char_sums``: direct character sums over a product of cyclic groups.
+- ``walsh_hadamard``: the exact character spectrum of a weight vector on
+  Z_2^L, in place of a complex FFT.
+- ``greedy_scores`` (with ``bit_masks`` and ``sign_characters`` for Z_2^t):
+  the greedy selection potential.
+- ``bfs_distances``: BFS distances over a Cayley graph.
+
 Per-element work is ordered deterministically, so every kernel returns the
 same bits for the same inputs. ``BACKEND`` names the implementation for
 run records.
@@ -67,6 +76,43 @@ def char_sums(points, weights, betas, moduli, roots, offsets):
 
 
 # ---------------------------------------------------------------------------
+# Walsh-Hadamard transform: out[j] = sum_i (-1)^popcount(i & j) * flat[i]
+#
+# This is fftn(flat.reshape((2,) * L)).real.ravel(). Each step applies a
+# +-1 Hadamard matrix of at most 2^4 rows to the lowest bits of the index as
+# one matmul, and its output order moves those bits to the top, so the
+# original order returns once all L bits are done. On integer weights whose
+# absolute values sum to less than 2^53 every partial sum is an exact
+# integer, so the result does not depend on the BLAS summation order.
+
+WH_BLOCK_BITS = 4
+
+
+def _hadamard(k: int) -> np.ndarray:
+    i = np.arange(1 << k)
+    return 1.0 - 2.0 * (np.bitwise_count(i[:, None] & i) & 1)
+
+
+_HADAMARD = [_hadamard(k) for k in range(WH_BLOCK_BITS + 1)]
+
+
+def walsh_hadamard(flat):
+    x = np.asarray(flat, dtype=np.float64)
+    n = x.size
+    bits = n.bit_length() - 1
+    if x.ndim != 1 or n != 1 << bits:
+        raise ValueError("walsh_hadamard needs a 1-D array of length 2^L")
+    if bits == 0:
+        return x.copy()
+    done = 0
+    while done < bits:
+        k = min(WH_BLOCK_BITS, bits - done)
+        x = _HADAMARD[k] @ x.reshape(-1, 1 << k).T
+        done += k
+    return x.ravel()
+
+
+# ---------------------------------------------------------------------------
 # greedy selection scores
 #
 # Running real character sums C over all nontrivial characters (digits[j] =
@@ -76,6 +122,22 @@ def char_sums(points, weights, betas, moduli, roots, offsets):
 #     sum_j (C[j] + mult * Re prod_t roots_t[(digits[j,t]*g[t]) mod m_t])^8;
 # minimizing an even moment instead of the max norm avoids the massive ties
 # the max produces on small groups.
+#
+# On Z_2^t the roots are 1 and exp(i pi) = -1 + 1.2e-16i; the real part of
+# a product of t of them is off +-1 by about t * 1.5e-32, so it rounds to
+# exactly +-1. There Re chi_j(g) = (-1)^popcount(digit mask j & g) gives the
+# same bits without complex arithmetic.
+
+def bit_masks(rows):
+    """Integer masks of 0/1 coordinate rows: bit t is coordinate t."""
+    rows = np.asarray(rows, dtype=np.int64)
+    return rows @ (1 << np.arange(rows.shape[-1], dtype=np.int64))
+
+
+def sign_characters(masks, g):
+    """Re chi_j(g) = (-1)^popcount(masks[j] & g) on Z_2^t, as +-1.0."""
+    return 1.0 - 2.0 * (np.bitwise_count(masks & g) & 1)
+
 
 def greedy_scores(c, digits, cands, mults, moduli, roots, offsets):
     c = np.ascontiguousarray(c, dtype=np.float64)
@@ -85,12 +147,19 @@ def greedy_scores(c, digits, cands, mults, moduli, roots, offsets):
     moduli = np.ascontiguousarray(moduli, dtype=np.int64)
     offsets = np.ascontiguousarray(offsets, dtype=np.int64)
     scores = np.empty(cands.shape[0], dtype=np.float64)
+    binary = set(moduli.tolist()) == {2}
+    if binary:
+        dmasks, gmasks = bit_masks(digits), bit_masks(cands)
     for p in range(cands.shape[0]):
-        val = np.ones(digits.shape[0], dtype=np.complex128)
-        for t in range(digits.shape[1]):
-            idx = (digits[:, t] * cands[p, t]) % moduli[t]
-            val *= roots[offsets[t] + idx]
-        v = c + mults[p] * val.real
+        if binary:
+            re = sign_characters(dmasks, gmasks[p])
+        else:
+            val = np.ones(digits.shape[0], dtype=np.complex128)
+            for t in range(digits.shape[1]):
+                idx = (digits[:, t] * cands[p, t]) % moduli[t]
+                val *= roots[offsets[t] + idx]
+            re = val.real
+        v = c + mults[p] * re
         v2 = v * v
         v4 = v2 * v2
         scores[p] = float((v4 * v4).sum())

@@ -131,7 +131,13 @@ def greedy_expander(carrier: VectorCarrier, target: float,
     total = 0
     best_seen = 1.0
 
+    binary = set(moduli) == {2}
+    if binary:
+        dmasks = _kernels.bit_masks(digits)
+
     def char_column(v) -> np.ndarray:
+        if binary:
+            return _kernels.sign_characters(dmasks, _kernels.bit_masks(v))
         val = np.ones(digits.shape[0], dtype=np.complex128)
         for t in range(len(moduli)):
             idx = (digits[:, t] * v[t]) % moduli[t]

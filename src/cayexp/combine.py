@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .bsgs import schreier_sims
 from .carriers import Carrier, PermCarrier, QuotientCarrier, VectorCarrier
 from .multiset import Multiset, NonSymmetricError, multiset, union
@@ -433,7 +434,8 @@ def square_multiset(carrier: Carrier, ms: Multiset) -> Multiset:
     (mu = 0): every index pair contributes, and since S is symmetric the
     inverse-indexed half coincides with the direct half. Vector carriers use
     an FFT convolution, permutation groups and their quotients their action
-    tables.
+    tables. On Z_2^L with order * total^2 below 2^53 the convolution is two
+    exact Walsh-Hadamard transforms, which give the FFT's bits.
     """
     if not isinstance(carrier, VectorCarrier):
         return _square_perm(carrier, ms)
@@ -442,8 +444,13 @@ def square_multiset(carrier: Carrier, ms: Multiset) -> Multiset:
         w = np.bincount(carrier.codes(ms.elems),
                         weights=np.array(ms.mults, dtype=np.float64),
                         minlength=carrier.order)
-        spec = np.fft.fftn(w.reshape(carrier.moduli))
-        conv = np.fft.ifftn(spec * spec).real.ravel()
+        if (set(carrier.moduli) == {2}
+                and carrier.order * ms.total ** 2 < 2**53):
+            spec = _kernels.walsh_hadamard(w)
+            conv = _kernels.walsh_hadamard(spec * spec) / carrier.order
+        else:
+            spec = np.fft.fftn(w.reshape(carrier.moduli))
+            conv = np.fft.ifftn(spec * spec).real.ravel()
         counts = np.rint(conv).astype(np.int64)
         nz = np.flatnonzero(counts)
         return carrier.from_codes(nz, counts[nz], cert=cert)

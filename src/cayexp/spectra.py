@@ -106,7 +106,11 @@ def instance_seed(moduli, body: bytes) -> int:
 # abelian bias
 
 def bias_exhaustive(carrier: VectorCarrier, ms: Multiset) -> float:
-    """Exact maximal nontrivial character sum via a multidimensional DFT."""
+    """Exact maximal nontrivial character sum via a multidimensional DFT.
+
+    On Z_2^L with total below 2^53 the spectrum is an exact integer
+    Walsh-Hadamard transform; the complex FFT gives the same bits there.
+    """
     order = carrier.order
     if order > EXHAUSTIVE_CHAR_CAP:
         raise MethodCapacityError(
@@ -116,9 +120,10 @@ def bias_exhaustive(carrier: VectorCarrier, ms: Multiset) -> float:
         return 0.0
     w = np.array(ms.mults, dtype=np.float64)
     flat = np.bincount(carrier.codes(ms.elems), weights=w, minlength=order)
-    spec = np.fft.fftn(flat.reshape(carrier.moduli))
-    mags = np.abs(spec).ravel()
-    total = mags[0]
+    if set(carrier.moduli) == {2} and ms.total < 2**53:
+        mags = np.abs(_kernels.walsh_hadamard(flat))
+    else:
+        mags = np.abs(np.fft.fftn(flat.reshape(carrier.moduli))).ravel()
     mags[0] = 0.0
     return float(mags.max() / w.sum())
 

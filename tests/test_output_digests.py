@@ -31,6 +31,11 @@ def sha256(text: str) -> str:
      "db993aac9c0dfdcd87f0e7002ac0c8aef971ca77d66998aa08381efceddf6547"),
     (3, 8, 0.25,
      "48d9c477d8e7617cd693bddb8d1a3540cc808a93397f15a1185afa8253a45ace"),
+    # d = 2: the Walsh-Hadamard route of bias_exhaustive and the FFT square
+    (2, 12, 0.0625,
+     "59632fd2a325c01a1759112699f9a24a51c12d4253b6ce115f8ea04ac154500e"),
+    (2, 16, 0.25,
+     "c339631e131a6f71e892ad7f77a9d00f5bed4a8884975c0e821fc29f028bd60c"),
 ])
 def test_bias_space_digest(d, n, eps, digest):
     assert sha256(format_bias_space(zdn_bias_space(d, n, eps))) == digest
