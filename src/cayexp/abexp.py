@@ -131,19 +131,6 @@ def greedy_expander(carrier: VectorCarrier, target: float,
     total = 0
     best_seen = 1.0
 
-    binary = set(moduli) == {2}
-    if binary:
-        dmasks = _kernels.bit_masks(digits)
-
-    def char_column(v) -> np.ndarray:
-        if binary:
-            return _kernels.sign_characters(dmasks, _kernels.bit_masks(v))
-        val = np.ones(digits.shape[0], dtype=np.complex128)
-        for t in range(len(moduli)):
-            idx = (digits[:, t] * v[t]) % moduli[t]
-            val *= roots[offsets[t] + idx]
-        return val.real
-
     for _ in range(max_adds):
         reps, rows, mults = next(supply)
         deficit = (_next_pow2(total) - total) if total else 0
@@ -161,7 +148,9 @@ def greedy_expander(carrier: VectorCarrier, target: float,
         if w != v:
             counts[w] = counts.get(w, 0) + 1
             added = 2
-        c = c + mults[pick] * char_column(v)
+        col = _kernels.real_characters(digits, rows[pick:pick + 1], mod_arr,
+                                       roots, offsets)
+        c = c + mults[pick] * next(col)
         total += added
         bias = float(np.abs(c).max()) / total
         best_seen = min(best_seen, bias)

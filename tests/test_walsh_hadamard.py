@@ -237,26 +237,29 @@ class TestGreedyScores:
     @pytest.mark.parametrize("t", [1, 2, 5, 9, 12])
     def test_z2_sign_characters_equal_root_products(self, monkeypatch, t):
         inst = greedy_instance((2,) * t)
-        calls = count_calls(monkeypatch, "sign_characters")
+        calls = count_calls(monkeypatch, "_sign_characters")
         assert np.array_equal(kernel_scores(*inst),
                               root_product_scores(*inst))
         assert len(calls) == inst[2].shape[0]
 
-    def test_sign_characters_are_root_product_real_parts(self):
+    def test_sign_characters_are_root_product_real_parts(self, monkeypatch):
         t = 10
         digits = np.array(list(itertools.product((0, 1), repeat=t)))[1:]
         roots, offsets = root_tables((2,) * t)
-        masks = K.bit_masks(digits)
-        for g in rng.integers(0, 2, size=(20, t)):
+        cands = rng.integers(0, 2, size=(20, t))
+        calls = count_calls(monkeypatch, "_sign_characters")
+        cols = list(K.real_characters(digits, cands, np.full(t, 2), roots,
+                                      offsets))
+        assert len(calls) == len(cands)
+        for g, col in zip(cands, cols):
             val = np.ones(len(digits), dtype=np.complex128)
             for s in range(t):
                 val *= roots[offsets[s] + (digits[:, s] * g[s]) % 2]
-            assert np.array_equal(K.sign_characters(masks, K.bit_masks(g)),
-                                  val.real)
+            assert np.array_equal(col, val.real)
 
     @pytest.mark.parametrize("moduli", [(2, 3), (2, 2, 3), (3, 3), (4,)])
     def test_other_moduli_keep_root_products(self, monkeypatch, moduli):
-        forbid(monkeypatch, "sign_characters")
+        forbid(monkeypatch, "_sign_characters")
         inst = greedy_instance(moduli)
         assert np.array_equal(kernel_scores(*inst),
                               root_product_scores(*inst))
