@@ -50,7 +50,11 @@ class AuxInfeasibleError(ValueError):
 # exact measurement when the carrier is small enough
 
 def measure_exact(carrier: Carrier, ms: Multiset) -> float | None:
-    """Exact lambda2 when affordable, else None (analytic bookkeeping only)."""
+    """Exact lambda2 when affordable, else None (analytic bookkeeping only).
+
+    Above DENSE_CAP a permutation carrier gets the upper end of the moment
+    iteration's interval, never its lower estimate.
+    """
     n = carrier.order
     if isinstance(carrier, VectorCarrier):
         if n <= EXHAUSTIVE_CHAR_CAP:
@@ -59,7 +63,7 @@ def measure_exact(carrier: Carrier, ms: Multiset) -> float | None:
     if n <= DENSE_CAP:
         return dense_lambda2(carrier, ms)
     if n <= ITER_CAP:
-        return power_lambda2(carrier, ms)
+        return power_lambda2(carrier, ms).upper
     return None
 
 

@@ -4,8 +4,12 @@ Every pipeline output is certified here. Three measurement routes:
 
 * dense      -- build the |G| x |G| normalized adjacency of Cay(G,S) from the
                 right-regular action and run a symmetric eigensolver.
-* power      -- deflated power iteration on the shifted operators I+M and
-                I-M, for groups too large to store densely.
+* power      -- one moment iteration x_k = M x_{k-1} from delta_0 - 1/n,
+                for groups too large to store densely. It brackets lambda2:
+                the report's lambda2 is the converged lower end, a norm
+                ratio; lambda2_upper is the trace-method bound
+                (n ||x_k||^2)^{1/(2k)} with a rounding margin, and that
+                upper end is the one that certifies.
 * character  -- for abelian carriers the characters diagonalize every Cayley
                 operator, so the bias (maximal nontrivial character sum) *is*
                 lambda2; computed exhaustively as a multidimensional DFT of
@@ -18,7 +22,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,17 +38,12 @@ DENSE_CAP = 10_000
 ITER_CAP = 1_000_000
 EXHAUSTIVE_CHAR_CAP = 2_000_000
 SAMPLED_CHAR_COUNT = 100_000
-POWER_ITER_MAX = 1_000_000
 
 FORMAT_VERSION = 1
 
 
 class MethodCapacityError(ValueError):
     """Group too large for the requested measurement method."""
-
-
-class IterationCapError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -53,9 +54,14 @@ class SpectrumReport:
     method: str
     tolerance: float
     certified_target: float | None = None
+    # power route only: lambda2 is the interval's lower end
+    lambda2_upper: float | None = None
+    matvecs: int | None = None
 
     def as_dict(self) -> dict:
         d = asdict(self)
+        if self.lambda2_upper is None:
+            del d["lambda2_upper"], d["matvecs"]
         d["format_version"] = FORMAT_VERSION
         return d
 
@@ -66,10 +72,16 @@ class SpectrumReport:
     def certifying(self) -> bool:
         return not self.method.endswith("sampled")
 
+    @property
+    def bound(self) -> float:
+        """The end that certifies: the interval's upper end, if any."""
+        return self.lambda2 if self.lambda2_upper is None \
+            else self.lambda2_upper
+
 
 def certify(report: SpectrumReport, target: float) -> bool:
     """True iff the measured bound meets the target within tolerance."""
-    return report.certifying and report.lambda2 <= target + report.tolerance
+    return report.certifying and report.bound <= target + report.tolerance
 
 
 # ---------------------------------------------------------------------------
@@ -210,43 +222,70 @@ def dense_lambda2_signed(carrier: Carrier, ms: Multiset) -> float:
     return float(evs[-2])
 
 
+class MomentInterval(NamedTuple):
+    """Bounds on lambda2 from a moment iteration, and the matvecs it took."""
+    lower: float
+    upper: float
+    matvecs: int
+
+
 def power_lambda2(carrier: Carrier, ms: Multiset, tol: float = 1e-9,
-                  itmax: int = POWER_ITER_MAX) -> float:
+                  itmax: int = 10_000) -> MomentInterval:
+    """Two-sided bounds on lambda2 from one iteration x_k = M x_{k-1}.
+
+    The start is x_0 = delta_0 - 1/n, orthogonal to the constant vector.
+    With lambda_i the nontrivial eigenvalues, ||x_k||^2 = x_0^T M^{2k} x_0 =
+    (M^{2k})_{00} - 1/n, and a Cayley graph is vertex-transitive, so every
+    diagonal entry of M^{2k} is (M^{2k})_{00} and n ||x_k||^2 =
+    tr M^{2k} - 1 = sum_i lambda_i^{2k} (the trace method; Hoory, Linial and
+    Wigderson, Bull. AMS 2006). Hence lambda2 <= (n ||x_k||^2)^{1/(2k)};
+    and ||x_k||^2 / ||x_{k-1}||^2 is an average of the lambda_i^2, so its
+    root is a lower bound, nondecreasing in k. The iteration stops once the
+    lower bound gains less than tol in a step, or after itmax matvecs.
+    """
     n = carrier.order
     if n > ITER_CAP:
         raise MethodCapacityError(f"group order {n} exceeds iterative cap "
                                   f"{ITER_CAP}")
     if n == 1:
-        return 0.0
+        return MomentInterval(0.0, 0.0, 0)
     ms.require_symmetric(carrier.inv)
     tables, weights = carrier.action_tables(ms)
-    rng = np.random.default_rng(0x5EED_CAFE)
-
-    def extreme(sign: float) -> float:
-        # power iteration on I + sign*M restricted to the ones-complement;
-        # both shifted operators are PSD there, so the Rayleigh quotient
-        # converges to the top eigenvalue 1 + sign*mu_extreme
-        x = rng.standard_normal(n)
-        x -= x.mean()
-        x /= np.linalg.norm(x)
-        prev = np.inf
-        for _ in range(itmax):
-            y = x + sign * _kernels.cayley_matvec(tables, weights, x)
-            y -= y.mean()
-            rq = float(x @ y)
-            ny = np.linalg.norm(y)
-            if ny == 0.0:
-                return rq
-            x = y / ny
-            if abs(rq - prev) < tol:
-                return rq
-            prev = rq
-        raise IterationCapError(
-            f"power iteration did not converge in {itmax} iterations")
-
-    mu_max = extreme(1.0) - 1.0
-    mu_min = 1.0 - extreme(-1.0)
-    return float(max(mu_max, -mu_min, 0.0))
+    # M fixes the constant vector, so M x_0 = M delta_0 - 1/n; M delta_0
+    # holds one weight per entry, so the uniform multiset gives exactly 0.
+    # y is M applied to x_{k-1} / ||x_{k-1}||
+    y = np.zeros(n)
+    y[0] = 1.0
+    y = _kernels.cayley_matvec(tables, weights, y)
+    y -= 1.0 / n
+    y /= math.sqrt(1.0 - 1.0 / n)
+    log_moment = math.log(n - 1.0)      # log(n ||x_0||^2)
+    lower = 0.0
+    k = 1
+    while True:
+        ratio = float(y @ y)            # ||x_k||^2 / ||x_{k-1}||^2
+        if ratio == 0.0:
+            return MomentInterval(0.0, 0.0, k)
+        log_moment += math.log(ratio)
+        gain = math.sqrt(ratio) - lower
+        lower = math.sqrt(ratio)
+        if gain < tol or k >= itmax:
+            break
+        y /= lower
+        y = _kernels.cayley_matvec(tables, weights, y)
+        y -= y.mean()
+        k += 1
+    # rounding: a step (matvec, mean subtraction, rescaling) errs by at most
+    # g = (support + log2 n + 2) eps relative to its input. M shrinks the
+    # error of step i by lambda2^(k-i) and ||x_{i-1}|| <= lambda2^(i-1),
+    # while ||x_k|| >= lambda2^k / sqrt(n) (delta_0 has squared norm
+    # dim/n >= 1/n in the top eigenspace). So n ||x_k||^2 is off by a
+    # factor of at most 1 + 2k g sqrt(n) / lambda2, and its 2k-th root by
+    # 1 + g sqrt(n) / lambda2 <= 1 + g sqrt(n) / lower.
+    g = (len(weights) + n.bit_length() + 2) * float(np.finfo(np.float64).eps)
+    margin = g * math.sqrt(n)
+    upper = math.exp(log_moment / (2 * k)) * (1.0 + margin / lower)
+    return MomentInterval(lower, upper, k)
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +310,13 @@ def second_eigenvalue(carrier: Carrier, ms: Multiset, tol: float = 1e-9,
     # its element table, which the measurement then reuses
     if not multiset_order_check(carrier, ms):
         raise ValueError("multiset contains elements outside the group")
+    upper = matvecs = None
     if method == "dense":
         lam = dense_lambda2(carrier, ms)
         tolerance = 1e-9
     elif method == "power-iteration":
-        lam = power_lambda2(carrier, ms, tol=tol)
-        tolerance = 10 * tol
+        lam, upper, matvecs = power_lambda2(carrier, ms, tol=tol)
+        tolerance = 0.0     # the upper end carries its rounding margin
     elif method == "character-sum":
         if not isinstance(carrier, VectorCarrier):
             raise ValueError("character-sum method needs an abelian carrier")
@@ -290,7 +330,8 @@ def second_eigenvalue(carrier: Carrier, ms: Multiset, tol: float = 1e-9,
     else:
         raise ValueError(f"unknown method {method!r}")
     return SpectrumReport(group_order=n, degree_total=ms.total,
-                          lambda2=lam, method=method, tolerance=tolerance)
+                          lambda2=lam, method=method, tolerance=tolerance,
+                          lambda2_upper=upper, matvecs=matvecs)
 
 
 # ---------------------------------------------------------------------------

@@ -186,18 +186,18 @@ def projective_line(q: int, mult: int) -> GenSet:
                                for f in maps))
 
 
-def count_schreier_sims(monkeypatch) -> list[GenSet]:
-    """Record every Schreier-Sims build for the rest of a test.
+def count_calls(monkeypatch, orig) -> list:
+    """Record the first argument of every call of a package function.
 
-    ``schreier_sims`` is rebound under every name a ``cayexp`` module holds
-    it by, so calls through ``from .bsgs import schreier_sims`` count too.
+    ``orig`` is rebound for the rest of a test under every name a
+    ``cayexp`` module holds it by, so calls through ``from .bsgs import
+    schreier_sims`` and through ``_kernels.cayley_matvec`` count alike.
     """
-    calls: list[GenSet] = []
-    orig = bsgs.schreier_sims
+    calls = []
 
-    def counted(g: GenSet):
-        calls.append(g)
-        return orig(g)
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return orig(*args, **kwargs)
 
     for name, mod in list(sys.modules.items()):
         if name == cayexp.__name__ or name.startswith("cayexp."):
@@ -205,3 +205,8 @@ def count_schreier_sims(monkeypatch) -> list[GenSet]:
                 if val is orig:
                     monkeypatch.setattr(mod, attr, counted)
     return calls
+
+
+def count_schreier_sims(monkeypatch) -> list[GenSet]:
+    """Record every Schreier-Sims build for the rest of a test."""
+    return count_calls(monkeypatch, bsgs.schreier_sims)

@@ -120,6 +120,29 @@ def test_build_expander_builds_each_group_once(tmp_path, monkeypatch):
     assert calls[0] == g
 
 
+def test_verify_power_route_prints_interval(tmp_path, capsys):
+    # Z_2^14 on 28 points is above the dense cap; with identity weight 2
+    # its lambda2 is exactly 0.875, and only the interval's upper end may
+    # certify, so a target just below 0.875 fails
+    t = 14
+    swaps = [f"({2 * i + 1} {2 * i + 2})" for i in range(t)]
+    group = tmp_path / "cube.grp"
+    group.write_text(f"degree {2 * t}\n" + "".join(p + "\n" for p in swaps))
+    ms = tmp_path / "cube.ms"
+    ms.write_text(f"degree {2 * t}\n2 ()\n"
+                  + "".join(f"1 {p}\n" for p in swaps))
+    args = ["verify", "--group", str(group), "--multiset", str(ms)]
+    assert main(args + ["--target", "0.9"]) == 0
+    text = capsys.readouterr().out
+    assert text.startswith("lambda2 in [") and "matvecs)" in text
+    assert "method = power-iteration verdict = pass" in text
+    assert main(args + ["--target", str(0.875 - 1e-9), "--json"]) == 4
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] is False
+    assert payload["lambda2"] <= 0.875 <= payload["lambda2_upper"]
+    assert payload["matvecs"] >= 1
+
+
 def test_too_large_without_sampled_exit_6(tmp_path):
     # S_12 has order ~4.8e8, beyond the exact verification cap
     big = tmp_path / "s12.grp"

@@ -1,18 +1,23 @@
+import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import naive_bias, naive_cayley_lambda2, random_symmetric_multiset
+from helpers import (count_calls, naive_bias, naive_cayley_lambda2,
+                     projective_line, random_symmetric_multiset)
 
-from cayexp import catalog
+from cayexp import _kernels, catalog
 from cayexp.carriers import PermCarrier, QuotientCarrier, VectorCarrier
+from cayexp.combine import measure_exact
 from cayexp.multiset import NonSymmetricError, multiset
 from cayexp.perm import GenSet, Perm, parse_perm
 from cayexp.series import derived_series, quotient_context
-from cayexp.spectra import (MethodCapacityError, abelian_bias, bias_direct,
-                            bias_exhaustive, bias_sampled, certify,
+from cayexp.spectra import (DENSE_CAP, MethodCapacityError, abelian_bias,
+                            bias_direct, bias_exhaustive, bias_sampled,
+                            certify,
                             dense_lambda2, dense_spectrum, graph_info,
                             power_lambda2, second_eigenvalue)
 
@@ -21,6 +26,13 @@ def z_n_carrier(n):
     cyc = "(" + " ".join(str(i + 1) for i in range(n)) + ")"
     g = parse_perm(cyc, n)
     return g, PermCarrier.of(GenSet(n, (g,)))
+
+
+def hypercube_carrier(t):
+    """Z_2^t as the transpositions (2i+1 2i+2) on 2t points."""
+    gens = tuple(parse_perm(f"({2 * i + 1} {2 * i + 2})", 2 * t)
+                 for i in range(t))
+    return gens, PermCarrier.of(GenSet(2 * t, gens))
 
 
 class TestSecondEigenvalue:
@@ -73,6 +85,15 @@ class TestSecondEigenvalue:
                     "tolerance", "format_version"):
             assert key in d
 
+    def test_dense_report_keys_pinned(self):
+        # the interval fields belong to the power route only, so dense
+        # certificates keep their bytes
+        g, carrier = z_n_carrier(5)
+        rep = second_eigenvalue(carrier, multiset([(g, 1), (g.inv(), 1)]))
+        assert set(rep.as_dict()) == {
+            "group_order", "degree_total", "lambda2", "method", "tolerance",
+            "certified_target", "format_version"}
+
     def test_matches_naive_dense_oracle(self):
         for fn in (catalog.s4, catalog.d8, catalog.q8):
             g = fn()
@@ -92,7 +113,7 @@ class TestPowerIteration:
             g, carrier = z_n_carrier(n)
             ms = multiset([(g, 1), (g.inv(), 1), (Perm.identity(n), 1)])
             d = dense_lambda2(carrier, ms)
-            p = power_lambda2(carrier, ms, tol=tol)
+            p = power_lambda2(carrier, ms, tol=tol).lower
             assert abs(d - p) < 10 * tol
 
     def test_larger_group(self):
@@ -100,7 +121,7 @@ class TestPowerIteration:
         carrier = PermCarrier.of(g)
         ms = random_symmetric_multiset(carrier.elements(), 0, k=5)
         d = dense_lambda2(carrier, ms)
-        p = power_lambda2(carrier, ms, tol=1e-12)
+        p = power_lambda2(carrier, ms, tol=1e-12).lower
         assert abs(d - p) < 1e-11
 
     def test_dual_route_perm_power_vs_character(self):
@@ -123,9 +144,96 @@ class TestPowerIteration:
             vecs.append(tuple(v))
         vec_ms = multiset([(v, 1) for v in vecs]
                           + [((0,) * t, 2)])
-        p = power_lambda2(pcar, perm_ms, tol=1e-12)
+        p = power_lambda2(pcar, perm_ms, tol=1e-12).lower
         c = bias_exhaustive(vcar, vec_ms)
         assert abs(p - c) < 1e-7
+
+
+    def test_dense_lambda2_inside_interval(self):
+        cases = []
+        for n in (5, 8, 12):
+            g, carrier = z_n_carrier(n)
+            cases.append((carrier, multiset(
+                [(g, 1), (g.inv(), 1), (Perm.identity(n), 1)])))
+        carrier = PermCarrier.of(catalog.s3_x_s4())
+        cases.append((carrier, random_symmetric_multiset(
+            carrier.elements(), 0, k=5)))
+        gens, carrier = hypercube_carrier(10)
+        cases.append((carrier, multiset(
+            [(gens[i], 1) for i in (0, 3, 5, 6, 9)]
+            + [(Perm.identity(20), 2)])))
+        for carrier, ms in cases:
+            d = dense_lambda2(carrier, ms)
+            for tol in (1e-6, 1e-9, 1e-12):
+                lower, upper, matvecs = power_lambda2(carrier, ms, tol=tol)
+                assert lower <= d <= upper
+                assert matvecs >= 1
+
+    def test_exact_case_above_dense_cap(self):
+        # Z_2^14 with identity weight 2: eigenvalues (16 - 2j)/16 for j
+        # flipped coordinates, so lambda2 = 14/16 with multiplicity 14
+        t = 14
+        gens, pcar = hypercube_carrier(t)
+        assert pcar.order > DENSE_CAP
+        ms = multiset([(p, 1) for p in gens] + [(Perm.identity(2 * t), 2)])
+        vec_ms = multiset([(tuple(int(i == j) for i in range(t)), 1)
+                           for j in range(t)] + [((0,) * t, 2)])
+        exact = bias_exhaustive(VectorCarrier((2,) * t), vec_ms)
+        assert exact == 0.875
+        rep = second_eigenvalue(pcar, ms)
+        assert rep.method == "power-iteration"
+        assert rep.lambda2 <= exact <= rep.lambda2_upper
+        assert rep.bound == rep.lambda2_upper
+        assert not certify(rep, exact - 1e-9)
+        assert certify(rep, rep.lambda2_upper)
+        assert not certify(rep, rep.lambda2_upper - 1e-9)
+        # constructions re-measure with the certifying end too
+        assert measure_exact(pcar, ms) == rep.lambda2_upper
+
+    def test_bipartite_lower_end_one(self):
+        # the warm-up multiset of the benchmark's verify-large worker: a
+        # 4-cycle and a transposition make Cay(S4, T) bipartite
+        g = GenSet(4, (parse_perm("(1 2 3 4)", 4), parse_perm("(1 2)", 4)))
+        ms = multiset([(p, 1) for p in g.gens]
+                      + [(p.inv(), 1) for p in g.gens])
+        carrier = PermCarrier.of(g)
+        rep = second_eigenvalue(carrier, ms, method="power-iteration")
+        assert 1.0 - 1e-8 < rep.lambda2 <= 1.0 <= rep.lambda2_upper
+        assert not certify(rep, 0.99)
+        lower, upper, _ = power_lambda2(carrier, ms, tol=1e-13)
+        assert 1.0 - 1e-11 < lower <= 1.0 <= upper
+
+    def test_uniform_multiset_exactly_zero(self):
+        for carrier in (z_n_carrier(6)[1], PermCarrier.of(catalog.s3_x_s4())):
+            ms = multiset([(e, 1) for e in carrier.elements()])
+            with np.errstate(all="raise"):
+                assert power_lambda2(carrier, ms) == (0.0, 0.0, 1)
+
+    def test_budget_returns_interval_so_far(self):
+        carrier = PermCarrier.of(catalog.s3_x_s4())
+        ms = random_symmetric_multiset(carrier.elements(), 0, k=5)
+        d = dense_lambda2(carrier, ms)
+        lower, upper, matvecs = power_lambda2(carrier, ms, tol=0.0, itmax=3)
+        assert matvecs == 3
+        assert lower <= d <= upper
+
+    def test_mirrors_benchmark_gate(self, monkeypatch):
+        # the verify-large PSL(2,29) item: its stored lambda2 within 1e-6,
+        # its upper end certifying the pool target, within a matvec budget
+        data = Path(__file__).resolve().parents[1] / "perfbench" / "data"
+        item = json.loads((data / "verify_large.json").read_text())[0]
+        assert item["group"] == "PSL2_29"
+        g = projective_line(29, 4)
+        ms = multiset([(parse_perm(p, g.degree), m)
+                       for m, p in item["multiset"]])
+        carrier = PermCarrier.of(g)
+        assert carrier.order == 12180
+        matvecs = count_calls(monkeypatch, _kernels.cayley_matvec)
+        rep = second_eigenvalue(carrier, ms)
+        assert abs(rep.lambda2 - item["lambda2"]) <= 1e-6
+        assert rep.lambda2_upper <= item["target"] == 0.83
+        assert certify(rep, item["target"])
+        assert len(matvecs) == rep.matvecs <= 325
 
 
 class TestAbelianBias:
