@@ -1,0 +1,8 @@
+"""``python -m cayexp``: the command line of cayexp.cli."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

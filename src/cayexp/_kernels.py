@@ -2,7 +2,8 @@
 
 - ``cayley_matvec`` and ``dense_adjacency``: the normalized Cayley operator
   from action tables, applied to a vector or filled densely.
-- ``char_sums``: direct character sums over a product of cyclic groups.
+- ``char_sums``: direct character sums over a product of cyclic groups,
+  from one integer exponent table per block of characters.
 - ``walsh_hadamard``: the exact character spectrum of a weight vector on
   Z_2^L, in place of a complex FFT.
 - ``real_characters``: the real parts of the characters at each candidate,
@@ -16,6 +17,8 @@ run records.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -56,23 +59,67 @@ def dense_adjacency(tables, weights, n):
 # points:  (P, L) integer coordinates, weights: (P,)
 # betas:   (B, L) character indices
 # moduli:  (L,) coordinate moduli
-# roots:   concatenated exact root-of-unity tables, offsets[t] locating the
-#          table for coordinate t
-# returns complex sums: out[b] = sum_p w[p] * prod_t roots_t[(beta_bt * v_pt) mod m_t]
+# returns complex sums:
+#   out[b] = sum_p w[p] * exp(2 pi i sum_t beta_bt v_pt / m_t)
+#
+# With Lc = lcm(moduli), character b at point p is the root of unity
+# exp(2 pi i e / Lc) with exponent e = sum_t beta_bt v_pt (Lc / m_t) mod Lc.
+# So a block of characters is one matmul of exact integers, one lookup in
+# the table of the Lc-th roots and one weighted sum. The matmul is float64
+# while every partial sum stays below FLOAT_EXACT = 2^53, which makes it
+# exact in any summation order, and int64 beyond. Coordinates are split
+# into consecutive ranges whose lcm stays within ROOT_TABLE_CAP (a single
+# modulus above it gets its own range), and the ranges' roots multiply. The
+# work goes in tiles of CHAR_BLOCK characters by as many points as keep a
+# tile's complex lookups within CHAR_TABLE_BYTES, so each matmul reads a
+# small point tile.
 
-def char_sums(points, weights, betas, moduli, roots, offsets):
+ROOT_TABLE_CAP = 1 << 20
+FLOAT_EXACT = 1 << 53
+CHAR_BLOCK = 256
+CHAR_TABLE_BYTES = 1 << 25
+
+
+def _lcm_ranges(moduli):
+    """(lo, hi, lcm) of consecutive coordinate ranges with small lcms."""
+    ranges, lo, lc = [], 0, 1
+    for t, m in enumerate(moduli):
+        nxt = math.lcm(lc, m)
+        if nxt > ROOT_TABLE_CAP and t > lo:
+            ranges.append((lo, t, lc))
+            lo, nxt = t, m
+        lc = nxt
+    ranges.append((lo, len(moduli), lc))
+    return ranges
+
+
+def char_sums(points, weights, betas, moduli):
     points = np.ascontiguousarray(points, dtype=np.int64)
     weights = np.ascontiguousarray(weights, dtype=np.float64)
     betas = np.ascontiguousarray(betas, dtype=np.int64)
-    moduli = np.ascontiguousarray(moduli, dtype=np.int64)
-    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-    out = np.empty(betas.shape[0], dtype=np.complex128)
-    for b in range(betas.shape[0]):
-        val = np.ones(points.shape[0], dtype=np.complex128)
-        for t in range(points.shape[1]):
-            idx = (betas[b, t] * points[:, t]) % moduli[t]
-            val *= roots[offsets[t] + idx]
-        out[b] = np.dot(weights, val)
+    moduli = [int(m) for m in moduli]
+    parts = []
+    for lo, hi, lc in _lcm_ranges(moduli):
+        scale = np.array([lc // m for m in moduli[lo:hi]], dtype=np.int64)
+        dtype = np.float64 if lc * sum(moduli[lo:hi]) < FLOAT_EXACT \
+            else np.int64
+        roots = np.exp(2j * np.pi * np.arange(lc) / lc)
+        parts.append((lo, hi, lc, (points[:, lo:hi] * scale).astype(dtype),
+                      roots))
+    out = np.zeros(betas.shape[0], dtype=np.complex128)
+    step = CHAR_BLOCK
+    chunk = max(1, CHAR_TABLE_BYTES // (16 * step))
+    for b0 in range(0, betas.shape[0], step):
+        block = betas[b0:b0 + step]
+        for p0 in range(0, points.shape[0], chunk):
+            val = None
+            for lo, hi, lc, pts, roots in parts:
+                expo = pts[p0:p0 + chunk] @ block[:, lo:hi].T.astype(pts.dtype)
+                expo = expo.astype(np.intp)
+                expo %= lc
+                r = roots[expo]
+                val = r if val is None else val * r
+            out[b0:b0 + step] += weights[p0:p0 + chunk] @ val
     return out
 
 

@@ -11,9 +11,12 @@ lexicographic order, built from the BSGS transversals; elements are looked
 up by their base-point images, so its action tables are numpy gathers and
 binary searches. A vector group codes each element as its mixed-radix index
 (``ravel_multi_index``), so pairing, trimming, squaring and deduplicating
-vector multisets are integer-array operations; coordinate tuples are made
-only where a ``Multiset`` is built. A quotient H/N is a coset label for
-every row of H's table, so its action tables are H's gathers relabelled.
+vector multisets are integer-array operations. The multisets these build
+keep their codes (``Multiset`` code storage), and the next step reads them
+back; coordinate tuples are made only where elements are read one by one,
+when parsing, or for multisets built from pairs. A quotient H/N is a coset
+label for every row of H's table, so its action tables are H's gathers
+relabelled.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .bsgs import BSGS, CapacityError, schreier_sims
-from .multiset import Multiset
+from .multiset import NOT_SYMMETRIC, Multiset, NonSymmetricError
 from .perm import DegreeMismatch, GenSet, Perm
 from .series import QuotientContext
 
@@ -72,7 +75,6 @@ class VectorCarrier:
         if any(m < 1 for m in moduli):
             raise ValueError("moduli must be >= 1")
         self.moduli = tuple(int(m) for m in moduli)
-        self._last_coded = (None, None)   # (elems, read-only codes)
 
     @staticmethod
     def of(shape: AbelianShape) -> "VectorCarrier":
@@ -143,19 +145,17 @@ class VectorCarrier:
             codes = codes // m
         return rows
 
-    def codes(self, elems) -> np.ndarray:
-        """Codes of reduced tuples (read-only: they may be shared).
+    def codes(self, items) -> np.ndarray:
+        """Codes of a multiset's elements, or of a sequence of reduced tuples.
 
-        The elements of the last multiset built by from_codes on this
-        carrier are not re-coded: measuring or trimming the multiset the
-        step before built is the common case (about four calls in five in
-        a warm eps-bias pass), and with_cert and gcd_reduced keep its
-        element tuple.
+        A multiset in code storage over these moduli hands over its stored
+        codes (read-only); anything else is coded from its tuples.
         """
-        last, codes = self._last_coded
-        if elems is not last:
-            codes = self.ravel(self.rows(elems))
-        return codes
+        if isinstance(items, Multiset):
+            if items.space is not None and items.space.moduli == self.moduli:
+                return items.codes
+            items = items.elems
+        return self.ravel(self.rows(items))
 
     def inv_codes(self, codes: np.ndarray) -> np.ndarray:
         """Codes of the inverses (negated coordinates)."""
@@ -166,13 +166,18 @@ class VectorCarrier:
         """The multiset on strictly increasing codes with positive mults.
 
         Canonical storage directly: the codes are already in element order,
-        so nothing is merged or re-sorted.
+        so nothing is merged or re-sorted. The multiset keeps the codes and
+        the multiplicities as (read-only) arrays and makes its element
+        tuples only if they are read.
         """
-        elems = tuple(zip(*self.unravel(codes).T.tolist()))
-        shared = codes.view()
-        shared.flags.writeable = False
-        self._last_coded = (elems, shared)
-        return Multiset(elems, tuple(np.asarray(mults).tolist()), cert)
+        counts = np.asarray(mults)
+        if counts.dtype != object:
+            counts = counts.astype(np.int64, copy=False)
+            if len(counts) * int(counts.max(initial=0)) >= 2**63:
+                counts = counts.astype(object)   # the total may not fit
+        codes, counts = codes.view(), counts.view()
+        codes.flags.writeable = counts.flags.writeable = False
+        return Multiset._coded(self, codes, counts, cert)
 
     def tally(self, codes: np.ndarray, weights: np.ndarray | None = None,
               cert: float | None = None) -> Multiset:
@@ -191,12 +196,18 @@ class VectorCarrier:
             mults = np.add.reduceat(weights[order], starts)
         return self.from_codes(codes[starts], mults, cert)
 
+    def is_symmetric(self, ms: Multiset) -> bool:
+        """Inverse-closed with matching multiplicities: the inverse codes
+        looked up among the codes in one search."""
+        codes = self.codes(ms)
+        return _inverse_closed(codes, self.inv_codes(codes), ms.mult_array())
+
     def action_tables(self, ms: Multiset) -> tuple[np.ndarray, np.ndarray]:
         n = self.order
         shape = self.moduli
         base = np.indices(shape).reshape(len(shape), -1)
         tables = np.empty((ms.support, n), dtype=np.int64)
-        for j, (v, _) in enumerate(ms.pairs()):
+        for j, v in enumerate(self.unravel(self.codes(ms)).tolist()):
             shifted = [(base[t] + v[t]) % shape[t] for t in range(len(shape))]
             tables[j] = np.ravel_multi_index(shifted, shape)
         return tables, _weights(ms)
@@ -324,6 +335,34 @@ class PermCarrier:
         tables = self._products(self._indices(ms.elems), slice(None))
         return tables, _weights(ms)
 
+    def is_symmetric(self, ms: Multiset) -> bool:
+        """Inverse-closed with matching multiplicities: the inverses' image
+        rows looked up among the elements' rows in one search.
+
+        Needs no element table, so it holds for elements outside the group
+        and for groups above the cap alike.
+        """
+        deg = self.bsgs.degree
+        imgs = [p.img for p in ms.elems]
+        if set(map(len, imgs)) != {deg}:
+            return ms.is_symmetric(self.inv)
+        rows = np.array(imgs, dtype=np.min_scalar_type(deg - 1))
+        both = np.concatenate((rows, np.argsort(rows, axis=1).astype(
+            rows.dtype)))   # a row's argsort is its inverse's images
+        keys = both.view(np.dtype((np.void, both.itemsize * deg))).ravel()
+        return _inverse_closed(keys[:len(rows)], keys[len(rows):],
+                               ms.mult_array())
+
+
+def _inverse_closed(keys: np.ndarray, inv_keys: np.ndarray,
+                    counts: np.ndarray) -> bool:
+    """Whether distinct elements with these keys, inverses and counts are
+    closed under inverses with matching counts: sorted by key, the
+    elements and their inverses must list the same keys and counts."""
+    by_key, by_inv = np.argsort(keys), np.argsort(inv_keys)
+    return (np.array_equal(keys[by_key], inv_keys[by_inv])
+            and np.array_equal(counts[by_key], counts[by_inv]))
+
 
 def _weights(ms: Multiset) -> np.ndarray:
     """The multiplicities normalized to sum 1 (the action tables' weights)."""
@@ -418,15 +457,28 @@ class QuotientCarrier:
         """Push a multiset on H down to canonical representatives on H/N."""
         return ms.map_elems(self.ctx.canonicalize, cert=cert)
 
+    def is_symmetric(self, ms: Multiset) -> bool:
+        return ms.is_symmetric(self.inv)
+
 
 Carrier = PermCarrier | QuotientCarrier | VectorCarrier
+
+
+def require_symmetric(carrier: Carrier, ms: Multiset) -> None:
+    """Raise NonSymmetricError unless the multiset is inverse-closed with
+    matching multiplicities in the carrier's group."""
+    if not carrier.is_symmetric(ms):
+        raise NonSymmetricError(NOT_SYMMETRIC)
 
 
 def multiset_order_check(carrier, ms: Multiset) -> bool:
     """True when the multiset's elements all lie in the carrier's group
     (for a quotient, its parent group): one batched table lookup."""
     if isinstance(carrier, VectorCarrier):
-        return all(len(v) == len(carrier.moduli) for v in ms.elems)
+        width = len(carrier.moduli)
+        if ms.space is not None:
+            return len(ms.space.moduli) == width
+        return all(len(v) == width for v in ms.elems)
     if isinstance(carrier, QuotientCarrier):
         carrier = carrier.parent
     try:

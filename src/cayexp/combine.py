@@ -23,7 +23,8 @@ import numpy as np
 
 from . import _kernels
 from .bsgs import schreier_sims
-from .carriers import Carrier, PermCarrier, QuotientCarrier, VectorCarrier
+from .carriers import (Carrier, PermCarrier, QuotientCarrier, VectorCarrier,
+                       require_symmetric)
 from .multiset import Multiset, NonSymmetricError, multiset, union
 from .perm import GenSet, Perm
 from .series import QuotientContext, SubgroupChain, quotient_context
@@ -84,7 +85,7 @@ def symmetrize(carrier: Carrier, ms: Multiset) -> Multiset:
     normal subgroup containing the mismatch, so quotient-side certificates
     transport unchanged.
     """
-    if ms.is_symmetric(carrier.inv):
+    if carrier.is_symmetric(ms):
         return ms
     doubled = union(ms, ms.map_elems(carrier.inv), cert=ms.cert)
     return doubled.gcd_reduced()
@@ -106,7 +107,7 @@ def _pair_units(carrier: Carrier, ms: Multiset
     """
     n = ms.support
     if isinstance(carrier, VectorCarrier):
-        codes = carrier.codes(ms.elems)
+        codes = carrier.codes(ms)
         if np.any(codes[1:] <= codes[:-1]):
             raise ValueError("multiset is not in canonical storage")
         inv = carrier.inv_codes(codes)
@@ -132,8 +133,7 @@ def _pair_units(carrier: Carrier, ms: Multiset
         def build(us):
             return multiset([(e, 1) for u in us.tolist()
                              for e in units[u][1]])
-    dtype = np.int64 if ms.total < 2**63 else object
-    weight = np.array(ms.mults, dtype=dtype)[heads]
+    weight = ms.mult_array()[heads]
     order = np.argsort(-weight, kind="stable")
     return sizes[order], lambda us: build(order[us])
 
@@ -195,8 +195,14 @@ def compact(carrier: Carrier, ms: Multiset, target_total: int,
     if ms.total <= target_total:
         return ms
     scale = target_total / ms.total
-    mults = tuple(max(1, round(m * scale)) for m in ms.mults)
-    out = Multiset(ms.elems, mults).gcd_reduced()
+    mults = ms.mult_array()
+    if mults.dtype == object:
+        mults = np.array([max(1, round(m * scale)) for m in ms.mults],
+                         dtype=object)
+    else:
+        # round half to even, as Python's round
+        mults = np.maximum(1, np.rint(mults * scale)).astype(np.int64)
+    out = ms.with_mults(mults).gcd_reduced()
     lam = measure_exact(carrier, out)
     if accept is not None and lam > accept:
         return ms
@@ -399,8 +405,9 @@ def derandomized_square(carrier: Carrier, u: Multiset,
     if u.cert is not None:
         cert = u.cert * u.cert + h.certified_mu
     if isinstance(carrier, VectorCarrier):
-        u.require_symmetric(carrier.inv)
-        rows = carrier.rows(u.elems).repeat(u.mults, axis=0)
+        require_symmetric(carrier, u)
+        rows = carrier.unravel(carrier.codes(u)).repeat(u.mult_array(),
+                                                        axis=0)
         moduli = np.array(carrier.moduli, dtype=np.int64)
         chunks = []
         for ell in range(h.degree):
@@ -445,8 +452,8 @@ def square_multiset(carrier: Carrier, ms: Multiset) -> Multiset:
         return _square_perm(carrier, ms)
     cert = ms.cert * ms.cert if ms.cert is not None else None
     if carrier.order <= EXHAUSTIVE_CHAR_CAP and ms.total <= 1 << 26:
-        w = np.bincount(carrier.codes(ms.elems),
-                        weights=np.array(ms.mults, dtype=np.float64),
+        w = np.bincount(carrier.codes(ms),
+                        weights=ms.mult_array().astype(np.float64),
                         minlength=carrier.order)
         if (set(carrier.moduli) == {2}
                 and carrier.order * ms.total ** 2 < 2**53):

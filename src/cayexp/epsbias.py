@@ -17,7 +17,7 @@ from .abexp import _compact_r_points, _final_r_cached, factorize
 from .carriers import VectorCarrier
 from .combine import (balance, combine_union, reduce_to_quarter, reverify,
                       symmetrize, _next_pow2)
-from .multiset import Multiset, multiset
+from .multiset import Multiset, format_rows, multiset
 from .spectra import EXHAUSTIVE_CHAR_CAP, MethodCapacityError, bias_exhaustive
 
 D_CAP = 10**6
@@ -83,15 +83,15 @@ def _crt_digits(ms: Multiset, fac, carrier: VectorCarrier) -> Multiset:
     """
     d, n = carrier.moduli[0], len(carrier.moduli)
     depth = max(e for _, e in fac)
-    res = _kfold_carrier(fac, n, 0, depth).rows(ms.elems)
+    blocks = _kfold_carrier(fac, n, 0, depth)
+    res = blocks.unravel(blocks.codes(ms))
     digits = np.zeros((len(res), n), dtype=np.int64)
     for jb, (p, e) in enumerate(fac):
         q = p**e
         m = d // q
         digits += res[:, jb * n:(jb + 1) * n] * (m * pow(m, -1, q) % d)
-    dtype = np.int64 if ms.total < 2**63 else object
-    return carrier.tally(carrier.ravel(digits % d),
-                         np.array(ms.mults, dtype=dtype), cert=ms.cert)
+    return carrier.tally(carrier.ravel(digits % d), ms.mult_array(),
+                         cert=ms.cert)
 
 
 def zdn_bias_space(d: int, n: int, eps: float, c: int = 8,
@@ -191,11 +191,12 @@ def verify_bias(space: BiasSpace, sampled: bool = False) -> float:
 # file format
 
 def format_bias_space(space: BiasSpace) -> str:
-    lines = []
-    for v, m in space.points.pairs():
-        line = ",".join(str(c) for c in v)
-        lines.extend([line] * m)
-    return "\n".join(lines) + "\n"
+    """One line of comma-separated coordinates per point, a point of
+    multiplicity m on m equal lines."""
+    coords = space.points.coordinates()
+    row = ",".join(["%d"] * coords.shape[1]) + "\n"
+    lines = format_rows(row, coords).splitlines(keepends=True)
+    return "".join([line * m for line, m in zip(lines, space.points.mults)])
 
 
 def parse_bias_space(text: str, d: int, n: int) -> Multiset:

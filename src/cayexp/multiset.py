@@ -4,12 +4,19 @@ Elements are either Perm instances or integer coordinate tuples (abelian
 vectors). Storage is canonical: distinct elements sorted ascending with
 positive integer multiplicities, so equal multisets compare and serialize
 identically.
+
+A multiset has one of two storage forms and the same behaviour in both. One
+built from pairs holds its element and multiplicity tuples. A vector
+multiset built by ``VectorCarrier.from_codes`` or ``tally`` holds its
+carrier (``space``), its ascending mixed-radix codes and its multiplicity
+array instead, and makes the ``elems``/``mults`` tuples only when they are
+read. Code order is lexicographic tuple order, so both forms list the same
+elements in the same order; equality and hashing are by element.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+import numpy as np
 
 from .perm import format_perm, parse_perm
 
@@ -18,25 +25,117 @@ class NonSymmetricError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Multiset:
-    elems: tuple
-    mults: tuple[int, ...]
-    cert: float | None = None
+NOT_SYMMETRIC = ("multiset is not closed under inverses with matching "
+                 "multiplicities")
 
-    def __post_init__(self):
-        if not self.elems:
+
+class Multiset:
+    __slots__ = ("_elems", "_mults", "_cert", "_space", "_codes", "_counts",
+                 "_total")
+
+    def __init__(self, elems, mults, cert: float | None = None):
+        self._elems = elems
+        self._mults = mults
+        self._cert = cert
+        self._space = self._codes = self._counts = self._total = None
+        if not elems:
             raise ValueError("multiset must have total multiplicity >= 1")
-        if min(self.mults, default=1) < 1:
+        if min(mults, default=1) < 1:
             raise ValueError("multiplicities must be positive")
+
+    @classmethod
+    def _coded(cls, space, codes: np.ndarray, counts: np.ndarray,
+               cert: float | None) -> "Multiset":
+        """Code storage: ascending codes of ``space`` and their counts
+        (read-only arrays, int64 counts only while their total fits)."""
+        if not len(codes):
+            raise ValueError("multiset must have total multiplicity >= 1")
+        if counts.min() < 1:
+            raise ValueError("multiplicities must be positive")
+        out = cls.__new__(cls)
+        out._elems = out._mults = out._total = None
+        out._cert = cert
+        out._space, out._codes, out._counts = space, codes, counts
+        return out
+
+    # -- the two storage forms -------------------------------------------
+
+    @property
+    def elems(self) -> tuple:
+        if self._elems is None:
+            cols = self._space.unravel(self._codes).T.tolist()
+            self._elems = tuple(zip(*cols))
+        return self._elems
+
+    @property
+    def mults(self) -> tuple:
+        if self._mults is None:
+            self._mults = tuple(self._counts.tolist())
+        return self._mults
+
+    @property
+    def cert(self) -> float | None:
+        return self._cert
+
+    @property
+    def space(self):
+        """The VectorCarrier whose codes are stored, or None."""
+        return self._space
+
+    @property
+    def codes(self) -> np.ndarray | None:
+        """The stored ascending codes in ``space``, or None."""
+        return self._codes
+
+    def mult_array(self) -> np.ndarray:
+        """The multiplicities as an array: int64 while their total fits,
+        Python ints (object) beyond."""
+        if self._counts is None:
+            dtype = np.int64 if self.total < 2**63 else object
+            counts = np.array(self._mults, dtype=dtype)
+            counts.flags.writeable = False
+            self._counts = counts
+        return self._counts
+
+    def with_mults(self, mults: np.ndarray,
+                   cert: float | None = None) -> "Multiset":
+        """The same elements with a new multiplicity array."""
+        if self._codes is None:
+            return Multiset(self._elems, tuple(mults.tolist()), cert)
+        return self._space.from_codes(self._codes, mults, cert)
+
+    def coordinates(self) -> np.ndarray:
+        """(support, width) int64 coordinates of a vector multiset's
+        elements: unravelled from its codes, or read from its tuples."""
+        if self._codes is None:
+            return np.array(self._elems, dtype=np.int64)
+        return self._space.unravel(self._codes)
+
+    def __eq__(self, other):
+        if not isinstance(other, Multiset):
+            return NotImplemented
+        return (self.elems, self.mults, self.cert) == \
+            (other.elems, other.mults, other.cert)
+
+    def __hash__(self):
+        return hash((self.elems, self.mults, self.cert))
+
+    def __repr__(self):
+        return (f"Multiset(elems={self.elems!r}, mults={self.mults!r}, "
+                f"cert={self.cert!r})")
+
+    # -- multiset arithmetic ---------------------------------------------
 
     @property
     def total(self) -> int:
-        return sum(self.mults)
+        if self._total is None:
+            self._total = sum(self._mults) if self._counts is None \
+                else int(self._counts.sum())
+        return self._total
 
     @property
     def support(self) -> int:
-        return len(self.elems)
+        return len(self._elems if self._codes is None else self._codes)
 
     def pairs(self):
         return zip(self.elems, self.mults)
@@ -45,22 +144,27 @@ class Multiset:
         return dict(self.pairs())
 
     def with_cert(self, bound: float | None) -> "Multiset":
-        return Multiset(self.elems, self.mults, bound)
+        out = Multiset.__new__(Multiset)
+        for name in Multiset.__slots__:
+            setattr(out, name, getattr(self, name))
+        out._cert = bound
+        return out
 
     def scaled(self, k: int) -> "Multiset":
         """Multiply every multiplicity by k (spectrum-invariant)."""
         if k < 1:
             raise ValueError("scale factor must be positive")
-        return Multiset(self.elems, tuple(m * k for m in self.mults),
-                        self.cert)
+        counts = self.mult_array()
+        if counts.dtype != object and self.total * k >= 2**63:
+            counts = counts.astype(object)
+        return self.with_mults(counts * k, self.cert)
 
     def gcd_reduced(self) -> "Multiset":
         """Divide multiplicities by their gcd (spectrum-invariant)."""
-        g = math.gcd(*self.mults)
+        g = int(np.gcd.reduce(self.mult_array()))
         if g <= 1:
             return self
-        return Multiset(self.elems, tuple(m // g for m in self.mults),
-                        self.cert)
+        return self.with_mults(self.mult_array() // g, self.cert)
 
     def expand(self) -> list:
         """Multiplicity-expanded element list, sorted (u_1, ..., u_total)."""
@@ -83,14 +187,12 @@ class Multiset:
         return multiset(acc.items())
 
     def is_symmetric(self, inv_fn) -> bool:
+        """Element by element: every inverse has the same multiplicity.
+
+        The carriers' is_symmetric answers the same question in batch.
+        """
         c = self.counts()
         return all(c.get(inv_fn(e), 0) == m for e, m in self.pairs())
-
-    def require_symmetric(self, inv_fn) -> None:
-        if not self.is_symmetric(inv_fn):
-            raise NonSymmetricError(
-                "multiset is not closed under inverses with matching "
-                "multiplicities")
 
     def inverse_pairing(self, inv_fn) -> list[int]:
         """Pairing sigma on the expanded index range with u_sigma[i] = u_i^-1.
@@ -110,9 +212,7 @@ class Multiset:
             ie = first_index[e]
             inv = inv_fn(e)
             if inv not in counts or counts[inv] != m:
-                raise NonSymmetricError(
-                    "multiset is not closed under inverses with matching "
-                    "multiplicities")
+                raise NonSymmetricError(NOT_SYMMETRIC)
             iv = first_index[inv]
             for t in range(m):
                 sigma[ie + t] = iv + t
@@ -159,13 +259,18 @@ def parse_perm_multiset(text: str) -> tuple[int, Multiset]:
     return degree, multiset(pairs)
 
 
+def format_rows(template: str, table: np.ndarray) -> str:
+    """template % row for every row of an integer table, concatenated."""
+    return (template * len(table)) % tuple(table.ravel().tolist())
+
+
 def format_vector_multiset(ms: Multiset, shape) -> str:
     head = "shape " + " ".join(
         f"{p}^{e}:{n}" for p, e, n in shape.factors)
-    lines = [head]
-    for v, m in ms.pairs():
-        lines.append(f"{m} {','.join(str(c) for c in v)}")
-    return "\n".join(lines) + "\n"
+    coords = ms.coordinates()
+    row = "%d " + ",".join(["%d"] * coords.shape[1]) + "\n"
+    return head + "\n" + format_rows(
+        row, np.column_stack((ms.mult_array(), coords)))
 
 
 def parse_vector_multiset(text: str):

@@ -30,8 +30,8 @@ import numpy as np
 
 from . import _kernels
 from .carriers import (AbelianShape, Carrier, VectorCarrier,
-                       multiset_order_check)
-from .multiset import Multiset
+                       multiset_order_check, require_symmetric)
+from .multiset import Multiset, format_rows
 from .perm import Perm
 
 DENSE_CAP = 10_000
@@ -85,7 +85,7 @@ def certify(report: SpectrumReport, target: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# root-of-unity tables for direct character sums
+# root-of-unity tables for the greedy character columns
 
 def root_tables(moduli) -> tuple[np.ndarray, np.ndarray]:
     offsets = np.zeros(len(moduli), dtype=np.int64)
@@ -101,11 +101,20 @@ def root_tables(moduli) -> tuple[np.ndarray, np.ndarray]:
 
 
 def seed_body(ms: Multiset) -> bytes:
-    """The multiset's part of instance_seed: repr((elem, m)) per pair."""
-    elems = ms.elems
-    if isinstance(elems[0], Perm):
-        elems = [e.img for e in elems]
-    return "".join(map(repr, zip(elems, ms.mults))).encode()
+    """The multiset's part of instance_seed: repr((elem, m)) per pair.
+
+    A multiset in code storage formats the same text from its code rows.
+    """
+    if ms.space is None:
+        elems = ms.elems
+        if isinstance(elems[0], Perm):
+            elems = [e.img for e in elems]
+        return "".join(map(repr, zip(elems, ms.mults))).encode()
+    coords = ms.coordinates()
+    width = coords.shape[1]
+    elem = "(" + ", ".join(["%d"] * width) + ("," if width == 1 else "") + ")"
+    table = np.column_stack((coords, ms.mult_array()))
+    return format_rows("(" + elem + ", %d)", table).encode()
 
 
 def instance_seed(moduli, body: bytes) -> int:
@@ -130,8 +139,8 @@ def bias_exhaustive(carrier: VectorCarrier, ms: Multiset) -> float:
             f"{EXHAUSTIVE_CHAR_CAP}")
     if order == 1:
         return 0.0
-    w = np.array(ms.mults, dtype=np.float64)
-    flat = np.bincount(carrier.codes(ms.elems), weights=w, minlength=order)
+    w = ms.mult_array().astype(np.float64)
+    flat = np.bincount(carrier.codes(ms), weights=w, minlength=order)
     if set(carrier.moduli) == {2} and ms.total < 2**53:
         mags = np.abs(_kernels.walsh_hadamard(flat))
     else:
@@ -143,11 +152,9 @@ def bias_exhaustive(carrier: VectorCarrier, ms: Multiset) -> float:
 def bias_direct(carrier: VectorCarrier, ms: Multiset,
                 betas: np.ndarray) -> np.ndarray:
     """Character sums |E_s chi(s)| for the given character rows."""
-    pts = np.array(ms.elems, dtype=np.int64)
-    w = np.array(ms.mults, dtype=np.float64)
-    roots, offsets = root_tables(carrier.moduli)
-    moduli = np.array(carrier.moduli, dtype=np.int64)
-    sums = _kernels.char_sums(pts, w, betas, moduli, roots, offsets)
+    pts = carrier.unravel(carrier.codes(ms))
+    w = ms.mult_array().astype(np.float64)
+    sums = _kernels.char_sums(pts, w, betas, carrier.moduli)
     return np.abs(sums) / w.sum()
 
 
@@ -176,10 +183,9 @@ def abelian_bias(shape: AbelianShape | VectorCarrier, ms: Multiset,
                  exhaustive: bool | None = None) -> float:
     """Max over nontrivial characters of |E_s chi(s)| (= lambda2 of the graph)."""
     carrier = shape if isinstance(shape, VectorCarrier) else VectorCarrier.of(shape)
-    for v in ms.elems:
-        if len(v) != len(carrier.moduli):
-            raise ValueError("element shape mismatch")
-    ms.require_symmetric(carrier.inv)
+    if not multiset_order_check(carrier, ms):
+        raise ValueError("element shape mismatch")
+    require_symmetric(carrier, ms)
     if exhaustive is None:
         exhaustive = carrier.order <= EXHAUSTIVE_CHAR_CAP
     if exhaustive:
@@ -196,7 +202,7 @@ def dense_spectrum(carrier: Carrier, ms: Multiset) -> np.ndarray:
     if n > DENSE_CAP:
         raise MethodCapacityError(f"group order {n} exceeds dense cap "
                                   f"{DENSE_CAP}")
-    ms.require_symmetric(carrier.inv)   # the eigensolver assumes symmetry
+    require_symmetric(carrier, ms)   # the eigensolver assumes symmetry
     tables, weights = carrier.action_tables(ms)
     m = _kernels.dense_adjacency(tables, weights, n)
     return np.linalg.eigvalsh(m)
@@ -249,7 +255,7 @@ def power_lambda2(carrier: Carrier, ms: Multiset, tol: float = 1e-9,
                                   f"{ITER_CAP}")
     if n == 1:
         return MomentInterval(0.0, 0.0, 0)
-    ms.require_symmetric(carrier.inv)
+    require_symmetric(carrier, ms)
     tables, weights = carrier.action_tables(ms)
     # M fixes the constant vector, so M x_0 = M delta_0 - 1/n; M delta_0
     # holds one weight per entry, so the uniform multiset gives exactly 0.
@@ -294,7 +300,7 @@ def power_lambda2(carrier: Carrier, ms: Multiset, tol: float = 1e-9,
 def second_eigenvalue(carrier: Carrier, ms: Multiset, tol: float = 1e-9,
                       method: str = "auto") -> SpectrumReport:
     """Certified lambda2 of Cay(G, S) for a symmetric multiset S."""
-    ms.require_symmetric(carrier.inv)
+    require_symmetric(carrier, ms)
     n = carrier.order
     if method == "auto":
         if isinstance(carrier, VectorCarrier):

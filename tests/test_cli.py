@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from helpers import count_schreier_sims
 
+import cayexp
 from cayexp import catalog, cli
 from cayexp.cli import main
 from cayexp.combine import (AmplificationError, AuxInfeasibleError,
@@ -200,6 +205,22 @@ def test_epsbias_deterministic(tmp_path):
                  "--out", str(a)]) == 0
     assert main(["epsbias", "--d", "2", "--n", "5", "--eps", "0.25",
                  "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_python_m_cayexp_runs_the_cli(tmp_path):
+    a = tmp_path / "a.pts"
+    b = tmp_path / "b.pts"
+    src = str(Path(cayexp.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    args = ["epsbias", "--d", "3", "--n", "2", "--eps", "0.25"]
+    done = subprocess.run([sys.executable, "-m", "cayexp", *args,
+                           "--out", str(a)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("size = ")
+    assert main([*args, "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 

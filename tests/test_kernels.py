@@ -35,3 +35,44 @@ def test_dense_adjacency_matches_per_row_fill_bitwise():
     for j in range(tables.shape[0]):
         np.add.at(ref, (rows, tables[j]), weights[j])
     assert np.array_equal(K.dense_adjacency(tables, weights, 80), ref)
+
+
+def _root_product_sums(points, weights, betas, moduli):
+    """char_sums as a running product of one complex root per coordinate."""
+    out = np.empty(len(betas), dtype=np.complex128)
+    for b in range(len(betas)):
+        val = np.ones(len(points), dtype=np.complex128)
+        for t, m in enumerate(moduli):
+            k = (betas[b, t] * points[:, t]) % m
+            val *= np.exp(2j * np.pi * k / m)
+        out[b] = np.dot(weights, val)
+    return out
+
+
+def _char_instance(moduli, points=300, chars=70):
+    moduli = np.array(moduli)
+    pts = rng.integers(0, moduli, size=(points, len(moduli)))
+    betas = rng.integers(0, moduli, size=(chars, len(moduli)))
+    return pts, rng.integers(1, 5, size=points).astype(float), betas, moduli
+
+
+def test_char_sums_match_root_products(monkeypatch):
+    # small tiles and root tables: several character blocks, point chunks
+    # and lcm ranges (2*3*4*5 = 120 > 16), and a modulus above the cap
+    monkeypatch.setattr(K, "CHAR_BLOCK", 16)
+    monkeypatch.setattr(K, "CHAR_TABLE_BYTES", 16 * 16 * 50)
+    monkeypatch.setattr(K, "ROOT_TABLE_CAP", 16)
+    for moduli in [(2,) * 9, (2, 3, 4, 5, 6), (7, 7, 7), (12, 2, 3, 40)]:
+        inst = _char_instance(moduli)
+        got = K.char_sums(*inst)
+        # sampled sums never certify: agreement to rounding is the contract
+        assert np.allclose(got, _root_product_sums(*inst), rtol=0,
+                           atol=1e-12)
+    pts, w, betas, moduli = _char_instance((3, 5))
+    assert K.char_sums(pts, w, betas[:0], moduli).shape == (0,)
+    # the int64 exponent route of moduli too large for exact floats
+    want = K.char_sums(pts, w, betas, moduli)
+    monkeypatch.setattr(K, "FLOAT_EXACT", 1)
+    assert np.array_equal(K.char_sums(pts, w, betas, moduli), want)
+    assert [r[2] for r in K._lcm_ranges((12, 2, 3, 40))] == [12, 40]
+    assert [r[2] for r in K._lcm_ranges((2, 3, 4, 5, 6))] == [12, 5, 6]

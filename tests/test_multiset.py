@@ -1,6 +1,7 @@
 import pytest
 
-from cayexp.carriers import AbelianShape, PermCarrier, VectorCarrier
+from cayexp.carriers import (AbelianShape, PermCarrier, VectorCarrier,
+                             require_symmetric)
 from cayexp.multiset import (NonSymmetricError, Multiset, multiset,
                              format_perm_multiset, format_vector_multiset,
                              parse_perm_multiset, parse_vector_multiset,
@@ -31,10 +32,12 @@ def test_symmetry_check():
     g, carrier = z5_setup()
     ok = multiset([(g, 2), (g.inv(), 2)])
     assert ok.is_symmetric(carrier.inv)
+    assert carrier.is_symmetric(ok)
     bad = multiset([(g, 2), (g.inv(), 1)])
     assert not bad.is_symmetric(carrier.inv)
+    assert not carrier.is_symmetric(bad)
     with pytest.raises(NonSymmetricError):
-        bad.require_symmetric(carrier.inv)
+        require_symmetric(carrier, bad)
 
 
 def test_inverse_pairing_is_involution():

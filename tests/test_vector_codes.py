@@ -14,12 +14,14 @@ import pytest
 
 from cayexp import catalog
 from cayexp.abexp import final_R, psi_to_fields
-from cayexp.carriers import PermCarrier, VectorCarrier
+from cayexp.carriers import AbelianShape, PermCarrier, VectorCarrier
 from cayexp.combine import (_pair_units, _trim_support, compact,
                             measure_exact, square_multiset)
-from cayexp.epsbias import _crt_digits
+from cayexp.epsbias import BiasSpace, _crt_digits, format_bias_space
 from cayexp.fields import field_pow, inner_product
-from cayexp.multiset import Multiset, NonSymmetricError, multiset
+from cayexp.multiset import (Multiset, NonSymmetricError,
+                             format_vector_multiset, multiset,
+                             parse_vector_multiset)
 from cayexp.perm import Perm
 from cayexp.spectra import instance_seed, seed_body
 
@@ -271,3 +273,160 @@ def test_final_r_points_match_row_unique(n, primes, c):
     assert r.points.elems == tuple(tuple(int(c) for c in row)
                                    for row in uniq)
     assert r.points.mults == tuple(int(k) for k in counts)
+
+
+# ---------------------------------------------------------------------------
+# code storage: formats and identity against the tuple loops
+
+def oracle_bias_text(ms):
+    lines = []
+    for v, m in ms.pairs():
+        line = ",".join(str(c) for c in v)
+        lines.extend([line] * m)
+    return "\n".join(lines) + "\n"
+
+
+def oracle_vector_text(ms, shape):
+    lines = ["shape " + " ".join(f"{p}^{e}:{n}" for p, e, n in shape.factors)]
+    for v, m in ms.pairs():
+        lines.append(f"{m} {','.join(str(c) for c in v)}")
+    return "\n".join(lines) + "\n"
+
+
+def oracle_seed_body(ms):
+    return "".join(repr((tuple(e), m)) for e, m in ms.pairs()).encode()
+
+
+def coded_multiset(carrier, count, rng, big=False):
+    """A code-storage multiset of random distinct elements (weights above
+    2^63 when big) and its tuple-built twin."""
+    elems = sorted(set(random_elems(carrier.moduli, count, rng)))
+    codes = carrier.codes(elems)
+    if big:
+        weights = np.array([2**63 + rng.randint(0, 9) for _ in elems],
+                           dtype=object)
+    else:
+        weights = np.array([rng.randint(1, 4) for _ in elems],
+                           dtype=np.int64)
+    order = list(range(len(elems)))
+    rng.shuffle(order)
+    ms = carrier.tally(codes[order], weights[order], cert=0.5)
+    twin = multiset(zip(elems, weights.tolist()), cert=0.5)
+    return ms, twin
+
+
+@pytest.mark.parametrize("d,n", [(2, 5), (7, 3), (10, 2), (12, 3), (12, 1),
+                                 (1000, 7)])
+def test_bias_text_and_seed_body_match_tuple_loops(d, n):
+    rng = random.Random(d * 100 + n)
+    carrier = VectorCarrier((d,) * n)
+    ms, twin = coded_multiset(carrier, 40, rng)
+    assert ms.space is carrier and ms.codes is not None
+    if carrier.order >= 2**63:
+        assert ms.codes.dtype == object
+    for space in (BiasSpace(d, n, ms, 0.5, "test"),
+                  BiasSpace(d, n, twin, 0.5, "test")):
+        assert format_bias_space(space) == oracle_bias_text(twin)
+    assert seed_body(ms) == seed_body(twin) == oracle_seed_body(twin)
+
+
+@pytest.mark.parametrize("factors", [((2, 1, 4),), ((7, 1, 1),),
+                                     ((2, 1, 2), (5, 1, 2)),
+                                     ((2, 4, 2), (3, 1, 3)),
+                                     ((2, 1, 3), (1009, 1, 7))])
+@pytest.mark.parametrize("big", [False, True])
+def test_vector_text_matches_tuple_loop(factors, big):
+    rng = random.Random(len(factors) + big)
+    shape = AbelianShape(factors)
+    carrier = VectorCarrier.of(shape)
+    ms, twin = coded_multiset(carrier, 30, rng, big)
+    if big:
+        assert ms.total >= 2**63 and ms.mult_array().dtype == object
+    text = oracle_vector_text(twin, shape)
+    assert format_vector_multiset(ms, shape) == text
+    assert format_vector_multiset(twin, shape) == text
+    assert seed_body(ms) == oracle_seed_body(twin)
+    assert parse_vector_multiset(text) == (shape, twin.with_cert(None))
+
+
+def test_code_and_tuple_storage_compare_by_element():
+    rng = random.Random(11)
+    carrier = VectorCarrier((3, 4, 5))
+    ms, twin = coded_multiset(carrier, 25, rng)
+    assert ms.space is not None and twin.space is None
+    assert ms == twin and hash(ms) == hash(twin)
+    assert {ms: 1}[twin] == 1
+    assert ms.elems == twin.elems and ms.mults == twin.mults
+    assert ms.total == twin.total and ms.support == twin.support
+    assert ms != twin.with_cert(0.25)
+    assert ms != twin.scaled(2) and ms.scaled(2) != twin
+    assert ms.with_cert(0.25) == twin.with_cert(0.25)
+    assert ms.scaled(3) == twin.scaled(3)
+    assert ms.scaled(3).gcd_reduced() == twin
+    # the same pairs in a carrier of other moduli are the same elements
+    wide = VectorCarrier((5, 5, 5))
+    other = wide.from_codes(wide.codes(ms.elems), ms.mult_array(), cert=0.5)
+    assert other == ms and hash(other) == hash(ms)
+
+
+def test_int64_counts_whose_total_overflows_become_python_ints():
+    carrier = VectorCarrier((4,))
+    ms = carrier.from_codes(np.array([1, 3]),
+                            np.array([2**62, 2**62], dtype=np.int64))
+    assert ms.mult_array().dtype == object
+    assert ms.total == 2**63
+    assert ms.scaled(2).total == 2**64
+    assert ms.mults == (2**62, 2**62)
+
+
+@pytest.mark.parametrize("name,carrier,ms", CASES,
+                         ids=[c[0] for c in CASES])
+def test_symmetry_in_batch_matches_element_loop(name, carrier, ms):
+    assert carrier.is_symmetric(ms) == ms.is_symmetric(carrier.inv)
+    if isinstance(carrier, VectorCarrier):
+        coded = carrier.from_codes(carrier.codes(ms), ms.mult_array())
+        assert carrier.is_symmetric(coded) == ms.is_symmetric(carrier.inv)
+
+
+def test_perm_symmetry_needs_no_element_table():
+    # symmetric, but outside A4: decided without building A4's table
+    carrier = PermCarrier.of(catalog.a4())
+    t = Perm((1, 0, 2, 3))
+    c = Perm((1, 2, 3, 0))
+    assert carrier.is_symmetric(multiset([(t, 2), (c, 1), (c.inv(), 1)]))
+    assert not carrier.is_symmetric(multiset([(c, 1), (c.inv(), 2)]))
+    assert "_table" not in carrier.__dict__
+    # elements of another degree take the element loop
+    c5, t5 = Perm((1, 2, 0, 4, 3)), Perm((1, 0, 2, 3, 4))
+    for ms in (multiset([(c5, 1), (c5.inv(), 1)]),
+               multiset([(c5, 1), (c5.inv(), 2)]),
+               multiset([(t, 1), (t5, 1)])):
+        assert carrier.is_symmetric(ms) == ms.is_symmetric(carrier.inv)
+
+
+@pytest.mark.parametrize("coded", [False, True])
+def test_proportional_reweight_matches_round_loop(coded):
+    # scale 1/2 puts every odd multiplicity on a tie; 2^53 + 1 and 2^60 + 3
+    # round on their conversion to float
+    carrier = VectorCarrier((8, 8))
+    mults = [1, 3, 5, 7, 9, 11, 2**53 + 1, 2**60 + 3]
+    elems = [(1, 0), (7, 0), (0, 1), (0, 7), (2, 3), (6, 5), (4, 4), (3, 1)]
+    ms = multiset(zip(elems, mults))
+    if coded:
+        ms = carrier.from_codes(carrier.codes(ms), ms.mult_array())
+    target = ms.total // 2 + (ms.total % 2)
+    got = compact(carrier, ms, target)
+    want = oracle_compact(carrier, ms, target)
+    assert (got.elems, got.mults, got.cert) == \
+        (want.elems, want.mults, want.cert)
+    assert got.mults != ms.gcd_reduced().mults
+
+
+def test_proportional_reweight_of_python_int_multiplicities():
+    carrier = VectorCarrier((8,))
+    ms = multiset([((1,), 2**64 + 1), ((7,), 2**64 + 1), ((4,), 3)])
+    assert ms.mult_array().dtype == object
+    got = compact(carrier, ms, 1000)
+    want = oracle_compact(carrier, ms, 1000)
+    assert (got.elems, got.mults, got.cert) == \
+        (want.elems, want.mults, want.cert)
