@@ -23,12 +23,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, obs
 from .bsgs import BSGS, schreier_sims
 from .carriers import AbelianShape, QuotientCarrier, VectorCarrier
-from .combine import (AuxInfeasibleError, CertificationError, combine_union,
-                      balance, compact, fold_series, reduce_to_quarter,
-                      reverify, _next_pow2)
+from .combine import (AuxInfeasibleError, CertificationError,
+                      amplified_union, compact, fold_levels, fold_series,
+                      reduce_to_quarter, reverify, _next_pow2)
 from .fields import FieldSpec, construct_field
 from .multiset import Multiset, multiset
 from .perm import GenSet, Perm, commutator, format_perm
@@ -202,8 +202,7 @@ def _embed_window(vec, widths_src, widths_dst, offset):
     return tuple(out)
 
 
-def product_base_expander(primes, m, lam: float = 0.25,
-                          trace: list | None = None) -> Multiset:
+def product_base_expander(primes, m, lam: float = 0.25) -> Multiset:
     """Certified expanding multiset for prod_j Z_{p_j}^{m_j}.
 
     m may be a single exponent (the uniform product group) or a per-prime
@@ -218,7 +217,6 @@ def product_base_expander(primes, m, lam: float = 0.25,
         raise ValueError("need one positive exponent per prime")
     depth = max(ms_list)
 
-    @lru_cache(maxsize=None)
     def level_set(s: int) -> Multiset:
         live = [p for p, mm in zip(primes, ms_list) if mm > s]
         prod = math.prod(live)
@@ -240,34 +238,13 @@ def product_base_expander(primes, m, lam: float = 0.25,
             lambda v: _embed_window(v, w_low, w_q, mid - lo), cert=lower.cert)
         b = upper.map_elems(
             lambda v: _embed_window(v, w_up, w_q, 0), cert=upper.cert)
-        a, b = balance(q, a, q, b)
-        out = combine_union(q, a, b)
-        out = reduce_to_quarter(q, out, target=lam)
-        if trace is not None:
-            trace.append({"op": "base-fold", "window": (lo, mid, hi),
-                          "total": out.total, "cert": out.cert})
-        return out
+        return amplified_union(q, a, b, lam)
 
     # the level-s quotient window is exactly the live primes' coordinates,
     # so level sets need no re-embedding
-    sets = [level_set(s) for s in range(depth)]
-    spans = [(s, s + 1) for s in range(depth)]
-    while len(sets) < _next_pow2(len(sets)):
-        sets.append(multiset([((0,), 1)], cert=0.0))
-        spans.append((depth, depth))
-
-    while len(sets) > 1:
-        nxt_sets, nxt_spans = [], []
-        for j in range(0, len(sets), 2):
-            lo, mid = spans[j]
-            hi = spans[j + 1][1]
-            merged = merge(lo, mid, hi, sets[j], sets[j + 1])
-            nxt_sets.append(merged)
-            nxt_spans.append((lo, hi))
-        sets, spans = nxt_sets, nxt_spans
-    out = sets[0]
-    carrier = _window_carrier(primes, ms_list, 0, depth)
-    return reverify(carrier, out)
+    out = fold_levels([level_set(s) for s in range(depth)],
+                      multiset([((0,), 1)], cert=0.0), merge)
+    return reverify(_window_carrier(primes, ms_list, 0, depth), out)
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +499,7 @@ def _level_groups(hom: AbelianizationHom) -> list[BSGS]:
 
 
 def abelian_quotient_expander(h: BSGS, n: BSGS, target: float = 0.25,
-                              c: int = 8, eps: float = 0.125,
-                              trace: list | None = None) -> Multiset:
+                              c: int = 8, eps: float = 0.125) -> Multiset:
     """Certified expanding multiset on the abelian quotient H/N.
 
     Builds the final-construction sets R per level of the prime-power
@@ -562,13 +538,11 @@ def abelian_quotient_expander(h: BSGS, n: BSGS, target: float = 0.25,
         img = reverify(qcar, img)
         img = compact(qcar, img, 2048, target_cert=target)
         if img.cert is None or img.cert > target + 1e-9:
-            img = reduce_to_quarter(qcar, img, target=target, trace=trace)
+            img = reduce_to_quarter(qcar, img, target=target)
         sets.append(img)
-        if trace is not None:
-            trace.append({"op": "quotient-level", "level": s,
-                          "total": img.total, "cert": img.cert})
+        obs.event("quotient-level", level=s, total=img.total, cert=img.cert)
     chain = SubgroupChain(tuple(groups), "normal-series", True)
-    return fold_series(chain, sets, target=target, trace=trace)
+    return fold_series(chain, sets, target=target)
 
 
 @lru_cache(maxsize=None)

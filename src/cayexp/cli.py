@@ -1,15 +1,14 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 parse error (or, for verify, a multiset with
-elements outside the group), 3 non-solvable input with
---require-solvable, 4 certification failure (including a construction that
+elements outside the group), 3 non-solvable input with --require-solvable
+(alias --solvable), 4 certification failure (including a construction that
 cannot certify or amplify its bound, or an unreachable auxiliary mu, with
-the achievable mu printed), 5 non-symmetric multiset, 6 group too large for
-exact verification without --sampled (or, for epsbias, beyond the method's
-capacity). Diagnostics go
-to stderr, data to files or stdout. Re-running a command with identical
-inputs produces byte-identical output files; manifests differ only in their
-timing fields.
+the achievable mu printed), 5 non-symmetric multiset, 6 group order above
+the verification cap, which the message states (or, for epsbias, beyond
+the method's capacity). Diagnostics go to stderr, data to files or stdout.
+Re-running a command with identical inputs produces byte-identical output
+files; manifests differ only in their timing fields.
 """
 
 from __future__ import annotations
@@ -24,15 +23,15 @@ from pathlib import Path
 from .bsgs import schreier_sims
 from .carriers import PermCarrier
 from .combine import (AmplificationError, AuxInfeasibleError,
-                      CertificationError, SolvabilityError, solvable_expander)
+                      CertificationError, solvable_expander)
 from .epsbias import format_bias_space, verify_bias, zdn_bias_space
 from .general import general_expander
 from .multiset import (NonSymmetricError, format_perm_multiset,
                        parse_perm_multiset)
 from .perm import ParseError, parse_group_file
 from .series import derived_series, dixon_bound
-from .spectra import (FORMAT_VERSION, MethodCapacityError, SpectrumReport,
-                      certify, second_eigenvalue)
+from .spectra import (FORMAT_VERSION, ITER_CAP, MethodCapacityError,
+                      SpectrumReport, certify, second_eigenvalue)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -94,23 +93,15 @@ def cmd_build_expander(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     chain = derived_series(gens)
-    use_solvable = chain.solvable if not args.solvable else True
     if args.require_solvable and not chain.solvable:
         print("error: group is not solvable (derived series stabilizes at "
               f"order {chain.orders[-1]})", file=sys.stderr)
         return EXIT_NOT_SOLVABLE
-    if args.solvable and not chain.solvable:
-        print("error: --solvable given but the group is not solvable",
-              file=sys.stderr)
-        return EXIT_NOT_SOLVABLE
     try:
-        if use_solvable and chain.solvable:
+        if chain.solvable:
             ms = solvable_expander(chain, target=args.lam)
         else:
             ms = general_expander(gens, lam=args.lam, mode=args.mode)
-    except SolvabilityError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NOT_SOLVABLE
     except MethodCapacityError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_TOO_LARGE
@@ -126,7 +117,7 @@ def cmd_build_expander(args) -> int:
     _write_manifest(out.with_suffix(out.suffix + ".manifest.json"),
                     "build-expander",
                     {"lambda": args.lam, "mode": args.mode,
-                     "solvable": use_solvable},
+                     "solvable": chain.solvable},
                     [group_path], [out, cert_path], [cert], t0)
     if args.json:
         print(_dump_json(cert), end="")
@@ -159,13 +150,8 @@ def cmd_verify(args) -> int:
               file=sys.stderr)
         return EXIT_NOT_SYMMETRIC
     except MethodCapacityError:
-        if not args.sampled:
-            print(f"error: group order {carrier.order} exceeds the exact "
-                  f"verification cap; re-run with --sampled", file=sys.stderr)
-        else:
-            print("error: sampled verification covers abelian character "
-                  "sums only; no estimator exists for permutation groups "
-                  f"of order {carrier.order}", file=sys.stderr)
+        print(f"error: group order {carrier.order} exceeds the verification "
+              f"cap {ITER_CAP}", file=sys.stderr)
         return EXIT_TOO_LARGE
     except ValueError as e:     # elements outside the group
         print(f"error: {e}", file=sys.stderr)
@@ -275,9 +261,8 @@ def main(argv=None) -> int:
     b.add_argument("--lambda", dest="lam", type=float, default=0.25)
     b.add_argument("--mode", choices=["adaptive", "analytic"],
                    default="adaptive")
-    b.add_argument("--solvable", action="store_true",
-                   help="force the solvable pipeline")
-    b.add_argument("--require-solvable", action="store_true")
+    b.add_argument("--require-solvable", "--solvable", action="store_true",
+                   help="refuse a non-solvable group (exit 3)")
     b.add_argument("--out", required=True)
     b.add_argument("--json", action="store_true")
     b.set_defaults(fn=cmd_build_expander)
@@ -286,7 +271,6 @@ def main(argv=None) -> int:
     v.add_argument("--group", required=True)
     v.add_argument("--multiset", required=True)
     v.add_argument("--target", type=float, default=None)
-    v.add_argument("--sampled", action="store_true")
     v.add_argument("--json", action="store_true")
     v.set_defaults(fn=cmd_verify)
 

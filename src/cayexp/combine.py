@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, obs
 from .bsgs import schreier_sims
 from .carriers import (Carrier, PermCarrier, QuotientCarrier, VectorCarrier,
                        require_symmetric)
@@ -333,21 +333,17 @@ def aux_from_rotation(neighbors: np.ndarray, label_inv,
 
 
 def aux_from_z2_multiset(ms: Multiset, t: int) -> AuxExpander:
-    """Cayley graph over Z_2^t; labeling is consistent and self-inverse."""
-    vecs = ms.expand()
-    v = 1 << t
-    d = len(vecs)
-    idx = np.arange(v)
-    neighbors = np.empty((v, d), dtype=np.int64)
-    for ell, vec in enumerate(vecs):
-        mask = 0
-        for bit_pos, c in enumerate(vec):
-            if c:
-                mask |= 1 << (len(vec) - 1 - bit_pos)
-        neighbors[:, ell] = idx ^ mask
+    """Cayley graph over Z_2^t; labeling is consistent and self-inverse.
+
+    The code of a 0/1 tuple is its bit mask (coordinate 0 most significant),
+    so label l moves vertex x to x ^ code(l-th expanded element).
+    """
     carrier = VectorCarrier((2,) * t) if t else VectorCarrier((1,))
+    masks = np.repeat(carrier.codes(ms), ms.mult_array())
+    neighbors = np.arange(1 << t)[:, None] ^ masks[None, :]
     mu = bias_exhaustive(carrier, ms) if t else 0.0
-    return AuxExpander(v, d, neighbors, mu, tuple(range(d)))
+    return AuxExpander(1 << t, len(masks), neighbors, mu,
+                       tuple(range(len(masks))))
 
 
 _AUX_CACHE: dict[tuple[int, float], AuxExpander] = {}
@@ -521,8 +517,7 @@ def _mu_request(lam: float, target: float) -> float:
 
 def reduce_to_quarter(carrier: Carrier, u: Multiset, target: float = 0.25,
                       mode: str = "adaptive", compact_total: int = 512,
-                      max_rounds: int = 64, trace: list | None = None
-                      ) -> Multiset:
+                      max_rounds: int = 64) -> Multiset:
     """Squaring rounds until the certified bound is <= target.
 
     Adaptive mode (requires a verifiable carrier) compacts, squares with the
@@ -552,19 +547,16 @@ def reduce_to_quarter(carrier: Carrier, u: Multiset, target: float = 0.25,
             u = square_multiset(carrier, u)
             u = reverify(carrier, u)
             rounds += 1
-            if trace is not None:
-                trace.append({"op": "square", "round": rounds,
-                              "total": u.total, "cert": u.cert,
-                              "aux_degree": u.total, "aux_mu": 0.0})
+            obs.event("square", round=rounds, total=u.total, cert=u.cert,
+                      aux_degree=u.total, aux_mu=0.0)
             continue
         u = pad_to_total(carrier, u, _next_pow2(u.total))
         aux = aux_family(u.total, _mu_request(u.cert, target))
         u = derandomized_square(carrier, u, aux)
         rounds += 1
-        if trace is not None:
-            trace.append({"op": "derandomized-square", "round": rounds,
-                          "total": u.total, "cert": u.cert,
-                          "aux_degree": aux.degree, "aux_mu": aux.certified_mu})
+        obs.event("derandomized-square", round=rounds, total=u.total,
+                  cert=u.cert, aux_degree=aux.degree,
+                  aux_mu=aux.certified_mu)
 
 
 # ---------------------------------------------------------------------------
@@ -613,22 +605,55 @@ def combine(ctx: QuotientContext, a: Multiset, b: Multiset,
 # ---------------------------------------------------------------------------
 # folding a normal series
 
+def fold_levels(leaves: list[Multiset], pad: Multiset,
+                merge: Callable[[int, int, int, Multiset, Multiset], Multiset]
+                ) -> Multiset:
+    """Fold level expanders pairwise, bottom-up, into one.
+
+    The leaves are padded with `pad` to a power-of-two count. Each merge
+    joins the fold of leaves [lo, mid) (upper) with that of [mid, hi)
+    (lower) as merge(lo, mid, hi, upper, lower); leaf indices past the real
+    levels stand for trivial ones. A merge that returns a new set, not one
+    of its two sides, is recorded as a "fold-merge" event.
+    """
+    sets = list(leaves)
+    sets += [pad] * (_next_pow2(max(1, len(sets))) - len(sets))
+    width = 1
+    while len(sets) > 1:
+        nxt = []
+        for j in range(0, len(sets), 2):
+            lo, mid, hi = j * width, (j + 1) * width, (j + 2) * width
+            out = merge(lo, mid, hi, sets[j], sets[j + 1])
+            if out is not sets[j] and out is not sets[j + 1]:
+                obs.event("fold-merge", span=(lo, mid, hi), total=out.total,
+                          cert=out.cert)
+            nxt.append(out)
+        sets = nxt
+        width *= 2
+    return sets[0]
+
+
+def amplified_union(carrier: Carrier, a: Multiset, b: Multiset,
+                    target: float, compact_total: int = 512) -> Multiset:
+    """One fold merge: balance, certified union, amplify back to target."""
+    a, b = balance(carrier, a, carrier, b)
+    return reduce_to_quarter(carrier, combine_union(carrier, a, b),
+                             target=target, compact_total=compact_total)
+
+
 def fold_series(chain: SubgroupChain, quotient_sets: list[Multiset],
-                target: float = 0.25, compact_total: int = 1024,
-                trace: list | None = None) -> Multiset:
+                target: float = 0.25, compact_total: int = 1024) -> Multiset:
     """Fold per-quotient expanders into one for the whole group.
 
-    chain is a normal series G_0 |> ... |> G_r = 1 (padded here to
-    power-of-2 length by repeating the trivial tail) and quotient_sets[i]
-    is certified <= target for G_i/G_{i+1} with representatives in G_i.
-    Pairs are merged bottom-up per binary level: combine on G_k/G_m with
-    N = G_l/G_m, then amplify back to the target.
+    chain is a normal series G_0 |> ... |> G_r = 1 and quotient_sets[i] is
+    certified <= target for G_i/G_{i+1} with representatives in G_i. The
+    fold's padding levels are G_r = 1 again. Each merge combines on
+    G_k/G_m with N = G_l/G_m, then amplifies back to the target.
     """
-    groups = list(chain.terms)
-    sets = list(quotient_sets)
-    if len(sets) != len(groups) - 1:
+    groups = chain.terms
+    if len(quotient_sets) != len(groups) - 1:
         raise ValueError("need one quotient set per series step")
-    for i, s in enumerate(sets):
+    for i, s in enumerate(quotient_sets):
         if s.cert is None or s.cert > target + 1e-9:
             raise CertificationError(
                 f"quotient set {i} is not certified <= {target}")
@@ -640,47 +665,24 @@ def fold_series(chain: SubgroupChain, quotient_sets: list[Multiset],
                 if not sub.contains(x.conjugate(g)):
                     raise ValueError(
                         f"chain term {i} is not normal in the top group")
-    r = max(1, len(sets))
-    rr = _next_pow2(r)
-    trivial = groups[-1]
-    while len(sets) < rr:
-        groups.append(trivial)
-        sets.append(multiset([(Perm.identity(trivial.degree), 1)], cert=0.0))
-
+    last = len(groups) - 1
     orders = [b.order() for b in groups]
 
-    def merge(k: int, l: int, m: int, upper: Multiset,
+    def merge(lo: int, mid: int, hi: int, upper: Multiset,
               lower: Multiset) -> Multiset:
+        k, l, m = (min(i, last) for i in (lo, mid, hi))
         if orders[l] == orders[m]:      # trivial N-part
             return upper
         if orders[k] == orders[l]:      # trivial quotient part
             return lower
-        ctx = quotient_context(groups[k], groups[m])
-        q = QuotientCarrier(ctx)
+        q = QuotientCarrier(quotient_context(groups[k], groups[m]))
         # A expands G_l/G_m; B's image expands (G_k/G_m)/(G_l/G_m) = G_k/G_l
         a = symmetrize(q, q.image_multiset(lower, cert=lower.cert))
         b = symmetrize(q, q.image_multiset(upper, cert=upper.cert))
-        a, b = balance(q, a, q, b)
-        out = combine_union(q, a, b)
-        out = reduce_to_quarter(q, out, target=target,
-                                compact_total=compact_total, trace=trace)
-        if trace is not None:
-            trace.append({"op": "fold-merge", "span": (k, l, m),
-                          "total": out.total, "cert": out.cert})
-        return out
+        return amplified_union(q, a, b, target, compact_total)
 
-    level = 0
-    while len(sets) > 1:
-        step = 1 << level
-        nxt = []
-        for j in range(0, len(sets), 2):
-            k = j * step
-            l = (j + 1) * step
-            m = min((j + 2) * step, len(groups) - 1)
-            nxt.append(merge(k, l, m, sets[j], sets[j + 1]))
-        sets = nxt
-        level += 1
-    return sets[0]
+    pad = multiset([(Perm.identity(groups[-1].degree), 1)], cert=0.0)
+    return fold_levels(quotient_sets, pad, merge)
 
 
 # ---------------------------------------------------------------------------
@@ -690,8 +692,8 @@ class SolvabilityError(ValueError):
     pass
 
 
-def solvable_expander(chain: SubgroupChain, target: float = 0.25,
-                      trace: list | None = None) -> Multiset:
+def solvable_expander(chain: SubgroupChain,
+                      target: float = 0.25) -> Multiset:
     """Certified expanding multiset for a solvable permutation group, given
     by its derived series (``series.derived_series``).
 
@@ -710,9 +712,7 @@ def solvable_expander(chain: SubgroupChain, target: float = 0.25,
     sets = []
     for i in range(chain.length):
         s = abelian_quotient_expander(chain.terms[i], chain.terms[i + 1],
-                                      target=target, trace=trace)
+                                      target=target)
         sets.append(s)
-        if trace is not None:
-            trace.append({"op": "derived-quotient", "index": i,
-                          "total": s.total, "cert": s.cert})
-    return fold_series(chain, sets, target=target, trace=trace)
+        obs.event("derived-quotient", index=i, total=s.total, cert=s.cert)
+    return fold_series(chain, sets, target=target)

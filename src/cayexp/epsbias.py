@@ -15,8 +15,8 @@ import numpy as np
 
 from .abexp import _compact_r_points, _final_r_cached, factorize
 from .carriers import VectorCarrier
-from .combine import (balance, combine_union, reduce_to_quarter, reverify,
-                      symmetrize, _next_pow2)
+from .combine import (amplified_union, fold_levels, reduce_to_quarter,
+                      reverify, symmetrize)
 from .multiset import Multiset, format_rows, multiset
 from .spectra import EXHAUSTIVE_CHAR_CAP, MethodCapacityError, bias_exhaustive
 
@@ -95,8 +95,7 @@ def _crt_digits(ms: Multiset, fac, carrier: VectorCarrier) -> Multiset:
 
 
 def zdn_bias_space(d: int, n: int, eps: float, c: int = 8,
-                   base_eps: float = 0.125,
-                   trace: list | None = None) -> BiasSpace:
+                   base_eps: float = 0.125) -> BiasSpace:
     """Certified eps-bias space for Z_d^n."""
     if d < 2 or n < 1 or not (0 < eps < 1):
         raise ValueError("need d >= 2, n >= 1, 0 < eps < 1")
@@ -131,28 +130,10 @@ def zdn_bias_space(d: int, n: int, eps: float, c: int = 8,
         b = symmetrize(q, upper.map_elems(
             lambda v: _kfold_embed(v, fac, n, lo, hi, lo, mid),
             cert=upper.cert))
-        a, b = balance(q, a, q, b)
-        out = combine_union(q, a, b)
-        out = reduce_to_quarter(q, out, target=0.25, trace=trace)
-        if trace is not None:
-            trace.append({"op": "kfold-merge", "window": (lo, mid, hi),
-                          "total": out.total, "cert": out.cert})
-        return out
+        return amplified_union(q, a, b, 0.25)
 
-    sets = [level_set(s) for s in range(depth)]
-    spans = [(s, s + 1) for s in range(depth)]
-    while len(sets) < _next_pow2(len(sets)):
-        sets.append(multiset([((0,), 1)], cert=0.0))
-        spans.append((depth, depth))
-    while len(sets) > 1:
-        nxt_sets, nxt_spans = [], []
-        for j in range(0, len(sets), 2):
-            lo, mid = spans[j]
-            _, hi = spans[j + 1]
-            nxt_sets.append(merge(lo, mid, hi, sets[j], sets[j + 1]))
-            nxt_spans.append((lo, hi))
-        sets, spans = nxt_sets, nxt_spans
-    out = sets[0]
+    out = fold_levels([level_set(s) for s in range(depth)],
+                      multiset([((0,), 1)], cert=0.0), merge)
 
     carrier = VectorCarrier((d,) * n)
     pts = reverify(carrier, _crt_digits(out, fac, carrier))
@@ -167,7 +148,7 @@ def zdn_bias_space(d: int, n: int, eps: float, c: int = 8,
             raise MethodCapacityError(
                 f"amplification to eps={eps} needs exhaustive verification; "
                 f"d^n = {carrier.order} exceeds {EXHAUSTIVE_CHAR_CAP}")
-        pts = reduce_to_quarter(carrier, pts, target=eps, trace=trace)
+        pts = reduce_to_quarter(carrier, pts, target=eps)
     if pts.cert is None or pts.cert > eps + 1e-9:
         raise MethodCapacityError(
             f"could not certify eps={eps}: reached {pts.cert}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import obs
 from .bsgs import BSGS, schreier_sims
 from .carriers import PermCarrier
 from .combine import measure_exact, reduce_to_quarter, reverify
@@ -67,8 +68,7 @@ def strong_generator_multiset(bs: BSGS) -> Multiset:
 
 
 def general_expander(g: GenSet, lam: float = 0.25,
-                     mode: str = "adaptive",
-                     trace: list | None = None) -> Multiset:
+                     mode: str = "adaptive") -> Multiset:
     """Certified lam-spectral expanding multiset for any <g>.
 
     Pipeline: strong generators -> Babai-bound certificate -> adaptive
@@ -92,23 +92,17 @@ def general_expander(g: GenSet, lam: float = 0.25,
         # bipartite Cayley graph: shift the spectrum with a lazy step
         ms = ms.add_identity(carrier.identity(), ms.total)
         measured = measure_exact(carrier, ms)
-        if trace is not None:
-            trace.append({"op": "lazify", "total": ms.total,
-                          "cert": measured})
+        obs.event("lazify", total=ms.total, cert=measured)
     analytic = babai_bound(ms.total, max(info["diameter"], 1))
     cert = measured if measured is not None else analytic
     ms = ms.with_cert(cert)
-    if trace is not None:
-        trace.append({"op": "strong-gens", "total": ms.total,
-                      "cert": ms.cert, "diameter": info["diameter"],
-                      "babai_bound": analytic})
+    obs.event("strong-gens", total=ms.total, cert=ms.cert,
+              diameter=info["diameter"], babai_bound=analytic)
     if ms.cert <= lam:
         return ms
-    out = reduce_to_quarter(carrier, ms, target=min(lam, 0.25),
-                            mode=mode, trace=trace)
+    out = reduce_to_quarter(carrier, ms, target=min(lam, 0.25), mode=mode)
     if lam < 0.25 and (out.cert is None or out.cert > lam):
-        out = reduce_to_quarter(carrier, out, target=lam, mode=mode,
-                                trace=trace)
+        out = reduce_to_quarter(carrier, out, target=lam, mode=mode)
     if mode == "adaptive":
         return out      # every adaptive certificate is an exact measurement
     return reverify(carrier, out)

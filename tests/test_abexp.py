@@ -317,10 +317,11 @@ class TestLevelGroups:
 
     def test_fold_trace_logs_merges(self):
         g = catalog.s4()
-        trace = []
+        from cayexp import obs
         from cayexp.combine import solvable_expander
-        solvable_expander(derived_series(g), trace=trace)
-        merges = [t for t in trace if t["op"] == "fold-merge"]
+        with obs.recording() as log:
+            solvable_expander(derived_series(g))
+        merges = [t for t in log if t["op"] == "fold-merge"]
         assert merges
         for t in merges:
             assert t["cert"] <= 0.25 + 1e-9

@@ -84,6 +84,27 @@ def test_require_solvable_exit_3(tmp_path, s5_file):
     assert rc == 3
 
 
+def test_solvable_alias_exit_3(tmp_path, s5_file):
+    # --solvable is the second spelling of --require-solvable
+    out = tmp_path / "x.ms"
+    rc = main(["build-expander", "--group", str(s5_file), "--solvable",
+               "--out", str(out)])
+    assert rc == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grp,flags,solvable", [
+    (S4, [], True), (S4, ["--solvable"], True), (S5, [], False)])
+def test_manifest_records_solvable(tmp_path, grp, flags, solvable):
+    g = tmp_path / "g.grp"
+    g.write_text(grp)
+    out = tmp_path / "t.ms"
+    assert main(["build-expander", "--group", str(g), "--out", str(out)]
+                + flags) == 0
+    manifest = json.loads((tmp_path / "t.ms.manifest.json").read_text())
+    assert manifest["parameters"]["solvable"] is solvable
+
+
 def test_tampered_multiset_exit_5(tmp_path, s4_file):
     out = tmp_path / "s4.ms"
     assert main(["build-expander", "--group", str(s4_file),
@@ -148,7 +169,7 @@ def test_verify_power_route_prints_interval(tmp_path, capsys):
     assert payload["matvecs"] >= 1
 
 
-def test_too_large_without_sampled_exit_6(tmp_path):
+def test_too_large_without_sampled_exit_6(tmp_path, capsys):
     # S_12 has order ~4.8e8, beyond the exact verification cap
     big = tmp_path / "s12.grp"
     big.write_text("degree 12\n(1 2 3 4 5 6 7 8 9 10 11 12)\n(1 2)\n")
@@ -156,6 +177,9 @@ def test_too_large_without_sampled_exit_6(tmp_path):
     ms.write_text("degree 12\n1 (1 2)\n")
     rc = main(["verify", "--group", str(big), "--multiset", str(ms)])
     assert rc == 6
+    err = capsys.readouterr().err
+    assert "verification cap 1000000" in err
+    assert "--sampled" not in err
 
 
 def test_build_beyond_verification_cap_exit_6(tmp_path, capsys):

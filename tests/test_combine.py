@@ -3,15 +3,17 @@ import pytest
 
 from helpers import count_schreier_sims, random_symmetric_multiset
 
-from cayexp import catalog
+from cayexp import catalog, obs
 from cayexp.bsgs import schreier_sims
 from cayexp.carriers import PermCarrier, QuotientCarrier, VectorCarrier
 from cayexp.combine import (AmplificationError, AuxExpander,
-                            CertificationError, SolvabilityError, analytic_rounds,
-                            aux_family, aux_from_rotation, balance, combine,
+                            CertificationError, SolvabilityError,
+                            analytic_rounds, aux_family, aux_from_rotation,
+                            aux_from_z2_multiset, balance, combine,
                             combine_union, compact, derandomized_square,
-                            fold_series, pad_to_total, reduce_to_quarter,
-                            solvable_expander, square_multiset, symmetrize)
+                            fold_levels, fold_series, pad_to_total,
+                            reduce_to_quarter, solvable_expander,
+                            square_multiset, symmetrize)
 from cayexp.multiset import multiset
 from cayexp.perm import GenSet, Perm, parse_perm
 from cayexp.series import derived_series, quotient_context
@@ -224,6 +226,19 @@ class TestAuxFamily:
         assert abs(bias_exhaustive(VectorCarrier((2,) * t), ms)
                    - aux.certified_mu) < 1e-9
 
+    def test_z2_masks_match_bit_loop(self):
+        # label l of the expanded multiset moves x to x ^ mask, coordinate 0
+        # the most significant bit
+        t = 5
+        ms = multiset([((1, 0, 0, 1, 1), 3), ((0, 1, 1, 0, 0), 1),
+                       ((1, 1, 1, 1, 1), 2), ((0, 0, 0, 0, 1), 1)])
+        aux = aux_from_z2_multiset(ms, t)
+        masks = [int("".join(map(str, v)), 2) for v in ms.expand()]
+        expect = np.arange(1 << t)[:, None] ^ np.array(masks)[None, :]
+        assert aux.degree == 7 and aux.vertex_count == 32
+        assert aux.neighbors.dtype == np.int64
+        assert np.array_equal(aux.neighbors, expect)
+
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):
             aux_family(12, 0.5)
@@ -257,10 +272,10 @@ class TestReduce:
         u = multiset([(g, 1), (g.inv(), 1), (Perm.identity(12), 1)])
         lam = dense_lambda2(carrier, u)
         u = u.with_cert(lam)
-        trace = []
-        out = reduce_to_quarter(carrier, u, trace=trace)
+        with obs.recording() as log:
+            out = reduce_to_quarter(carrier, u)
         assert out.cert <= 0.25
-        measured_rounds = sum(1 for t in trace if "round" in t)
+        measured_rounds = sum(1 for t in log if "round" in t)
         assert measured_rounds <= analytic_rounds(lam, 0.0)
 
     def test_bipartite_cannot_amplify(self):
@@ -321,6 +336,41 @@ class TestFoldSeries:
         s = multiset([(Perm.identity(4), 1)], cert=0.0)
         with pytest.raises(ValueError, match="not normal"):
             fold_series(chain, [s, s])
+
+
+class TestFoldLevels:
+    def _fold(self, n):
+        leaves = [multiset([(Perm.identity(1), i + 1)], cert=0.0)
+                  for i in range(n)]
+        pad = multiset([(Perm.identity(1), 100)], cert=0.0)
+        calls = []
+
+        def merge(lo, mid, hi, upper, lower):
+            calls.append((lo, mid, hi, upper.total, lower.total))
+            if lower is pad:
+                return upper
+            return multiset([(Perm.identity(1), upper.total + lower.total)],
+                            cert=0.0)
+
+        with obs.recording() as log:
+            out = fold_levels(leaves, pad, merge)
+        return out, calls, log
+
+    def test_three_leaves_pad_to_four(self):
+        out, calls, log = self._fold(3)
+        # leaf-index spans, bottom-up, left to right; leaf 3 is the pad
+        assert calls == [(0, 1, 2, 1, 2), (2, 3, 4, 3, 100), (0, 2, 4, 3, 3)]
+        assert out.total == 6
+        # the merge that returned its upper side unchanged logs nothing
+        assert [e["span"] for e in log] == [(0, 1, 2), (0, 2, 4)]
+        assert log[0] == {"op": "fold-merge", "span": (0, 1, 2), "total": 3,
+                          "cert": 0.0}
+
+    def test_single_and_empty(self):
+        out, calls, log = self._fold(1)
+        assert (out.total, calls, log) == (1, [], [])
+        out, calls, log = self._fold(0)
+        assert (out.total, calls, log) == (100, [], [])
 
 
 class TestSolvableExpander:

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import projective_line, random_symmetric_multiset
 
-from cayexp import catalog
+from cayexp import catalog, obs
 from cayexp.carriers import PermCarrier
 from cayexp.general import (AmplificationSchedule, babai_bound,
                             general_expander, rv_composition,
@@ -105,10 +105,11 @@ class TestGeneralExpander:
     def test_each_round_obeys_rv_bound(self):
         g = catalog.s4()
         carrier = PermCarrier.of(g)
-        trace = []
-        general_expander(g, 0.05, trace=trace)
+        with obs.recording() as log:
+            general_expander(g, 0.05)
+        assert any(e["op"] == "square" for e in log)
         prev = None
-        for entry in trace:
+        for entry in log:
             if entry["op"] in ("square", "derandomized-square"):
                 if prev is not None and entry["cert"] is not None:
                     bound = rv_composition(prev, entry["aux_mu"])

@@ -29,6 +29,9 @@ def sha256(text: str) -> str:
      "6f78bf9222287cb9ad13545b59b2eac31f8383e6719da398b1b0c73289dadd09"),
     (6, 4, 0.0625,
      "db993aac9c0dfdcd87f0e7002ac0c8aef971ca77d66998aa08381efceddf6547"),
+    # d = 8: depth 3, so the k-fold pads one trivial level
+    (8, 3, 0.25,
+     "9ad39b57bdc7841e0906082be2d9b531afbe7219f1489289b480fa1f87b088e0"),
     (3, 8, 0.25,
      "48d9c477d8e7617cd693bddb8d1a3540cc808a93397f15a1185afa8253a45ace"),
     # d = 2: the Walsh-Hadamard route of bias_exhaustive and the FFT square
