@@ -60,17 +60,16 @@ def primes_and_exponent(n: int) -> tuple[list[int], int]:
 # ---------------------------------------------------------------------------
 # greedy small-bias provider
 
-def _pair_rep(carrier: VectorCarrier, v):
-    return min(v, carrier.inv(v))
-
-
-def _pack_candidates(carrier: VectorCarrier, cand):
-    ident = carrier.identity()
-    reps = sorted({_pair_rep(carrier, v) for v in cand},
-                  key=lambda v: (v == ident, v))
-    rows = np.array([list(v) for v in reps], dtype=np.int64)
-    mults = np.array([1.0 if carrier.inv(v) == v else 2.0 for v in reps])
-    return reps, rows, mults
+def _pack_candidates(carrier: VectorCarrier, codes: np.ndarray):
+    """Inverse-pair representatives of candidate codes, ascending with the
+    identity (code 0) last: the smaller code of v and v^-1, its inverse's
+    code, its coordinate rows and its pair multiplicity (1 for a
+    self-inverse element, 2 otherwise)."""
+    reps = np.sort(np.minimum(codes, carrier.inv_codes(codes)))
+    reps = reps[np.append(True, reps[1:] != reps[:-1])]
+    reps = np.append(reps[reps != 0], reps[reps == 0])
+    inv = carrier.inv_codes(reps)
+    return reps, inv, carrier.unravel(reps), np.where(inv == reps, 1.0, 2.0)
 
 
 def _candidate_supply(carrier: VectorCarrier, seed: int):
@@ -81,23 +80,17 @@ def _candidate_supply(carrier: VectorCarrier, seed: int):
     so generation stays reachable).
     """
     if carrier.order <= GREEDY_FULL_CAP:
-        packed = _pack_candidates(carrier, carrier.elements())
+        packed = _pack_candidates(carrier, np.arange(carrier.order))
         while True:
             yield packed
     rng = np.random.default_rng(seed)
     moduli = np.array(carrier.moduli, dtype=np.int64)
-    units = []
-    for t in range(len(moduli)):
-        u = [0] * len(moduli)
-        u[t] = 1
-        units.append(tuple(u))
+    units = carrier.ravel(np.eye(len(moduli), dtype=np.int64) % moduli)
     while True:
         raw = rng.integers(0, moduli, size=(GREEDY_POOL, len(moduli)),
                            dtype=np.int64)
-        cand = {tuple(int(c) for c in row) for row in raw}
-        cand.update(units)
-        cand.add(carrier.identity())
-        yield _pack_candidates(carrier, cand)
+        yield _pack_candidates(carrier, np.concatenate(
+            (carrier.ravel(raw), units, [0])))
 
 
 def greedy_expander(carrier: VectorCarrier, target: float,
@@ -127,12 +120,12 @@ def greedy_expander(carrier: VectorCarrier, target: float,
     supply = _candidate_supply(carrier, seed=order * 1000003 + 7)
 
     c = np.zeros(digits.shape[0], dtype=np.float64)
-    counts: dict = {}
-    total = 0
+    picked = []
     best_seen = 1.0
 
     for _ in range(max_adds):
-        reps, rows, mults = next(supply)
+        reps, invs, rows, mults = next(supply)
+        total = len(picked)
         deficit = (_next_pow2(total) - total) if total else 0
         if deficit % 2 == 1:
             live = mults == 1.0
@@ -141,21 +134,17 @@ def greedy_expander(carrier: VectorCarrier, target: float,
         scores = _kernels.greedy_scores(c, digits, rows[live], mults[live],
                                         mod_arr, roots, offsets)
         pick = int(np.flatnonzero(live)[int(np.argmin(scores))])
-        v = reps[pick]
-        w = carrier.inv(v)
-        counts[v] = counts.get(v, 0) + 1
-        added = 1
-        if w != v:
-            counts[w] = counts.get(w, 0) + 1
-            added = 2
+        picked.append(reps[pick])
+        if mults[pick] == 2.0:
+            picked.append(invs[pick])
         col = _kernels.real_characters(digits, rows[pick:pick + 1], mod_arr,
                                        roots, offsets)
         c = c + mults[pick] * next(col)
-        total += added
+        total = len(picked)
         bias = float(np.abs(c).max()) / total
         best_seen = min(best_seen, bias)
         if bias <= target and total & (total - 1) == 0:
-            return multiset(counts.items(), cert=bias)
+            return carrier.tally(np.array(picked), cert=bias)
     raise AuxInfeasibleError(
         f"greedy budget {max_adds} exhausted at bias {best_seen:.4f} "
         f"(target {target})", achievable_mu=best_seen)

@@ -6,17 +6,22 @@ operators. Three kinds cover the whole pipeline: permutation groups,
 quotients H/N by canonical coset representatives, and products of cyclic
 groups given by per-coordinate moduli.
 
-A permutation group is held as an (order, degree) integer array of images in
-lexicographic order, built from the BSGS transversals; elements are looked
-up by their base-point images, so its action tables are numpy gathers and
-binary searches. A vector group codes each element as its mixed-radix index
-(``ravel_multi_index``), so pairing, trimming, squaring and deduplicating
-vector multisets are integer-array operations. The multisets these build
-keep their codes (``Multiset`` code storage), and the next step reads them
-back; coordinate tuples are made only where elements are read one by one,
-when parsing, or for multisets built from pairs. A quotient H/N is a coset
-label for every row of H's table, so its action tables are H's gathers
-relabelled.
+Every carrier has one array protocol, over which multiset bookkeeping is
+written once: ``codes(ms)`` (the element array, in element order),
+``inv_codes`` and ``mul_codes`` (row-by-row inverses and products), ``keys``
+(one sortable scalar per element, ordered like the elements) and ``tally``
+(the canonical ``Multiset`` of an element array, repeats merged).
+
+A vector group codes an element as its mixed-radix index
+(``ravel_multi_index``), its own key; its multisets keep their codes
+(``Multiset`` code storage). A permutation group codes an element as its
+row of images, keyed by ``_row_keys``; its multisets hold ``Perm`` tuples.
+A quotient H/N codes a coset as the image row of its canonical
+representative, and makes inverses and products canonical per kernel level
+(``QuotientCarrier._canonical``). None of this needs the element table: an
+(order, degree) image array in lexicographic order, built from the BSGS
+transversals and searched by base-point images, from which action tables
+are numpy gathers (for a quotient, relabelled by coset).
 """
 
 from __future__ import annotations
@@ -68,7 +73,43 @@ class AbelianShape:
         return n
 
 
-class VectorCarrier:
+class _ArrayProtocol:
+    """What the three carriers share: tallies and the symmetry check, over
+    each carrier's codes, inv_codes, keys and from_codes."""
+
+    def tally(self, codes: np.ndarray, weights: np.ndarray | None = None,
+              cert: float | None = None) -> Multiset:
+        """The multiset of the given codes; repeated codes merge.
+
+        Multiplicities are the occurrence counts, or the sums of the
+        integer weights (exact: Python ints where an int64 sum could
+        overflow).
+        """
+        keys = self.keys(codes)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        starts = np.flatnonzero(np.concatenate(
+            ([True], keys[1:] != keys[:-1])))
+        if weights is None:
+            mults = np.diff(np.append(starts, len(keys)))
+        else:
+            if (weights.dtype != object
+                    and len(weights) * int(weights.max(initial=0)) >= 2**63):
+                weights = weights.astype(object)
+            mults = np.add.reduceat(weights[order], starts)
+        return self.from_codes(codes[order[starts]], mults, cert)
+
+    def is_symmetric(self, ms: Multiset) -> bool:
+        """Inverse-closed with matching multiplicities: the inverses' keys
+        looked up among the elements' keys in one search. Needs no element
+        table, so it holds for groups above the cap alike."""
+        codes = self.codes(ms)
+        return _inverse_closed(self.keys(codes),
+                               self.keys(self.inv_codes(codes)),
+                               ms.mult_array())
+
+
+class VectorCarrier(_ArrayProtocol):
     """Additive group prod_t Z_{m_t}; elements are coordinate tuples."""
 
     def __init__(self, moduli: tuple[int, ...]):
@@ -161,6 +202,15 @@ class VectorCarrier:
         """Codes of the inverses (negated coordinates)."""
         return self.ravel(-self.unravel(codes) % np.array(self.moduli))
 
+    def mul_codes(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Codes of the sums a[i] + b[i]."""
+        return self.ravel((self.unravel(a) + self.unravel(b))
+                          % np.array(self.moduli))
+
+    def keys(self, codes: np.ndarray) -> np.ndarray:
+        """Codes sort like their elements, so they are their own keys."""
+        return codes
+
     def from_codes(self, codes: np.ndarray, mults,
                    cert: float | None = None) -> Multiset:
         """The multiset on strictly increasing codes with positive mults.
@@ -179,29 +229,6 @@ class VectorCarrier:
         codes.flags.writeable = counts.flags.writeable = False
         return Multiset._coded(self, codes, counts, cert)
 
-    def tally(self, codes: np.ndarray, weights: np.ndarray | None = None,
-              cert: float | None = None) -> Multiset:
-        """The multiset of the given codes; repeated codes merge.
-
-        Multiplicities are the occurrence counts, or the sums of the
-        integer weights (exact in the weights' dtype).
-        """
-        order = np.argsort(codes)
-        codes = codes[order]
-        starts = np.flatnonzero(np.concatenate(
-            ([True], codes[1:] != codes[:-1])))
-        if weights is None:
-            mults = np.diff(np.append(starts, len(codes)))
-        else:
-            mults = np.add.reduceat(weights[order], starts)
-        return self.from_codes(codes[starts], mults, cert)
-
-    def is_symmetric(self, ms: Multiset) -> bool:
-        """Inverse-closed with matching multiplicities: the inverse codes
-        looked up among the codes in one search."""
-        codes = self.codes(ms)
-        return _inverse_closed(codes, self.inv_codes(codes), ms.mult_array())
-
     def action_tables(self, ms: Multiset) -> tuple[np.ndarray, np.ndarray]:
         n = self.order
         shape = self.moduli
@@ -213,7 +240,7 @@ class VectorCarrier:
         return tables, _weights(ms)
 
 
-class PermCarrier:
+class PermCarrier(_ArrayProtocol):
     """A permutation group enumerated in lexicographic image order.
 
     The group is held as an (order, degree) array of 0-based images, built
@@ -236,6 +263,7 @@ class PermCarrier:
     def __init__(self, bsgs: BSGS, cap: int = 10**6):
         self.bsgs = bsgs
         self.cap = cap
+        self._dtype = np.min_scalar_type(bsgs.degree - 1)
 
     @staticmethod
     def of(g: GenSet, cap: int = 10**6) -> "PermCarrier":
@@ -254,6 +282,33 @@ class PermCarrier:
     def inv(self, a: Perm) -> Perm:
         return a.inv()
 
+    def codes(self, items) -> np.ndarray:
+        """(k, degree) image rows of a multiset's elements, or of a
+        sequence of permutations; another degree raises DegreeMismatch."""
+        perms = items.elems if isinstance(items, Multiset) else items
+        deg = self.bsgs.degree
+        if set(map(len, (p.img for p in perms))) - {deg}:
+            raise DegreeMismatch(f"element degree differs from {deg}")
+        return np.array([p.img for p in perms],
+                        dtype=self._dtype).reshape(-1, deg)
+
+    def inv_codes(self, rows: np.ndarray) -> np.ndarray:
+        """Rows of the inverses: a row's argsort is its inverse's images."""
+        return np.argsort(rows, axis=1).astype(self._dtype)
+
+    def mul_codes(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Rows of the products a[i] * b[i]: (p * q)[x] = q[p[x]]."""
+        return np.take_along_axis(b, a, axis=1)
+
+    def keys(self, rows: np.ndarray) -> np.ndarray:
+        return _row_keys(rows, self.bsgs.degree)
+
+    def from_codes(self, rows: np.ndarray, mults,
+                   cert: float | None = None) -> Multiset:
+        """The multiset on strictly increasing rows with positive mults."""
+        return Multiset(tuple(map(Perm, rows.tolist())),
+                        tuple(np.asarray(mults).tolist()), cert)
+
     @property
     def _key_points(self) -> list[int]:
         # the trivial group has no base; any point keys its one element
@@ -266,11 +321,10 @@ class PermCarrier:
         if n > self.cap:
             raise CapacityError(f"group order {n} exceeds cap {self.cap}")
         deg = self.bsgs.degree
-        dtype = np.min_scalar_type(deg - 1)
-        img = np.arange(deg, dtype=dtype)[None, :]
+        img = np.arange(deg, dtype=self._dtype)[None, :]
         for lv in reversed(self.bsgs.levels):
             reps = np.array([u.img for u in lv.transversal.values()],
-                            dtype=dtype)
+                            dtype=self._dtype)
             img = reps[:, img].reshape(-1, deg)   # (p * u)[x] = u[p[x]]
         cols = np.ascontiguousarray(img[:, self._key_points])
         keys = _row_keys(cols, deg)
@@ -288,15 +342,9 @@ class PermCarrier:
 
     def _indices(self, perms) -> np.ndarray:
         """Indices of group elements; foreign elements raise KeyError."""
-        images, _, _ = self._table
-        deg = self.bsgs.degree
-        for p in perms:
-            if p.degree != deg:
-                raise DegreeMismatch(f"degree {p.degree} vs {deg}")
-        rows = np.array([p.img for p in perms],
-                        dtype=images.dtype).reshape(-1, deg)
+        rows = self.codes(perms)
         pos = self._find(rows[:, self._key_points])
-        if np.any(images[pos] != rows):
+        if np.any(self._table[0][pos] != rows):
             raise KeyError("element is not in the group")
         return pos
 
@@ -332,26 +380,8 @@ class PermCarrier:
         return out
 
     def action_tables(self, ms: Multiset) -> tuple[np.ndarray, np.ndarray]:
-        tables = self._products(self._indices(ms.elems), slice(None))
+        tables = self._products(self._indices(ms), slice(None))
         return tables, _weights(ms)
-
-    def is_symmetric(self, ms: Multiset) -> bool:
-        """Inverse-closed with matching multiplicities: the inverses' image
-        rows looked up among the elements' rows in one search.
-
-        Needs no element table, so it holds for elements outside the group
-        and for groups above the cap alike.
-        """
-        deg = self.bsgs.degree
-        imgs = [p.img for p in ms.elems]
-        if set(map(len, imgs)) != {deg}:
-            return ms.is_symmetric(self.inv)
-        rows = np.array(imgs, dtype=np.min_scalar_type(deg - 1))
-        both = np.concatenate((rows, np.argsort(rows, axis=1).astype(
-            rows.dtype)))   # a row's argsort is its inverse's images
-        keys = both.view(np.dtype((np.void, both.itemsize * deg))).ravel()
-        return _inverse_closed(keys[:len(rows)], keys[len(rows):],
-                               ms.mult_array())
 
 
 def _inverse_closed(keys: np.ndarray, inv_keys: np.ndarray,
@@ -394,12 +424,14 @@ def _row_keys(cols: np.ndarray, degree: int) -> np.ndarray:
     return be.view(np.dtype((np.void, be.itemsize * be.shape[1]))).ravel()
 
 
-class QuotientCarrier:
+class QuotientCarrier(_ArrayProtocol):
     """H/N as coset labels on the rows of H's permutation carrier.
 
     A coset is its canonical (minimum-image) representative. H's rows are
     in lexicographic order, so cosets are numbered in the order of their
-    representatives, and coset 0 is N itself.
+    representatives, and coset 0 is N itself. Multisets on H/N hold
+    canonical representatives; the array protocol codes them as their
+    image rows in H and makes inverses and products canonical.
     """
 
     def __init__(self, ctx: QuotientContext, cap: int = 10**6):
@@ -419,21 +451,40 @@ class QuotientCarrier:
     def inv(self, a: Perm) -> Perm:
         return self.ctx.inv(a)
 
+    def _canonical(self, rows: np.ndarray) -> np.ndarray:
+        """The canonical representatives of the cosets of image rows.
+
+        ``QuotientContext.canonicalize`` on every row at once: per kernel
+        level one argmin over the orbit's images, one row gather.
+        """
+        for lv in self.ctx.kernel.levels:
+            trans = np.array([u.img for u in lv.transversal.values()],
+                             dtype=rows.dtype)
+            pick = np.argmin(rows[:, list(lv.transversal)], axis=1)
+            # (u * p)[x] = p[u[x]]; u moves the base point to p's argmin
+            rows = np.take_along_axis(rows, trans[pick], axis=1)
+        return rows
+
+    def codes(self, items) -> np.ndarray:
+        return self.parent.codes(items)
+
+    def inv_codes(self, rows: np.ndarray) -> np.ndarray:
+        return self._canonical(self.parent.inv_codes(rows))
+
+    def mul_codes(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self._canonical(self.parent.mul_codes(a, b))
+
+    def keys(self, rows: np.ndarray) -> np.ndarray:
+        return self.parent.keys(rows)
+
+    def from_codes(self, rows: np.ndarray, mults,
+                   cert: float | None = None) -> Multiset:
+        return self.parent.from_codes(rows, mults, cert)
+
     @cached_property
     def _cosets(self) -> tuple[np.ndarray, np.ndarray]:
-        """(coset of every parent row, parent row of each representative).
-
-        ``QuotientContext.canonicalize`` run on the whole image array: per
-        kernel level one argmin over the orbit's images, one row gather.
-        """
-        canon = self.parent._table[0]
-        for lv in self.ctx.kernel.levels:
-            points = list(lv.transversal)
-            trans = np.array([u.img for u in lv.transversal.values()],
-                             dtype=canon.dtype)
-            pick = np.argmin(canon[:, points], axis=1)
-            # (u * p)[x] = p[u[x]]; u moves the base point to p's argmin
-            canon = np.take_along_axis(canon, trans[pick], axis=1)
+        """(coset of every parent row, parent row of each representative)."""
+        canon = self._canonical(self.parent._table[0])
         rows = self.parent._find(canon[:, self.parent._key_points])
         reps, labels = np.unique(rows, return_inverse=True)
         return labels, reps
@@ -449,16 +500,14 @@ class QuotientCarrier:
 
     def action_tables(self, ms: Multiset) -> tuple[np.ndarray, np.ndarray]:
         labels, reps = self._cosets
-        rows = self.parent._products(self.parent._indices(ms.elems), reps)
+        rows = self.parent._products(self.parent._indices(ms), reps)
         return labels[rows], _weights(ms)
 
     def image_multiset(self, ms: Multiset,
                        cert: float | None = None) -> Multiset:
         """Push a multiset on H down to canonical representatives on H/N."""
-        return ms.map_elems(self.ctx.canonicalize, cert=cert)
-
-    def is_symmetric(self, ms: Multiset) -> bool:
-        return ms.is_symmetric(self.inv)
+        return self.tally(self._canonical(self.codes(ms)), ms.mult_array(),
+                          cert)
 
 
 Carrier = PermCarrier | QuotientCarrier | VectorCarrier

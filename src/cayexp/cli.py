@@ -97,11 +97,16 @@ def cmd_build_expander(args) -> int:
         print("error: group is not solvable (derived series stabilizes at "
               f"order {chain.orders[-1]})", file=sys.stderr)
         return EXIT_NOT_SOLVABLE
+    if chain.orders[0] > ITER_CAP:
+        print(f"error: group order {chain.orders[0]} exceeds the "
+              f"verification cap {ITER_CAP}; analytic-only certificates are "
+              "not emitted", file=sys.stderr)
+        return EXIT_TOO_LARGE
     try:
         if chain.solvable:
             ms = solvable_expander(chain, target=args.lam)
         else:
-            ms = general_expander(gens, lam=args.lam, mode=args.mode)
+            ms = general_expander(gens, lam=args.lam)
     except MethodCapacityError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_TOO_LARGE
@@ -116,8 +121,7 @@ def cmd_build_expander(args) -> int:
     cert_path.write_text(_dump_json(cert))
     _write_manifest(out.with_suffix(out.suffix + ".manifest.json"),
                     "build-expander",
-                    {"lambda": args.lam, "mode": args.mode,
-                     "solvable": chain.solvable},
+                    {"lambda": args.lam, "solvable": chain.solvable},
                     [group_path], [out, cert_path], [cert], t0)
     if args.json:
         print(_dump_json(cert), end="")
@@ -259,8 +263,6 @@ def main(argv=None) -> int:
                        help="construct a certified expanding multiset")
     b.add_argument("--group", required=True)
     b.add_argument("--lambda", dest="lam", type=float, default=0.25)
-    b.add_argument("--mode", choices=["adaptive", "analytic"],
-                   default="adaptive")
     b.add_argument("--require-solvable", "--solvable", action="store_true",
                    help="refuse a non-solvable group (exit 3)")
     b.add_argument("--out", required=True)

@@ -12,6 +12,13 @@ The three moves, with their certified-bound algebra:
 
 Certified bounds propagate analytically and are re-measured exactly whenever
 the carrier is small enough for the verifier.
+
+Every move is written once over the carriers' array protocol (element codes,
+inverses, products and tallies; see ``carriers``), so permutation groups,
+quotients and vector groups take the same code path. The only choices by
+carrier kind are how a multiset is measured (``measure_exact``,
+``is_measurable``) and how a convolution square is computed
+(``square_multiset``).
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from . import _kernels, obs
 from .bsgs import schreier_sims
 from .carriers import (Carrier, PermCarrier, QuotientCarrier, VectorCarrier,
                        require_symmetric)
-from .multiset import Multiset, NonSymmetricError, multiset, union
+from .multiset import Multiset, NonSymmetricError, multiset
 from .perm import GenSet, Perm
 from .series import QuotientContext, SubgroupChain, quotient_context
 from .spectra import (DENSE_CAP, EXHAUSTIVE_CHAR_CAP, ITER_CAP,
@@ -87,55 +94,52 @@ def symmetrize(carrier: Carrier, ms: Multiset) -> Multiset:
     """
     if carrier.is_symmetric(ms):
         return ms
-    doubled = union(ms, ms.map_elems(carrier.inv), cert=ms.cert)
+    codes, counts = carrier.codes(ms), ms.mult_array()
+    doubled = carrier.tally(np.concatenate((codes, carrier.inv_codes(codes))),
+                            np.concatenate((counts, counts)), cert=ms.cert)
     return doubled.gcd_reduced()
 
 
 # ---------------------------------------------------------------------------
 # multiplicity bookkeeping
 
-def _pair_units(carrier: Carrier, ms: Multiset
-                ) -> tuple[np.ndarray, Callable[[np.ndarray], Multiset]]:
-    """A multiset's inverse-pair units, heaviest first, ties by element.
+def _units(carrier: Carrier, ms: Multiset):
+    """A multiset's inverse-pair units, in element order.
 
     A unit is an element e and, unless e is self-inverse, e^-1. Canonical
     storage sorts the elements, so element order is index order: element i
     opens a unit unless its inverse is element j < i. An inverse missing
-    from a non-symmetric multiset still joins its unit. Returns (sizes,
-    members): sizes[u] is unit u's element count and members(us) the
-    multiset of the elements of units us, each with weight 1.
+    from a non-symmetric multiset still joins its unit. Returns (codes,
+    inverse codes, position of each inverse among the codes, whether it
+    is there, the unit heads, whether each head is self-inverse).
     """
-    n = ms.support
-    if isinstance(carrier, VectorCarrier):
-        codes = carrier.codes(ms)
-        if np.any(codes[1:] <= codes[:-1]):
-            raise ValueError("multiset is not in canonical storage")
-        inv = carrier.inv_codes(codes)
-        pos = np.minimum(np.searchsorted(codes, inv), n - 1)
-        paired = codes[pos] == inv          # the inverse is an element
-        heads = np.flatnonzero(~paired | (pos >= np.arange(n)))
-        sizes = 1 + (inv[heads] != codes[heads])
+    codes = carrier.codes(ms)
+    keys = carrier.keys(codes)
+    n = len(keys)
+    inv = carrier.inv_codes(codes)
+    inv_keys = carrier.keys(inv)
+    pos = np.minimum(np.searchsorted(keys, inv_keys), n - 1)
+    found = keys[pos] == inv_keys
+    heads = np.flatnonzero(~found | (pos >= np.arange(n)))
+    selfinv = found[heads] & (pos[heads] == heads)
+    return codes, inv, pos, found, heads, selfinv
 
-        def build(us):
-            h = heads[us]
-            kept = np.unique(np.concatenate((codes[h], inv[h])))
-            return carrier.from_codes(kept, np.ones(len(kept), np.int64))
-    else:
-        index = {e: i for i, e in enumerate(ms.elems)}
-        units = []
-        for i, e in enumerate(ms.elems):
-            f = carrier.inv(e)
-            if index.get(f, i) >= i:
-                units.append((i, (e,) if f == e else (e, f)))
-        heads = np.array([i for i, _ in units], dtype=np.int64)
-        sizes = np.array([len(u) for _, u in units], dtype=np.int64)
 
-        def build(us):
-            return multiset([(e, 1) for u in us.tolist()
-                             for e in units[u][1]])
+def _pair_units(carrier: Carrier, ms: Multiset
+                ) -> tuple[np.ndarray, Callable[[np.ndarray], Multiset]]:
+    """A multiset's inverse-pair units (see _units), heaviest first, ties
+    by element. Returns (sizes, members): sizes[u] is unit u's element
+    count and members(us) the multiset of the elements of units us, each
+    with weight 1.
+    """
+    codes, inv, _, _, heads, selfinv = _units(carrier, ms)
+
+    def build(us):
+        h = heads[us]
+        return carrier.tally(np.concatenate((codes[h], inv[h[~selfinv[us]]])))
     weight = ms.mult_array()[heads]
     order = np.argsort(-weight, kind="stable")
-    return sizes[order], lambda us: build(order[us])
+    return (2 - selfinv)[order], lambda us: build(order[us])
 
 
 def _trim_support(units: tuple[np.ndarray, Callable], k: int,
@@ -217,8 +221,10 @@ def pad_to_total(carrier: Carrier, ms: Multiset, target: int) -> Multiset:
     """Reach exactly `target` total multiplicity by replication + padding.
 
     The whole multiset is replicated floor(target/total) times; the remainder
-    is spread one copy at a time over inverse pairs in canonical order, so no
-    element exceeds twice its replicated share. The certified bound becomes
+    is spread two copies at a time over its inverse-pair units (see _units),
+    pairs in element order and then self-inverse elements, one copy first to
+    the first self-inverse element if the remainder is odd, so no element
+    exceeds twice its replicated share. The certified bound becomes
     (q*total*cert + r)/target; the carrier argument is only used for inverse
     pairing, so the certificate keeps referring to whatever graph it was
     measured on (callers re-verify where they know the right carrier).
@@ -227,52 +233,32 @@ def pad_to_total(carrier: Carrier, ms: Multiset, target: int) -> Multiset:
     if target < total:
         raise ValueError("target below current total")
     q, r = divmod(target, total)
-    out_counts = {e: m * q for e, m in ms.pairs()}
+    counts = ms.mult_array()
+    if target >= 2**63:
+        counts = counts.astype(object)
+    counts = counts * q
     if r:
-        inv = carrier.inv
-        pairs = []
-        selfinv = []
-        seen = set()
-        for e, m in ms.pairs():
-            if e in seen:
-                continue
-            f = inv(e)
-            if f not in out_counts:
-                raise NonSymmetricError(
-                    "cannot pad a multiset that is not inverse-closed")
-            seen.add(e)
-            seen.add(f)
-            if f == e:
-                selfinv.append(e)
-            else:
-                pairs.append((e, f))
+        _, _, pos, found, heads, selfinv = _units(carrier, ms)
+        if not found.all():
+            raise NonSymmetricError(
+                "cannot pad a multiset that is not inverse-closed")
+        pairs, selfs = heads[~selfinv], heads[selfinv]
         if r % 2:
-            if not selfinv:
+            if not len(selfs):
                 raise AssertionError(
                     "odd remainder with no self-inverse element")
-            out_counts[selfinv[0]] += 1
+            counts[selfs[0]] += 1
             r -= 1
-        idx = 0
-        cyc = pairs + [(e, e) for e in selfinv]
-        while r > 0:
-            e, f = cyc[idx % len(cyc)]
-            if e == f:
-                if r >= 2:
-                    out_counts[e] += 2
-                    r -= 2
-                else:
-                    out_counts[e] += 1
-                    r -= 1
-            else:
-                out_counts[e] += 1
-                out_counts[f] += 1
-                r -= 2
-            idx += 1
+        cycle = np.concatenate((pairs, selfs))
+        turns, extra = divmod(r // 2, len(cycle))
+        adds = turns + (np.arange(len(cycle)) < extra)
+        counts[cycle] += adds * np.repeat((1, 2), (len(pairs), len(selfs)))
+        counts[pos[pairs]] += adds[:len(pairs)]
     cert = None
     if ms.cert is not None:
         pad = target - q * total
         cert = (q * total * ms.cert + pad) / target
-    return multiset(out_counts.items(), cert=cert)
+    return ms.with_mults(counts, cert)
 
 
 def balance(carrier_a: Carrier, a: Multiset, carrier_b: Carrier,
@@ -390,8 +376,10 @@ def derandomized_square(carrier: Carrier, u: Multiset,
     """Products u_i * u_j over the arcs of h, plus the inverse-indexed half.
 
     Output degree is exactly 2 * d * |U| and the certified bound is
-    lam'^2 + mu. The expanded indexing u_1..u_|U| is multiplicity-expanded
-    and sorted, with the inverse pairing stored explicitly.
+    lam'^2 + mu. The indexing u_1..u_|U| is multiplicity-expanded and
+    sorted; the i-th copy of an element is paired with the i-th copy of its
+    inverse, so the inverse-indexed half multiplies the inverses of the
+    same rows.
     """
     total = u.total
     if h.vertex_count != total:
@@ -400,31 +388,16 @@ def derandomized_square(carrier: Carrier, u: Multiset,
     cert = None
     if u.cert is not None:
         cert = u.cert * u.cert + h.certified_mu
-    if isinstance(carrier, VectorCarrier):
-        require_symmetric(carrier, u)
-        rows = carrier.unravel(carrier.codes(u)).repeat(u.mult_array(),
-                                                        axis=0)
-        moduli = np.array(carrier.moduli, dtype=np.int64)
-        chunks = []
-        for ell in range(h.degree):
-            prod = (rows + rows[h.neighbors[:, ell]]) % moduli
-            chunks.append(carrier.ravel(prod))
-            # u_i^-1 u_j^-1 = -(u_i + u_j)
-            chunks.append(carrier.ravel(-prod % moduli))
-        return carrier.tally(np.concatenate(chunks), cert=cert)
-    sigma = u.inverse_pairing(carrier.inv)
-    expanded = u.expand()
-    mul = carrier.mul
-    acc: dict = {}
+    require_symmetric(carrier, u)
+    rows = carrier.codes(u).repeat(u.mult_array(), axis=0)
+    inv = carrier.inv_codes(rows)
+    chunks = []
     for ell in range(h.degree):
         col = h.neighbors[:, ell]
-        for i in range(total):
-            j = int(col[i])
-            p1 = mul(expanded[i], expanded[j])
-            acc[p1] = acc.get(p1, 0) + 1
-            p2 = mul(expanded[sigma[i]], expanded[sigma[j]])
-            acc[p2] = acc.get(p2, 0) + 1
-    return multiset(acc.items(), cert=cert)
+        chunks.append(carrier.mul_codes(rows, rows[col]))
+        # the inverse-indexed half: u_i^-1 * u_j^-1
+        chunks.append(carrier.mul_codes(inv, inv[col]))
+    return carrier.tally(np.concatenate(chunks), cert=cert)
 
 
 def is_measurable(carrier: Carrier) -> bool:
@@ -461,13 +434,25 @@ def square_multiset(carrier: Carrier, ms: Multiset) -> Multiset:
         counts = np.rint(conv).astype(np.int64)
         nz = np.flatnonzero(counts)
         return carrier.from_codes(nz, counts[nz], cert=cert)
-    mul = carrier.mul
-    acc: dict = {}
-    for x, wx in ms.pairs():
-        for y, wy in ms.pairs():
-            z = mul(x, y)
-            acc[z] = acc.get(z, 0) + wx * wy
-    return multiset(acc.items(), cert=cert)
+    # every pair of elements, a block of left factors at a time, each block
+    # merged before the next
+    codes, w = carrier.codes(ms), ms.mult_array()
+    if w.dtype != object and ms.total ** 2 >= 2**63:
+        w = w.astype(object)
+    k = len(codes)
+    parts = []
+    step = max(1, _PAIR_CHUNK // k)
+    for i0 in range(0, k, step):
+        i, j = np.divmod(np.arange(i0 * k, min(k, i0 + step) * k), k)
+        part = carrier.tally(carrier.mul_codes(codes[i], codes[j]),
+                             w[i] * w[j])
+        parts.append((carrier.codes(part), part.mult_array()))
+    return carrier.tally(np.concatenate([c for c, _ in parts]),
+                         np.concatenate([m for _, m in parts]), cert=cert)
+
+
+# element pairs multiplied per block of square_multiset's pairwise route
+_PAIR_CHUNK = 1 << 20
 
 
 def _square_perm(carrier: PermCarrier | QuotientCarrier,
@@ -516,15 +501,16 @@ def _mu_request(lam: float, target: float) -> float:
 
 
 def reduce_to_quarter(carrier: Carrier, u: Multiset, target: float = 0.25,
-                      mode: str = "adaptive", compact_total: int = 512,
+                      compact_total: int = 512,
                       max_rounds: int = 64) -> Multiset:
     """Squaring rounds until the certified bound is <= target.
 
-    Adaptive mode (requires a verifiable carrier) compacts, squares with the
-    degenerate full-group auxiliary (exact convolution, mu = 0) and
-    re-measures lambda2 exactly after every round. Analytic mode keeps
-    multisets materializable with small-degree auxiliaries from aux_family
-    and propagates the lam^2 + mu bound only.
+    On a carrier the verifier can measure (is_measurable), each round
+    compacts, squares with the degenerate full-group auxiliary (exact
+    convolution, mu = 0) and re-measures lambda2 exactly. On a larger one,
+    each round pads to a power-of-2 total and derandomized-squares with a
+    small-degree auxiliary from aux_family, propagating the lam^2 + mu bound
+    only.
     """
     if u.cert is None:
         u = reverify(carrier, u)
@@ -533,17 +519,16 @@ def reduce_to_quarter(carrier: Carrier, u: Multiset, target: float = 0.25,
     if u.cert >= 1.0:
         raise AmplificationError(
             "cannot amplify: certified bound is 1 (disconnected or bipartite)")
-    if mode == "adaptive" and not is_measurable(carrier):
-        mode = "analytic"
+    measurable = is_measurable(carrier)
     rounds = 0
     while True:
-        if mode == "adaptive":
+        if measurable:
             u = compact(carrier, u, compact_total, target_cert=target)
         if u.cert is not None and u.cert <= target:
             return u
         if rounds >= max_rounds:
             raise AmplificationError(f"exceeded {max_rounds} squaring rounds")
-        if mode == "adaptive":
+        if measurable:
             u = square_multiset(carrier, u)
             u = reverify(carrier, u)
             rounds += 1
@@ -569,7 +554,9 @@ def combine_union(group: Carrier, a: Multiset, b: Multiset,
         raise CertificationError("combine requires certified inputs")
     lam = max(a.cert, b.cert)
     bound = (1 + lam) * max(a.total, b.total) / (a.total + b.total)
-    out = union(a, b, cert=bound)
+    out = group.tally(np.concatenate((group.codes(a), group.codes(b))),
+                      np.concatenate((a.mult_array(), b.mult_array())),
+                      cert=bound)
     if verify:
         measured = measure_exact(group, out)
         if measured is not None:

@@ -12,10 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import obs
 from .bsgs import BSGS, schreier_sims
 from .carriers import PermCarrier
-from .combine import measure_exact, reduce_to_quarter, reverify
+from .combine import measure_exact, reduce_to_quarter
 from .multiset import Multiset, multiset
 from .perm import GenSet, Perm
 from .spectra import ITER_CAP, MethodCapacityError, graph_info
@@ -67,13 +69,13 @@ def strong_generator_multiset(bs: BSGS) -> Multiset:
     return multiset([(p, 1) for p in sorted(sym)])
 
 
-def general_expander(g: GenSet, lam: float = 0.25,
-                     mode: str = "adaptive") -> Multiset:
+def general_expander(g: GenSet, lam: float = 0.25) -> Multiset:
     """Certified lam-spectral expanding multiset for any <g>.
 
-    Pipeline: strong generators -> Babai-bound certificate -> adaptive
-    derandomized squaring. Bipartite starting graphs (e.g. a single
-    transposition) are lazified with identity self-loops first.
+    Pipeline: strong generators -> Babai-bound certificate -> squaring
+    rounds, each re-measured exactly (the group is within the verification
+    cap). Bipartite starting graphs (e.g. a single transposition) are
+    lazified with identity self-loops first.
     """
     if not 0 < lam < 1:
         raise ValueError("lambda must be in (0, 1)")
@@ -90,7 +92,9 @@ def general_expander(g: GenSet, lam: float = 0.25,
     measured = measure_exact(carrier, ms)
     if measured is not None and measured >= 1.0 - 1e-12:
         # bipartite Cayley graph: shift the spectrum with a lazy step
-        ms = ms.add_identity(carrier.identity(), ms.total)
+        ident = carrier.codes([carrier.identity()])
+        ms = carrier.tally(np.concatenate((carrier.codes(ms), ident)),
+                           np.append(ms.mult_array(), ms.total))
         measured = measure_exact(carrier, ms)
         obs.event("lazify", total=ms.total, cert=measured)
     analytic = babai_bound(ms.total, max(info["diameter"], 1))
@@ -100,9 +104,7 @@ def general_expander(g: GenSet, lam: float = 0.25,
               diameter=info["diameter"], babai_bound=analytic)
     if ms.cert <= lam:
         return ms
-    out = reduce_to_quarter(carrier, ms, target=min(lam, 0.25), mode=mode)
+    out = reduce_to_quarter(carrier, ms, target=min(lam, 0.25))
     if lam < 0.25 and (out.cert is None or out.cert > lam):
-        out = reduce_to_quarter(carrier, out, target=lam, mode=mode)
-    if mode == "adaptive":
-        return out      # every adaptive certificate is an exact measurement
-    return reverify(carrier, out)
+        out = reduce_to_quarter(carrier, out, target=lam)
+    return out      # every certificate is an exact measurement

@@ -6,12 +6,17 @@ positive integer multiplicities, so equal multisets compare and serialize
 identically.
 
 A multiset has one of two storage forms and the same behaviour in both. One
-built from pairs holds its element and multiplicity tuples. A vector
-multiset built by ``VectorCarrier.from_codes`` or ``tally`` holds its
-carrier (``space``), its ascending mixed-radix codes and its multiplicity
-array instead, and makes the ``elems``/``mults`` tuples only when they are
-read. Code order is lexicographic tuple order, so both forms list the same
-elements in the same order; equality and hashing are by element.
+built from pairs, or by a permutation or quotient carrier, holds its element
+and multiplicity tuples. A vector multiset built by
+``VectorCarrier.from_codes`` or ``tally`` holds its carrier (``space``), its
+ascending mixed-radix codes and its multiplicity array instead, and makes
+the ``elems``/``mults`` tuples only when they are read. Code order is
+lexicographic tuple order, so both forms list the same elements in the same
+order; equality and hashing are by element.
+
+Arithmetic that needs the group (inverses, products, unions, symmetry) is
+the carriers' array protocol (see ``carriers``); a multiset itself only
+scales and reduces its multiplicities and maps its elements by a function.
 """
 
 from __future__ import annotations
@@ -166,13 +171,6 @@ class Multiset:
             return self
         return self.with_mults(self.mult_array() // g, self.cert)
 
-    def expand(self) -> list:
-        """Multiplicity-expanded element list, sorted (u_1, ..., u_total)."""
-        out = []
-        for e, m in self.pairs():
-            out.extend([e] * m)
-        return out
-
     def map_elems(self, fn, cert: float | None = None) -> "Multiset":
         """Image multiset under fn, multiplicities transported and merged."""
         acc: dict = {}
@@ -180,43 +178,6 @@ class Multiset:
             k = fn(e)
             acc[k] = acc.get(k, 0) + m
         return multiset(acc.items(), cert=cert)
-
-    def add_identity(self, identity, extra: int) -> "Multiset":
-        acc = self.counts()
-        acc[identity] = acc.get(identity, 0) + extra
-        return multiset(acc.items())
-
-    def is_symmetric(self, inv_fn) -> bool:
-        """Element by element: every inverse has the same multiplicity.
-
-        The carriers' is_symmetric answers the same question in batch.
-        """
-        c = self.counts()
-        return all(c.get(inv_fn(e), 0) == m for e, m in self.pairs())
-
-    def inverse_pairing(self, inv_fn) -> list[int]:
-        """Pairing sigma on the expanded index range with u_sigma[i] = u_i^-1.
-
-        The i-th copy of an element is paired with the i-th copy of its
-        inverse, which makes sigma a deterministic involution.
-        """
-        expanded = self.expand()
-        first_index = {}
-        pos = 0
-        for e, m in self.pairs():
-            first_index[e] = pos
-            pos += m
-        sigma = [0] * len(expanded)
-        counts = self.counts()
-        for e, m in self.pairs():
-            ie = first_index[e]
-            inv = inv_fn(e)
-            if inv not in counts or counts[inv] != m:
-                raise NonSymmetricError(NOT_SYMMETRIC)
-            iv = first_index[inv]
-            for t in range(m):
-                sigma[ie + t] = iv + t
-        return sigma
 
 
 def multiset(pairs, cert: float | None = None) -> Multiset:
@@ -230,10 +191,6 @@ def multiset(pairs, cert: float | None = None) -> Multiset:
     items = sorted(acc.items())
     return Multiset(tuple(e for e, _ in items), tuple(m for _, m in items),
                     cert)
-
-
-def union(a: Multiset, b: Multiset, cert: float | None = None) -> Multiset:
-    return multiset(list(a.pairs()) + list(b.pairs()), cert=cert)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ import numpy as np
 
 import cayexp
 from cayexp import bsgs
-from cayexp.multiset import Multiset, multiset
+from cayexp.multiset import (NOT_SYMMETRIC, Multiset, NonSymmetricError,
+                             multiset)
 from cayexp.perm import GenSet, Perm
 
 
@@ -100,6 +101,107 @@ def random_symmetric_multiset(elements: list[Perm], seed: int,
         ident = elements[0] ** 0
         pairs[ident] = pairs.get(ident, 0) + 2
     return multiset(pairs.items())
+
+
+# ---------------------------------------------------------------------------
+# element-by-element references for combine's multiset bookkeeping: dicts
+# of elements and the carriers' per-element inv and mul
+
+def symmetric_by_elements(carrier, ms: Multiset) -> bool:
+    """Every element's inverse has the element's multiplicity."""
+    c = ms.counts()
+    return all(c.get(carrier.inv(e), 0) == m for e, m in ms.pairs())
+
+
+def ref_symmetrize(carrier, ms: Multiset) -> Multiset:
+    """The multiset doubled by its inverses, gcd-reduced; a symmetric one
+    unchanged."""
+    if symmetric_by_elements(carrier, ms):
+        return ms
+    pairs = list(ms.pairs()) + [(carrier.inv(e), m) for e, m in ms.pairs()]
+    return multiset(pairs, cert=ms.cert).gcd_reduced()
+
+
+def ref_pair_units(carrier, ms: Multiset):
+    """(sizes, members) of the inverse-pair units, heaviest first."""
+    index = {e: i for i, e in enumerate(ms.elems)}
+    units = []
+    for i, e in enumerate(ms.elems):
+        f = carrier.inv(e)
+        if index.get(f, i) >= i:
+            units.append((i, (e,) if f == e else (e, f)))
+    heads = np.array([i for i, _ in units], dtype=np.int64)
+    sizes = np.array([len(u) for _, u in units], dtype=np.int64)
+
+    def build(us):
+        return multiset([(e, 1) for u in us.tolist() for e in units[u][1]])
+    weight = ms.mult_array()[heads]
+    order = np.argsort(-weight, kind="stable")
+    return sizes[order], lambda us: build(order[us])
+
+
+def ref_pad_to_total(carrier, ms: Multiset, target: int) -> Multiset:
+    """Replicate, then spread the remainder over inverse pairs in order."""
+    total = ms.total
+    if target < total:
+        raise ValueError("target below current total")
+    q, r = divmod(target, total)
+    out_counts = {e: m * q for e, m in ms.pairs()}
+    if r:
+        pairs, selfinv, seen = [], [], set()
+        for e, _ in ms.pairs():
+            if e in seen:
+                continue
+            f = carrier.inv(e)
+            if f not in out_counts:
+                raise NonSymmetricError(
+                    "cannot pad a multiset that is not inverse-closed")
+            seen.update((e, f))
+            if f == e:
+                selfinv.append(e)
+            else:
+                pairs.append((e, f))
+        if r % 2:
+            if not selfinv:
+                raise AssertionError(
+                    "odd remainder with no self-inverse element")
+            out_counts[selfinv[0]] += 1
+            r -= 1
+        cyc = pairs + [(e, e) for e in selfinv]
+        for idx in range(r // 2):
+            e, f = cyc[idx % len(cyc)]
+            out_counts[e] += 1
+            out_counts[f] += 1
+    cert = None
+    if ms.cert is not None:
+        cert = (q * total * ms.cert + target - q * total) / target
+    return multiset(out_counts.items(), cert=cert)
+
+
+def ref_derandomized_square(carrier, u: Multiset, h) -> Multiset:
+    """Products u_i * u_j and u_i^-1 * u_j^-1 over the arcs of h, with the
+    i-th copy of an element paired with the i-th copy of its inverse."""
+    if h.vertex_count != u.total:
+        raise ValueError("aux vertex count differs from the total")
+    cert = None if u.cert is None else u.cert * u.cert + h.certified_mu
+    expanded = [e for e, m in u.pairs() for _ in range(m)]
+    first = {}
+    for i, e in enumerate(expanded):
+        first.setdefault(e, i)
+    counts = u.counts()
+    sigma = []
+    for i, e in enumerate(expanded):
+        f = carrier.inv(e)
+        if counts.get(f) != counts[e]:
+            raise NonSymmetricError(NOT_SYMMETRIC)
+        sigma.append(first[f] + i - first[e])
+    acc = {}
+    for ell in range(h.degree):
+        for i, j in enumerate(h.neighbors[:, ell].tolist()):
+            for p in (carrier.mul(expanded[i], expanded[j]),
+                      carrier.mul(expanded[sigma[i]], expanded[sigma[j]])):
+                acc[p] = acc.get(p, 0) + 1
+    return multiset(acc.items(), cert=cert)
 
 
 # ---------------------------------------------------------------------------

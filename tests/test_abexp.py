@@ -54,7 +54,7 @@ class TestGreedyProvider:
             ms = greedy_expander(carrier, 0.25)
             assert abs(bias_exhaustive(carrier, ms) - ms.cert) < 1e-9
             assert ms.cert <= 0.25
-            assert ms.is_symmetric(carrier.inv)
+            assert carrier.is_symmetric(ms)
             assert ms.total & (ms.total - 1) == 0   # power-of-2 total
 
     def test_small_case_matches_naive_oracle(self):

@@ -17,12 +17,12 @@ from cayexp import catalog
 from cayexp.abexp import final_R, r_carrier
 from cayexp.bsgs import schreier_sims
 from cayexp.carriers import PermCarrier, QuotientCarrier, VectorCarrier
-from cayexp.combine import (aux_family, aux_from_rotation,
+from cayexp.combine import (aux_family, aux_from_rotation, combine_union,
                             derandomized_square, solvable_expander)
 from cayexp.epsbias import verify_bias, zdn_bias_space
 from cayexp.general import babai_bound, rv_composition, \
     strong_generator_multiset
-from cayexp.multiset import format_perm_multiset, multiset, union
+from cayexp.multiset import format_perm_multiset, multiset
 from cayexp.perm import GenSet, Perm, parse_perm
 from cayexp.series import derived_series, dixon_bound, quotient_context
 from cayexp.spectra import (bias_exhaustive, dense_lambda2,
@@ -180,9 +180,11 @@ def test_criterion_2_main_lemma_suite():
             b = _coset_lift_multiset(g, ctx, qcar, 97 * seed + 5)
             lam_b = dense_lambda2(qcar, qcar.image_multiset(b))
             lam = max(lam_a, lam_b)
-            out = union(a, b)
+            out = combine_union(gcar, a.with_cert(lam_a), b.with_cert(lam_b),
+                                verify=False)
             measured = dense_lambda2(gcar, out)
             bound = (1 + lam) * max(a.total, b.total) / (a.total + b.total)
+            assert out.cert == bound
             assert measured <= bound + TOL, (gcar.order, seed)
             instances += 1
             if gcar.order <= 500 and uw_checked < 30:

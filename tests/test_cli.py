@@ -182,11 +182,19 @@ def test_too_large_without_sampled_exit_6(tmp_path, capsys):
     assert "--sampled" not in err
 
 
-def test_build_beyond_verification_cap_exit_6(tmp_path, capsys):
-    # S10 (order 3628800) is above ITER_CAP, so no certificate is emitted
-    big = tmp_path / "s10.grp"
-    big.write_text("degree 10\n(1 2 3 4 5 6 7 8 9 10)\n(1 2)\n")
-    out = tmp_path / "s10.ms"
+@pytest.mark.parametrize("group", [
+    # S10, order 3628800, is not solvable
+    pytest.param("degree 10\n(1 2 3 4 5 6 7 8 9 10)\n(1 2)\n", id="s10"),
+    # 21 disjoint transpositions, order 2^21, is solvable: refused before
+    # the construction, not after it
+    pytest.param("degree 42\n" + "".join(f"({2 * i + 1} {2 * i + 2})\n"
+                                          for i in range(21)), id="z2^21"),
+])
+def test_build_beyond_verification_cap_exit_6(tmp_path, capsys, group):
+    # above ITER_CAP no certificate is emitted
+    big = tmp_path / "big.grp"
+    big.write_text(group)
+    out = tmp_path / "big.ms"
     rc = main(["build-expander", "--group", str(big), "--out", str(out)])
     assert rc == 6
     assert not out.exists()

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -50,7 +52,7 @@ class TestBalance:
                 assert m * q <= ms.counts()[e] <= 2 * m * q
         # both stay symmetric and the certified bound is honored
         for ms in (a2, b2):
-            assert ms.is_symmetric(carrier.inv)
+            assert carrier.is_symmetric(ms)
             assert dense_lambda2(carrier, ms) <= ms.cert + 1e-9
 
     def test_single_involution_doubles_exactly(self):
@@ -134,7 +136,7 @@ class TestDerandomizedSquare:
         aux = aux_family(4, 0.5)
         out = derandomized_square(carrier, u, aux)
         assert out.total == 2 * aux.degree * 4
-        assert out.is_symmetric(carrier.inv)
+        assert carrier.is_symmetric(out)
         measured = dense_lambda2(carrier, out)
         assert measured <= lam * lam + aux.certified_mu + 1e-9
 
@@ -233,7 +235,8 @@ class TestAuxFamily:
         ms = multiset([((1, 0, 0, 1, 1), 3), ((0, 1, 1, 0, 0), 1),
                        ((1, 1, 1, 1, 1), 2), ((0, 0, 0, 0, 1), 1)])
         aux = aux_from_z2_multiset(ms, t)
-        masks = [int("".join(map(str, v)), 2) for v in ms.expand()]
+        masks = [int("".join(map(str, v)), 2)
+                 for v, m in ms.pairs() for _ in range(m)]
         expect = np.arange(1 << t)[:, None] ^ np.array(masks)[None, :]
         assert aux.degree == 7 and aux.vertex_count == 32
         assert aux.neighbors.dtype == np.int64
@@ -277,6 +280,28 @@ class TestReduce:
         assert out.cert <= 0.25
         measured_rounds = sum(1 for t in log if "round" in t)
         assert measured_rounds <= analytic_rounds(lam, 0.0)
+
+    def test_analytic_branch_above_the_measurement_cap(self, monkeypatch):
+        # with the cap below the order, Z3 x Z5 cannot be measured: no
+        # compaction and no padding (the total 8 is a power of 2), and one
+        # derandomized square with the full Z2^3 auxiliary (mu = 0) takes
+        # the bound from 0.468 to its square
+        carrier = VectorCarrier((3, 5))
+        ms = multiset([((0, 0), 2), ((0, 1), 1), ((0, 4), 1), ((1, 2), 1),
+                       ((2, 3), 1), ((1, 4), 1), ((2, 1), 1)])
+        lam = bias_exhaustive(carrier, ms)
+        assert 0.25 < lam <= 0.5
+        # the package exports the function combine under the module's name
+        monkeypatch.setattr(importlib.import_module("cayexp.combine"),
+                            "EXHAUSTIVE_CHAR_CAP", carrier.order - 1)
+        with obs.recording() as log:
+            out = reduce_to_quarter(carrier, ms.with_cert(lam))
+        assert log == [{"op": "derandomized-square", "round": 1,
+                        "total": 128, "cert": lam * lam, "aux_degree": 8,
+                        "aux_mu": 0.0}]
+        assert out.total == 2 * 8 * ms.total and out.cert == lam * lam
+        monkeypatch.undo()
+        assert bias_exhaustive(carrier, out) <= out.cert + 1e-12
 
     def test_bipartite_cannot_amplify(self):
         t = parse_perm("(1 2)", 2)
@@ -430,4 +455,4 @@ class TestCompact:
         ms = multiset([(v, 1) for v in carrier.elements()], cert=0.0)
         out = compact(carrier, ms, 16, target_cert=0.5)
         assert out.cert <= 0.5
-        assert out.is_symmetric(carrier.inv)
+        assert carrier.is_symmetric(out)

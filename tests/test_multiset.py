@@ -1,11 +1,14 @@
+import numpy as np
 import pytest
+
+from helpers import symmetric_by_elements
 
 from cayexp.carriers import (AbelianShape, PermCarrier, VectorCarrier,
                              require_symmetric)
-from cayexp.multiset import (NonSymmetricError, Multiset, multiset,
+from cayexp.combine import combine_union
+from cayexp.multiset import (NonSymmetricError, multiset,
                              format_perm_multiset, format_vector_multiset,
-                             parse_perm_multiset, parse_vector_multiset,
-                             union)
+                             parse_perm_multiset, parse_vector_multiset)
 from cayexp.perm import GenSet, Perm, parse_perm
 from cayexp.spectra import dense_lambda2
 
@@ -31,23 +34,27 @@ def test_total_must_be_positive():
 def test_symmetry_check():
     g, carrier = z5_setup()
     ok = multiset([(g, 2), (g.inv(), 2)])
-    assert ok.is_symmetric(carrier.inv)
+    assert symmetric_by_elements(carrier, ok)
     assert carrier.is_symmetric(ok)
     bad = multiset([(g, 2), (g.inv(), 1)])
-    assert not bad.is_symmetric(carrier.inv)
+    assert not symmetric_by_elements(carrier, bad)
     assert not carrier.is_symmetric(bad)
     with pytest.raises(NonSymmetricError):
         require_symmetric(carrier, bad)
 
 
 def test_inverse_pairing_is_involution():
+    # the inverse codes of the multiplicity-expanded rows pair the i-th
+    # copy of an element with the i-th copy of its inverse
     g, carrier = z5_setup()
     ms = multiset([(g, 2), (g.inv(), 2), (Perm.identity(5), 1)])
-    sigma = ms.inverse_pairing(carrier.inv)
-    expanded = ms.expand()
-    for i, j in enumerate(sigma):
-        assert sigma[j] == i
-        assert expanded[j] == carrier.inv(expanded[i])
+    rows = carrier.codes(ms).repeat(ms.mult_array(), axis=0)
+    inv = carrier.inv_codes(rows)
+    assert np.array_equal(carrier.inv_codes(inv), rows)
+    expanded = [e for e, m in ms.pairs() for _ in range(m)]
+    assert [Perm(r) for r in inv.tolist()] == \
+        [carrier.inv(e) for e in expanded]
+    assert carrier.tally(inv) == ms
 
 
 def test_scaling_leaves_lambda2_unchanged():
@@ -67,11 +74,12 @@ def test_gcd_reduction():
 
 
 def test_union_adds_multiplicities():
-    g, _ = z5_setup()
-    a = multiset([(g, 1)])
-    b = multiset([(g, 2), (g.inv(), 1)])
-    u = union(a, b)
-    assert u.counts()[g] == 3
+    g, carrier = z5_setup()
+    a = multiset([(g, 1)], cert=0.5)
+    b = multiset([(g, 2), (g.inv(), 1)], cert=0.5)
+    u = combine_union(carrier, a, b, verify=False)
+    assert u.counts() == {g: 3, g.inv(): 1}
+    assert u.cert == 1.5 * 3 / 4
 
 
 def test_map_elems_transports_multiplicity():
@@ -108,9 +116,13 @@ def test_vector_width_checked_on_parse():
 
 
 def test_add_identity():
+    # the lazy step: a tally of the codes with the identity's appended
+    carrier = VectorCarrier((5,))
     ms = multiset([((1,), 1), ((4,), 1)])
-    lazy = ms.add_identity((0,), 2)
-    assert lazy.counts()[(0,)] == 2
+    ident = carrier.codes([carrier.identity()])
+    lazy = carrier.tally(np.concatenate((carrier.codes(ms), ident)),
+                         np.append(ms.mult_array(), 2))
+    assert lazy.counts() == {(0,): 2, (1,): 1, (4,): 1}
     assert lazy.total == 4
 
 
