@@ -231,8 +231,9 @@ def bfs_distances(tables):
     frontier = np.array([0], dtype=np.int64)
     d = 0
     while frontier.size:
-        nxt = np.unique(tables[:, frontier].ravel())
-        nxt = nxt[dist[nxt] < 0]
+        reached = np.zeros(n, dtype=bool)
+        reached[tables[:, frontier].ravel()] = True
+        nxt = np.flatnonzero(reached & (dist < 0))
         d += 1
         dist[nxt] = d
         frontier = nxt

@@ -12,7 +12,9 @@ The construction chain, bottom up:
   bias at most 1/c + eps.
 * build_abelianization / abelian_quotient_expander: the onto homomorphism
   from a product of prime-power cyclic groups onto an abelian quotient H/N
-  of permutation groups, and the per-level images folded inside H/N.
+  of permutation groups, and the per-level images of R over
+  prod_j Z_{p_j}^r, r the number of reduced generators of H, folded inside
+  H/N.
 """
 
 from __future__ import annotations
@@ -367,10 +369,11 @@ def r_carrier(n: int, primes) -> VectorCarrier:
 
 @dataclass
 class AbelianizationHom:
-    """Onto homomorphism prod_j Z_{p_j^{e_j}}^n -> H/N.
+    """Onto homomorphism prod_j Z_{p_j^{e_j}}^r -> H/N.
 
     Basis images y[i][j] = x_i^(r_i / p_j^(e_ij)) for the reduced generators
-    x_i of H; phi(a) = N * prod_j prod_i y_ij^(a_ij).
+    x_i of H; phi(a) = N * prod_j prod_i y_ij^(a_ij). The rank r is
+    len(xs): at least 1, and usually far below the permutation degree.
     """
 
     ctx: QuotientContext
@@ -491,23 +494,25 @@ def abelian_quotient_expander(h: BSGS, n: BSGS, target: float = 0.25,
                               c: int = 8, eps: float = 0.125) -> Multiset:
     """Certified expanding multiset on the abelian quotient H/N.
 
-    Builds the final-construction sets R per level of the prime-power
-    series, pushes each through the level homomorphism (so nothing larger
-    than H/N is ever materialized), and folds the resulting normal series
-    of subgroups of H/N.
+    Builds the final-construction sets R over prod_j Z_{p_j}^r, with
+    r = len(hom.xs), per level of the prime-power series, pushes each
+    through the level homomorphism (so nothing larger than H/N is ever
+    materialized), and folds the resulting normal series of subgroups of
+    H/N.
     """
     hom = build_abelianization(h, n)
     ctx = hom.ctx
     if ctx.order == 1:
         return multiset([(ctx.identity(), 1)], cert=0.0)
     degree_n = h.degree
+    rank = len(hom.xs)
     groups = _level_groups(hom)
     depth = len(groups) - 1
     sets = []
     for s in range(depth):
         live = [j for j in range(len(hom.primes)) if hom.exps[j] > s]
         live_primes = tuple(hom.primes[j] for j in live)
-        r_points = _compact_r_points(degree_n, live_primes, c, eps)
+        r_points = _compact_r_points(rank, live_primes, c, eps)
         qctx = quotient_context(groups[s], groups[s + 1])
         qcar = QuotientCarrier(qctx)
 
@@ -520,7 +525,7 @@ def abelian_quotient_expander(h: BSGS, n: BSGS, target: float = 0.25,
                     a = vec[pos + i]
                     if a and hom.e_table[i][jj] > s:
                         acc = acc * (hom.ys[i][jj] ** (a * p**s))
-                pos += degree_n
+                pos += rank
             return qctx.canonicalize(acc)
 
         img = r_points.map_elems(level_map, cert=r_points.cert)
@@ -537,8 +542,8 @@ def abelian_quotient_expander(h: BSGS, n: BSGS, target: float = 0.25,
 @lru_cache(maxsize=None)
 def _final_r_cached(n: int, primes: tuple[int, ...], c: int,
                     eps: float) -> FinalR:
-    # level maps only use coordinates i < len(xs) <= n, so the R points over
-    # prod Z_p^n cover every level's needs
+    # R over prod Z_p^n: n is the dimension of a bias space, or the rank
+    # len(hom.xs) of an abelian quotient's level map
     return final_R(n, primes, c=c, eps=eps)
 
 

@@ -4,18 +4,19 @@ import pytest
 
 from helpers import naive_bias
 
-from cayexp import catalog
+from cayexp import abexp, catalog
 from cayexp.abexp import (abelian_quotient_expander, build_abelianization,
                           crt_split, cyclic_expander, factorize, final_R,
                           greedy_expander, hom_image, primes_and_exponent,
                           product_base_expander, psi_to_fields, r_carrier)
 from cayexp.bsgs import schreier_sims
 from cayexp.carriers import PermCarrier, QuotientCarrier, VectorCarrier
+from cayexp.combine import solvable_expander
 from cayexp.fields import field_pow, inner_product
 from cayexp.multiset import multiset
-from cayexp.perm import GenSet, parse_perm
+from cayexp.perm import GenSet, Perm, parse_perm
 from cayexp.series import derived_series, quotient_context
-from cayexp.spectra import bias_exhaustive, dense_lambda2
+from cayexp.spectra import bias_exhaustive, dense_lambda2, second_eigenvalue
 
 
 class TestPrimesAndExponent:
@@ -318,7 +319,6 @@ class TestLevelGroups:
     def test_fold_trace_logs_merges(self):
         g = catalog.s4()
         from cayexp import obs
-        from cayexp.combine import solvable_expander
         with obs.recording() as log:
             solvable_expander(derived_series(g))
         merges = [t for t in log if t["op"] == "fold-merge"]
@@ -347,3 +347,46 @@ class TestAbelianQuotient:
         out = abelian_quotient_expander(b, b)
         assert out.cert == 0.0
         assert out.total == 1
+
+    def test_agl_1_13_certifies(self):
+        # degree 13, rank 2: an R at the degree (over Z_13^13) is too large
+        # to measure, and its analytic squaring needs an infeasible
+        # auxiliary graph
+        g = GenSet(13, (Perm(tuple((x + 1) % 13 for x in range(13))),
+                        Perm(tuple((2 * x) % 13 for x in range(13)))))
+        assert schreier_sims(g).order() == 156
+        out = solvable_expander(derived_series(g), 0.25)
+        assert out.cert <= 0.25 + 1e-9
+        report = second_eigenvalue(PermCarrier.of(g), out)
+        assert report.lambda2 <= 0.25 + 1e-9
+
+
+class TestLevelRank:
+    """Each level's R is built over prod_j Z_{p_j}^r, r = len(hom.xs)."""
+
+    # ranks of the derived-series quotients; Z6 is a rank-1 quotient
+    @pytest.mark.parametrize("group,ranks", [
+        (catalog.s4, [2, 2, 2]),
+        (catalog.sylow2_s8, [3, 3, 1]),
+        (catalog.z6, [1]),
+    ])
+    def test_r_points_at_quotient_rank(self, group, ranks, monkeypatch):
+        real = abexp._compact_r_points
+        calls = []
+
+        def spy(n, primes, c, eps):
+            calls.append(n)
+            return real(n, primes, c, eps)
+
+        monkeypatch.setattr(abexp, "_compact_r_points", spy)
+        chain = derived_series(group())
+        quotients = list(zip(chain.terms, chain.terms[1:]))
+        assert [len(build_abelianization(h, k).xs)
+                for h, k in quotients] == ranks
+        for (h, k), rank in zip(quotients, ranks):
+            calls.clear()
+            out = abelian_quotient_expander(h, k)
+            assert calls and set(calls) == {rank}
+            assert out.cert <= 0.25 + 1e-9
+            qcar = QuotientCarrier(quotient_context(h, k))
+            assert dense_lambda2(qcar, out) <= 0.25 + 1e-9

@@ -1,8 +1,13 @@
 """The numpy kernels against plain loop references."""
 
+from collections import deque
+
 import numpy as np
 
 from cayexp import _kernels as K
+from cayexp import catalog
+from cayexp.carriers import PermCarrier, VectorCarrier
+from cayexp.multiset import multiset
 
 rng = np.random.default_rng(42)
 
@@ -76,3 +81,40 @@ def test_char_sums_match_root_products(monkeypatch):
     assert np.array_equal(K.char_sums(pts, w, betas, moduli), want)
     assert [r[2] for r in K._lcm_ranges((12, 2, 3, 40))] == [12, 40]
     assert [r[2] for r in K._lcm_ranges((2, 3, 4, 5, 6))] == [12, 5, 6]
+
+
+def _bfs_reference(tables):
+    """Distances from 0 by a plain queue over the table rows."""
+    n = tables.shape[1]
+    dist = [-1] * n
+    dist[0] = 0
+    queue = deque([0])
+    while queue:
+        v = queue.popleft()
+        for row in tables:
+            w = int(row[v])
+            if dist[w] < 0:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return np.array(dist, dtype=np.int64)
+
+
+def _bfs_cases():
+    a5 = catalog.a5()
+    gens = a5.nontrivial_gens()
+    yield PermCarrier.of(a5), multiset(
+        [(x, 1) for x in gens] + [(x.inv(), 1) for x in gens])
+    z = VectorCarrier((4, 6, 5))
+    # <(1,0,0), (0,2,0)> misses half of Z4 x Z6 x Z5: unreached stay -1
+    yield z, multiset([((1, 0, 0), 1), ((3, 0, 0), 1), ((0, 2, 0), 1),
+                       ((0, 4, 0), 1)])
+    yield z, multiset([((1, 0, 0), 1), ((3, 0, 0), 1), ((0, 1, 1), 1),
+                       ((0, 5, 4), 1)])
+
+
+def test_bfs_distances_match_queue_reference():
+    for carrier, ms in _bfs_cases():
+        tables, _ = carrier.action_tables(ms)
+        got = K.bfs_distances(tables)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _bfs_reference(tables))

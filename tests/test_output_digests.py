@@ -47,15 +47,15 @@ def test_bias_space_digest(d, n, eps, digest):
 def test_solvable_a4_digest():
     out = solvable_expander(derived_series(catalog.a4()), 0.25)
     assert sha256(format_perm_multiset(out, 4)) == \
-        "d4242a4b4b57a65aaba96e658078edd918c5f1a6e7a42d94f0ffcf640c95efd7"
+        "cc7d2528b80ca41bec16f38ce03969c8efc74457773d8759170c6fd6cee41daa"
 
 
 # the solvable pipeline: quotient carriers of every fold and abelian level
 @pytest.mark.parametrize("name,group,digest", [
     ("Syl2(S8)", catalog.sylow2_s8,
-     "27fedff75bcef54b987e8d5fcbec9857b0e53853fee1f14b778ce1a7b1ab4cfe"),
+     "6acec9c340a2accb50ac0aea257dad2f46eaf0ab3b56999ab92273cd8a756aa9"),
     ("S4", catalog.s4,
-     "bf7349c1c18db1832ff18c73576a5b1ecd4caf9b26cde6df655a096f15be7ab1"),
+     "164e7eb6fb394cc1f93c9fb80bcb333731ebe79825aa4ca0611da2b988e3e8a0"),
 ])
 def test_solvable_expander_digest(name, group, digest):
     g = group()
