@@ -18,8 +18,8 @@ from .combine import (AuxExpander, aux_family, balance, combine,
                       derandomized_square, fold_series, reduce_to_quarter,
                       solvable_expander)
 from .abexp import (abelian_quotient_expander, build_abelianization,
-                    cyclic_expander, final_R, hom_image,
-                    primes_and_exponent, product_base_expander)
+                    cyclic_expander, final_R, primes_and_exponent,
+                    product_base_expander)
 from .epsbias import BiasSpace, factorize, verify_bias, zdn_bias_space
 from .general import (AmplificationSchedule, babai_bound, general_expander,
                       rv_composition)

@@ -15,6 +15,13 @@ The construction chain, bottom up:
   of permutation groups, and the per-level images of R over
   prod_j Z_{p_j}^r, r the number of reduced generators of H, folded inside
   H/N.
+
+Every pushforward is one array map. Maps between vector groups (the CRT
+split of a cyclic level, the window embeds of a fold, and the k-fold embeds
+of ``epsbias``) are ``vector_map``: column picks and scalings of the
+coordinate rows. A level map onto a quotient gathers, per coordinate of R,
+one of p precomputed image rows and multiplies them with the quotient's
+``mul_codes``.
 """
 
 from __future__ import annotations
@@ -35,7 +42,8 @@ from .fields import FieldSpec, construct_field
 from .multiset import Multiset, multiset
 from .perm import GenSet, Perm, commutator, format_perm
 from .series import QuotientContext, SubgroupChain, quotient_context
-from .spectra import EXHAUSTIVE_CHAR_CAP, bias_exhaustive, root_tables
+from .spectra import (DENSE_CAP, EXHAUSTIVE_CHAR_CAP, bias_exhaustive,
+                      root_tables)
 
 GREEDY_ORDER_CAP = 2**18
 GREEDY_FULL_CAP = 1024
@@ -159,8 +167,15 @@ def cyclic_expander(t: int, lam: float) -> Multiset:
     return greedy_expander(VectorCarrier((t,)), lam)
 
 
-def crt_split(x: int, primes) -> tuple[int, ...]:
-    return tuple(x % p for p in primes)
+def vector_map(ms: Multiset, dst: VectorCarrier, cols,
+               scale=1) -> Multiset:
+    """Image of a vector multiset under v -> (v[cols[t]] * scale[t] mod m_t)_t
+    on dst = prod_t Z_{m_t}; a column of -1 reads 0. Multiplicities and the
+    certificate carry over (the maps used are onto homomorphisms)."""
+    coords = ms.coordinates()
+    coords = np.column_stack((coords, np.zeros(len(coords), dtype=np.int64)))
+    rows = coords[:, cols] * np.asarray(scale) % np.array(dst.moduli)
+    return dst.tally(dst.ravel(rows), ms.mult_array(), ms.cert)
 
 
 # ---------------------------------------------------------------------------
@@ -180,17 +195,16 @@ def _window_widths(primes, ms_list, lo, hi):
     return [max(0, min(hi, m) - lo) for m in ms_list]
 
 
-def _embed_window(vec, widths_src, widths_dst, offset):
-    """Place per-block source coordinates at `offset` inside wider blocks."""
-    out = []
+def _window_cols(widths_src, widths_dst, offset) -> list[int]:
+    """Source column of every destination column when per-block source
+    coordinates sit at `offset` inside wider blocks (-1: none)."""
+    cols = []
     pos = 0
     for ws, wd in zip(widths_src, widths_dst):
-        block = [0] * wd
-        for i in range(ws):
-            block[offset + i] = vec[pos + i]
+        cols.extend(pos + t - offset if 0 <= t - offset < ws else -1
+                    for t in range(wd))
         pos += ws
-        out.extend(block)
-    return tuple(out)
+    return cols
 
 
 def product_base_expander(primes, m, lam: float = 0.25) -> Multiset:
@@ -212,8 +226,9 @@ def product_base_expander(primes, m, lam: float = 0.25) -> Multiset:
         live = [p for p, mm in zip(primes, ms_list) if mm > s]
         prod = math.prod(live)
         cyc = greedy_expander(VectorCarrier((prod,)), lam)
-        out = cyc.map_elems(lambda v: crt_split(v[0], live), cert=cyc.cert)
-        return reverify(VectorCarrier(tuple(live)), out)
+        q = VectorCarrier(tuple(live))
+        # the CRT split x -> (x mod p)_p of Z_{p_1...p_k}
+        return reverify(q, vector_map(cyc, q, [0] * len(live)))
 
     def merge(lo: int, mid: int, hi: int, upper: Multiset,
               lower: Multiset) -> Multiset:
@@ -225,10 +240,8 @@ def product_base_expander(primes, m, lam: float = 0.25) -> Multiset:
         if sum(w_up) == 0:
             return lower
         q = _window_carrier(primes, ms_list, lo, hi)
-        a = lower.map_elems(
-            lambda v: _embed_window(v, w_low, w_q, mid - lo), cert=lower.cert)
-        b = upper.map_elems(
-            lambda v: _embed_window(v, w_up, w_q, 0), cert=upper.cert)
+        a = vector_map(lower, q, _window_cols(w_low, w_q, mid - lo))
+        b = vector_map(upper, q, _window_cols(w_up, w_q, 0))
         return amplified_union(q, a, b, lam)
 
     # the level-s quotient window is exactly the live primes' coordinates,
@@ -266,17 +279,6 @@ def _field_exponents(n: int, primes, c: int) -> list[int]:
     return out
 
 
-def psi_to_fields(vec, fields, widths) -> tuple:
-    """Coordinate truncation onto the additive groups of the fields."""
-    out = []
-    pos = 0
-    for f, w in zip(fields, widths):
-        block = vec[pos:pos + w]
-        out.append(f.element(tuple(block[:f.m]) + (0,) * (f.m - len(block))))
-        pos += w
-    return tuple(out)
-
-
 def final_R(n: int, primes, c: int = 8, base: Multiset | None = None,
             eps: float = 0.125, verify: bool = True) -> FinalR:
     """Expanding generating multiset for prod_j Z_{p_j}^n.
@@ -304,14 +306,14 @@ def final_R(n: int, primes, c: int = 8, base: Multiset | None = None,
     if 1 / c + base.cert > 0.25 + 1e-9:
         raise CertificationError(
             f"1/c + eps = {1 / c + base.cert:.4f} exceeds 1/4")
-    first = next(iter(base.elems))
-    per_block = len(first) // len(primes)
+    coords = base.coordinates()
+    width = coords.shape[1]
     # base over the ragged product has exactly m_j coords per block; a
     # uniform-m base is truncated per block by psi
-    if len(first) == sum(exps):
+    if width == sum(exps):
         widths = list(exps)
-    elif len(first) % len(primes) == 0 and per_block >= max(exps):
-        widths = [per_block] * len(primes)
+    elif width % len(primes) == 0 and width // len(primes) >= max(exps):
+        widths = [width // len(primes)] * len(primes)
     else:
         raise ValueError("base vector width incompatible with field sizes")
 
@@ -320,9 +322,11 @@ def final_R(n: int, primes, c: int = 8, base: Multiset | None = None,
         raise ValueError("field too small for c*n distinct tuple coordinates")
     tuples = tuple(tuple(f.from_index(j) for f in fields) for j in range(cn))
 
+    # psi, the coordinate truncation onto the fields' additive groups: the
+    # first m_j columns of block j (every block is at least m_j wide)
+    starts = np.cumsum([0] + widths[:-1])
+    ymats = [coords[:, pos:pos + f.m] for pos, f in zip(starts, fields)]
     # per prime: power tables pw[j][t, l] = coeff vector of x_j(t)^l
-    ys = [psi_to_fields(v, fields, widths) for v in base.elems]
-    mults = np.array(base.mults, dtype=np.int64)
     pws = []
     for jp, f in enumerate(fields):
         pw = np.empty((cn, n, f.m), dtype=np.int64)
@@ -333,23 +337,22 @@ def final_R(n: int, primes, c: int = 8, base: Multiset | None = None,
                 pw[t, ell] = acc.coeffs
                 acc = acc * x
         pws.append(pw)
-    ymats = [np.array([y[jp].coeffs for y in ys], dtype=np.int64)
-             for jp in range(len(fields))]
     # point rows are built in tuple chunks, which bounds the int64 row
     # matrix; the codes and weights of all cn * |base| points are kept and
     # tallied together, one int64 each
     carrier = r_carrier(n, primes)
     codes = []
-    chunk = max(1, 4_000_000 // max(1, len(ys) * len(primes) * n))
+    chunk = max(1, 4_000_000 // max(1, len(coords) * len(primes) * n))
     for t0 in range(0, cn, chunk):
         t1 = min(cn, t0 + chunk)
         blocks = [np.einsum("tlm,sm->tsl", pws[jp][t0:t1], ymats[jp]) % p
                   for jp, p in enumerate(primes)]
-        flat = np.concatenate(blocks, axis=2).reshape((t1 - t0) * len(ys), -1)
+        flat = np.concatenate(blocks, axis=2).reshape((t1 - t0) * len(coords),
+                                                      -1)
         codes.append(carrier.ravel(flat))
     cert = 1 / c + base.cert
-    points = carrier.tally(np.concatenate(codes), np.tile(mults, cn),
-                           cert=cert)
+    points = carrier.tally(np.concatenate(codes),
+                           np.tile(base.mult_array(), cn), cert=cert)
     assert points.total == cn * base.total
     if verify and carrier.order <= EXHAUSTIVE_CHAR_CAP:
         measured = bias_exhaustive(carrier, points)
@@ -460,18 +463,6 @@ def build_abelianization(hb: BSGS, nb: BSGS) -> AbelianizationHom:
     return hom
 
 
-def hom_image(fn, s: Multiset, codomain=None) -> Multiset:
-    """Image multiset under an onto homomorphism; certification transports."""
-    out = s.map_elems(fn, cert=s.cert)
-    if codomain is not None:
-        out = reverify(codomain, out)
-        if s.cert is not None and out.cert is not None \
-                and out.cert > s.cert + 1e-9:
-            raise CertificationError(
-                f"image bias {out.cert} above source bound {s.cert}")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # abelian quotient pipeline
 
@@ -498,13 +489,13 @@ def abelian_quotient_expander(h: BSGS, n: BSGS, target: float = 0.25,
     r = len(hom.xs), per level of the prime-power series, pushes each
     through the level homomorphism (so nothing larger than H/N is ever
     materialized), and folds the resulting normal series of subgroups of
-    H/N.
+    H/N. A level image measured exactly (order at most DENSE_CAP) above
+    its source's bound raises CertificationError.
     """
     hom = build_abelianization(h, n)
     ctx = hom.ctx
     if ctx.order == 1:
         return multiset([(ctx.identity(), 1)], cert=0.0)
-    degree_n = h.degree
     rank = len(hom.xs)
     groups = _level_groups(hom)
     depth = len(groups) - 1
@@ -513,23 +504,31 @@ def abelian_quotient_expander(h: BSGS, n: BSGS, target: float = 0.25,
         live = [j for j in range(len(hom.primes)) if hom.exps[j] > s]
         live_primes = tuple(hom.primes[j] for j in live)
         r_points = _compact_r_points(rank, live_primes, c, eps)
-        qctx = quotient_context(groups[s], groups[s + 1])
-        qcar = QuotientCarrier(qctx)
-
-        def level_map(vec, s=s, live=live):
-            acc = Perm.identity(degree_n)
-            pos = 0
-            for jj in live:
-                p = hom.primes[jj]
-                for i in range(len(hom.xs)):
-                    a = vec[pos + i]
-                    if a and hom.e_table[i][jj] > s:
-                        acc = acc * (hom.ys[i][jj] ** (a * p**s))
-                pos += rank
-            return qctx.canonicalize(acc)
-
-        img = r_points.map_elems(level_map, cert=r_points.cert)
-        img = reverify(qcar, img)
+        qcar = QuotientCarrier(quotient_context(groups[s], groups[s + 1]))
+        # the level map a -> prod y_ij^(a_ij p_j^s), as row gathers: column
+        # (j, i) of R picks one of the p_j image rows of y_ij^(a p_j^s)
+        coords = r_points.coordinates()
+        ident = qcar.codes([qcar.identity()])
+        acc = np.repeat(ident, len(coords), axis=0)
+        for b, j in enumerate(live):
+            p = hom.primes[j]
+            for i in range(rank):
+                if hom.e_table[i][j] > s:
+                    y = hom.ys[i][j] ** (p**s)
+                    # mul_codes makes each product canonical, and N is
+                    # normal, so the power rows need not be canonical
+                    powers = qcar.codes([y**a for a in range(p)])
+                    acc = qcar.mul_codes(acc, powers[coords[:, b * rank + i]])
+        img = reverify(qcar, qcar.tally(acc, r_points.mult_array(),
+                                        r_points.cert))
+        # a pushforward along an onto homomorphism cannot raise the bias;
+        # above DENSE_CAP reverify gives the moment iteration's upper end,
+        # which sits above the true bias, so only exact values are compared
+        if (qcar.order <= DENSE_CAP and img.cert is not None
+                and img.cert > r_points.cert + 1e-9):
+            raise CertificationError(
+                f"level {s} image bias {img.cert} above its source bound "
+                f"{r_points.cert}")
         img = compact(qcar, img, 2048, target_cert=target)
         if img.cert is None or img.cert > target + 1e-9:
             img = reduce_to_quarter(qcar, img, target=target)
@@ -550,6 +549,6 @@ def _final_r_cached(n: int, primes: tuple[int, ...], c: int,
 @lru_cache(maxsize=None)
 def _compact_r_points(n: int, primes: tuple[int, ...], c: int,
                       eps: float) -> Multiset:
-    """R points compacted (certified) for cheap per-element pushforwards."""
+    """R points compacted (certified) for cheap pushforwards."""
     r = _final_r_cached(n, primes, c, eps)
     return compact(r_carrier(n, primes), r.points, 2048, target_cert=0.25)

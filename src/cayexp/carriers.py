@@ -10,7 +10,11 @@ Every carrier has one array protocol, over which multiset bookkeeping is
 written once: ``codes(ms)`` (the element array, in element order),
 ``inv_codes`` and ``mul_codes`` (row-by-row inverses and products), ``keys``
 (one sortable scalar per element, ordered like the elements) and ``tally``
-(the canonical ``Multiset`` of an element array, repeats merged).
+(the canonical ``Multiset`` of an element array, repeats merged). The
+construction's pushforwards are written on it too: a map between vector
+groups is arithmetic on coordinate rows (``abexp.vector_map``), and a map
+into a quotient multiplies gathered image rows with ``mul_codes``; either
+ends in one ``tally`` of the images with the source's multiplicities.
 
 A vector group codes an element as its mixed-radix index
 (``ravel_multi_index``), its own key; its multisets keep their codes

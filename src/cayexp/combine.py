@@ -353,8 +353,8 @@ def aux_family(vertex_count: int, target_mu: float) -> AuxExpander:
     if vertex_count == 1:
         aux = AuxExpander(1, 1, np.zeros((1, 1), dtype=np.int64), 0.0, (0,))
     elif vertex_count <= _FULL_SQUARE_CAP:
-        carrier = VectorCarrier((2,) * t)
-        full = multiset([(v, 1) for v in carrier.elements()])
+        full = VectorCarrier((2,) * t).from_codes(
+            np.arange(vertex_count), np.ones(vertex_count, dtype=np.int64))
         aux = aux_from_z2_multiset(full, t)
     else:
         from .abexp import greedy_expander
@@ -510,7 +510,8 @@ def reduce_to_quarter(carrier: Carrier, u: Multiset, target: float = 0.25,
     convolution, mu = 0) and re-measures lambda2 exactly. On a larger one,
     each round pads to a power-of-2 total and derandomized-squares with a
     small-degree auxiliary from aux_family, propagating the lam^2 + mu bound
-    only.
+    only. Each square is logged, and so is each compaction after one, so
+    the last logged total is the returned one.
     """
     if u.cert is None:
         u = reverify(carrier, u)
@@ -524,6 +525,8 @@ def reduce_to_quarter(carrier: Carrier, u: Multiset, target: float = 0.25,
     while True:
         if measurable:
             u = compact(carrier, u, compact_total, target_cert=target)
+            if rounds:
+                obs.event("compact", total=u.total, cert=u.cert)
         if u.cert is not None and u.cert <= target:
             return u
         if rounds >= max_rounds:

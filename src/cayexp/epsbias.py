@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .abexp import _compact_r_points, _final_r_cached, factorize
+from .abexp import (_compact_r_points, _final_r_cached, factorize,
+                    vector_map)
 from .carriers import VectorCarrier
 from .combine import (amplified_union, fold_levels, reduce_to_quarter,
                       reverify, symmetrize)
@@ -50,26 +51,25 @@ def _kfold_carrier(fac, n: int, lo: int, hi: int) -> VectorCarrier:
     return VectorCarrier(tuple(moduli)) if moduli else VectorCarrier((1,))
 
 
-def _kfold_embed(vec, fac, n, lo, hi, src_lo, src_hi):
-    """Embed a [src_lo, src_hi) window vector into the [lo, hi) window.
+def _kfold_cols(fac, n, lo, hi, src_lo, src_hi):
+    """The embedding of the [src_lo, src_hi) window into the [lo, hi) window,
+    as ``vector_map`` columns and scales.
 
     Exponent digits [src_lo, src_hi) sit at p-adic offset src_lo - lo inside
     the wider window's residues, so each coordinate is scaled by
-    p^(src_lo - lo).
+    p^(src_lo - lo); a prime with no source digits reads column -1 (zero).
     """
-    out = []
+    cols, scale = [], []
     pos = 0
     for p, e in fac:
         wd = max(0, min(hi, e) - lo)
         ws = max(0, min(src_hi, e) - src_lo)
-        shift = p ** (src_lo - lo)
         if wd:
-            for i in range(n):
-                v = vec[pos + i] if ws else 0
-                out.append((v * shift) % (p**wd))
+            cols.extend(range(pos, pos + n) if ws else [-1] * n)
+            scale.extend([p ** (src_lo - lo)] * n)
         if ws:
             pos += n
-    return tuple(out)
+    return cols, scale
 
 
 def _crt_digits(ms: Multiset, fac, carrier: VectorCarrier) -> Multiset:
@@ -124,12 +124,10 @@ def zdn_bias_space(d: int, n: int, eps: float, c: int = 8,
         q = _kfold_carrier(fac, n, lo, hi)
         # the digit lift of the B side is not inverse-closed in the wider
         # window (only its image mod the A part is), so symmetrize both
-        a = symmetrize(q, lower.map_elems(
-            lambda v: _kfold_embed(v, fac, n, lo, hi, mid, hi),
-            cert=lower.cert))
-        b = symmetrize(q, upper.map_elems(
-            lambda v: _kfold_embed(v, fac, n, lo, hi, lo, mid),
-            cert=upper.cert))
+        a = symmetrize(q, vector_map(
+            lower, q, *_kfold_cols(fac, n, lo, hi, mid, hi)))
+        b = symmetrize(q, vector_map(
+            upper, q, *_kfold_cols(fac, n, lo, hi, lo, mid)))
         return amplified_union(q, a, b, 0.25)
 
     out = fold_levels([level_set(s) for s in range(depth)],

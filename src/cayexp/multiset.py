@@ -14,9 +14,10 @@ the ``elems``/``mults`` tuples only when they are read. Code order is
 lexicographic tuple order, so both forms list the same elements in the same
 order; equality and hashing are by element.
 
-Arithmetic that needs the group (inverses, products, unions, symmetry) is
-the carriers' array protocol (see ``carriers``); a multiset itself only
-scales and reduces its multiplicities and maps its elements by a function.
+Arithmetic that needs the group (inverses, products, unions, symmetry,
+images under homomorphisms) is written on the carriers' array protocol (see
+``carriers``); a multiset itself only scales and reduces its
+multiplicities.
 """
 
 from __future__ import annotations
@@ -170,14 +171,6 @@ class Multiset:
         if g <= 1:
             return self
         return self.with_mults(self.mult_array() // g, self.cert)
-
-    def map_elems(self, fn, cert: float | None = None) -> "Multiset":
-        """Image multiset under fn, multiplicities transported and merged."""
-        acc: dict = {}
-        for e, m in self.pairs():
-            k = fn(e)
-            acc[k] = acc.get(k, 0) + m
-        return multiset(acc.items(), cert=cert)
 
 
 def multiset(pairs, cert: float | None = None) -> Multiset:

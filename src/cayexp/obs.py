@@ -2,7 +2,7 @@
 
     with obs.recording() as log:
         general_expander(g, 0.05)
-    [e["op"] for e in log]      # strong-gens, square, ...
+    [e["op"] for e in log]      # strong-gens, square, compact, ...
 
 Each event is a dict with its "op" first, then its fields (totals, bounds,
 spans). Outside ``recording()`` an event costs one context-variable read.

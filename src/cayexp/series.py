@@ -14,7 +14,7 @@ so the greedy position-by-position choice is exact).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bsgs import BSGS, schreier_sims
 from .perm import GenSet, Perm, commutator, format_perm
@@ -100,25 +100,18 @@ class QuotientContext:
 
     parent: BSGS
     kernel: BSGS
-    _cache: dict[Perm, Perm] = field(default_factory=dict, repr=False)
 
     @property
     def order(self) -> int:
         return self.parent.order() // self.kernel.order()
 
     def canonicalize(self, h: Perm) -> Perm:
-        hit = self._cache.get(h)
-        if hit is not None:
-            return hit
-        p = h
         for lv in self.kernel.levels:
             # group at this level fixes every point below lv.point, so the
             # image at position lv.point is h[beta] for orbit points beta
-            beta = min(lv.transversal, key=lambda b: p.img[b])
-            u = lv.transversal[beta]
-            p = u * p
-        self._cache[h] = p
-        return p
+            beta = min(lv.transversal, key=lambda b: h.img[b])
+            h = lv.transversal[beta] * h
+        return h
 
     def mul(self, a: Perm, b: Perm) -> Perm:
         return self.canonicalize(a * b)

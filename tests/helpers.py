@@ -205,6 +205,83 @@ def ref_derandomized_square(carrier, u: Multiset, h) -> Multiset:
 
 
 # ---------------------------------------------------------------------------
+# element-by-element references for the construction's pushforwards: each
+# maps one element tuple (or coset representative) at a time, and
+# ref_map_elems merges the images in a dict
+
+def ref_map_elems(ms: Multiset, fn, cert=None) -> Multiset:
+    """Image multiset under fn, multiplicities transported and merged."""
+    acc = {}
+    for e, m in ms.pairs():
+        k = fn(e)
+        acc[k] = acc.get(k, 0) + m
+    return multiset(acc.items(), cert=cert)
+
+
+def crt_split(x: int, primes) -> tuple:
+    """Z_{p_1...p_k} -> prod Z_{p_j}: the residues of x."""
+    return tuple(x % p for p in primes)
+
+
+def embed_window(vec, widths_src, widths_dst, offset) -> tuple:
+    """Place per-block source coordinates at `offset` inside wider blocks."""
+    out = []
+    pos = 0
+    for ws, wd in zip(widths_src, widths_dst):
+        block = [0] * wd
+        for i in range(ws):
+            block[offset + i] = vec[pos + i]
+        pos += ws
+        out.extend(block)
+    return tuple(out)
+
+
+def kfold_embed(vec, fac, n, lo, hi, src_lo, src_hi) -> tuple:
+    """Embed a [src_lo, src_hi) window vector of Z_d^n's prime-power blocks
+    into the [lo, hi) window, each coordinate scaled by p^(src_lo - lo)."""
+    out = []
+    pos = 0
+    for p, e in fac:
+        wd = max(0, min(hi, e) - lo)
+        ws = max(0, min(src_hi, e) - src_lo)
+        shift = p ** (src_lo - lo)
+        if wd:
+            for i in range(n):
+                v = vec[pos + i] if ws else 0
+                out.append((v * shift) % (p**wd))
+        if ws:
+            pos += n
+    return tuple(out)
+
+
+def level_map(hom, qctx, s: int, live, vec) -> Perm:
+    """phi_s(a) = prod y_ij^(a_ij p_j^s) over the live prime blocks of a,
+    each block len(hom.xs) wide, as a canonical representative of qctx."""
+    rank = len(hom.xs)
+    acc = Perm.identity(qctx.parent.degree)
+    pos = 0
+    for j in live:
+        p = hom.primes[j]
+        for i in range(rank):
+            a = vec[pos + i]
+            if a and hom.e_table[i][j] > s:
+                acc = acc * (hom.ys[i][j] ** (a * p**s))
+        pos += rank
+    return qctx.canonicalize(acc)
+
+
+def psi_to_fields(vec, fields, widths) -> tuple:
+    """Coordinate truncation onto the additive groups of the fields."""
+    out = []
+    pos = 0
+    for f, w in zip(fields, widths):
+        block = vec[pos:pos + w]
+        out.append(f.element(tuple(block[:f.m]) + (0,) * (f.m - len(block))))
+        pos += w
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
 # numpy-batched closure oracles, fast enough for |G| up to 10^4
 
 def np_closure(g: GenSet) -> np.ndarray:

@@ -2,16 +2,16 @@ import math
 
 import pytest
 
-from helpers import naive_bias
+from helpers import naive_bias, psi_to_fields
 
 from cayexp import abexp, catalog
 from cayexp.abexp import (abelian_quotient_expander, build_abelianization,
-                          crt_split, cyclic_expander, factorize, final_R,
-                          greedy_expander, hom_image, primes_and_exponent,
-                          product_base_expander, psi_to_fields, r_carrier)
+                          cyclic_expander, factorize, final_R,
+                          greedy_expander, primes_and_exponent,
+                          product_base_expander, r_carrier, vector_map)
 from cayexp.bsgs import schreier_sims
 from cayexp.carriers import PermCarrier, QuotientCarrier, VectorCarrier
-from cayexp.combine import solvable_expander
+from cayexp.combine import CertificationError, reverify, solvable_expander
 from cayexp.fields import field_pow, inner_product
 from cayexp.multiset import multiset
 from cayexp.perm import GenSet, Perm, parse_perm
@@ -127,7 +127,11 @@ class TestProductBase:
         assert abs(bias_exhaustive(carrier, out) - out.cert) < 1e-9
 
     def test_crt_split(self):
-        assert crt_split(7, [2, 3, 5]) == (1, 1, 2)
+        # x -> (x mod p)_p on Z_30: every column reads coordinate 0
+        ms = multiset([((7,), 2), ((29,), 1)], cert=0.5)
+        out = vector_map(ms, VectorCarrier((2, 3, 5)), [0, 0, 0])
+        assert out.counts() == {(1, 1, 2): 2, (1, 2, 4): 1}
+        assert out.cert == 0.5
 
 
 class TestAbelianization:
@@ -197,23 +201,55 @@ class TestAbelianization:
 
 
 class TestHomImage:
+    """Images along onto homomorphisms: ``vector_map`` and the level guard
+    of ``abelian_quotient_expander``."""
+
     def test_identity_hom(self):
         ms = multiset([((1,), 1), ((3,), 1)], cert=0.5)
-        out = hom_image(lambda v: v, ms)
+        out = vector_map(ms, VectorCarrier((4,)), [0])
         assert out.counts() == ms.counts()
+        assert out.cert == ms.cert
+
+    def test_vector_map_transports_multiplicity(self):
+        # the projection (a, b) -> a merges the images' multiplicities
+        ms = multiset([((0, 1), 2), ((1, 1), 3), ((1, 0), 4)])
+        img = vector_map(ms, VectorCarrier((2,)), [0])
+        assert img.counts() == {(0,): 2, (1,): 7}
 
     def test_z4_to_z2_reduction(self):
         z4 = VectorCarrier((4,))
         z2 = VectorCarrier((2,))
         ms = greedy_expander(z4, 0.25)
-        img = hom_image(lambda v: (v[0] % 2,), ms, codomain=z2)
+        img = reverify(z2, vector_map(ms, z2, [0]))
+        want = {}
+        for (v,), m in ms.pairs():
+            want[(v % 2,)] = want.get((v % 2,), 0) + m
+        assert img.counts() == want
+        # a pushforward along an onto homomorphism cannot raise the bias
         assert img.cert <= ms.cert + 1e-9
 
-    def test_containment_violation_detected(self):
-        z2 = VectorCarrier((2,))
-        bad = multiset([((1,), 1)], cert=0.0)   # claims 0 but maps to bias 1
-        with pytest.raises(Exception):
-            hom_image(lambda v: v, bad, codomain=z2)
+    def test_containment_violation_detected(self, monkeypatch):
+        # R handed out with a falsely low certificate: its level image is
+        # re-measured above it, and the guard refuses the level
+        real = abexp._compact_r_points
+
+        def lying(*args):
+            return real(*args).with_cert(0.0)
+        monkeypatch.setattr(abexp, "_compact_r_points", lying)
+        chain = derived_series(catalog.s4())
+        with pytest.raises(CertificationError, match="above its source"):
+            abelian_quotient_expander(chain.terms[1], chain.terms[2])
+
+    def test_iterated_level_above_dense_cap_certifies(self):
+        # Z_2^14: one level of order 16384, above DENSE_CAP, whose level map
+        # is an isomorphism; its image is measured by the moment iteration's
+        # upper end, which sits above R's exact bias, and must not be refused
+        gens = tuple(Perm.from_cycles(28, [(2 * i, 2 * i + 1)])
+                     for i in range(14))
+        h = schreier_sims(GenSet(28, gens))
+        n = schreier_sims(GenSet(28, ()))
+        ms = abelian_quotient_expander(h, n)
+        assert ms.cert is not None and ms.cert <= 0.25 + 1e-9
 
 
 class TestFinalR:

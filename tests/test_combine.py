@@ -242,6 +242,18 @@ class TestAuxFamily:
         assert aux.neighbors.dtype == np.int64
         assert np.array_equal(aux.neighbors, expect)
 
+    @pytest.mark.parametrize("t", range(1, 11))
+    def test_full_group_from_codes_matches_tuples(self, monkeypatch, t):
+        # the full Z_2^t multiset built from codes gives the auxiliary the
+        # tuple list of every element gave
+        monkeypatch.setattr(importlib.import_module("cayexp.combine"),
+                            "_AUX_CACHE", {})
+        aux = aux_family(1 << t, 0.125)
+        full = multiset([(v, 1) for v in VectorCarrier((2,) * t).elements()])
+        ref = aux_from_z2_multiset(full, t)
+        assert np.array_equal(aux.neighbors, ref.neighbors)
+        assert aux.certified_mu == ref.certified_mu
+
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):
             aux_family(12, 0.5)

@@ -82,12 +82,6 @@ def test_union_adds_multiplicities():
     assert u.cert == 1.5 * 3 / 4
 
 
-def test_map_elems_transports_multiplicity():
-    ms = multiset([((0, 1), 2), ((1, 1), 3)])
-    img = ms.map_elems(lambda v: (v[0],))
-    assert img.counts() == {(0,): 2, (1,): 3}
-
-
 def test_perm_multiset_file_roundtrip():
     g, _ = z5_setup()
     ms = multiset([(g, 3), (g.inv(), 3), (Perm.identity(5), 2)])

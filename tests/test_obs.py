@@ -12,6 +12,12 @@ def ops(log):
     return {e["op"] for e in log}
 
 
+def squares_then_compacts(log):
+    """At least one round, each a square and then the compaction after it."""
+    names = [e["op"] for e in log]
+    return bool(names) and names == ["square", "compact"] * (len(names) // 2)
+
+
 def test_solvable_s4_records_levels_merges_squares():
     with obs.recording() as log:
         solvable_expander(derived_series(catalog.s4()))
@@ -33,12 +39,21 @@ def test_bias_space_records_fold_merge_and_squares():
     assert [e for e in log if e["op"] == "square"][-1]["cert"] <= 0.0625
 
 
+def test_bias_space_last_logged_total_is_its_size():
+    # the compaction after the last square is logged too
+    with obs.recording() as log:
+        space = zdn_bias_space(12, 3, 0.0625)
+    assert log[-1]["op"] == "compact"
+    assert log[-1]["total"] == space.size
+    assert log[-1]["cert"] == space.certified_eps
+
+
 def test_general_records_strong_gens_then_squares():
     with obs.recording() as log:
         general_expander(catalog.s4(), 0.05)
     assert log[0]["op"] == "strong-gens"
     assert {"diameter", "babai_bound", "total", "cert"} <= set(log[0])
-    assert all(e["op"] == "square" for e in log[1:]) and len(log) > 1
+    assert squares_then_compacts(log[1:])
 
 
 def test_bipartite_start_records_lazify():
@@ -64,4 +79,4 @@ def test_nested_recording_takes_its_events():
         with obs.recording() as inner:
             reduce_to_quarter(PermCarrier.of(g), ms, target=0.05)
     assert [e["op"] for e in outer] == ["mark"]
-    assert inner and all(e["op"] == "square" for e in inner)
+    assert squares_then_compacts(inner)

@@ -12,10 +12,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import symmetric_by_elements
+from helpers import psi_to_fields, ref_map_elems, symmetric_by_elements
 
 from cayexp import catalog
-from cayexp.abexp import final_R, psi_to_fields
+from cayexp.abexp import final_R
 from cayexp.carriers import AbelianShape, PermCarrier, VectorCarrier
 from cayexp.combine import (_pair_units, _trim_support, compact,
                             measure_exact, square_multiset)
@@ -252,7 +252,7 @@ def test_crt_array_matches_scalar_formula(d, fac):
         return tuple(digits)
 
     got = _crt_digits(ms, fac, VectorCarrier((d,) * n))
-    want = ms.map_elems(crt_vec, cert=ms.cert)
+    want = ref_map_elems(ms, crt_vec, cert=ms.cert)
     assert (got.elems, got.mults, got.cert) == \
         (want.elems, want.mults, want.cert)
 
