@@ -8,7 +8,9 @@ the achievable mu printed), 5 non-symmetric multiset, 6 group order above
 the verification cap, which the message states (or, for epsbias, beyond
 the method's capacity). Diagnostics go to stderr, data to files or stdout.
 Re-running a command with identical inputs produces byte-identical output
-files; manifests differ only in their timing fields.
+files; manifests differ only in their timing fields. The construction
+modules are imported by the commands that build, so ``verify`` loads only
+the verifier.
 """
 
 from __future__ import annotations
@@ -22,10 +24,6 @@ from pathlib import Path
 
 from .bsgs import schreier_sims
 from .carriers import PermCarrier
-from .combine import (AmplificationError, AuxInfeasibleError,
-                      CertificationError, solvable_expander)
-from .epsbias import format_bias_space, verify_bias, zdn_bias_space
-from .general import general_expander
 from .multiset import (NonSymmetricError, format_perm_multiset,
                        parse_perm_multiset)
 from .perm import ParseError, parse_group_file
@@ -64,10 +62,6 @@ def _write_manifest(out: Path, command: str, parameters: dict,
     out.write_text(_dump_json(manifest))
 
 
-CONSTRUCTION_FAILURES = (CertificationError, AmplificationError,
-                         AuxInfeasibleError)
-
-
 def _construction_failed(e: ValueError) -> int:
     print(f"error: {e}", file=sys.stderr)
     mu = getattr(e, "achievable_mu", None)
@@ -85,6 +79,7 @@ def _lambda2_text(report: SpectrumReport) -> str:
 
 
 def cmd_build_expander(args) -> int:
+    from .combine import CONSTRUCTION_FAILURES, solvable_expander
     t0 = time.time()
     group_path = Path(args.group)
     try:
@@ -106,6 +101,7 @@ def cmd_build_expander(args) -> int:
         if chain.solvable:
             ms = solvable_expander(chain, target=args.lam)
         else:
+            from .general import general_expander
             ms = general_expander(gens, lam=args.lam)
     except MethodCapacityError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -198,6 +194,8 @@ def cmd_series(args) -> int:
 
 
 def cmd_epsbias(args) -> int:
+    from .combine import CONSTRUCTION_FAILURES
+    from .epsbias import format_bias_space, verify_bias, zdn_bias_space
     t0 = time.time()
     try:
         space = zdn_bias_space(args.d, args.n, args.eps)

@@ -54,6 +54,11 @@ class AuxInfeasibleError(ValueError):
         self.achievable_mu = achievable_mu
 
 
+# the errors by which a construction reports that it cannot certify
+CONSTRUCTION_FAILURES = (CertificationError, AmplificationError,
+                         AuxInfeasibleError)
+
+
 # ---------------------------------------------------------------------------
 # exact measurement when the carrier is small enough
 

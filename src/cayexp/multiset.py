@@ -210,8 +210,57 @@ def parse_perm_multiset(text: str) -> tuple[int, Multiset]:
 
 
 def format_rows(template: str, table: np.ndarray) -> str:
-    """template % row for every row of an integer table, concatenated."""
-    return (template * len(table)) % tuple(table.ravel().tolist())
+    """template % tuple(row) for every row of a 2-D table, concatenated.
+
+    The template is ASCII literal text with one ``%d`` per column of the
+    table and no other ``%``; the table holds non-negative integers, of an
+    integer dtype or, beyond int64, object dtype (Python ints). Negative
+    values raise ValueError.
+
+    The text is written as bytes, a column at a time: a column's digits fill
+    a block as wide as its largest value, computed in the column's own
+    dtype, the literals are broadcast blocks, and one concatenation joins
+    them. Where a column also holds shorter values, one boolean compress
+    drops their leading pad slots.
+    """
+    pieces = template.split("%d")
+    rows, cols = table.shape
+    if len(pieces) != cols + 1 or "%" in "".join(pieces):
+        raise ValueError(f"template {template!r} is not {cols} plain %d")
+    if rows == 0 or not template:
+        return ""
+    blocks, padded, at = [], [], 0     # padded: (first slot, column, width)
+    for k, piece in enumerate(pieces):
+        if piece:
+            lit = np.frombuffer(piece.encode("ascii"), dtype=np.uint8)
+            blocks.append(np.broadcast_to(lit, (rows, len(lit))))
+            at += len(lit)
+        if k == cols:
+            break
+        col = table[:, k]
+        lo, hi = col.min(), col.max()
+        if lo < 0:
+            raise ValueError("format_rows writes non-negative integers only")
+        width = len(str(hi))
+        digits = np.empty((rows, width), dtype=np.uint8)
+        v = col
+        for slot in range(width - 1, 0, -1):
+            digits[:, slot] = v % 10
+            v = v // 10
+        digits[:, 0] = v
+        digits += 48
+        blocks.append(digits)
+        if width > 1 and lo < 10 ** (width - 1):
+            padded.append((at, col, width))
+        at += width
+    text = np.concatenate(blocks, axis=1)
+    if padded:
+        keep = np.ones(text.shape, dtype=bool)
+        for first, col, width in padded:
+            for s in range(width - 1):
+                keep[:, first + s] = col >= 10 ** (width - 1 - s)
+        text = text[keep]
+    return text.tobytes().decode("ascii")
 
 
 def format_vector_multiset(ms: Multiset, shape) -> str:

@@ -101,16 +101,12 @@ def root_tables(moduli) -> tuple[np.ndarray, np.ndarray]:
 
 
 def seed_body(ms: Multiset) -> bytes:
-    """The multiset's part of instance_seed: repr((elem, m)) per pair.
-
-    A multiset in code storage formats the same text from its code rows.
-    """
-    if ms.space is None:
-        elems = ms.elems
-        if isinstance(elems[0], Perm):
-            elems = [e.img for e in elems]
-        return "".join(map(repr, zip(elems, ms.mults))).encode()
-    coords = ms.coordinates()
+    """The multiset's part of instance_seed: repr((elem, m)) per pair, a
+    Perm written as its image tuple."""
+    if ms.space is None and isinstance(ms.elems[0], Perm):
+        coords = np.array([e.img for e in ms.elems], dtype=np.int64)
+    else:
+        coords = ms.coordinates()
     width = coords.shape[1]
     elem = "(" + ", ".join(["%d"] * width) + ("," if width == 1 else "") + ")"
     table = np.column_stack((coords, ms.mult_array()))

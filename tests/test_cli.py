@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 from helpers import count_schreier_sims
 
 import cayexp
-from cayexp import catalog, cli
+from cayexp import catalog, combine, epsbias
 from cayexp.cli import main
 from cayexp.combine import (AmplificationError, AuxInfeasibleError,
                             CertificationError)
@@ -240,12 +241,16 @@ def test_epsbias_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def _src_env() -> dict:
+    src = str(Path(cayexp.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def test_python_m_cayexp_runs_the_cli(tmp_path):
     a = tmp_path / "a.pts"
     b = tmp_path / "b.pts"
-    src = str(Path(cayexp.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env = _src_env()
     args = ["epsbias", "--d", "3", "--n", "2", "--eps", "0.25"]
     done = subprocess.run([sys.executable, "-m", "cayexp", *args,
                            "--out", str(a)], env=env, capture_output=True,
@@ -254,6 +259,69 @@ def test_python_m_cayexp_runs_the_cli(tmp_path):
     assert done.stdout.startswith("size = ")
     assert main([*args, "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+VERIFIER_MODULES = ["cayexp._kernels", "cayexp.bsgs", "cayexp.carriers",
+                    "cayexp.cli", "cayexp.multiset", "cayexp.perm",
+                    "cayexp.series", "cayexp.spectra"]
+
+
+def test_verify_loads_no_construction_module(tmp_path):
+    group = tmp_path / "a4.grp"
+    group.write_text(A4)
+    ms = tmp_path / "a4.ms"
+    ms.write_text("degree 4\n1 (1 2 3)\n1 (1 3 2)\n1 (2 3 4)\n1 (2 4 3)\n")
+    code = ("import sys\n"
+            "from cayexp import cli\n"
+            f"rc = cli.main(['verify', '--group', {str(group)!r}, "
+            f"'--multiset', {str(ms)!r}])\n"
+            "print(rc, *sorted(m for m in sys.modules "
+            "if m.startswith('cayexp.')))\n"
+            "import cayexp\n"
+            "print(cayexp.combine.__name__)\n")
+    done = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("lambda2 = ")
+    assert lines[1].split() == ["0"] + VERIFIER_MODULES
+    # before any construction module is loaded, cayexp.combine already
+    # resolves to the submodule (not to its function combine.combine)
+    assert lines[2] == "cayexp.combine"
+
+
+# every name the package exported when it imported all its modules eagerly
+PACKAGE_NAMES = {
+    "perm": ["GenSet", "Perm", "parse_perm", "format_perm",
+             "parse_group_file"],
+    "bsgs": ["BSGS", "schreier_sims", "jerrum_reduce"],
+    "series": ["derived_series", "quotient_context", "SubgroupChain",
+               "QuotientContext"],
+    "multiset": ["Multiset", "multiset"],
+    "carriers": ["AbelianShape", "PermCarrier", "QuotientCarrier",
+                 "VectorCarrier"],
+    "spectra": ["SpectrumReport", "second_eigenvalue", "abelian_bias",
+                "certify"],
+    "combine": ["AuxExpander", "aux_family", "balance", "derandomized_square",
+                "fold_series", "reduce_to_quarter", "solvable_expander"],
+    "abexp": ["abelian_quotient_expander", "build_abelianization",
+              "cyclic_expander", "final_R", "primes_and_exponent",
+              "product_base_expander"],
+    "epsbias": ["BiasSpace", "factorize", "verify_bias", "zdn_bias_space"],
+    "general": ["AmplificationSchedule", "babai_bound", "general_expander",
+                "rv_composition"],
+}
+
+
+def test_package_names_resolve_to_their_modules():
+    for mod, names in PACKAGE_NAMES.items():
+        module = importlib.import_module(f"cayexp.{mod}")
+        for name in names:
+            assert getattr(cayexp, name) is getattr(module, name), name
+    assert cayexp.combine is importlib.import_module("cayexp.combine")
+    assert callable(cayexp.combine.combine)
+    with pytest.raises(AttributeError):
+        cayexp.no_such_name
 
 
 def test_bsgs_command(s4_file, capsys):
@@ -294,7 +362,7 @@ def _raise(err):
                          ids=lambda e: type(e).__name__)
 def test_epsbias_construction_failure_exit_4(tmp_path, capsys, monkeypatch,
                                              err):
-    monkeypatch.setattr(cli, "zdn_bias_space", _raise(err))
+    monkeypatch.setattr(epsbias, "zdn_bias_space", _raise(err))
     rc = main(["epsbias", "--d", "6", "--n", "3", "--eps", "0.25",
                "--out", str(tmp_path / "x.pts")])
     assert rc == 4
@@ -308,7 +376,7 @@ def test_epsbias_construction_failure_exit_4(tmp_path, capsys, monkeypatch,
                          ids=lambda e: type(e).__name__)
 def test_build_construction_failure_exit_4(tmp_path, s4_file, capsys,
                                            monkeypatch, err):
-    monkeypatch.setattr(cli, "solvable_expander", _raise(err))
+    monkeypatch.setattr(combine, "solvable_expander", _raise(err))
     out = tmp_path / "s4.ms"
     rc = main(["build-expander", "--group", str(s4_file), "--out", str(out)])
     assert rc == 4

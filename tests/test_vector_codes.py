@@ -19,9 +19,10 @@ from cayexp.abexp import final_R
 from cayexp.carriers import AbelianShape, PermCarrier, VectorCarrier
 from cayexp.combine import (_pair_units, _trim_support, compact,
                             measure_exact, square_multiset)
-from cayexp.epsbias import BiasSpace, _crt_digits, format_bias_space
+from cayexp.epsbias import (BiasSpace, _crt_digits, format_bias_space,
+                            zdn_bias_space)
 from cayexp.fields import field_pow, inner_product
-from cayexp.multiset import (Multiset, NonSymmetricError,
+from cayexp.multiset import (Multiset, NonSymmetricError, format_rows,
                              format_vector_multiset, multiset,
                              parse_vector_multiset)
 from cayexp.perm import DegreeMismatch, Perm
@@ -330,6 +331,79 @@ def test_bias_text_and_seed_body_match_tuple_loops(d, n):
                   BiasSpace(d, n, twin, 0.5, "test")):
         assert format_bias_space(space) == oracle_bias_text(twin)
     assert seed_body(ms) == seed_body(twin) == oracle_seed_body(twin)
+
+
+@pytest.mark.parametrize("d,n", [(2, 8), (6, 3), (11, 2), (12, 2)])
+def test_quarter_bias_space_with_repeated_points(d, n):
+    # eps = 1/4 spaces repeat their points: each line is written m times
+    space = zdn_bias_space(d, n, 0.25)
+    assert max(space.points.mults) > 1
+    assert format_bias_space(space) == oracle_bias_text(space.points)
+
+
+def oracle_rows(template, table):
+    return "".join(template % tuple(row) for row in table.tolist())
+
+
+EDGE_VALUES = [0, 9, 10, 99, 100, 2**53, 2**62]
+
+
+@pytest.mark.parametrize("template,table", [
+    # widths differ within each row and down each column
+    ("%d,%d;%d\n", np.array([EDGE_VALUES,
+                             EDGE_VALUES[::-1],
+                             EDGE_VALUES[3:] + EDGE_VALUES[:3]],
+                            dtype=np.int64).T.copy()),
+    ("(%d,)", np.array([[v] for v in EDGE_VALUES], dtype=np.int64)),
+    ("%d", np.array([[5], [7]], dtype=np.int64)),
+    ("((), %d)", np.array([[1], [12], [3]], dtype=np.int64)),
+    ("[%d %d]", np.array([[2**63 + k, k] for k in (0, 1, 9, 10, 12345)],
+                         dtype=object)),
+    ("%d-%d\n", np.zeros((0, 2), dtype=np.int64)),
+    ("%d-%d\n", np.zeros((0, 2), dtype=object)),
+])
+def test_format_rows_matches_percent_formatting(template, table):
+    assert format_rows(template, table) == oracle_rows(template, table)
+
+
+def test_format_rows_random_tables():
+    rng = random.Random(14)
+    for _ in range(200):
+        rows, cols = rng.randint(0, 12), rng.randint(1, 5)
+        big = rng.random() < 0.3
+        top = 10 ** rng.randint(1, 25) if big else 2**63
+        table = np.array([[rng.randrange(rng.choice([1, 10, 1000, top]))
+                           for _ in range(cols)] for _ in range(rows)],
+                         dtype=object if big else np.int64)
+        table = table.reshape(rows, cols)
+        template = "".join(rng.choice(["", ",", "(", ", ", ")\n"]) + "%d"
+                           for _ in range(cols)) + "\n"
+        assert format_rows(template, table) == oracle_rows(template, table)
+
+
+@pytest.mark.parametrize("template,table", [
+    ("%d,%d\n", np.array([[1, 2], [3, -4]], dtype=np.int64)),
+    ("%d\n", np.array([[2**64], [-1]], dtype=object)),
+    ("%d,%d\n", np.array([[1]], dtype=np.int64)),
+    ("%d%%\n", np.array([[1]], dtype=np.int64)),
+])
+def test_format_rows_refuses(template, table):
+    with pytest.raises(ValueError):
+        format_rows(template, table)
+
+
+@pytest.mark.parametrize("elems", [
+    [Perm((1, 2, 0)), Perm((2, 0, 1)), Perm((0, 1, 2))],
+    [(3,), (0,), (11,)],
+    [()],
+    [(0, 10), (12, 1)],
+])
+def test_seed_body_of_tuple_storage_is_repr(elems):
+    # Perms are written as their image tuples
+    ms = multiset([(e, 10 ** i + 1) for i, e in enumerate(elems)])
+    want = "".join(repr((getattr(e, "img", e), m))
+                   for e, m in ms.pairs()).encode()
+    assert seed_body(ms) == want
 
 
 @pytest.mark.parametrize("factors", [((2, 1, 4),), ((7, 1, 1),),
