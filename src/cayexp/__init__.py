@@ -19,8 +19,7 @@ from .spectra import SpectrumReport, second_eigenvalue, abelian_bias, certify
 
 # The construction modules load on first use of one of their names, so a
 # process that only verifies (``cayexp verify``) does not import them.
-# ``cayexp.combine`` is the submodule; its function is
-# ``cayexp.combine.combine``.
+# ``cayexp.combine`` is the submodule.
 _LAZY = {
     "combine": ("AuxExpander", "aux_family", "balance", "derandomized_square",
                 "fold_series", "reduce_to_quarter", "solvable_expander"),
@@ -28,8 +27,7 @@ _LAZY = {
               "cyclic_expander", "final_R", "primes_and_exponent",
               "product_base_expander"),
     "epsbias": ("BiasSpace", "factorize", "verify_bias", "zdn_bias_space"),
-    "general": ("AmplificationSchedule", "babai_bound", "general_expander",
-                "rv_composition"),
+    "general": ("babai_bound", "general_expander"),
 }
 _HOME = {name: mod for mod, names in _LAZY.items() for name in names}
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import _kernels, obs
 from .bsgs import BSGS, schreier_sims
-from .carriers import AbelianShape, QuotientCarrier, VectorCarrier
+from .carriers import QuotientCarrier, VectorCarrier
 from .combine import (AuxInfeasibleError, CertificationError,
                       amplified_union, compact, fold_levels, fold_series,
                       reduce_to_quarter, reverify, _next_pow2)
@@ -386,25 +386,6 @@ class AbelianizationHom:
     exps: tuple[int, ...]              # e_j = max_i e_ij
     e_table: tuple[tuple[int, ...], ...]   # e_ij per (i, j)
     ys: tuple[tuple[Perm, ...], ...]       # y_ij per (i, j)
-
-    @property
-    def domain_shape(self) -> AbelianShape:
-        n = len(self.xs)
-        return AbelianShape(tuple(
-            (p, e, n) for p, e in zip(self.primes, self.exps)))
-
-    def apply(self, vec) -> Perm:
-        """phi(a): canonical representative of N * prod y_ij^{a_ij}."""
-        n = len(self.xs)
-        acc = Perm.identity(self.ctx.parent.degree)
-        pos = 0
-        for j in range(len(self.primes)):
-            for i in range(n):
-                a = vec[pos]
-                pos += 1
-                if a:
-                    acc = acc * (self.ys[i][j] ** a)
-        return self.ctx.canonicalize(acc)
 
 
 def factorize(d: int) -> list[tuple[int, int]]:

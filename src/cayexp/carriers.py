@@ -1,31 +1,35 @@
 """Concrete finite groups the spectral verifier can enumerate.
 
-A carrier provides deterministic element enumeration, group arithmetic, and
-action tables (index-level right-multiplication maps) for building Cayley
-operators. Three kinds cover the whole pipeline: permutation groups,
-quotients H/N by canonical coset representatives, and products of cyclic
-groups given by per-coordinate moduli.
+A carrier provides deterministic element enumeration, group arithmetic on
+element arrays, and action tables (index-level right-multiplication maps)
+for building Cayley operators. Three kinds cover the whole pipeline:
+permutation groups, quotients H/N by canonical coset representatives, and
+products of cyclic groups given by per-coordinate moduli.
 
 Every carrier has one array protocol, over which multiset bookkeeping is
 written once: ``codes(ms)`` (the element array, in element order),
 ``inv_codes`` and ``mul_codes`` (row-by-row inverses and products), ``keys``
-(one sortable scalar per element, ordered like the elements) and ``tally``
-(the canonical ``Multiset`` of an element array, repeats merged). The
+(one sortable scalar per element, ordered like the elements), ``tally``
+(the canonical ``Multiset`` of an element array, repeats merged) and
+``from_codes`` (the ``Multiset`` that stores an ascending element array;
+``decode`` makes its elements only when they are read). The
 construction's pushforwards are written on it too: a map between vector
 groups is arithmetic on coordinate rows (``abexp.vector_map``), and a map
 into a quotient multiplies gathered image rows with ``mul_codes``; either
 ends in one ``tally`` of the images with the source's multiplicities.
 
 A vector group codes an element as its mixed-radix index
-(``ravel_multi_index``), its own key; its multisets keep their codes
-(``Multiset`` code storage). A permutation group codes an element as its
-row of images, keyed by ``_row_keys``; its multisets hold ``Perm`` tuples.
-A quotient H/N codes a coset as the image row of its canonical
-representative, and makes inverses and products canonical per kernel level
-(``QuotientCarrier._canonical``). None of this needs the element table: an
-(order, degree) image array in lexicographic order, built from the BSGS
-transversals and searched by base-point images, from which action tables
-are numpy gathers (for a quotient, relabelled by coset).
+(``ravel_multi_index``), its own key. A permutation group codes an element
+as its row of images, keyed by ``_row_keys``. A quotient H/N codes a coset
+as the image row of its canonical representative, and makes inverses and
+products canonical per kernel level (``QuotientCarrier._canonical``). Every
+carrier's multisets keep their codes (``Multiset`` code storage), and
+``codes(ms)`` hands stored codes over when they are the carrier's own kind:
+codes of the same moduli, or image rows of the same degree. None of this
+needs the element table: an (order, degree) image array in lexicographic
+order, built from the BSGS transversals and searched by base-point images,
+from which action tables are numpy gathers (for a quotient, relabelled by
+coset).
 """
 
 from __future__ import annotations
@@ -78,8 +82,28 @@ class AbelianShape:
 
 
 class _ArrayProtocol:
-    """What the three carriers share: tallies and the symmetry check, over
-    each carrier's codes, inv_codes, keys and from_codes."""
+    """What the three carriers share: code storage, tallies and the
+    symmetry check, over each carrier's codes, inv_codes, keys and
+    decode."""
+
+    def from_codes(self, codes: np.ndarray, mults,
+                   cert: float | None = None) -> Multiset:
+        """The multiset on codes strictly increasing in key order, with
+        positive mults.
+
+        Canonical storage directly: the codes are already in element order,
+        so nothing is merged or re-sorted. The multiset keeps the codes and
+        the multiplicities as (read-only) arrays and decodes its elements
+        only if they are read.
+        """
+        counts = np.asarray(mults)
+        if counts.dtype != object:
+            counts = counts.astype(np.int64, copy=False)
+            if len(counts) * int(counts.max(initial=0)) >= 2**63:
+                counts = counts.astype(object)   # the total may not fit
+        codes, counts = codes.view(), counts.view()
+        codes.flags.writeable = counts.flags.writeable = False
+        return Multiset._coded(self, codes, counts, cert)
 
     def tally(self, codes: np.ndarray, weights: np.ndarray | None = None,
               cert: float | None = None) -> Multiset:
@@ -135,12 +159,6 @@ class VectorCarrier(_ArrayProtocol):
     def identity(self):
         return (0,) * len(self.moduli)
 
-    def mul(self, a, b):
-        return tuple((x + y) % m for x, y, m in zip(a, b, self.moduli))
-
-    def inv(self, a):
-        return tuple((-x) % m for x, m in zip(a, self.moduli))
-
     def elements(self, cap: int = 10**6) -> list:
         if self.order > cap:
             raise CapacityError(f"group order {self.order} exceeds cap {cap}")
@@ -194,11 +212,16 @@ class VectorCarrier(_ArrayProtocol):
         """Codes of a multiset's elements, or of a sequence of reduced tuples.
 
         A multiset in code storage over these moduli hands over its stored
-        codes (read-only); anything else is coded from its tuples.
+        codes (read-only); one holding a permutation carrier's image rows
+        raises ValueError; anything else is coded from its tuples.
         """
         if isinstance(items, Multiset):
-            if items.space is not None and items.space.moduli == self.moduli:
-                return items.codes
+            if isinstance(items.space, VectorCarrier):
+                if items.space.moduli == self.moduli:
+                    return items.codes
+            elif items.space is not None:
+                raise ValueError("multiset holds permutation image rows, "
+                                 "not vector codes")
             items = items.elems
         return self.ravel(self.rows(items))
 
@@ -215,23 +238,13 @@ class VectorCarrier(_ArrayProtocol):
         """Codes sort like their elements, so they are their own keys."""
         return codes
 
-    def from_codes(self, codes: np.ndarray, mults,
-                   cert: float | None = None) -> Multiset:
-        """The multiset on strictly increasing codes with positive mults.
+    def decode(self, codes: np.ndarray) -> tuple:
+        """The coordinate tuples of codes."""
+        return tuple(zip(*self.unravel(codes).T.tolist()))
 
-        Canonical storage directly: the codes are already in element order,
-        so nothing is merged or re-sorted. The multiset keeps the codes and
-        the multiplicities as (read-only) arrays and makes its element
-        tuples only if they are read.
-        """
-        counts = np.asarray(mults)
-        if counts.dtype != object:
-            counts = counts.astype(np.int64, copy=False)
-            if len(counts) * int(counts.max(initial=0)) >= 2**63:
-                counts = counts.astype(object)   # the total may not fit
-        codes, counts = codes.view(), counts.view()
-        codes.flags.writeable = counts.flags.writeable = False
-        return Multiset._coded(self, codes, counts, cert)
+    def coordinates(self, codes: np.ndarray) -> np.ndarray:
+        """(len(codes), width) int64 coordinates of codes."""
+        return self.unravel(codes)
 
     def action_tables(self, ms: Multiset) -> tuple[np.ndarray, np.ndarray]:
         n = self.order
@@ -280,20 +293,23 @@ class PermCarrier(_ArrayProtocol):
     def identity(self) -> Perm:
         return Perm.identity(self.bsgs.degree)
 
-    def mul(self, a: Perm, b: Perm) -> Perm:
-        return a * b
-
-    def inv(self, a: Perm) -> Perm:
-        return a.inv()
-
     def codes(self, items) -> np.ndarray:
         """(k, degree) image rows of a multiset's elements, or of a
-        sequence of permutations; another degree raises DegreeMismatch."""
-        perms = items.elems if isinstance(items, Multiset) else items
+        sequence of permutations; another degree raises DegreeMismatch.
+
+        A multiset holding the image rows of a permutation or quotient
+        carrier of this degree hands them over (read-only).
+        """
         deg = self.bsgs.degree
-        if set(map(len, (p.img for p in perms))) - {deg}:
+        if isinstance(items, Multiset):
+            rows = items.codes
+            if (isinstance(items.space, (PermCarrier, QuotientCarrier))
+                    and rows.shape[1] == deg):
+                return rows.astype(self._dtype, copy=False)
+            items = items.elems
+        if set(map(len, (p.img for p in items))) - {deg}:
             raise DegreeMismatch(f"element degree differs from {deg}")
-        return np.array([p.img for p in perms],
+        return np.array([p.img for p in items],
                         dtype=self._dtype).reshape(-1, deg)
 
     def inv_codes(self, rows: np.ndarray) -> np.ndarray:
@@ -307,11 +323,13 @@ class PermCarrier(_ArrayProtocol):
     def keys(self, rows: np.ndarray) -> np.ndarray:
         return _row_keys(rows, self.bsgs.degree)
 
-    def from_codes(self, rows: np.ndarray, mults,
-                   cert: float | None = None) -> Multiset:
-        """The multiset on strictly increasing rows with positive mults."""
-        return Multiset(tuple(map(Perm, rows.tolist())),
-                        tuple(np.asarray(mults).tolist()), cert)
+    def decode(self, rows: np.ndarray) -> tuple[Perm, ...]:
+        """The permutations of image rows."""
+        return tuple(map(Perm, rows.tolist()))
+
+    def coordinates(self, rows: np.ndarray) -> np.ndarray:
+        """Image rows as int64."""
+        return rows.astype(np.int64)
 
     @property
     def _key_points(self) -> list[int]:
@@ -354,19 +372,16 @@ class PermCarrier(_ArrayProtocol):
 
     @cached_property
     def _elements(self) -> list[Perm]:
-        return self.perms(slice(None))
+        return list(self.decode(self._table[0]))
 
     def elements(self, cap: int | None = None) -> list[Perm]:
         if cap is not None and self.order > cap:
             raise CapacityError(f"group order {self.order} exceeds cap {cap}")
         return self._elements
 
-    def perms(self, indices) -> list[Perm]:
-        """The elements at the given indices, without building elements()."""
-        return [Perm(r) for r in self._table[0][indices].tolist()]
-
-    def index_of(self, p: Perm) -> int:
-        return int(self._indices([p])[0])
+    def image_rows(self, indices) -> np.ndarray:
+        """The image rows of the elements at the given indices."""
+        return self._table[0][indices]
 
     def _products(self, support: np.ndarray, rows) -> np.ndarray:
         """Indices of e * s: a row per support index s, a column per
@@ -400,7 +415,7 @@ def _inverse_closed(keys: np.ndarray, inv_keys: np.ndarray,
 
 def _weights(ms: Multiset) -> np.ndarray:
     """The multiplicities normalized to sum 1 (the action tables' weights)."""
-    weights = np.array(ms.mults, dtype=np.float64)
+    weights = ms.mult_array().astype(np.float64)
     return weights / weights.sum()
 
 
@@ -449,12 +464,6 @@ class QuotientCarrier(_ArrayProtocol):
     def identity(self) -> Perm:
         return self.ctx.identity()
 
-    def mul(self, a: Perm, b: Perm) -> Perm:
-        return self.ctx.mul(a, b)
-
-    def inv(self, a: Perm) -> Perm:
-        return self.ctx.inv(a)
-
     def _canonical(self, rows: np.ndarray) -> np.ndarray:
         """The canonical representatives of the cosets of image rows.
 
@@ -481,9 +490,11 @@ class QuotientCarrier(_ArrayProtocol):
     def keys(self, rows: np.ndarray) -> np.ndarray:
         return self.parent.keys(rows)
 
-    def from_codes(self, rows: np.ndarray, mults,
-                   cert: float | None = None) -> Multiset:
-        return self.parent.from_codes(rows, mults, cert)
+    def decode(self, rows: np.ndarray) -> tuple[Perm, ...]:
+        return self.parent.decode(rows)
+
+    def coordinates(self, rows: np.ndarray) -> np.ndarray:
+        return self.parent.coordinates(rows)
 
     @cached_property
     def _cosets(self) -> tuple[np.ndarray, np.ndarray]:
@@ -496,11 +507,12 @@ class QuotientCarrier(_ArrayProtocol):
     def elements(self, cap: int | None = None) -> list[Perm]:
         if cap is not None and self.order > cap:
             raise CapacityError(f"group order {self.order} exceeds cap {cap}")
-        return self.perms(slice(None))
+        return list(self.decode(self.image_rows(slice(None))))
 
-    def perms(self, indices) -> list[Perm]:
-        """The canonical representatives of the cosets at the indices."""
-        return self.parent.perms(self._cosets[1][indices])
+    def image_rows(self, indices) -> np.ndarray:
+        """The image rows of the canonical representatives of the cosets
+        at the indices."""
+        return self.parent.image_rows(self._cosets[1][indices])
 
     def action_tables(self, ms: Multiset) -> tuple[np.ndarray, np.ndarray]:
         labels, reps = self._cosets
@@ -529,13 +541,15 @@ def multiset_order_check(carrier, ms: Multiset) -> bool:
     (for a quotient, its parent group): one batched table lookup."""
     if isinstance(carrier, VectorCarrier):
         width = len(carrier.moduli)
-        if ms.space is not None:
+        if isinstance(ms.space, VectorCarrier):
             return len(ms.space.moduli) == width
+        if ms.space is not None:
+            return False
         return all(len(v) == width for v in ms.elems)
     if isinstance(carrier, QuotientCarrier):
         carrier = carrier.parent
     try:
-        carrier._indices(ms.elems)
+        carrier._indices(ms)
     except KeyError:
         return False
     return True

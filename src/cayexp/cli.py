@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 parse error (or, for verify, a multiset with
-elements outside the group), 3 non-solvable input with --require-solvable
-(alias --solvable), 4 certification failure (including a construction that
-cannot certify or amplify its bound, or an unreachable auxiliary mu, with
-the achievable mu printed), 5 non-symmetric multiset, 6 group order above
+elements outside the group; for build-expander, a --lambda outside (0, 1)),
+3 non-solvable input with --require-solvable (alias --solvable), 4
+certification failure (including a construction that cannot certify or
+amplify its bound, or an unreachable auxiliary mu, with the achievable mu
+printed), 5 non-symmetric multiset, 6 group order above
 the verification cap, which the message states (or, for epsbias, beyond
 the method's capacity). Diagnostics go to stderr, data to files or stdout.
 Re-running a command with identical inputs produces byte-identical output
@@ -79,6 +80,9 @@ def _lambda2_text(report: SpectrumReport) -> str:
 
 
 def cmd_build_expander(args) -> int:
+    if not 0 < args.lam < 1:
+        print("error: lambda must be in (0, 1)", file=sys.stderr)
+        return EXIT_PARSE
     from .combine import CONSTRUCTION_FAILURES, solvable_expander
     t0 = time.time()
     group_path = Path(args.group)

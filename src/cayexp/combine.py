@@ -29,12 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, obs
-from .bsgs import schreier_sims
 from .carriers import (Carrier, PermCarrier, QuotientCarrier, VectorCarrier,
                        require_symmetric)
 from .multiset import Multiset, NonSymmetricError, multiset
-from .perm import GenSet, Perm
-from .series import QuotientContext, SubgroupChain, quotient_context
+from .perm import Perm
+from .series import SubgroupChain, quotient_context
 from .spectra import (DENSE_CAP, EXHAUSTIVE_CHAR_CAP, ITER_CAP,
                       bias_exhaustive, dense_lambda2, instance_seed,
                       power_lambda2, seed_body)
@@ -301,27 +300,6 @@ class AuxExpander:
                 raise ValueError(
                     f"label {ell2} is not the inverse of label {ell}")
 
-    def rot(self, v: int, label: int) -> tuple[int, int]:
-        return int(self.neighbors[v, label]), self.label_inv[label]
-
-
-def aux_from_rotation(neighbors: np.ndarray, label_inv,
-                      certified_mu: float | None = None) -> AuxExpander:
-    """Auxiliary expander from an explicit neighbor table.
-
-    When certified_mu is omitted it is measured by a dense eigensolve of the
-    (normalized) adjacency matrix.
-    """
-    neighbors = np.asarray(neighbors, dtype=np.int64)
-    v, d = neighbors.shape
-    if certified_mu is None:
-        m = np.zeros((v, v))
-        for ell in range(d):
-            np.add.at(m, (np.arange(v), neighbors[:, ell]), 1.0 / d)
-        evs = np.linalg.eigvalsh(m)
-        certified_mu = float(max(-evs[0], evs[-2], 0.0)) if v > 1 else 0.0
-    return AuxExpander(v, d, neighbors, certified_mu, tuple(label_inv))
-
 
 def aux_from_z2_multiset(ms: Multiset, t: int) -> AuxExpander:
     """Cayley graph over Z_2^t; labeling is consistent and self-inverse.
@@ -472,30 +450,12 @@ def _square_perm(carrier: PermCarrier | QuotientCarrier,
     tables, _ = carrier.action_tables(ms)
     prods = tables[:, tables[:, 0]]
     dtype = np.int64 if ms.total ** 2 < 2**63 else object
-    w = np.array(ms.mults, dtype=dtype)
+    w = ms.mult_array().astype(dtype)
     counts = np.zeros(carrier.order, dtype=dtype)
     np.add.at(counts, prods.ravel(), np.outer(w, w).ravel())
     nz = np.flatnonzero(counts)
     cert = ms.cert * ms.cert if ms.cert is not None else None
-    return Multiset(tuple(carrier.perms(nz)),
-                    tuple(int(c) for c in counts[nz]), cert)
-
-
-def analytic_rounds(lam: float, mu: float, target: float = 0.25,
-                    max_rounds: int = 10**4) -> int:
-    """Number of x -> x^2 + mu steps to reach the target from lam."""
-    x = lam
-    rounds = 0
-    while x > target:
-        nxt = x * x + mu
-        if nxt >= x:
-            raise AmplificationError(
-                f"recurrence stalls at {x:.6f} with mu={mu}")
-        x = nxt
-        rounds += 1
-        if rounds > max_rounds:
-            raise AmplificationError("round limit exceeded")
-    return rounds
+    return carrier.from_codes(carrier.image_rows(nz), counts[nz], cert)
 
 
 def _mu_request(lam: float, target: float) -> float:
@@ -573,28 +533,6 @@ def combine_union(group: Carrier, a: Multiset, b: Multiset,
                     f"measured {measured} exceeds combine bound {bound}")
             out = out.with_cert(measured)
     return out
-
-
-def combine(ctx: QuotientContext, a: Multiset, b: Multiset,
-            verify: bool = True) -> Multiset:
-    """The normal-subgroup/quotient combination on a permutation group.
-
-    a expands N = <ctx.kernel>; b is a subset of G whose coset image expands
-    G/N. Output is the union, certified on G.
-    """
-    if ctx.order == 1:
-        return a
-    if a.cert is None or b.cert is None:
-        raise CertificationError("combine requires certified inputs")
-    for e in a.elems:
-        if not ctx.kernel.contains(e):
-            raise ValueError("A-side element lies outside the normal subgroup")
-    gens = ctx.kernel.gens.gens + tuple(b.elems)
-    if schreier_sims(GenSet(ctx.parent.degree, gens)).order() \
-            != ctx.parent.order():
-        raise ValueError("B-side image fails to generate the quotient")
-    group = PermCarrier(ctx.parent)
-    return combine_union(group, a, b, verify=verify)
 
 
 # ---------------------------------------------------------------------------
@@ -697,6 +635,8 @@ def solvable_expander(chain: SubgroupChain,
     the dense cap.
     """
     from .abexp import abelian_quotient_expander
+    if not 0 < target < 1:
+        raise ValueError("lambda must be in (0, 1)")
     if not chain.solvable:
         raise SolvabilityError(
             "group is not solvable (derived series stabilizes above the "

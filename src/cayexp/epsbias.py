@@ -176,16 +176,3 @@ def format_bias_space(space: BiasSpace) -> str:
     row = ",".join(["%d"] * coords.shape[1]) + "\n"
     lines = format_rows(row, coords).splitlines(keepends=True)
     return "".join([line * m for line, m in zip(lines, space.points.mults)])
-
-
-def parse_bias_space(text: str, d: int, n: int) -> Multiset:
-    pairs = []
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        vec = tuple(int(c) for c in ln.split(","))
-        if len(vec) != n or any(not 0 <= c < d for c in vec):
-            raise ValueError(f"bad point {ln!r}")
-        pairs.append((vec, 1))
-    return multiset(pairs)

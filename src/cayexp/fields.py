@@ -150,9 +150,6 @@ class FieldElement:
         p = self.spec.p
         return FieldElement(self.spec, tuple((k * c) % p for c in self.coeffs))
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
 
 def construct_field(p: int, m: int, bound: int = SIZE_BOUND) -> FieldSpec:
     """GF(p^m) with the lexicographically first monic irreducible modulus."""
@@ -172,23 +169,3 @@ def _construct_field_cached(p: int, m: int) -> FieldSpec:
         if _is_irreducible(poly, p):
             return FieldSpec(p, m, poly)
     raise AssertionError("no irreducible polynomial found")  # unreachable
-
-
-def field_pow(a: FieldElement, k: int) -> FieldElement:
-    """a^k by square-and-multiply; a^0 = 1."""
-    if k < 0:
-        raise ValueError("negative exponent")
-    result = a.spec.one()
-    base = a
-    while k:
-        if k & 1:
-            result = result * base
-        base = base * base
-        k >>= 1
-    return result
-
-
-def inner_product(a: FieldElement, b: FieldElement) -> int:
-    """Coefficient dot product mod p (the power-basis bilinear form)."""
-    a._check(b)
-    return sum(x * y for x, y in zip(a.coeffs, b.coeffs)) % a.spec.p

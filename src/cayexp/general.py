@@ -2,15 +2,13 @@
 
 Strong generators give a Cayley graph of diameter at most n, so the
 vertex-transitivity bound 1 - 1/(16.5 * d * diam^2) certifies an initial
-spectral gap; derandomized squaring then amplifies it to any target. Phase 1
-(constant target 1/4) needs at most ceil(8 log2 n) rounds analytically;
-phase 2 reaches eps < 1/4 in 3 + ceil(log2 log2 (1/eps)) more.
+spectral gap; squaring rounds then amplify it to any target. Every round is
+re-measured exactly (the group is within the verification cap), so the
+rounds stop at the first measurement that meets the target; no analytic
+round count is computed.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,33 +26,6 @@ def babai_bound(deg: int, diam: int) -> float:
     if deg < 1 or diam < 1:
         raise ValueError("degree and diameter must be >= 1")
     return 1.0 - 1.0 / (16.5 * deg * diam * diam)
-
-
-def rv_composition(lam: float, mu: float) -> float:
-    """Spectral expansion of a derandomized square: 1 - (1-lam^2)(1-mu)."""
-    return 1.0 - (1.0 - lam * lam) * (1.0 - mu)
-
-
-@dataclass(frozen=True)
-class AmplificationSchedule:
-    phase1_rounds: int
-    phase2_rounds: int
-    per_round_mu: tuple[float, ...]
-    mode: str
-
-    @staticmethod
-    def analytic(n: int, eps: float) -> "AmplificationSchedule":
-        p1 = math.ceil(8 * math.log2(max(n, 2)))
-        p2 = 0 if eps >= 0.25 else 3 + math.ceil(
-            math.log2(max(1.0, math.log2(1.0 / eps))))
-        # phase-2 auxiliary targets follow the degree-doubling rule
-        # mu_i = lam_i^2, starting from lam = 1/4
-        mus = []
-        lam = 0.25
-        for _ in range(p2):
-            mus.append(lam * lam)
-            lam = 2 * lam * lam
-        return AmplificationSchedule(p1, p2, tuple(mus), "analytic")
 
 
 def strong_generator_multiset(bs: BSGS) -> Multiset:

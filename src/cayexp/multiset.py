@@ -5,13 +5,14 @@ vectors). Storage is canonical: distinct elements sorted ascending with
 positive integer multiplicities, so equal multisets compare and serialize
 identically.
 
-A multiset has one of two storage forms and the same behaviour in both. One
-built from pairs, or by a permutation or quotient carrier, holds its element
-and multiplicity tuples. A vector multiset built by
-``VectorCarrier.from_codes`` or ``tally`` holds its carrier (``space``), its
-ascending mixed-radix codes and its multiplicity array instead, and makes
-the ``elems``/``mults`` tuples only when they are read. Code order is
-lexicographic tuple order, so both forms list the same elements in the same
+A multiset has one of two storage forms and the same behaviour in both; its
+origin decides which. One built from pairs (``multiset``) holds its element
+and multiplicity tuples. One built by a carrier (``from_codes``, ``tally``)
+holds that carrier (``space``), its ascending codes and its multiplicity
+array instead: mixed-radix codes for a vector group, image rows for a
+permutation group or a quotient. It decodes the ``elems`` tuple (through
+the carrier) and makes the ``mults`` tuple only when they are read. Code
+order is element order, so both forms list the same elements in the same
 order; equality and hashing are by element.
 
 Arithmetic that needs the group (inverses, products, unions, symmetry,
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .perm import format_perm, parse_perm
+from .perm import Perm, format_perm, parse_perm
 
 
 class NonSymmetricError(ValueError):
@@ -69,8 +70,7 @@ class Multiset:
     @property
     def elems(self) -> tuple:
         if self._elems is None:
-            cols = self._space.unravel(self._codes).T.tolist()
-            self._elems = tuple(zip(*cols))
+            self._elems = self._space.decode(self._codes)
         return self._elems
 
     @property
@@ -85,12 +85,13 @@ class Multiset:
 
     @property
     def space(self):
-        """The VectorCarrier whose codes are stored, or None."""
+        """The carrier whose codes are stored, or None."""
         return self._space
 
     @property
     def codes(self) -> np.ndarray | None:
-        """The stored ascending codes in ``space``, or None."""
+        """The stored ascending codes (or image rows) of ``space``, or
+        None."""
         return self._codes
 
     def mult_array(self) -> np.ndarray:
@@ -111,11 +112,14 @@ class Multiset:
         return self._space.from_codes(self._codes, mults, cert)
 
     def coordinates(self) -> np.ndarray:
-        """(support, width) int64 coordinates of a vector multiset's
-        elements: unravelled from its codes, or read from its tuples."""
-        if self._codes is None:
-            return np.array(self._elems, dtype=np.int64)
-        return self._space.unravel(self._codes)
+        """(support, width) int64 rows of the elements, a vector's
+        coordinates or a permutation's images: from the stored codes, or
+        read from the element tuples."""
+        if self._codes is not None:
+            return self._space.coordinates(self._codes)
+        if isinstance(self._elems[0], Perm):
+            return np.array([e.img for e in self._elems], dtype=np.int64)
+        return np.array(self._elems, dtype=np.int64)
 
     def __eq__(self, other):
         if not isinstance(other, Multiset):
@@ -261,34 +265,3 @@ def format_rows(template: str, table: np.ndarray) -> str:
                 keep[:, first + s] = col >= 10 ** (width - 1 - s)
         text = text[keep]
     return text.tobytes().decode("ascii")
-
-
-def format_vector_multiset(ms: Multiset, shape) -> str:
-    head = "shape " + " ".join(
-        f"{p}^{e}:{n}" for p, e, n in shape.factors)
-    coords = ms.coordinates()
-    row = "%d " + ",".join(["%d"] * coords.shape[1]) + "\n"
-    return head + "\n" + format_rows(
-        row, np.column_stack((ms.mult_array(), coords)))
-
-
-def parse_vector_multiset(text: str):
-    from .carriers import AbelianShape
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("shape"):
-        raise ValueError("expected 'shape ...' header")
-    factors = []
-    for tok in lines[0].split()[1:]:
-        pe, _, n = tok.partition(":")
-        p, _, e = pe.partition("^")
-        factors.append((int(p), int(e), int(n)))
-    shape = AbelianShape(tuple(factors))
-    pairs = []
-    for ln in lines[1:]:
-        m_str, _, rest = ln.partition(" ")
-        vec = tuple(int(c) for c in rest.split(","))
-        if len(vec) != shape.width:
-            raise ValueError(f"vector width {len(vec)} != {shape.width}")
-        pairs.append((vec, int(m_str)))
-    return shape, multiset(pairs)

@@ -223,9 +223,3 @@ def parse_group_file(text: str) -> GenSet:
         raise ParseError("degree must be >= 1")
     gens = [parse_perm(ln, degree) for ln in lines[1:]]
     return GenSet(degree, tuple(gens))
-
-
-def format_group_file(g: GenSet) -> str:
-    out = [f"degree {g.degree}"]
-    out.extend(format_perm(p) for p in g.gens)
-    return "\n".join(out) + "\n"

@@ -113,12 +113,6 @@ class QuotientContext:
             h = lv.transversal[beta] * h
         return h
 
-    def mul(self, a: Perm, b: Perm) -> Perm:
-        return self.canonicalize(a * b)
-
-    def inv(self, a: Perm) -> Perm:
-        return self.canonicalize(a.inv())
-
     def identity(self) -> Perm:
         return self.canonicalize(Perm.identity(self.parent.degree))
 

@@ -32,7 +32,6 @@ from . import _kernels
 from .carriers import (AbelianShape, Carrier, VectorCarrier,
                        multiset_order_check, require_symmetric)
 from .multiset import Multiset, format_rows
-from .perm import Perm
 
 DENSE_CAP = 10_000
 ITER_CAP = 1_000_000
@@ -103,10 +102,7 @@ def root_tables(moduli) -> tuple[np.ndarray, np.ndarray]:
 def seed_body(ms: Multiset) -> bytes:
     """The multiset's part of instance_seed: repr((elem, m)) per pair, a
     Perm written as its image tuple."""
-    if ms.space is None and isinstance(ms.elems[0], Perm):
-        coords = np.array([e.img for e in ms.elems], dtype=np.int64)
-    else:
-        coords = ms.coordinates()
+    coords = ms.coordinates()
     width = coords.shape[1]
     elem = "(" + ", ".join(["%d"] * width) + ("," if width == 1 else "") + ")"
     table = np.column_stack((coords, ms.mult_array()))
@@ -209,19 +205,6 @@ def dense_lambda2(carrier: Carrier, ms: Multiset) -> float:
     if len(evs) < 2:
         return 0.0
     return float(max(-evs[0], evs[-2], 0.0))
-
-
-def dense_lambda2_signed(carrier: Carrier, ms: Multiset) -> float:
-    """Second largest eigenvalue without absolute value.
-
-    This is the quantity the vertex-transitivity diameter bound controls; a
-    bipartite Cayley graph has smallest eigenvalue -1 but its signed second
-    eigenvalue still respects the bound.
-    """
-    evs = dense_spectrum(carrier, ms)
-    if len(evs) < 2:
-        return 0.0
-    return float(evs[-2])
 
 
 class MomentInterval(NamedTuple):

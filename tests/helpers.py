@@ -14,9 +14,12 @@ import numpy as np
 
 import cayexp
 from cayexp import bsgs
+from cayexp.carriers import QuotientCarrier, VectorCarrier
+from cayexp.combine import AmplificationError, AuxExpander
 from cayexp.multiset import (NOT_SYMMETRIC, Multiset, NonSymmetricError,
                              multiset)
 from cayexp.perm import GenSet, Perm
+from cayexp.spectra import dense_spectrum
 
 
 def brute_closure(g: GenSet) -> set[Perm]:
@@ -104,13 +107,36 @@ def random_symmetric_multiset(elements: list[Perm], seed: int,
 
 
 # ---------------------------------------------------------------------------
+# one element at a time: the group operations of the three carriers
+
+def elem_inv(carrier, e):
+    """The inverse of one element: negated coordinates on a vector group,
+    the inverse permutation, or the canonical representative of the inverse
+    coset."""
+    if isinstance(carrier, VectorCarrier):
+        return tuple((-x) % m for x, m in zip(e, carrier.moduli))
+    if isinstance(carrier, QuotientCarrier):
+        return carrier.ctx.canonicalize(e.inv())
+    return e.inv()
+
+
+def elem_mul(carrier, a, b):
+    """The product of two elements, in the carrier's convention."""
+    if isinstance(carrier, VectorCarrier):
+        return tuple((x + y) % m for x, y, m in zip(a, b, carrier.moduli))
+    if isinstance(carrier, QuotientCarrier):
+        return carrier.ctx.canonicalize(a * b)
+    return a * b
+
+
+# ---------------------------------------------------------------------------
 # element-by-element references for combine's multiset bookkeeping: dicts
-# of elements and the carriers' per-element inv and mul
+# of elements and the per-element inv and mul above
 
 def symmetric_by_elements(carrier, ms: Multiset) -> bool:
     """Every element's inverse has the element's multiplicity."""
     c = ms.counts()
-    return all(c.get(carrier.inv(e), 0) == m for e, m in ms.pairs())
+    return all(c.get(elem_inv(carrier, e), 0) == m for e, m in ms.pairs())
 
 
 def ref_symmetrize(carrier, ms: Multiset) -> Multiset:
@@ -118,7 +144,8 @@ def ref_symmetrize(carrier, ms: Multiset) -> Multiset:
     unchanged."""
     if symmetric_by_elements(carrier, ms):
         return ms
-    pairs = list(ms.pairs()) + [(carrier.inv(e), m) for e, m in ms.pairs()]
+    pairs = list(ms.pairs()) + [(elem_inv(carrier, e), m)
+                                for e, m in ms.pairs()]
     return multiset(pairs, cert=ms.cert).gcd_reduced()
 
 
@@ -127,7 +154,7 @@ def ref_pair_units(carrier, ms: Multiset):
     index = {e: i for i, e in enumerate(ms.elems)}
     units = []
     for i, e in enumerate(ms.elems):
-        f = carrier.inv(e)
+        f = elem_inv(carrier, e)
         if index.get(f, i) >= i:
             units.append((i, (e,) if f == e else (e, f)))
     heads = np.array([i for i, _ in units], dtype=np.int64)
@@ -152,7 +179,7 @@ def ref_pad_to_total(carrier, ms: Multiset, target: int) -> Multiset:
         for e, _ in ms.pairs():
             if e in seen:
                 continue
-            f = carrier.inv(e)
+            f = elem_inv(carrier, e)
             if f not in out_counts:
                 raise NonSymmetricError(
                     "cannot pad a multiset that is not inverse-closed")
@@ -191,15 +218,16 @@ def ref_derandomized_square(carrier, u: Multiset, h) -> Multiset:
     counts = u.counts()
     sigma = []
     for i, e in enumerate(expanded):
-        f = carrier.inv(e)
+        f = elem_inv(carrier, e)
         if counts.get(f) != counts[e]:
             raise NonSymmetricError(NOT_SYMMETRIC)
         sigma.append(first[f] + i - first[e])
     acc = {}
     for ell in range(h.degree):
         for i, j in enumerate(h.neighbors[:, ell].tolist()):
-            for p in (carrier.mul(expanded[i], expanded[j]),
-                      carrier.mul(expanded[sigma[i]], expanded[sigma[j]])):
+            for p in (elem_mul(carrier, expanded[i], expanded[j]),
+                      elem_mul(carrier, expanded[sigma[i]],
+                               expanded[sigma[j]])):
                 acc[p] = acc.get(p, 0) + 1
     return multiset(acc.items(), cert=cert)
 
@@ -270,6 +298,44 @@ def level_map(hom, qctx, s: int, live, vec) -> Perm:
     return qctx.canonicalize(acc)
 
 
+def hom_domain(hom) -> VectorCarrier:
+    """The domain prod_j Z_{p_j^{e_j}}^r of an abelianization, r its rank."""
+    return VectorCarrier(tuple(p**e for p, e in zip(hom.primes, hom.exps)
+                               for _ in hom.xs))
+
+
+def hom_apply(hom, vec) -> Perm:
+    """phi(a): canonical representative of N * prod y_ij^{a_ij}, the
+    coordinates of a in prime blocks of len(hom.xs)."""
+    rank = len(hom.xs)
+    acc = Perm.identity(hom.ctx.parent.degree)
+    for pos, a in enumerate(vec):
+        if a:
+            acc = acc * (hom.ys[pos % rank][pos // rank] ** a)
+    return hom.ctx.canonicalize(acc)
+
+
+def field_pow(a, k: int):
+    """a^k in its field by square-and-multiply; a^0 = 1."""
+    if k < 0:
+        raise ValueError("negative exponent")
+    result = a.spec.one()
+    base = a
+    while k:
+        if k & 1:
+            result = result * base
+        base = base * base
+        k >>= 1
+    return result
+
+
+def inner_product(a, b) -> int:
+    """Coefficient dot product mod p (the power-basis bilinear form)."""
+    if a.spec != b.spec:
+        raise ValueError("field spec mismatch")
+    return sum(x * y for x, y in zip(a.coeffs, b.coeffs)) % a.spec.p
+
+
 def psi_to_fields(vec, fields, widths) -> tuple:
     """Coordinate truncation onto the additive groups of the fields."""
     out = []
@@ -279,6 +345,59 @@ def psi_to_fields(vec, fields, widths) -> tuple:
         out.append(f.element(tuple(block[:f.m]) + (0,) * (f.m - len(block))))
         pos += w
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# analytic references for amplification: spectral bounds of one derandomized
+# square, round counts, and auxiliaries from explicit rotation maps
+
+def rv_composition(lam: float, mu: float) -> float:
+    """Spectral expansion of a derandomized square: 1 - (1-lam^2)(1-mu)."""
+    return 1.0 - (1.0 - lam * lam) * (1.0 - mu)
+
+
+def analytic_rounds(lam: float, mu: float, target: float = 0.25,
+                    max_rounds: int = 10**4) -> int:
+    """Number of x -> x^2 + mu steps to reach the target from lam."""
+    x = lam
+    rounds = 0
+    while x > target:
+        nxt = x * x + mu
+        if nxt >= x:
+            raise AmplificationError(
+                f"recurrence stalls at {x:.6f} with mu={mu}")
+        x = nxt
+        rounds += 1
+        if rounds > max_rounds:
+            raise AmplificationError("round limit exceeded")
+    return rounds
+
+
+def aux_from_rotation(neighbors, label_inv,
+                      certified_mu: float | None = None) -> AuxExpander:
+    """Auxiliary expander from an explicit neighbor table.
+
+    When certified_mu is omitted it is measured by a dense eigensolve of the
+    (normalized) adjacency matrix.
+    """
+    neighbors = np.asarray(neighbors, dtype=np.int64)
+    v, d = neighbors.shape
+    if certified_mu is None:
+        m = np.zeros((v, v))
+        for ell in range(d):
+            np.add.at(m, (np.arange(v), neighbors[:, ell]), 1.0 / d)
+        evs = np.linalg.eigvalsh(m)
+        certified_mu = float(max(-evs[0], evs[-2], 0.0)) if v > 1 else 0.0
+    return AuxExpander(v, d, neighbors, certified_mu, tuple(label_inv))
+
+
+def dense_lambda2_signed(carrier, ms: Multiset) -> float:
+    """Second largest eigenvalue without absolute value: the quantity the
+    vertex-transitivity diameter bound controls (a bipartite Cayley graph
+    has smallest eigenvalue -1, but its signed second eigenvalue still
+    respects the bound)."""
+    evs = dense_spectrum(carrier, ms)
+    return float(evs[-2]) if len(evs) >= 2 else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -10,23 +10,23 @@ import time
 import numpy as np
 import pytest
 
-from helpers import (np_closure, np_commutator_closure,
-                     random_symmetric_multiset)
+from helpers import (aux_from_rotation, dense_lambda2_signed, np_closure,
+                     np_commutator_closure, random_symmetric_multiset,
+                     rv_composition)
 
 from cayexp import catalog
 from cayexp.abexp import final_R, r_carrier
 from cayexp.bsgs import schreier_sims
 from cayexp.carriers import PermCarrier, QuotientCarrier, VectorCarrier
-from cayexp.combine import (aux_family, aux_from_rotation, combine_union,
-                            derandomized_square, solvable_expander)
+from cayexp.combine import (aux_family, combine_union, derandomized_square,
+                            solvable_expander)
 from cayexp.epsbias import verify_bias, zdn_bias_space
-from cayexp.general import babai_bound, rv_composition, \
-    strong_generator_multiset
+from cayexp.general import babai_bound, strong_generator_multiset
 from cayexp.multiset import format_perm_multiset, multiset
 from cayexp.perm import GenSet, Perm, parse_perm
 from cayexp.series import derived_series, dixon_bound, quotient_context
-from cayexp.spectra import (bias_exhaustive, dense_lambda2,
-                            dense_lambda2_signed, dense_spectrum, graph_info)
+from cayexp.spectra import (bias_exhaustive, dense_lambda2, dense_spectrum,
+                            graph_info)
 
 TOL = 1e-9
 SPEC_TOL = 1e-6   # quotient spectrum containment
@@ -298,7 +298,7 @@ def test_criterion_5_final_construction_bias():
             q = f.zero()
             for ell in reversed(range(4)):
                 q = q * t[j] + f.one().scale(beta[ell])
-            if q.is_zero():
+            if q == f.zero():
                 zeros += 1
         assert zeros <= 3        # degree <= n-1 = 3 roots at most
         checked += 1

@@ -54,9 +54,9 @@ def test_matches_perm_loop_oracle(name):
     assert carrier.elements() == oracle
     assert carrier._table[2].dtype.kind == KEY_KIND[name]
     index = {p: i for i, p in enumerate(oracle)}
-    assert [carrier.index_of(p) for p in oracle] == list(range(len(oracle)))
-    assert carrier.perms([3 % len(oracle), 0]) == [oracle[3 % len(oracle)],
-                                                   oracle[0]]
+    assert carrier._indices(oracle).tolist() == list(range(len(oracle)))
+    assert list(carrier.decode(carrier.image_rows([3 % len(oracle), 0]))) \
+        == [oracle[3 % len(oracle)], oracle[0]]
     ms = sample_multiset(oracle, 1)
     tables, weights = carrier.action_tables(ms)
     expected = [[index[e * s] for e in oracle] for s in ms.elems]
@@ -85,7 +85,7 @@ def test_foreign_element_raises():
     carrier = PermCarrier.of(catalog.a5())
     odd = parse_perm("(1 2)", 5)
     with pytest.raises(KeyError):
-        carrier.index_of(odd)
+        carrier._indices([odd])
     with pytest.raises(KeyError):
         carrier.action_tables(multiset([(odd, 1)]))
 
@@ -94,14 +94,14 @@ def test_foreign_element_with_matching_base_images_raises():
     # <(1 2)> on 3 points has base [0]; (2 3) fixes it like the identity
     carrier = PermCarrier.of(GenSet(3, (parse_perm("(1 2)", 3),)))
     with pytest.raises(KeyError):
-        carrier.index_of(parse_perm("(2 3)", 3))
+        carrier._indices([parse_perm("(2 3)", 3)])
 
 
 def test_degree_mismatch_raises():
     carrier = PermCarrier.of(catalog.s4())
     wrong = parse_perm("(1 2)", 5)
     with pytest.raises(DegreeMismatch):
-        carrier.index_of(wrong)
+        carrier._indices([wrong])
     with pytest.raises(DegreeMismatch):
         carrier.action_tables(multiset([(wrong, 1)]))
 
@@ -111,7 +111,7 @@ def test_capacity_error_before_enumeration():
     with pytest.raises(CapacityError):
         carrier.elements()
     with pytest.raises(CapacityError):
-        carrier.index_of(Perm.identity(5))
+        carrier._indices([Perm.identity(5)])
 
 
 def test_trivial_group():

@@ -3,15 +3,15 @@ import importlib
 import numpy as np
 import pytest
 
-from helpers import count_schreier_sims, random_symmetric_multiset
+from helpers import (analytic_rounds, aux_from_rotation, count_schreier_sims,
+                     elem_mul, random_symmetric_multiset)
 
 from cayexp import catalog, obs
 from cayexp.bsgs import schreier_sims
 from cayexp.carriers import PermCarrier, QuotientCarrier, VectorCarrier
 from cayexp.combine import (AmplificationError, AuxExpander,
                             CertificationError, SolvabilityError,
-                            analytic_rounds, aux_family, aux_from_rotation,
-                            aux_from_z2_multiset, balance, combine,
+                            aux_family, aux_from_z2_multiset, balance,
                             combine_union, compact, derandomized_square,
                             fold_levels, fold_series, pad_to_total,
                             reduce_to_quarter, solvable_expander,
@@ -90,9 +90,11 @@ class TestCombine:
         qcar = QuotientCarrier(ctx)
         b = b.with_cert(dense_lambda2(qcar, qcar.image_multiset(b)))
         lam = max(a.cert, b.cert)
-        out = combine(ctx, a, b)
+        gcar = PermCarrier.of(g)
+        out = combine_union(gcar, a, b)
         bound = (1 + lam) * max(a.total, b.total) / (a.total + b.total)
-        assert dense_lambda2(PermCarrier.of(g), out) <= bound + 1e-9
+        assert out.cert <= bound + 1e-9
+        assert dense_lambda2(gcar, out) <= bound + 1e-9
 
     def test_bound_formula_unbalanced(self):
         # lam = 1/4, |A| = 4, |B| = 2 -> (1.25 * 4) / 6 = 5/6
@@ -102,29 +104,20 @@ class TestCombine:
     def test_bound_formula_balanced_is_five_eighths(self):
         assert abs((1 + 0.25) * 4 / 8 - 5 / 8) < 1e-15
 
-    def test_trivial_quotient_returns_a(self):
-        b = schreier_sims(catalog.s4())
-        ctx = quotient_context(b, b)
-        a = multiset([(parse_perm("(1 2)", 4), 1)], cert=0.9)
-        assert combine(ctx, a, a) is a
-
     def test_missing_certification_rejected(self):
-        g = catalog.s4()
-        chain = derived_series(g)
-        ctx = quotient_context(chain.terms[0], chain.terms[1])
+        carrier = PermCarrier.of(catalog.s4())
         a = multiset([(parse_perm("(1 2 3)", 4), 1),
                       (parse_perm("(1 3 2)", 4), 1)])
         with pytest.raises(CertificationError):
-            combine(ctx, a, a)
+            combine_union(carrier, a, a)
+        with pytest.raises(CertificationError):
+            combine_union(carrier, a.with_cert(0.5), a)
 
-    def test_nongenerating_b_rejected(self):
-        g = catalog.s4()
-        chain = derived_series(g)
-        ctx = quotient_context(chain.terms[0], chain.terms[1])
-        even = parse_perm("(1 2 3)", 4)
-        a = multiset([(even, 1), (even.inv(), 1)], cert=0.5)
-        with pytest.raises(ValueError):
-            combine(ctx, a, a)   # b's image is trivial in S4/A4
+
+@pytest.mark.parametrize("lam", [0, -1, 1, 1.5])
+def test_solvable_expander_refuses_lambda_outside_unit_interval(lam):
+    with pytest.raises(ValueError, match=r"lambda must be in \(0, 1\)"):
+        solvable_expander(derived_series(catalog.a4()), target=lam)
 
 
 class TestDerandomizedSquare:
@@ -192,7 +185,7 @@ class TestDerandomizedSquare:
         acc = {}
         for x, wx in ms.pairs():
             for y, wy in ms.pairs():
-                z = carrier.mul(x, y)
+                z = elem_mul(carrier, x, y)
                 acc[z] = acc.get(z, 0) + wx * wy
         assert conv.counts() == acc
 

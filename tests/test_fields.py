@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
-from cayexp.fields import (FieldElement, construct_field, field_pow,
-                           inner_product, is_prime)
+from helpers import field_pow, inner_product
+
+from cayexp.fields import FieldElement, construct_field, is_prime
 
 
 class TestConstruction:

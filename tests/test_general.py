@@ -1,18 +1,17 @@
 import importlib
-import math
 
 import pytest
 
-from helpers import projective_line, random_symmetric_multiset
+from helpers import (dense_lambda2_signed, projective_line,
+                     random_symmetric_multiset, rv_composition)
 
 from cayexp import catalog, obs
 from cayexp.carriers import PermCarrier
-from cayexp.general import (AmplificationSchedule, babai_bound,
-                            general_expander, rv_composition,
+from cayexp.general import (babai_bound, general_expander,
                             strong_generator_multiset)
 from cayexp.multiset import multiset
 from cayexp.perm import GenSet, parse_perm
-from cayexp.spectra import dense_lambda2, dense_lambda2_signed, graph_info
+from cayexp.spectra import dense_lambda2, graph_info
 
 
 class TestBabai:
@@ -58,24 +57,6 @@ class TestRvComposition:
         for lam in (0.1, 0.5, 0.9):
             for mu in (0.01, 0.2):
                 assert rv_composition(lam, mu) <= lam * lam + mu + 1e-15
-
-
-class TestSchedule:
-    def test_phase1_count(self):
-        s = AmplificationSchedule.analytic(16, 0.25)
-        assert s.phase1_rounds == math.ceil(8 * math.log2(16))
-        assert s.phase2_rounds == 0
-
-    def test_phase2_count(self):
-        s = AmplificationSchedule.analytic(16, 1 / 16)
-        assert s.phase2_rounds == 3 + math.ceil(math.log2(math.log2(16)))
-
-    def test_phase2_trajectory_respects_seven_eighths_power(self):
-        # after m lazy-squaring rounds from 7/8 the analytic bound is
-        # (7/8)^(2^m); the schedule length makes that <= eps
-        for eps in (1 / 16, 1 / 64, 1 / 256):
-            m = AmplificationSchedule.analytic(8, eps).phase2_rounds
-            assert (7 / 8) ** (2 ** m) <= eps
 
 
 class TestGeneralExpander:

@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import (count_calls, naive_bias, naive_cayley_lambda2,
-                     projective_line, random_symmetric_multiset)
+from helpers import (count_calls, elem_inv, naive_bias,
+                     naive_cayley_lambda2, projective_line,
+                     random_symmetric_multiset)
 
 from cayexp import _kernels, catalog
 from cayexp.carriers import PermCarrier, QuotientCarrier, VectorCarrier
@@ -265,7 +266,7 @@ class TestAbelianBias:
             pairs = {}
             for _ in range(5):
                 v = tuple(rng.randrange(m) for m in moduli)
-                w = carrier.inv(v)
+                w = elem_inv(carrier, v)
                 pairs[v] = pairs.get(v, 0) + 1
                 pairs[w] = pairs.get(w, 0) + 1
             ms = multiset(pairs.items())
