@@ -24,8 +24,7 @@ _LAZY = {
     "combine": ("AuxExpander", "aux_family", "balance", "derandomized_square",
                 "fold_series", "reduce_to_quarter", "solvable_expander"),
     "abexp": ("abelian_quotient_expander", "build_abelianization",
-              "cyclic_expander", "final_R", "primes_and_exponent",
-              "product_base_expander"),
+              "cyclic_expander", "final_R", "product_base_expander"),
     "epsbias": ("BiasSpace", "factorize", "verify_bias", "zdn_bias_space"),
     "general": ("babai_bound", "general_expander"),
 }

@@ -49,22 +49,10 @@ GREEDY_ORDER_CAP = 2**18
 GREEDY_FULL_CAP = 1024
 GREEDY_POOL = 128
 GREEDY_MAX_ADDS = 4096
-
-
-def primes_up_to(n: int) -> list[int]:
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, int(n**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = False
-    return [int(p) for p in np.nonzero(sieve)[0]]
-
-
-def primes_and_exponent(n: int) -> tuple[list[int], int]:
-    """All primes <= n and e = ceil(log2 n)."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    return primes_up_to(n), math.ceil(math.log2(n))
+# the final construction's (c, eps): |R| = c*n*|base| and bias(R) is at
+# most 1/c + eps, from a base of bias at most eps
+FINAL_C = 8
+FINAL_EPS = 0.125
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +91,7 @@ def _candidate_supply(carrier: VectorCarrier, seed: int):
             (carrier.ravel(raw), units, [0])))
 
 
-def greedy_expander(carrier: VectorCarrier, target: float,
-                    max_adds: int = GREEDY_MAX_ADDS) -> Multiset:
+def greedy_expander(carrier: VectorCarrier, target: float) -> Multiset:
     """Greedy conditional-expectation selection with exact bias tracking.
 
     Elements are added in inverse-closed pairs, each step picking the
@@ -133,7 +120,7 @@ def greedy_expander(carrier: VectorCarrier, target: float,
     picked = []
     best_seen = 1.0
 
-    for _ in range(max_adds):
+    for _ in range(GREEDY_MAX_ADDS):
         reps, invs, rows, mults = next(supply)
         total = len(picked)
         deficit = (_next_pow2(total) - total) if total else 0
@@ -156,7 +143,7 @@ def greedy_expander(carrier: VectorCarrier, target: float,
         if bias <= target and total & (total - 1) == 0:
             return carrier.tally(np.array(picked), cert=bias)
     raise AuxInfeasibleError(
-        f"greedy budget {max_adds} exhausted at bias {best_seen:.4f} "
+        f"greedy budget {GREEDY_MAX_ADDS} exhausted at bias {best_seen:.4f} "
         f"(target {target})", achievable_mu=best_seen)
 
 
@@ -191,7 +178,7 @@ def _window_carrier(primes, ms_list, lo: int, hi: int) -> VectorCarrier:
     return VectorCarrier(tuple(moduli)) if moduli else VectorCarrier((1,))
 
 
-def _window_widths(primes, ms_list, lo, hi):
+def _window_widths(ms_list, lo, hi):
     return [max(0, min(hi, m) - lo) for m in ms_list]
 
 
@@ -212,8 +199,9 @@ def product_base_expander(primes, m, lam: float = 0.25) -> Multiset:
 
     m may be a single exponent (the uniform product group) or a per-prime
     list. Each level quotient is the cyclic group Z_{p_1...p_k} handled by
-    the greedy provider through CRT coordinates; levels are folded pairwise
-    with combine + amplification, certified by exhaustive character sums at
+    the greedy provider through CRT coordinates. Every level s < max(m_j)
+    keeps a live prime, so every fold merge joins two nontrivial windows:
+    a combine + amplification, certified by exhaustive character sums at
     every intermediate window.
     """
     primes = list(primes)
@@ -232,13 +220,9 @@ def product_base_expander(primes, m, lam: float = 0.25) -> Multiset:
 
     def merge(lo: int, mid: int, hi: int, upper: Multiset,
               lower: Multiset) -> Multiset:
-        w_q = _window_widths(primes, ms_list, lo, hi)
-        w_up = _window_widths(primes, ms_list, lo, mid)
-        w_low = _window_widths(primes, ms_list, mid, hi)
-        if sum(w_low) == 0:
-            return upper
-        if sum(w_up) == 0:
-            return lower
+        w_q = _window_widths(ms_list, lo, hi)
+        w_up = _window_widths(ms_list, lo, mid)
+        w_low = _window_widths(ms_list, mid, hi)
         q = _window_carrier(primes, ms_list, lo, hi)
         a = vector_map(lower, q, _window_cols(w_low, w_q, mid - lo))
         b = vector_map(upper, q, _window_cols(w_up, w_q, 0))
@@ -246,8 +230,7 @@ def product_base_expander(primes, m, lam: float = 0.25) -> Multiset:
 
     # the level-s quotient window is exactly the live primes' coordinates,
     # so level sets need no re-embedding
-    out = fold_levels([level_set(s) for s in range(depth)],
-                      multiset([((0,), 1)], cert=0.0), merge)
+    out = fold_levels([level_set(s) for s in range(depth)], merge)
     return reverify(_window_carrier(primes, ms_list, 0, depth), out)
 
 
@@ -279,14 +262,16 @@ def _field_exponents(n: int, primes, c: int) -> list[int]:
     return out
 
 
-def final_R(n: int, primes, c: int = 8, base: Multiset | None = None,
-            eps: float = 0.125, verify: bool = True) -> FinalR:
+def final_R(n: int, primes, c: int = FINAL_C,
+            eps: float = FINAL_EPS) -> FinalR:
     """Expanding generating multiset for prod_j Z_{p_j}^n.
 
+    The base is product_base_expander's set over prod_j Z_{p_j}^{m_j},
+    certified <= eps and compacted when the compaction keeps that bound.
     T is the first c*n tuples over the fields GF(p_j^{m_j}) in lexicographic
     coefficient order (distinct j give tuples distinct in every coordinate,
     since p_j^{m_j} > c*n); each point of R is, per prime block, the vector
-    of inner products <x_j^l, y_j> for l = 0..n-1. |R| = c*n*|psi(S)|
+    of inner products <x_j^l, y_j> for l = 0..n-1. |R| = c*n*|base|
     exactly and bias(R) <= 1/c + eps by the polynomial root-counting
     argument; the bound is re-measured exhaustively when the group is small
     enough.
@@ -294,12 +279,11 @@ def final_R(n: int, primes, c: int = 8, base: Multiset | None = None,
     primes = tuple(primes)
     exps = _field_exponents(n, primes, c)
     fields = tuple(construct_field(p, m) for p, m in zip(primes, exps))
-    if base is None:
-        base = product_base_expander(primes, exps, lam=eps)
-        packed = compact(_window_carrier(primes, exps, 0, max(exps)), base,
-                         256, target_cert=eps)
-        if packed.cert is not None and packed.cert <= eps + 1e-9:
-            base = packed
+    base = product_base_expander(primes, exps, lam=eps)
+    packed = compact(_window_carrier(primes, exps, 0, max(exps)), base,
+                     256, target_cert=eps)
+    if packed.cert is not None and packed.cert <= eps + 1e-9:
+        base = packed
     if base.cert is None or base.cert > eps + 1e-9:
         raise CertificationError(
             f"base multiset not certified <= {eps}")
@@ -307,25 +291,12 @@ def final_R(n: int, primes, c: int = 8, base: Multiset | None = None,
         raise CertificationError(
             f"1/c + eps = {1 / c + base.cert:.4f} exceeds 1/4")
     coords = base.coordinates()
-    width = coords.shape[1]
-    # base over the ragged product has exactly m_j coords per block; a
-    # uniform-m base is truncated per block by psi
-    if width == sum(exps):
-        widths = list(exps)
-    elif width % len(primes) == 0 and width // len(primes) >= max(exps):
-        widths = [width // len(primes)] * len(primes)
-    else:
-        raise ValueError("base vector width incompatible with field sizes")
 
     cn = c * n
-    if any(f.size <= cn for f in fields):
-        raise ValueError("field too small for c*n distinct tuple coordinates")
     tuples = tuple(tuple(f.from_index(j) for f in fields) for j in range(cn))
 
-    # psi, the coordinate truncation onto the fields' additive groups: the
-    # first m_j columns of block j (every block is at least m_j wide)
-    starts = np.cumsum([0] + widths[:-1])
-    ymats = [coords[:, pos:pos + f.m] for pos, f in zip(starts, fields)]
+    # the base's block j, m_j columns wide, is the additive group of field j
+    ymats = np.split(coords, np.cumsum(exps)[:-1], axis=1)
     # per prime: power tables pw[j][t, l] = coeff vector of x_j(t)^l
     pws = []
     for jp, f in enumerate(fields):
@@ -354,7 +325,7 @@ def final_R(n: int, primes, c: int = 8, base: Multiset | None = None,
     points = carrier.tally(np.concatenate(codes),
                            np.tile(base.mult_array(), cn), cert=cert)
     assert points.total == cn * base.total
-    if verify and carrier.order <= EXHAUSTIVE_CHAR_CAP:
+    if carrier.order <= EXHAUSTIVE_CHAR_CAP:
         measured = bias_exhaustive(carrier, points)
         if measured > cert + 1e-9:
             raise CertificationError(
@@ -462,8 +433,8 @@ def _level_groups(hom: AbelianizationHom) -> list[BSGS]:
     return out + [ctx.kernel]
 
 
-def abelian_quotient_expander(h: BSGS, n: BSGS, target: float = 0.25,
-                              c: int = 8, eps: float = 0.125) -> Multiset:
+def abelian_quotient_expander(h: BSGS, n: BSGS,
+                              target: float = 0.25) -> Multiset:
     """Certified expanding multiset on the abelian quotient H/N.
 
     Builds the final-construction sets R over prod_j Z_{p_j}^r, with
@@ -484,7 +455,7 @@ def abelian_quotient_expander(h: BSGS, n: BSGS, target: float = 0.25,
     for s in range(depth):
         live = [j for j in range(len(hom.primes)) if hom.exps[j] > s]
         live_primes = tuple(hom.primes[j] for j in live)
-        r_points = _compact_r_points(rank, live_primes, c, eps)
+        r_points = _compact_r_points(rank, live_primes, FINAL_C, FINAL_EPS)
         qcar = QuotientCarrier(quotient_context(groups[s], groups[s + 1]))
         # the level map a -> prod y_ij^(a_ij p_j^s), as row gathers: column
         # (j, i) of R picks one of the p_j image rows of y_ij^(a p_j^s)

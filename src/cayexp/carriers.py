@@ -545,7 +545,8 @@ def multiset_order_check(carrier, ms: Multiset) -> bool:
             return len(ms.space.moduli) == width
         if ms.space is not None:
             return False
-        return all(len(v) == width for v in ms.elems)
+        return all(isinstance(v, tuple) and len(v) == width
+                   for v in ms.elems)
     if isinstance(carrier, QuotientCarrier):
         carrier = carrier.parent
     try:

@@ -9,11 +9,9 @@ def _g(degree: int, *cycles: str) -> GenSet:
     return GenSet(degree, tuple(parse_perm(c, degree) for c in cycles))
 
 
-def cyclic(n: int, degree: int | None = None) -> GenSet:
-    """Z_n as a single n-cycle (or a product of coprime cycles)."""
-    degree = degree or n
-    cyc = "(" + " ".join(str(i + 1) for i in range(n)) + ")"
-    return _g(degree, cyc)
+def cyclic(n: int) -> GenSet:
+    """Z_n as a single n-cycle."""
+    return _g(n, "(" + " ".join(str(i + 1) for i in range(n)) + ")")
 
 
 def z8() -> GenSet:

@@ -265,12 +265,11 @@ def pad_to_total(carrier: Carrier, ms: Multiset, target: int) -> Multiset:
     return ms.with_mults(counts, cert)
 
 
-def balance(carrier_a: Carrier, a: Multiset, carrier_b: Carrier,
+def balance(carrier: Carrier, a: Multiset,
             b: Multiset) -> tuple[Multiset, Multiset]:
     """Bring both multisets to the same power-of-2 total multiplicity."""
     target = _next_pow2(max(a.total, b.total))
-    return (pad_to_total(carrier_a, a, target),
-            pad_to_total(carrier_b, b, target))
+    return pad_to_total(carrier, a, target), pad_to_total(carrier, b, target)
 
 
 # ---------------------------------------------------------------------------
@@ -465,9 +464,11 @@ def _mu_request(lam: float, target: float) -> float:
     return min(0.125, target / 2)
 
 
+MAX_ROUNDS = 64
+
+
 def reduce_to_quarter(carrier: Carrier, u: Multiset, target: float = 0.25,
-                      compact_total: int = 512,
-                      max_rounds: int = 64) -> Multiset:
+                      compact_total: int = 512) -> Multiset:
     """Squaring rounds until the certified bound is <= target.
 
     On a carrier the verifier can measure (is_measurable), each round
@@ -494,8 +495,8 @@ def reduce_to_quarter(carrier: Carrier, u: Multiset, target: float = 0.25,
                 obs.event("compact", total=u.total, cert=u.cert)
         if u.cert is not None and u.cert <= target:
             return u
-        if rounds >= max_rounds:
-            raise AmplificationError(f"exceeded {max_rounds} squaring rounds")
+        if rounds >= MAX_ROUNDS:
+            raise AmplificationError(f"exceeded {MAX_ROUNDS} squaring rounds")
         if measurable:
             u = square_multiset(carrier, u)
             u = reverify(carrier, u)
@@ -538,29 +539,33 @@ def combine_union(group: Carrier, a: Multiset, b: Multiset,
 # ---------------------------------------------------------------------------
 # folding a normal series
 
-def fold_levels(leaves: list[Multiset], pad: Multiset,
+def fold_levels(leaves: list[Multiset],
                 merge: Callable[[int, int, int, Multiset, Multiset], Multiset]
                 ) -> Multiset:
     """Fold level expanders pairwise, bottom-up, into one.
 
-    The leaves are padded with `pad` to a power-of-two count. Each merge
-    joins the fold of leaves [lo, mid) (upper) with that of [mid, hi)
-    (lower) as merge(lo, mid, hi, upper, lower); leaf indices past the real
-    levels stand for trivial ones. A merge that returns a new set, not one
-    of its two sides, is recorded as a "fold-merge" event.
+    Each level pairs its sets left to right; an odd last set moves up
+    unchanged. A merge joins the fold of leaves [lo, mid) (upper) with that
+    of [mid, hi) (lower) as merge(lo, mid, hi, upper, lower), with spans
+    (j*w, (j+1)*w, (j+2)*w) for the j-th set of a level of width w, so hi
+    may pass the last leaf and the merge clips it. A merge that returns a
+    new set, not one of its two sides, is recorded as a "fold-merge" event.
     """
+    if not leaves:
+        raise ValueError("nothing to fold")
     sets = list(leaves)
-    sets += [pad] * (_next_pow2(max(1, len(sets))) - len(sets))
     width = 1
     while len(sets) > 1:
         nxt = []
-        for j in range(0, len(sets), 2):
+        for j in range(0, len(sets) - 1, 2):
             lo, mid, hi = j * width, (j + 1) * width, (j + 2) * width
             out = merge(lo, mid, hi, sets[j], sets[j + 1])
             if out is not sets[j] and out is not sets[j + 1]:
                 obs.event("fold-merge", span=(lo, mid, hi), total=out.total,
                           cert=out.cert)
             nxt.append(out)
+        if len(sets) % 2:
+            nxt.append(sets[-1])
         sets = nxt
         width *= 2
     return sets[0]
@@ -569,19 +574,20 @@ def fold_levels(leaves: list[Multiset], pad: Multiset,
 def amplified_union(carrier: Carrier, a: Multiset, b: Multiset,
                     target: float, compact_total: int = 512) -> Multiset:
     """One fold merge: balance, certified union, amplify back to target."""
-    a, b = balance(carrier, a, carrier, b)
+    a, b = balance(carrier, a, b)
     return reduce_to_quarter(carrier, combine_union(carrier, a, b),
                              target=target, compact_total=compact_total)
 
 
 def fold_series(chain: SubgroupChain, quotient_sets: list[Multiset],
-                target: float = 0.25, compact_total: int = 1024) -> Multiset:
+                target: float = 0.25) -> Multiset:
     """Fold per-quotient expanders into one for the whole group.
 
     chain is a normal series G_0 |> ... |> G_r = 1 and quotient_sets[i] is
-    certified <= target for G_i/G_{i+1} with representatives in G_i. The
-    fold's padding levels are G_r = 1 again. Each merge combines on
-    G_k/G_m with N = G_l/G_m, then amplifies back to the target.
+    certified <= target for G_i/G_{i+1} with representatives in G_i; a
+    one-term chain (r = 0) gives the identity with certificate 0. Each merge
+    combines on G_k/G_m with N = G_l/G_m, then amplifies back to the target;
+    a merge whose N-part or quotient part is trivial returns its other side.
     """
     groups = chain.terms
     if len(quotient_sets) != len(groups) - 1:
@@ -598,12 +604,13 @@ def fold_series(chain: SubgroupChain, quotient_sets: list[Multiset],
                 if not sub.contains(x.conjugate(g)):
                     raise ValueError(
                         f"chain term {i} is not normal in the top group")
-    last = len(groups) - 1
+    if not quotient_sets:
+        return multiset([(Perm.identity(groups[0].degree), 1)], cert=0.0)
     orders = [b.order() for b in groups]
 
     def merge(lo: int, mid: int, hi: int, upper: Multiset,
               lower: Multiset) -> Multiset:
-        k, l, m = (min(i, last) for i in (lo, mid, hi))
+        k, l, m = lo, mid, min(hi, len(groups) - 1)
         if orders[l] == orders[m]:      # trivial N-part
             return upper
         if orders[k] == orders[l]:      # trivial quotient part
@@ -612,10 +619,9 @@ def fold_series(chain: SubgroupChain, quotient_sets: list[Multiset],
         # A expands G_l/G_m; B's image expands (G_k/G_m)/(G_l/G_m) = G_k/G_l
         a = symmetrize(q, q.image_multiset(lower, cert=lower.cert))
         b = symmetrize(q, q.image_multiset(upper, cert=upper.cert))
-        return amplified_union(q, a, b, target, compact_total)
+        return amplified_union(q, a, b, target, 1024)
 
-    pad = multiset([(Perm.identity(groups[-1].degree), 1)], cert=0.0)
-    return fold_levels(quotient_sets, pad, merge)
+    return fold_levels(quotient_sets, merge)
 
 
 # ---------------------------------------------------------------------------

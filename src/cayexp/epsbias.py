@@ -13,12 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .abexp import (_compact_r_points, _final_r_cached, factorize,
-                    vector_map)
+from .abexp import (FINAL_C, FINAL_EPS, _compact_r_points, _final_r_cached,
+                    factorize, vector_map)
 from .carriers import VectorCarrier
 from .combine import (amplified_union, fold_levels, reduce_to_quarter,
                       reverify, symmetrize)
-from .multiset import Multiset, format_rows, multiset
+from .multiset import Multiset, format_rows
 from .spectra import EXHAUSTIVE_CHAR_CAP, MethodCapacityError, bias_exhaustive
 
 D_CAP = 10**6
@@ -94,8 +94,7 @@ def _crt_digits(ms: Multiset, fac, carrier: VectorCarrier) -> Multiset:
                          cert=ms.cert)
 
 
-def zdn_bias_space(d: int, n: int, eps: float, c: int = 8,
-                   base_eps: float = 0.125) -> BiasSpace:
+def zdn_bias_space(d: int, n: int, eps: float) -> BiasSpace:
     """Certified eps-bias space for Z_d^n."""
     if d < 2 or n < 1 or not (0 < eps < 1):
         raise ValueError("need d >= 2, n >= 1, 0 < eps < 1")
@@ -109,18 +108,12 @@ def zdn_bias_space(d: int, n: int, eps: float, c: int = 8,
         live = tuple(p for p, e in fac if e > s)
         if depth == 1:
             # nothing to fold or push forward: keep the construction's exact
-            # c*n*|psi(S)| output so sizes stay comparable across n
-            return _final_r_cached(n, live, c, base_eps).points
-        return _compact_r_points(n, live, c, base_eps)
+            # c*n*|base| output so sizes stay comparable across n
+            return _final_r_cached(n, live, FINAL_C, FINAL_EPS).points
+        return _compact_r_points(n, live, FINAL_C, FINAL_EPS)
 
     def merge(lo: int, mid: int, hi: int, upper: Multiset,
               lower: Multiset) -> Multiset:
-        w_low = sum(max(0, min(hi, e) - mid) for _, e in fac)
-        w_up = sum(max(0, min(mid, e) - lo) for _, e in fac)
-        if w_low == 0:
-            return upper
-        if w_up == 0:
-            return lower
         q = _kfold_carrier(fac, n, lo, hi)
         # the digit lift of the B side is not inverse-closed in the wider
         # window (only its image mod the A part is), so symmetrize both
@@ -130,8 +123,7 @@ def zdn_bias_space(d: int, n: int, eps: float, c: int = 8,
             upper, q, *_kfold_cols(fac, n, lo, hi, lo, mid)))
         return amplified_union(q, a, b, 0.25)
 
-    out = fold_levels([level_set(s) for s in range(depth)],
-                      multiset([((0,), 1)], cert=0.0), merge)
+    out = fold_levels([level_set(s) for s in range(depth)], merge)
 
     carrier = VectorCarrier((d,) * n)
     pts = reverify(carrier, _crt_digits(out, fac, carrier))

@@ -151,14 +151,14 @@ class FieldElement:
         return FieldElement(self.spec, tuple((k * c) % p for c in self.coeffs))
 
 
-def construct_field(p: int, m: int, bound: int = SIZE_BOUND) -> FieldSpec:
+def construct_field(p: int, m: int) -> FieldSpec:
     """GF(p^m) with the lexicographically first monic irreducible modulus."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if m < 1:
         raise ValueError("m must be >= 1")
-    if p**m > bound:
-        raise ValueError(f"field size {p**m} exceeds bound {bound}")
+    if p**m > SIZE_BOUND:
+        raise ValueError(f"field size {p**m} exceeds bound {SIZE_BOUND}")
     return _construct_field_cached(p, m)
 
 

@@ -43,10 +43,11 @@ def strong_generator_multiset(bs: BSGS) -> Multiset:
 def general_expander(g: GenSet, lam: float = 0.25) -> Multiset:
     """Certified lam-spectral expanding multiset for any <g>.
 
-    Pipeline: strong generators -> Babai-bound certificate -> squaring
-    rounds, each re-measured exactly (the group is within the verification
-    cap). Bipartite starting graphs (e.g. a single transposition) are
-    lazified with identity self-loops first.
+    Pipeline: strong generators, measured exactly (the Babai bound is
+    logged beside the measurement) -> squaring rounds, each re-measured
+    exactly (the group is within the verification cap). Bipartite starting
+    graphs (e.g. a single transposition) are lazified with identity
+    self-loops first.
     """
     if not 0 < lam < 1:
         raise ValueError("lambda must be in (0, 1)")
@@ -61,21 +62,18 @@ def general_expander(g: GenSet, lam: float = 0.25) -> Multiset:
             f"{ITER_CAP}; analytic-only certificates are not emitted")
     info = graph_info(carrier, ms)
     measured = measure_exact(carrier, ms)
-    if measured is not None and measured >= 1.0 - 1e-12:
+    if measured >= 1.0 - 1e-12:
         # bipartite Cayley graph: shift the spectrum with a lazy step
         ident = carrier.codes([carrier.identity()])
         ms = carrier.tally(np.concatenate((carrier.codes(ms), ident)),
                            np.append(ms.mult_array(), ms.total))
         measured = measure_exact(carrier, ms)
         obs.event("lazify", total=ms.total, cert=measured)
-    analytic = babai_bound(ms.total, max(info["diameter"], 1))
-    cert = measured if measured is not None else analytic
-    ms = ms.with_cert(cert)
+    ms = ms.with_cert(measured)
     obs.event("strong-gens", total=ms.total, cert=ms.cert,
-              diameter=info["diameter"], babai_bound=analytic)
+              diameter=info["diameter"],
+              babai_bound=babai_bound(ms.total, max(info["diameter"], 1)))
     if ms.cert <= lam:
         return ms
-    out = reduce_to_quarter(carrier, ms, target=min(lam, 0.25))
-    if lam < 0.25 and (out.cert is None or out.cert > lam):
-        out = reduce_to_quarter(carrier, out, target=lam)
-    return out      # every certificate is an exact measurement
+    # every certificate is an exact measurement
+    return reduce_to_quarter(carrier, ms, target=min(lam, 0.25))

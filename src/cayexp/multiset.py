@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .perm import Perm, format_perm, parse_perm
+from .perm import Perm, format_perm, parse_degree_file, parse_perm
 
 
 class NonSymmetricError(ValueError):
@@ -201,13 +201,11 @@ def format_perm_multiset(ms: Multiset, degree: int) -> str:
 
 
 def parse_perm_multiset(text: str) -> tuple[int, Multiset]:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("degree"):
-        raise ValueError("expected 'degree <n>' header")
-    degree = int(lines[0].split()[1])
+    """Multiset file: a ``degree <n>`` header, then one ``<m> <perm>`` line
+    per element."""
+    degree, lines = parse_degree_file(text)
     pairs = []
-    for ln in lines[1:]:
+    for ln in lines:
         m_str, _, rest = ln.partition(" ")
         pairs.append((parse_perm(rest, degree), int(m_str)))
     return degree, multiset(pairs)

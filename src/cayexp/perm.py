@@ -206,12 +206,13 @@ class GenSet:
         return [g for g in self.gens if not g.is_identity()]
 
 
-def parse_group_file(text: str) -> GenSet:
-    """Group file: first line ``degree <n>``, then one generator per line."""
+def parse_degree_file(text: str) -> tuple[int, list[str]]:
+    """The degree n of a file whose first line is ``degree <n>``, and its
+    lines after that; blank lines and ``#`` comments are dropped."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
-        raise ParseError("empty group file")
+        raise ParseError("empty file: expected a 'degree <n>' header")
     head = lines[0].split()
     if len(head) != 2 or head[0] != "degree":
         raise ParseError(f"expected 'degree <n>' header, got {lines[0]!r}")
@@ -221,5 +222,10 @@ def parse_group_file(text: str) -> GenSet:
         raise ParseError(f"bad degree {head[1]!r}") from None
     if degree < 1:
         raise ParseError("degree must be >= 1")
-    gens = [parse_perm(ln, degree) for ln in lines[1:]]
-    return GenSet(degree, tuple(gens))
+    return degree, lines[1:]
+
+
+def parse_group_file(text: str) -> GenSet:
+    """Group file: first line ``degree <n>``, then one generator per line."""
+    degree, lines = parse_degree_file(text)
+    return GenSet(degree, tuple(parse_perm(ln, degree) for ln in lines))

@@ -171,16 +171,13 @@ def bias_sampled(carrier: VectorCarrier, ms: Multiset,
     return best
 
 
-def abelian_bias(shape: AbelianShape | VectorCarrier, ms: Multiset,
-                 exhaustive: bool | None = None) -> float:
+def abelian_bias(shape: AbelianShape | VectorCarrier, ms: Multiset) -> float:
     """Max over nontrivial characters of |E_s chi(s)| (= lambda2 of the graph)."""
     carrier = shape if isinstance(shape, VectorCarrier) else VectorCarrier.of(shape)
     if not multiset_order_check(carrier, ms):
         raise ValueError("element shape mismatch")
     require_symmetric(carrier, ms)
-    if exhaustive is None:
-        exhaustive = carrier.order <= EXHAUSTIVE_CHAR_CAP
-    if exhaustive:
+    if carrier.order <= EXHAUSTIVE_CHAR_CAP:
         return bias_exhaustive(carrier, ms)
     return bias_sampled(carrier, ms)
 
@@ -276,7 +273,7 @@ def power_lambda2(carrier: Carrier, ms: Multiset, tol: float = 1e-9,
 # ---------------------------------------------------------------------------
 # unified entry point
 
-def second_eigenvalue(carrier: Carrier, ms: Multiset, tol: float = 1e-9,
+def second_eigenvalue(carrier: Carrier, ms: Multiset,
                       method: str = "auto") -> SpectrumReport:
     """Certified lambda2 of Cay(G, S) for a symmetric multiset S."""
     require_symmetric(carrier, ms)
@@ -300,7 +297,7 @@ def second_eigenvalue(carrier: Carrier, ms: Multiset, tol: float = 1e-9,
         lam = dense_lambda2(carrier, ms)
         tolerance = 1e-9
     elif method == "power-iteration":
-        lam, upper, matvecs = power_lambda2(carrier, ms, tol=tol)
+        lam, upper, matvecs = power_lambda2(carrier, ms)
         tolerance = 0.0     # the upper end carries its rounding margin
     elif method == "character-sum":
         if not isinstance(carrier, VectorCarrier):

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 import cayexp
-from cayexp import bsgs
+from cayexp import bsgs, obs
 from cayexp.carriers import QuotientCarrier, VectorCarrier
 from cayexp.combine import AmplificationError, AuxExpander
 from cayexp.multiset import (NOT_SYMMETRIC, Multiset, NonSymmetricError,
@@ -398,6 +398,34 @@ def dense_lambda2_signed(carrier, ms: Multiset) -> float:
     respects the bound)."""
     evs = dense_spectrum(carrier, ms)
     return float(evs[-2]) if len(evs) >= 2 else 0.0
+
+
+# ---------------------------------------------------------------------------
+# the level fold with padding
+
+def ref_fold_levels(leaves: list, pad, merge):
+    """The level fold with the leaves padded by `pad` to a power-of-two
+    count: merge(lo, mid, hi, upper, lower) joins the folds of leaves
+    [lo, mid) and [mid, hi) at every node of a complete binary tree, and a
+    merge that returns a new set is recorded as a "fold-merge" event."""
+    sets = list(leaves)
+    count = 1
+    while count < len(sets):
+        count *= 2
+    sets += [pad] * (count - len(sets))
+    width = 1
+    while len(sets) > 1:
+        nxt = []
+        for j in range(0, len(sets), 2):
+            lo, mid, hi = j * width, (j + 1) * width, (j + 2) * width
+            out = merge(lo, mid, hi, sets[j], sets[j + 1])
+            if out is not sets[j] and out is not sets[j + 1]:
+                obs.event("fold-merge", span=(lo, mid, hi),
+                          total=out.total, cert=out.cert)
+            nxt.append(out)
+        sets = nxt
+        width *= 2
+    return sets[0]
 
 
 # ---------------------------------------------------------------------------

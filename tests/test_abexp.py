@@ -8,8 +8,8 @@ from helpers import (elem_mul, field_pow, hom_apply, hom_domain,
 from cayexp import abexp, catalog
 from cayexp.abexp import (abelian_quotient_expander, build_abelianization,
                           cyclic_expander, factorize, final_R,
-                          greedy_expander, primes_and_exponent,
-                          product_base_expander, r_carrier, vector_map)
+                          greedy_expander, product_base_expander,
+                          r_carrier, vector_map)
 from cayexp.bsgs import schreier_sims
 from cayexp.carriers import PermCarrier, QuotientCarrier, VectorCarrier
 from cayexp.combine import CertificationError, reverify, solvable_expander
@@ -17,21 +17,6 @@ from cayexp.multiset import multiset
 from cayexp.perm import GenSet, Perm, parse_perm
 from cayexp.series import derived_series, quotient_context
 from cayexp.spectra import bias_exhaustive, dense_lambda2, second_eigenvalue
-
-
-class TestPrimesAndExponent:
-    def test_ten(self):
-        assert primes_and_exponent(10) == ([2, 3, 5, 7], 4)
-
-    def test_two(self):
-        assert primes_and_exponent(2) == ([2], 1)
-
-    def test_eight(self):
-        assert primes_and_exponent(8) == ([2, 3, 5, 7], 3)
-
-    def test_too_small(self):
-        with pytest.raises(ValueError):
-            primes_and_exponent(1)
 
 
 class TestFactorize:

@@ -149,6 +149,31 @@ def test_verify_foreign_element_exit_2(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+# a bare "degree" once ended verify in an IndexError traceback (exit 1), and
+# "degreeX 4" was read as degree 4
+BAD_HEADERS = ["degree", "degree x", "degree 0", "degreeX 4", "1 (1 2)"]
+
+
+@pytest.mark.parametrize("header", BAD_HEADERS)
+def test_verify_malformed_multiset_header_exit_2(tmp_path, capsys, s4_file,
+                                                 header):
+    ms = tmp_path / "x.ms"
+    ms.write_text(header + "\n1 (1 2)\n")
+    rc = main(["verify", "--group", str(s4_file), "--multiset", str(ms)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("header", BAD_HEADERS)
+def test_malformed_group_header_exit_2(tmp_path, capsys, header):
+    group = tmp_path / "x.grp"
+    group.write_text(header + "\n(1 2)\n")
+    assert main(["series", "--group", str(group)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_build_expander_builds_each_group_once(tmp_path, monkeypatch):
     # Syl2(S8): its BSGS and those of the three derived-series terms below
     # it (orders 16, 2, 1); every derived quotient is elementary abelian, so
@@ -323,8 +348,7 @@ PACKAGE_NAMES = {
     "combine": ["AuxExpander", "aux_family", "balance", "derandomized_square",
                 "fold_series", "reduce_to_quarter", "solvable_expander"],
     "abexp": ["abelian_quotient_expander", "build_abelianization",
-              "cyclic_expander", "final_R", "primes_and_exponent",
-              "product_base_expander"],
+              "cyclic_expander", "final_R", "product_base_expander"],
     "epsbias": ["BiasSpace", "factorize", "verify_bias", "zdn_bias_space"],
     "general": ["babai_bound", "general_expander"],
 }

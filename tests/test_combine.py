@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (analytic_rounds, aux_from_rotation, count_schreier_sims,
-                     elem_mul, random_symmetric_multiset)
+                     elem_mul, random_symmetric_multiset, ref_fold_levels)
 
 from cayexp import catalog, obs
 from cayexp.bsgs import schreier_sims
@@ -33,7 +33,7 @@ class TestBalance:
         g, carrier = z_n(5)
         a = multiset([(g, 2), (g.inv(), 2)], cert=0.5)
         b = multiset([(g ** 2, 2), (g ** 3, 2)], cert=0.5)
-        a2, b2 = balance(carrier, a, carrier, b)
+        a2, b2 = balance(carrier, a, b)
         assert a2.counts() == a.counts() and b2.counts() == b.counts()
 
     def test_three_and_five_to_eight(self):
@@ -42,8 +42,7 @@ class TestBalance:
         b = multiset([(g ** 2, 2), (g ** 5, 2), (Perm.identity(7), 1)])
         lam_a = dense_lambda2(carrier, a)
         lam_b = dense_lambda2(carrier, b)
-        a2, b2 = balance(carrier, a.with_cert(lam_a), carrier,
-                         b.with_cert(lam_b))
+        a2, b2 = balance(carrier, a.with_cert(lam_a), b.with_cert(lam_b))
         assert a2.total == b2.total == 8
         # padding never exceeds a 2x multiplicity skew per element
         for ms, orig in ((a2, a), (b2, b)):
@@ -60,7 +59,7 @@ class TestBalance:
         carrier = PermCarrier.of(GenSet(2, (t,)))
         a = multiset([(t, 1)], cert=1.0)
         b = multiset([(t, 1), (Perm.identity(2), 1)], cert=0.5)
-        a2, b2 = balance(carrier, a, carrier, b)
+        a2, b2 = balance(carrier, a, b)
         assert a2.total == b2.total == 2
         # pure replication: lambda2 exactly preserved
         assert abs(dense_lambda2(carrier, a2)
@@ -351,6 +350,12 @@ class TestFoldSeries:
         assert out.cert <= 0.25 + 1e-9
         assert dense_lambda2(PermCarrier.of(g), out) <= 0.25 + 1e-9
 
+    def test_one_term_chain_gives_the_identity(self):
+        chain = derived_series(GenSet(4, ()))
+        assert chain.length == 0
+        out = fold_series(chain, [])
+        assert out.elems == (Perm.identity(4),) and out.cert == 0.0
+
     def test_uncertified_inputs_rejected(self):
         chain = derived_series(catalog.z6())
         s = multiset([(Perm.identity(6), 1)])
@@ -369,38 +374,63 @@ class TestFoldSeries:
 
 
 class TestFoldLevels:
-    def _fold(self, n):
-        leaves = [multiset([(Perm.identity(1), i + 1)], cert=0.0)
-                  for i in range(n)]
-        pad = multiset([(Perm.identity(1), 100)], cert=0.0)
-        calls = []
-
+    @staticmethod
+    def _merge(calls, pad=None):
+        """A merge that sums totals and records its calls; a side that is
+        the pad is the trivial level, so the other side comes back."""
         def merge(lo, mid, hi, upper, lower):
-            calls.append((lo, mid, hi, upper.total, lower.total))
             if lower is pad:
                 return upper
+            if upper is pad:
+                return lower
+            calls.append((lo, mid, hi, upper.total, lower.total))
             return multiset([(Perm.identity(1), upper.total + lower.total)],
                             cert=0.0)
+        return merge
 
+    @staticmethod
+    def _leaves(n):
+        # leaf i has total 2^i, so a total names the leaves folded into it
+        return [multiset([(Perm.identity(1), 1 << i)], cert=0.0)
+                for i in range(n)]
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matches_padded_reference(self, n):
+        pad = multiset([(Perm.identity(1), 1 << 20)], cert=0.0)
+        ref_calls, calls = [], []
+        with obs.recording() as ref_log:
+            ref = ref_fold_levels(self._leaves(n), pad,
+                                  self._merge(ref_calls, pad))
         with obs.recording() as log:
-            out = fold_levels(leaves, pad, merge)
-        return out, calls, log
+            out = fold_levels(self._leaves(n), self._merge(calls))
+        assert calls == ref_calls
+        assert log == ref_log
+        assert out.total == ref.total == (1 << n) - 1
 
-    def test_three_leaves_pad_to_four(self):
-        out, calls, log = self._fold(3)
-        # leaf-index spans, bottom-up, left to right; leaf 3 is the pad
-        assert calls == [(0, 1, 2, 1, 2), (2, 3, 4, 3, 100), (0, 2, 4, 3, 3)]
-        assert out.total == 6
-        # the merge that returned its upper side unchanged logs nothing
+    def test_three_leaves_odd_last_moves_up(self):
+        calls = []
+        with obs.recording() as log:
+            out = fold_levels(self._leaves(3), self._merge(calls))
+        # leaf-index spans, bottom-up, left to right; leaf 2 moves up alone
+        # and then joins with a span that passes the last leaf
+        assert calls == [(0, 1, 2, 1, 2), (0, 2, 4, 3, 4)]
+        assert out.total == 7
         assert [e["span"] for e in log] == [(0, 1, 2), (0, 2, 4)]
         assert log[0] == {"op": "fold-merge", "span": (0, 1, 2), "total": 3,
                           "cert": 0.0}
 
+    def test_merge_returning_a_side_logs_nothing(self):
+        with obs.recording() as log:
+            out = fold_levels(self._leaves(2), lambda lo, mid, hi, u, w: u)
+        assert out.total == 1 and log == []
+
     def test_single_and_empty(self):
-        out, calls, log = self._fold(1)
+        calls = []
+        with obs.recording() as log:
+            out = fold_levels(self._leaves(1), self._merge(calls))
         assert (out.total, calls, log) == (1, [], [])
-        out, calls, log = self._fold(0)
-        assert (out.total, calls, log) == (100, [], [])
+        with pytest.raises(ValueError):
+            fold_levels([], self._merge(calls))
 
 
 class TestSolvableExpander:

@@ -258,6 +258,12 @@ class TestAbelianBias:
         with pytest.raises(ValueError):
             abelian_bias(carrier, multiset([((0,), 1)]))
 
+    def test_permutation_elements_are_a_shape_mismatch(self):
+        # a Perm has no len(); the order check once raised TypeError on it
+        carrier = VectorCarrier((2, 2))
+        with pytest.raises(ValueError, match="element shape mismatch"):
+            abelian_bias(carrier, multiset([(Perm((1, 0)), 1)]))
+
     def test_fft_matches_naive_character_sums(self):
         rng = random.Random(2)
         for moduli in [(4,), (2, 3), (2, 2, 3), (5, 5), (8, 3)]:
