@@ -474,8 +474,8 @@ def abelian_quotient_expander(h: BSGS, n: BSGS,
         img = reverify(qcar, qcar.tally(acc, r_points.mult_array(),
                                         r_points.cert))
         # a pushforward along an onto homomorphism cannot raise the bias;
-        # above DENSE_CAP reverify gives the moment iteration's upper end,
-        # which sits above the true bias, so only exact values are compared
+        # above DENSE_CAP reverify gives the Krylov route's upper end, which
+        # sits above the true bias, so only exact values are compared
         if (qcar.order <= DENSE_CAP and img.cert is not None
                 and img.cert > r_points.cert + 1e-9):
             raise CertificationError(

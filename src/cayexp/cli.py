@@ -10,11 +10,10 @@ the verification cap, which the message states (or, for epsbias, beyond
 the method's capacity). Diagnostics go to stderr, data to files or stdout.
 Re-running a command with identical inputs produces byte-identical output
 files under the same BLAS thread count; manifests differ only in their
-timing fields. Dense and power-route lambda2 bits follow the BLAS thread
-count (``eigvalsh`` and the power iteration's dot products sum in an order
-that depends on it). The construction
-modules are imported by the commands that build, so ``verify`` loads only
-the verifier.
+timing fields. Only dense lambda2 bits follow the BLAS thread count
+(``eigvalsh`` sums in an order that depends on it); the Krylov route sums
+with numpy alone. The construction modules are imported by the commands
+that build, so ``verify`` loads only the verifier.
 """
 
 from __future__ import annotations

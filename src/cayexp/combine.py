@@ -64,8 +64,9 @@ CONSTRUCTION_FAILURES = (CertificationError, AmplificationError,
 def measure_exact(carrier: Carrier, ms: Multiset) -> float | None:
     """Exact lambda2 when affordable, else None (analytic bookkeeping only).
 
-    Above DENSE_CAP a permutation carrier gets the upper end of the moment
-    iteration's interval, never its lower estimate.
+    Above DENSE_CAP a permutation carrier gets the upper end of the Krylov
+    route's interval (a Chebyshev-filtered trace bound with its rounding
+    margin), never the Lanczos lower estimate.
     """
     n = carrier.order
     if isinstance(carrier, VectorCarrier):

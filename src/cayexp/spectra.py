@@ -4,12 +4,14 @@ Every pipeline output is certified here. Three measurement routes:
 
 * dense      -- build the |G| x |G| normalized adjacency of Cay(G,S) from the
                 right-regular action and run a symmetric eigensolver.
-* power      -- one moment iteration x_k = M x_{k-1} from delta_0 - 1/n,
-                for groups too large to store densely. It brackets lambda2:
-                the report's lambda2 is the converged lower end, a norm
-                ratio; lambda2_upper is the trace-method bound
-                (n ||x_k||^2)^{1/(2k)} with a rounding margin, and that
-                upper end is the one that certifies.
+* power      -- two Krylov phases from delta_0 - 1/n, for groups too
+                large to store densely (method "power-iteration", the name
+                of the moment iteration they replaced). They bracket
+                lambda2: the report's lambda2 is the lower end, the largest
+                |Ritz value| of a Lanczos run; lambda2_upper is a
+                Chebyshev-filtered trace bound with a rounding margin, and
+                that upper end is the one that certifies. Their bits do not
+                depend on the BLAS thread count.
 * character  -- for abelian carriers the characters diagonalize every Cayley
                 operator, so the bias (maximal nontrivial character sum) *is*
                 lambda2; computed exhaustively as a multidimensional DFT of
@@ -37,6 +39,8 @@ DENSE_CAP = 10_000
 ITER_CAP = 1_000_000
 EXHAUSTIVE_CHAR_CAP = 2_000_000
 SAMPLED_CHAR_COUNT = 100_000
+# power_lambda2 stops once its upper end lies this close to its lower end
+KRYLOV_GAP = 2e-3
 
 FORMAT_VERSION = 1
 
@@ -205,7 +209,7 @@ def dense_lambda2(carrier: Carrier, ms: Multiset) -> float:
 
 
 class MomentInterval(NamedTuple):
-    """Bounds on lambda2 from a moment iteration, and the matvecs it took."""
+    """Bounds on lambda2 from the Krylov route, and the matvecs it took."""
     lower: float
     upper: float
     matvecs: int
@@ -213,17 +217,65 @@ class MomentInterval(NamedTuple):
 
 def power_lambda2(carrier: Carrier, ms: Multiset, tol: float = 1e-9,
                   itmax: int = 10_000) -> MomentInterval:
-    """Two-sided bounds on lambda2 from one iteration x_k = M x_{k-1}.
+    """Bounds on lambda2 from two Krylov phases on x_0 = delta_0 - 1/n.
 
-    The start is x_0 = delta_0 - 1/n, orthogonal to the constant vector.
-    With lambda_i the nontrivial eigenvalues, ||x_k||^2 = x_0^T M^{2k} x_0 =
-    (M^{2k})_{00} - 1/n, and a Cayley graph is vertex-transitive, so every
-    diagonal entry of M^{2k} is (M^{2k})_{00} and n ||x_k||^2 =
-    tr M^{2k} - 1 = sum_i lambda_i^{2k} (the trace method; Hoory, Linial and
-    Wigderson, Bull. AMS 2006). Hence lambda2 <= (n ||x_k||^2)^{1/(2k)};
-    and ||x_k||^2 / ||x_{k-1}||^2 is an average of the lambda_i^2, so its
-    root is a lower bound, nondecreasing in k. The iteration stops once the
-    lower bound gains less than tol in a step, or after itmax matvecs.
+    x_0 is orthogonal to the constant vector, and the mean is subtracted
+    after every matvec, so both phases see M on the nontrivial eigenvalues
+    lambda_i only. A Cayley graph is vertex-transitive, so the spectral
+    measure of x_0 is the whole nontrivial spectrum: the eigenspace of
+    lambda_i holds a share m_i / n >= 1/n of ||x_0||^2 ~ 1, and for any
+    polynomial p, n ||p(M) x_0||^2 = n (p(M)^2)_00 - p(1)^2 = sum_i
+    p(lambda_i)^2 (the trace identity; Hoory, Linial and Wigderson, Bull.
+    AMS 2006). All inner products and norms are numpy pairwise sums, and the
+    k x k tridiagonal eigensolve is far below OpenBLAS's threading sizes,
+    so the bits do not depend on the BLAS thread count. ``matvecs`` counts
+    both phases, and ``itmax`` caps their total.
+
+    Lower end: three-term Lanczos with no stored basis. The Ritz values of
+    the tridiagonal T_k lie between the smallest and largest lambda_i, so
+    the largest |Ritz value| theta_k is a lower bound on lambda2 in exact
+    arithmetic. The phase stops once theta_k gains less than ``tol`` in a
+    step, once beta is within the allowance below (the Krylov space is used
+    up, and the Ritz values are eigenvalues), or one matvec short of
+    ``itmax``. In floating point the Ritz values can leave the spectrum by
+    the rounding of the steps (Paige, Linear Algebra Appl. 1980; his
+    worst-case bound grows like k^{5/2}; the excess over a dense lambda2
+    seen on the catalog groups is at most 4.4e-16). The report subtracts
+    the allowance k g, with g = (support + log2 n + 8) eps the relative
+    rounding of one step. The lower end is an estimate: it never certifies.
+
+    Upper end: a Chebyshev-filtered trace. With tau = max(lower,
+    KRYLOV_GAP / 2) and v_k = T_k(M / tau) x_0 by the recurrence v_{k+1} =
+    2 (M / tau) v_k - v_{k-1}, s_k = n ||v_k||^2 = sum_i T_k(lambda_i /
+    tau)^2 >= T_k(lambda2 / tau)^2. |T_k| >= 1 grows outside [-1, 1], so
+    lambda2 <= tau cosh(arccosh(sqrt(max(s_k, 1))) / k) for every k; the
+    best so far is the upper end. The phase stops once it lies within
+    KRYLOV_GAP of the lower end, or when ``itmax`` runs out; the trivial
+    bound 1 stands until a step beats it. The pair (v_k, v_{k-1}) is
+    rescaled by a power of two, exactly, whenever ||v_k||^2 exceeds 2^200,
+    so an underestimated tau cannot overflow.
+
+    Rounding of the upper end, to first order in eps. If lambda2 <= tau the
+    bound is at least tau and holds as computed, so let r = lambda2 / tau >
+    1. A step (matvec, mean subtraction, scaling by 2 / tau, subtraction of
+    v_{k-2}) adds an error f_j with ||f_j|| <= g ((2 / tau) ||v_{j-1}|| +
+    ||v_{j-2}||): the matvec errs by (support + 1) eps ||v_{j-1}|| (M has
+    nonnegative entries and norm 1); the computed mean leaves a constant
+    component of norm (log2 n + 2) eps ||M v_{j-1}||, which the scaling
+    amplifies by 2 / tau before the next subtraction removes it. The
+    computed recurrence applies B = P M / tau (P the projection off the
+    constants), whose spectrum is {0} and the lambda_i / tau, so f_j
+    reaches v_k as U_{k-j}(B) f_j, with U the Chebyshev polynomials of the
+    second kind, and ||U_m(B)|| <= U_m(r). With r = cosh(t), U_m(r) T_i(r)
+    = sinh((m+1) t) cosh(i t) / sinh(t) <= (m+1) cosh((m+i) t), so
+    U_{k-j}(r) ||v_{j-1}|| <= (k-j+1) T_k(r) ||x_0||, and the same holds
+    for v_{j-2}. Summed over j, ||v~_k - v_k|| <= (1 + 2/tau) k(k+1)/2 g
+    T_k(r) ||x_0||, while ||v_k|| >= T_k(r) / sqrt(n) (the share of the
+    lambda2 eigenspace). So the relative error of v~_k is at most
+    eta_k = g (1 + sqrt(n) (1 + (1 + 2/tau) k(k+1)/2)), where the leading
+    terms also cover the rounding of x_0 and of the norm's sum, and s_k <=
+    s~_k / (1 - eta_k)^2. The bound uses that inflated s_k, and a final
+    factor 1 + g covers the logarithms and cosh.
     """
     n = carrier.order
     if n > ITER_CAP:
@@ -233,41 +285,94 @@ def power_lambda2(carrier: Carrier, ms: Multiset, tol: float = 1e-9,
         return MomentInterval(0.0, 0.0, 0)
     require_symmetric(carrier, ms)
     tables, weights = carrier.action_tables(ms)
+    g = (len(weights) + n.bit_length() + 8) * float(np.finfo(np.float64).eps)
     # M fixes the constant vector, so M x_0 = M delta_0 - 1/n; M delta_0
     # holds one weight per entry, so the uniform multiset gives exactly 0.
-    # y is M applied to x_{k-1} / ||x_{k-1}||
-    y = np.zeros(n)
-    y[0] = 1.0
-    y = _kernels.cayley_matvec(tables, weights, y)
-    y -= 1.0 / n
-    y /= math.sqrt(1.0 - 1.0 / n)
-    log_moment = math.log(n - 1.0)      # log(n ||x_0||^2)
-    lower = 0.0
+    # Both phases start from this one matvec.
+    mx0 = np.zeros(n)
+    mx0[0] = 1.0
+    mx0 = _kernels.cayley_matvec(tables, weights, mx0)
+    mx0 -= 1.0 / n
+    if not mx0.any():
+        return MomentInterval(0.0, 0.0, 1)
+    lower, lanczos = _lanczos_lower(tables, weights, mx0, g, tol,
+                                    max(itmax - 1, 1))
+    upper, chebyshev = _chebyshev_upper(tables, weights, mx0, g, lower,
+                                        itmax - lanczos)
+    return MomentInterval(lower, upper, lanczos + chebyshev)
+
+
+def _start_vector(n: int) -> np.ndarray:
+    x0 = np.full(n, -1.0 / n)
+    x0[0] += 1.0
+    return x0
+
+
+def _lanczos_lower(tables, weights, mx0, g, tol, budget) -> tuple[float, int]:
+    """The lower end of power_lambda2 and the matvecs it took (mx0 is the
+    first)."""
+    n = mx0.size
+    norm0 = math.sqrt(1.0 - 1.0 / n)
+    q_prev, q = None, _start_vector(n) / norm0
+    w = mx0 / norm0
+    alphas, betas = [], []
+    theta = 0.0
     k = 1
     while True:
-        ratio = float(y @ y)            # ||x_k||^2 / ||x_{k-1}||^2
-        if ratio == 0.0:
-            return MomentInterval(0.0, 0.0, k)
-        log_moment += math.log(ratio)
-        gain = math.sqrt(ratio) - lower
-        lower = math.sqrt(ratio)
-        if gain < tol or k >= itmax:
-            break
-        y /= lower
-        y = _kernels.cayley_matvec(tables, weights, y)
-        y -= y.mean()
+        alpha = float(np.sum(q * w))
+        w -= alpha * q
+        alphas.append(alpha)
+        t = np.diag(alphas)
+        t[np.arange(1, k), np.arange(k - 1)] = betas   # eigvalsh reads "L"
+        ritz = np.linalg.eigvalsh(t)
+        gain = float(max(-ritz[0], ritz[-1])) - theta
+        theta += gain
+        beta = math.sqrt(float(np.sum(w * w)))
+        if gain < tol or beta <= k * g or k >= budget:
+            return max(theta - k * g, 0.0), k
+        betas.append(beta)
+        w /= beta
+        q_prev, q = q, w
+        w = _kernels.cayley_matvec(tables, weights, q)
+        w -= w.mean()
+        w -= beta * q_prev
         k += 1
-    # rounding: a step (matvec, mean subtraction, rescaling) errs by at most
-    # g = (support + log2 n + 2) eps relative to its input. M shrinks the
-    # error of step i by lambda2^(k-i) and ||x_{i-1}|| <= lambda2^(i-1),
-    # while ||x_k|| >= lambda2^k / sqrt(n) (delta_0 has squared norm
-    # dim/n >= 1/n in the top eigenspace). So n ||x_k||^2 is off by a
-    # factor of at most 1 + 2k g sqrt(n) / lambda2, and its 2k-th root by
-    # 1 + g sqrt(n) / lambda2 <= 1 + g sqrt(n) / lower.
-    g = (len(weights) + n.bit_length() + 2) * float(np.finfo(np.float64).eps)
-    margin = g * math.sqrt(n)
-    upper = math.exp(log_moment / (2 * k)) * (1.0 + margin / lower)
-    return MomentInterval(lower, upper, k)
+
+
+def _chebyshev_upper(tables, weights, mx0, g, lower,
+                     budget) -> tuple[float, int]:
+    """The upper end of power_lambda2 and the matvecs it took beyond mx0."""
+    n = mx0.size
+    tau = max(lower, KRYLOV_GAP / 2)
+    v_prev, v = _start_vector(n), mx0 / tau
+    upper = 1.0
+    scale = 0           # v_k is v * 2^scale
+    k = 1
+    while True:
+        sq = float(np.sum(v * v))
+        eta = g * (1.0 + math.sqrt(n) * (1.0 + (1.0 + 2.0 / tau)
+                                         * k * (k + 1) / 2))
+        if sq > 0.0 and eta < 1.0:
+            # log of the inflated s_k, and arccosh(sqrt(s)) =
+            # log(sqrt(s)) + log(1 + sqrt(1 - 1/s)) for s >= 1
+            log_s = (math.log(n * sq) + 2 * scale * math.log(2.0)
+                     - 2.0 * math.log1p(-eta))
+            acosh = (0.5 * log_s + math.log1p(math.sqrt(-math.expm1(-log_s)))
+                     if log_s > 0.0 else 0.0)
+            upper = min(upper, tau * math.cosh(acosh / k) * (1.0 + g))
+        if upper - lower <= KRYLOV_GAP or k > budget:
+            return upper, k - 1
+        if sq > 2.0 ** 200:
+            e = math.frexp(sq)[1] // 2
+            v *= 2.0 ** -e
+            v_prev *= 2.0 ** -e
+            scale += e
+        y = _kernels.cayley_matvec(tables, weights, v)
+        y -= y.mean()
+        y *= 2.0 / tau
+        y -= v_prev
+        v_prev, v = v, y
+        k += 1
 
 
 # ---------------------------------------------------------------------------

@@ -227,7 +227,7 @@ class TestHomImage:
 
     def test_iterated_level_above_dense_cap_certifies(self):
         # Z_2^14: one level of order 16384, above DENSE_CAP, whose level map
-        # is an isomorphism; its image is measured by the moment iteration's
+        # is an isomorphism; its image is measured by the Krylov route's
         # upper end, which sits above R's exact bias, and must not be refused
         gens = tuple(Perm.from_cycles(28, [(2 * i, 2 * i + 1)])
                      for i in range(14))
