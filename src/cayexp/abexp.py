@@ -447,7 +447,8 @@ def abelian_quotient_expander(h: BSGS, n: BSGS,
     hom = build_abelianization(h, n)
     ctx = hom.ctx
     if ctx.order == 1:
-        return multiset([(ctx.identity(), 1)], cert=0.0)
+        return multiset([(Perm.identity(ctx.parent.degree), 1)],
+                        cert=0.0)
     rank = len(hom.xs)
     groups = _level_groups(hom)
     depth = len(groups) - 1
@@ -455,7 +456,7 @@ def abelian_quotient_expander(h: BSGS, n: BSGS,
     for s in range(depth):
         live = [j for j in range(len(hom.primes)) if hom.exps[j] > s]
         live_primes = tuple(hom.primes[j] for j in live)
-        r_points = _compact_r_points(rank, live_primes, FINAL_C, FINAL_EPS)
+        r_points = _compact_r_points(rank, live_primes)
         qcar = QuotientCarrier(quotient_context(groups[s], groups[s + 1]))
         # the level map a -> prod y_ij^(a_ij p_j^s), as row gathers: column
         # (j, i) of R picks one of the p_j image rows of y_ij^(a p_j^s)
@@ -491,16 +492,14 @@ def abelian_quotient_expander(h: BSGS, n: BSGS,
 
 
 @lru_cache(maxsize=None)
-def _final_r_cached(n: int, primes: tuple[int, ...], c: int,
-                    eps: float) -> FinalR:
+def _final_r_cached(n: int, primes: tuple[int, ...]) -> FinalR:
     # R over prod Z_p^n: n is the dimension of a bias space, or the rank
     # len(hom.xs) of an abelian quotient's level map
-    return final_R(n, primes, c=c, eps=eps)
+    return final_R(n, primes, c=FINAL_C, eps=FINAL_EPS)
 
 
 @lru_cache(maxsize=None)
-def _compact_r_points(n: int, primes: tuple[int, ...], c: int,
-                      eps: float) -> Multiset:
+def _compact_r_points(n: int, primes: tuple[int, ...]) -> Multiset:
     """R points compacted (certified) for cheap pushforwards."""
-    r = _final_r_cached(n, primes, c, eps)
+    r = _final_r_cached(n, primes)
     return compact(r_carrier(n, primes), r.points, 2048, target_cert=0.25)

@@ -3,7 +3,8 @@
 The base is kept sorted ascending, and every strong generator is stored at
 the level of its smallest moved point. As a consequence the group at the
 level for point b is exactly the stabilizer of all points below b, which is
-what the minimum-image coset canonicalization in the series module descends.
+what the minimum-image coset canonicalization of
+``carriers.QuotientCarrier`` descends.
 Transversal representatives u_beta satisfy u_beta[b] = beta, so every group
 element factors uniquely as stab_element * u_beta.
 """
@@ -138,21 +139,6 @@ class BSGS:
             raise ValueError(f"degree mismatch: {p.degree} vs {self.degree}")
         residue, _ = self._sift(p)
         return residue.is_identity()
-
-    def elements(self, cap: int = 10**6) -> list[Perm]:
-        """All group elements in a deterministic order.
-
-        Raises CapacityError when the order exceeds cap, signalling that
-        dense verification is unavailable for this group.
-        """
-        n = self.order()
-        if n > cap:
-            raise CapacityError(f"group order {n} exceeds cap {cap}")
-        out = [Perm.identity(self.degree)]
-        for lv in reversed(self.levels):
-            reps = [lv.transversal[b] for b in sorted(lv.transversal)]
-            out = [p * u for p in out for u in reps]
-        return out
 
 
 def schreier_sims(g: GenSet) -> BSGS:

@@ -1,6 +1,6 @@
 """Concrete finite groups the spectral verifier can enumerate.
 
-A carrier provides deterministic element enumeration, group arithmetic on
+A carrier provides a deterministic element order, group arithmetic on
 element arrays, and action tables (index-level right-multiplication maps)
 for building Cayley operators. Three kinds cover the whole pipeline:
 permutation groups, quotients H/N by canonical coset representatives, and
@@ -19,17 +19,21 @@ into a quotient multiplies gathered image rows with ``mul_codes``; either
 ends in one ``tally`` of the images with the source's multiplicities.
 
 A vector group codes an element as its mixed-radix index
-(``ravel_multi_index``), its own key. A permutation group codes an element
-as its row of images, keyed by ``_row_keys``. A quotient H/N codes a coset
-as the image row of its canonical representative, and makes inverses and
-products canonical per kernel level (``QuotientCarrier._canonical``). Every
-carrier's multisets keep their codes (``Multiset`` code storage), and
-``codes(ms)`` hands stored codes over when they are the carrier's own kind:
-codes of the same moduli, or image rows of the same degree. None of this
-needs the element table: an (order, degree) image array in lexicographic
-order, built from the BSGS transversals and searched by base-point images,
-from which action tables are numpy gathers (for a quotient, relabelled by
-coset).
+(``ravel_multi_index``), its own key. A permutation codes as its row of
+images, keyed by ``_row_keys``: ``PermRows`` is that much of the protocol,
+which needs only the degree; the permutation and quotient carriers
+extend it. A
+quotient H/N codes a coset as the image row of its canonical
+representative, and makes inverses and products canonical per kernel level
+(``QuotientCarrier._canonical``); no element is canonicalized alone. Every
+multiset stores codes (see ``multiset``), and ``codes(ms)`` hands them over
+when they are the carrier's own kind: codes of the same moduli, or image
+rows of the same degree; vector codes of other moduli are recoded from their
+coordinates. None of this needs the element table: an (order, degree) image
+array in lexicographic order, built from the BSGS transversals and searched
+by base-point images, from which action tables are numpy gathers (for a
+quotient, relabelled by coset). The carriers list no elements; a group
+above ``TABLE_CAP`` gets no table.
 """
 
 from __future__ import annotations
@@ -103,7 +107,7 @@ class _ArrayProtocol:
                 counts = counts.astype(object)   # the total may not fit
         codes, counts = codes.view(), counts.view()
         codes.flags.writeable = counts.flags.writeable = False
-        return Multiset._coded(self, codes, counts, cert)
+        return Multiset(self, codes, counts, cert)
 
     def tally(self, codes: np.ndarray, weights: np.ndarray | None = None,
               cert: float | None = None) -> Multiset:
@@ -159,12 +163,6 @@ class VectorCarrier(_ArrayProtocol):
     def identity(self):
         return (0,) * len(self.moduli)
 
-    def elements(self, cap: int = 10**6) -> list:
-        if self.order > cap:
-            raise CapacityError(f"group order {self.order} exceeds cap {cap}")
-        grids = np.indices(self.moduli).reshape(len(self.moduli), -1).T
-        return [tuple(int(c) for c in row) for row in grids]
-
     # -- integer codes -------------------------------------------------------
     #
     # The code of a reduced coordinate tuple is its mixed-radix index, so
@@ -183,13 +181,19 @@ class VectorCarrier(_ArrayProtocol):
             raise ValueError(f"element width differs from {width}")
         rows = np.fromiter(itertools.chain.from_iterable(elems),
                            dtype=np.int64, count=len(elems) * width)
-        rows = rows.reshape(len(elems), width)
+        return self._reduced(rows.reshape(len(elems), width))
+
+    def _reduced(self, rows: np.ndarray) -> np.ndarray:
+        """The coordinate rows; a coordinate outside [0, m_t) raises
+        ValueError."""
         if np.any((rows < 0) | (rows >= np.array(self.moduli))):
             raise ValueError("coordinate outside its modulus")
         return rows
 
     def ravel(self, rows: np.ndarray) -> np.ndarray:
         """Codes of reduced coordinate rows."""
+        if not self.moduli:                 # Z^0: one element, code 0
+            return np.zeros(len(rows), dtype=np.int64)
         if self.order < 2**63:
             return np.ravel_multi_index(tuple(rows.T), self.moduli)
         code = np.zeros(len(rows), dtype=object)
@@ -199,7 +203,7 @@ class VectorCarrier(_ArrayProtocol):
 
     def unravel(self, codes: np.ndarray) -> np.ndarray:
         """Coordinate rows of codes (the inverse of ravel)."""
-        if codes.dtype != object:
+        if codes.dtype != object and self.moduli:
             return np.stack(np.unravel_index(codes, self.moduli), axis=1)
         rows = np.empty((len(codes), len(self.moduli)), dtype=np.int64)
         for t in reversed(range(len(self.moduli))):
@@ -211,19 +215,21 @@ class VectorCarrier(_ArrayProtocol):
     def codes(self, items) -> np.ndarray:
         """Codes of a multiset's elements, or of a sequence of reduced tuples.
 
-        A multiset in code storage over these moduli hands over its stored
-        codes (read-only); one holding a permutation carrier's image rows
-        raises ValueError; anything else is coded from its tuples.
+        A multiset of codes over these moduli hands them over (read-only);
+        one over other moduli is recoded from its coordinates, which must be
+        reduced here and as wide; one holding image rows raises ValueError.
         """
-        if isinstance(items, Multiset):
-            if isinstance(items.space, VectorCarrier):
-                if items.space.moduli == self.moduli:
-                    return items.codes
-            elif items.space is not None:
-                raise ValueError("multiset holds permutation image rows, "
-                                 "not vector codes")
-            items = items.elems
-        return self.ravel(self.rows(items))
+        if not isinstance(items, Multiset):
+            return self.ravel(self.rows(items))
+        space = items.space
+        if not isinstance(space, VectorCarrier):
+            raise ValueError("multiset holds permutation image rows, "
+                             "not vector codes")
+        if space.moduli == self.moduli:
+            return items.codes
+        if len(space.moduli) != len(self.moduli):
+            raise ValueError(f"element width differs from {len(self.moduli)}")
+        return self.ravel(self._reduced(items.coordinates()))
 
     def inv_codes(self, codes: np.ndarray) -> np.ndarray:
         """Codes of the inverses (negated coordinates)."""
@@ -240,7 +246,7 @@ class VectorCarrier(_ArrayProtocol):
 
     def decode(self, codes: np.ndarray) -> tuple:
         """The coordinate tuples of codes."""
-        return tuple(zip(*self.unravel(codes).T.tolist()))
+        return tuple(map(tuple, self.unravel(codes).tolist()))
 
     def coordinates(self, codes: np.ndarray) -> np.ndarray:
         """(len(codes), width) int64 coordinates of codes."""
@@ -257,7 +263,62 @@ class VectorCarrier(_ArrayProtocol):
         return tables, _weights(ms)
 
 
-class PermCarrier(_ArrayProtocol):
+class PermRows(_ArrayProtocol):
+    """Permutations of {0..degree-1} as (k, degree) image rows, keyed by
+    ``_row_keys``: the part of the array protocol that needs only the
+    degree. ``multiset(pairs)`` stores permutations here; the permutation
+    and quotient carriers extend it with a group.
+    """
+
+    def __init__(self, degree: int):
+        self.degree = degree
+        self._dtype = np.min_scalar_type(degree - 1)
+
+    def codes(self, items) -> np.ndarray:
+        """(k, degree) image rows of a multiset's elements, or of a
+        sequence of permutations; another degree raises DegreeMismatch.
+
+        A multiset's stored rows are handed over (read-only); one holding
+        vector codes raises ValueError.
+        """
+        deg = self.degree
+        if isinstance(items, Multiset):
+            if not isinstance(items.space, PermRows):
+                raise ValueError("multiset holds vector codes, "
+                                 "not permutation image rows")
+            if items.space.degree != deg:
+                raise DegreeMismatch(f"element degree differs from {deg}")
+            return items.codes.astype(self._dtype, copy=False)
+        if set(map(len, (p.img for p in items))) - {deg}:
+            raise DegreeMismatch(f"element degree differs from {deg}")
+        return np.array([p.img for p in items],
+                        dtype=self._dtype).reshape(-1, deg)
+
+    def inv_codes(self, rows: np.ndarray) -> np.ndarray:
+        """Rows of the inverses: a row's argsort is its inverse's images."""
+        return np.argsort(rows, axis=1).astype(self._dtype)
+
+    def mul_codes(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Rows of the products a[i] * b[i]: (p * q)[x] = q[p[x]]."""
+        return np.take_along_axis(b, a, axis=1)
+
+    def keys(self, rows: np.ndarray) -> np.ndarray:
+        return _row_keys(rows, self.degree)
+
+    def decode(self, rows: np.ndarray) -> tuple[Perm, ...]:
+        """The permutations of image rows."""
+        return tuple(map(Perm, rows.tolist()))
+
+    def coordinates(self, rows: np.ndarray) -> np.ndarray:
+        """Image rows as int64."""
+        return rows.astype(np.int64)
+
+
+# group orders above this build no element table (nor action tables)
+TABLE_CAP = 10**6
+
+
+class PermCarrier(PermRows):
     """A permutation group enumerated in lexicographic image order.
 
     The group is held as an (order, degree) array of 0-based images, built
@@ -277,59 +338,20 @@ class PermCarrier(_ArrayProtocol):
     ``Perm`` objects are made only when asked for.
     """
 
-    def __init__(self, bsgs: BSGS, cap: int = 10**6):
+    def __init__(self, bsgs: BSGS):
+        super().__init__(bsgs.degree)
         self.bsgs = bsgs
-        self.cap = cap
-        self._dtype = np.min_scalar_type(bsgs.degree - 1)
 
     @staticmethod
-    def of(g: GenSet, cap: int = 10**6) -> "PermCarrier":
-        return PermCarrier(schreier_sims(g), cap)
+    def of(g: GenSet) -> "PermCarrier":
+        return PermCarrier(schreier_sims(g))
 
     @property
     def order(self) -> int:
         return self.bsgs.order()
 
     def identity(self) -> Perm:
-        return Perm.identity(self.bsgs.degree)
-
-    def codes(self, items) -> np.ndarray:
-        """(k, degree) image rows of a multiset's elements, or of a
-        sequence of permutations; another degree raises DegreeMismatch.
-
-        A multiset holding the image rows of a permutation or quotient
-        carrier of this degree hands them over (read-only).
-        """
-        deg = self.bsgs.degree
-        if isinstance(items, Multiset):
-            rows = items.codes
-            if (isinstance(items.space, (PermCarrier, QuotientCarrier))
-                    and rows.shape[1] == deg):
-                return rows.astype(self._dtype, copy=False)
-            items = items.elems
-        if set(map(len, (p.img for p in items))) - {deg}:
-            raise DegreeMismatch(f"element degree differs from {deg}")
-        return np.array([p.img for p in items],
-                        dtype=self._dtype).reshape(-1, deg)
-
-    def inv_codes(self, rows: np.ndarray) -> np.ndarray:
-        """Rows of the inverses: a row's argsort is its inverse's images."""
-        return np.argsort(rows, axis=1).astype(self._dtype)
-
-    def mul_codes(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Rows of the products a[i] * b[i]: (p * q)[x] = q[p[x]]."""
-        return np.take_along_axis(b, a, axis=1)
-
-    def keys(self, rows: np.ndarray) -> np.ndarray:
-        return _row_keys(rows, self.bsgs.degree)
-
-    def decode(self, rows: np.ndarray) -> tuple[Perm, ...]:
-        """The permutations of image rows."""
-        return tuple(map(Perm, rows.tolist()))
-
-    def coordinates(self, rows: np.ndarray) -> np.ndarray:
-        """Image rows as int64."""
-        return rows.astype(np.int64)
+        return Perm.identity(self.degree)
 
     @property
     def _key_points(self) -> list[int]:
@@ -340,9 +362,9 @@ class PermCarrier(_ArrayProtocol):
     def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(images, base images, keys) with rows in lexicographic order."""
         n = self.order
-        if n > self.cap:
-            raise CapacityError(f"group order {n} exceeds cap {self.cap}")
-        deg = self.bsgs.degree
+        if n > TABLE_CAP:
+            raise CapacityError(f"group order {n} exceeds cap {TABLE_CAP}")
+        deg = self.degree
         img = np.arange(deg, dtype=self._dtype)[None, :]
         for lv in reversed(self.bsgs.levels):
             reps = np.array([u.img for u in lv.transversal.values()],
@@ -356,7 +378,7 @@ class PermCarrier(_ArrayProtocol):
     def _find(self, cols: np.ndarray) -> np.ndarray:
         """Indices of the elements with the given base-image rows."""
         keys = self._table[2]
-        want = _row_keys(cols, self.bsgs.degree)
+        want = _row_keys(cols, self.degree)
         pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
         if np.any(keys[pos] != want):
             raise KeyError("element is not in the group")
@@ -369,15 +391,6 @@ class PermCarrier(_ArrayProtocol):
         if np.any(self._table[0][pos] != rows):
             raise KeyError("element is not in the group")
         return pos
-
-    @cached_property
-    def _elements(self) -> list[Perm]:
-        return list(self.decode(self._table[0]))
-
-    def elements(self, cap: int | None = None) -> list[Perm]:
-        if cap is not None and self.order > cap:
-            raise CapacityError(f"group order {self.order} exceeds cap {cap}")
-        return self._elements
 
     def image_rows(self, indices) -> np.ndarray:
         """The image rows of the elements at the given indices."""
@@ -443,7 +456,7 @@ def _row_keys(cols: np.ndarray, degree: int) -> np.ndarray:
     return be.view(np.dtype((np.void, be.itemsize * be.shape[1]))).ravel()
 
 
-class QuotientCarrier(_ArrayProtocol):
+class QuotientCarrier(PermRows):
     """H/N as coset labels on the rows of H's permutation carrier.
 
     A coset is its canonical (minimum-image) representative. H's rows are
@@ -453,22 +466,27 @@ class QuotientCarrier(_ArrayProtocol):
     image rows in H and makes inverses and products canonical.
     """
 
-    def __init__(self, ctx: QuotientContext, cap: int = 10**6):
+    def __init__(self, ctx: QuotientContext):
+        super().__init__(ctx.parent.degree)
         self.ctx = ctx
-        self.parent = PermCarrier(ctx.parent, cap)
+        self.parent = PermCarrier(ctx.parent)
 
     @property
     def order(self) -> int:
         return self.ctx.order
 
     def identity(self) -> Perm:
-        return self.ctx.identity()
+        """N's canonical representative: the identity is the
+        lexicographically least permutation."""
+        return Perm.identity(self.degree)
 
     def _canonical(self, rows: np.ndarray) -> np.ndarray:
         """The canonical representatives of the cosets of image rows.
 
-        ``QuotientContext.canonicalize`` on every row at once: per kernel
-        level one argmin over the orbit's images, one row gather.
+        Per kernel level, one argmin and one row gather: (u * p)[b] =
+        p[u[b]] for u in the level's transversal, so the orbit point with
+        the least image gives the least image at the base point b; u fixes
+        every point below b, so the images chosen there stay.
         """
         for lv in self.ctx.kernel.levels:
             trans = np.array([u.img for u in lv.transversal.values()],
@@ -478,23 +496,11 @@ class QuotientCarrier(_ArrayProtocol):
             rows = np.take_along_axis(rows, trans[pick], axis=1)
         return rows
 
-    def codes(self, items) -> np.ndarray:
-        return self.parent.codes(items)
-
     def inv_codes(self, rows: np.ndarray) -> np.ndarray:
-        return self._canonical(self.parent.inv_codes(rows))
+        return self._canonical(super().inv_codes(rows))
 
     def mul_codes(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self._canonical(self.parent.mul_codes(a, b))
-
-    def keys(self, rows: np.ndarray) -> np.ndarray:
-        return self.parent.keys(rows)
-
-    def decode(self, rows: np.ndarray) -> tuple[Perm, ...]:
-        return self.parent.decode(rows)
-
-    def coordinates(self, rows: np.ndarray) -> np.ndarray:
-        return self.parent.coordinates(rows)
+        return self._canonical(super().mul_codes(a, b))
 
     @cached_property
     def _cosets(self) -> tuple[np.ndarray, np.ndarray]:
@@ -503,11 +509,6 @@ class QuotientCarrier(_ArrayProtocol):
         rows = self.parent._find(canon[:, self.parent._key_points])
         reps, labels = np.unique(rows, return_inverse=True)
         return labels, reps
-
-    def elements(self, cap: int | None = None) -> list[Perm]:
-        if cap is not None and self.order > cap:
-            raise CapacityError(f"group order {self.order} exceeds cap {cap}")
-        return list(self.decode(self.image_rows(slice(None))))
 
     def image_rows(self, indices) -> np.ndarray:
         """The image rows of the canonical representatives of the cosets
@@ -540,13 +541,8 @@ def multiset_order_check(carrier, ms: Multiset) -> bool:
     """True when the multiset's elements all lie in the carrier's group
     (for a quotient, its parent group): one batched table lookup."""
     if isinstance(carrier, VectorCarrier):
-        width = len(carrier.moduli)
-        if isinstance(ms.space, VectorCarrier):
-            return len(ms.space.moduli) == width
-        if ms.space is not None:
-            return False
-        return all(isinstance(v, tuple) and len(v) == width
-                   for v in ms.elems)
+        return (isinstance(ms.space, VectorCarrier)
+                and len(ms.space.moduli) == len(carrier.moduli))
     if isinstance(carrier, QuotientCarrier):
         carrier = carrier.parent
     try:

@@ -228,7 +228,11 @@ def cmd_epsbias(args) -> int:
         print(f"size = {space.size} certified_eps = "
               f"{space.certified_eps:.6g}")
     if args.verify:
-        v = verify_bias(space)
+        try:
+            v = verify_bias(space)
+        except MethodCapacityError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_TOO_LARGE
         print(f"verified bias = {v:.6g}")
         if v > space.certified_eps + 1e-9:
             return EXIT_CERT_FAIL

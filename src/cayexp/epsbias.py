@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .abexp import (FINAL_C, FINAL_EPS, _compact_r_points, _final_r_cached,
-                    factorize, vector_map)
+from .abexp import _compact_r_points, _final_r_cached, factorize, vector_map
 from .carriers import VectorCarrier
 from .combine import (amplified_union, fold_levels, reduce_to_quarter,
                       reverify, symmetrize)
@@ -109,8 +108,8 @@ def zdn_bias_space(d: int, n: int, eps: float) -> BiasSpace:
         if depth == 1:
             # nothing to fold or push forward: keep the construction's exact
             # c*n*|base| output so sizes stay comparable across n
-            return _final_r_cached(n, live, FINAL_C, FINAL_EPS).points
-        return _compact_r_points(n, live, FINAL_C, FINAL_EPS)
+            return _final_r_cached(n, live).points
+        return _compact_r_points(n, live)
 
     def merge(lo: int, mid: int, hi: int, upper: Multiset,
               lower: Multiset) -> Multiset:
@@ -164,7 +163,7 @@ def verify_bias(space: BiasSpace, sampled: bool = False) -> float:
 def format_bias_space(space: BiasSpace) -> str:
     """One line of comma-separated coordinates per point, a point of
     multiplicity m on m equal lines."""
-    coords = space.points.coordinates()
+    points = space.points
+    coords = points.coordinates().astype(np.min_scalar_type(space.d - 1))
     row = ",".join(["%d"] * coords.shape[1]) + "\n"
-    lines = format_rows(row, coords).splitlines(keepends=True)
-    return "".join([line * m for line, m in zip(lines, space.points.mults)])
+    return format_rows(row, coords.repeat(points.mult_array(), axis=0))

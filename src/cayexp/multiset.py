@@ -5,15 +5,17 @@ vectors). Storage is canonical: distinct elements sorted ascending with
 positive integer multiplicities, so equal multisets compare and serialize
 identically.
 
-A multiset has one of two storage forms and the same behaviour in both; its
-origin decides which. One built from pairs (``multiset``) holds its element
-and multiplicity tuples. One built by a carrier (``from_codes``, ``tally``)
-holds that carrier (``space``), its ascending codes and its multiplicity
-array instead: mixed-radix codes for a vector group, image rows for a
-permutation group or a quotient. It decodes the ``elems`` tuple (through
-the carrier) and makes the ``mults`` tuple only when they are read. Code
-order is element order, so both forms list the same elements in the same
-order; equality and hashing are by element.
+A multiset has one storage form: a space (``space``), its ascending codes
+and their multiplicity array. One built by a carrier (``from_codes``,
+``tally``) holds that carrier: mixed-radix codes for a vector group, image
+rows for a permutation group or a quotient. One built from pairs
+(``multiset``) holds a space its elements choose: permutations are image
+rows of a ``carriers.PermRows``, which knows only their degree, and
+coordinate tuples are codes of the ``carriers.VectorCarrier`` whose moduli
+are the column-wise maxima plus 1. The ``elems`` tuple is decoded (through
+the space) and the ``mults`` tuple made only when they are read. Code order
+is element order in every space, and equality and hashing are by element,
+so the same pairs compare equal whichever space holds them.
 
 Arithmetic that needs the group (inverses, products, unions, symmetry,
 images under homomorphisms) is written on the carriers' array protocol (see
@@ -40,32 +42,17 @@ class Multiset:
     __slots__ = ("_elems", "_mults", "_cert", "_space", "_codes", "_counts",
                  "_total")
 
-    def __init__(self, elems, mults, cert: float | None = None):
-        self._elems = elems
-        self._mults = mults
-        self._cert = cert
-        self._space = self._codes = self._counts = self._total = None
-        if not elems:
-            raise ValueError("multiset must have total multiplicity >= 1")
-        if min(mults, default=1) < 1:
-            raise ValueError("multiplicities must be positive")
-
-    @classmethod
-    def _coded(cls, space, codes: np.ndarray, counts: np.ndarray,
-               cert: float | None) -> "Multiset":
-        """Code storage: ascending codes of ``space`` and their counts
-        (read-only arrays, int64 counts only while their total fits)."""
+    def __init__(self, space, codes: np.ndarray, counts: np.ndarray,
+                 cert: float | None = None):
+        """Ascending codes of ``space`` and their counts (read-only arrays,
+        int64 counts only while their total fits)."""
         if not len(codes):
             raise ValueError("multiset must have total multiplicity >= 1")
         if counts.min() < 1:
             raise ValueError("multiplicities must be positive")
-        out = cls.__new__(cls)
-        out._elems = out._mults = out._total = None
-        out._cert = cert
-        out._space, out._codes, out._counts = space, codes, counts
-        return out
-
-    # -- the two storage forms -------------------------------------------
+        self._space, self._codes, self._counts = space, codes, counts
+        self._cert = cert
+        self._elems = self._mults = self._total = None
 
     @property
     def elems(self) -> tuple:
@@ -85,41 +72,28 @@ class Multiset:
 
     @property
     def space(self):
-        """The carrier whose codes are stored, or None."""
+        """The carrier (or row space) whose codes are stored."""
         return self._space
 
     @property
-    def codes(self) -> np.ndarray | None:
-        """The stored ascending codes (or image rows) of ``space``, or
-        None."""
+    def codes(self) -> np.ndarray:
+        """The stored ascending codes (or image rows) of ``space``."""
         return self._codes
 
     def mult_array(self) -> np.ndarray:
         """The multiplicities as an array: int64 while their total fits,
         Python ints (object) beyond."""
-        if self._counts is None:
-            dtype = np.int64 if self.total < 2**63 else object
-            counts = np.array(self._mults, dtype=dtype)
-            counts.flags.writeable = False
-            self._counts = counts
         return self._counts
 
     def with_mults(self, mults: np.ndarray,
                    cert: float | None = None) -> "Multiset":
         """The same elements with a new multiplicity array."""
-        if self._codes is None:
-            return Multiset(self._elems, tuple(mults.tolist()), cert)
         return self._space.from_codes(self._codes, mults, cert)
 
     def coordinates(self) -> np.ndarray:
         """(support, width) int64 rows of the elements, a vector's
-        coordinates or a permutation's images: from the stored codes, or
-        read from the element tuples."""
-        if self._codes is not None:
-            return self._space.coordinates(self._codes)
-        if isinstance(self._elems[0], Perm):
-            return np.array([e.img for e in self._elems], dtype=np.int64)
-        return np.array(self._elems, dtype=np.int64)
+        coordinates or a permutation's images."""
+        return self._space.coordinates(self._codes)
 
     def __eq__(self, other):
         if not isinstance(other, Multiset):
@@ -139,13 +113,12 @@ class Multiset:
     @property
     def total(self) -> int:
         if self._total is None:
-            self._total = sum(self._mults) if self._counts is None \
-                else int(self._counts.sum())
+            self._total = int(self._counts.sum())
         return self._total
 
     @property
     def support(self) -> int:
-        return len(self._elems if self._codes is None else self._codes)
+        return len(self._codes)
 
     def pairs(self):
         return zip(self.elems, self.mults)
@@ -178,16 +151,34 @@ class Multiset:
 
 
 def multiset(pairs, cert: float | None = None) -> Multiset:
-    acc: dict = {}
+    """The multiset of (element, multiplicity) pairs, repeats merged and
+    zero multiplicities dropped.
+
+    Permutations are stored as image rows of their degree (another degree
+    raises DegreeMismatch), coordinate tuples as codes of the vector group
+    whose moduli are the column-wise maximum plus 1, so code order is tuple
+    order (mixed widths or a negative coordinate raise ValueError).
+    """
+    from .carriers import PermRows, VectorCarrier
+    elems, mults = [], []
     for e, m in pairs:
         m = int(m)
         if m < 0:
             raise ValueError("negative multiplicity")
         if m:
-            acc[e] = acc.get(e, 0) + m
-    items = sorted(acc.items())
-    return Multiset(tuple(e for e, _ in items), tuple(m for _, m in items),
-                    cert)
+            elems.append(e)
+            mults.append(m)
+    if not elems:
+        raise ValueError("multiset must have total multiplicity >= 1")
+    if isinstance(elems[0], Perm):
+        space = PermRows(elems[0].degree)
+    else:
+        if len(set(map(len, elems))) > 1:
+            raise ValueError("elements of mixed widths")
+        top = np.array(elems, dtype=np.int64).max(axis=0, initial=0)
+        space = VectorCarrier(tuple(top + 1))
+    weights = np.array(mults, dtype=np.int64 if max(mults) < 2**63 else object)
+    return space.tally(space.codes(elems), weights, cert)
 
 
 # ---------------------------------------------------------------------------

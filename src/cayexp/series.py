@@ -4,11 +4,14 @@ A group is held as its BSGS, which records its generators: a chain keeps
 the BSGS of each term and a quotient context those of parent and kernel, so
 no group is built twice for its order, membership or normality.
 
-Quotient elements are represented by canonical coset representatives: the
-canonical representative of N*h is the element of the coset with
-lexicographically smallest image array, found by descending the kernel's
-stabilizer chain (the chain stores generators at their smallest moved point,
-so the greedy position-by-position choice is exact).
+A quotient context checks that N is normal in H and keeps both BSGSs. Its
+elements are canonical coset representatives: the canonical representative
+of N*h is the element of the coset with lexicographically smallest image
+array, so N's is the identity. ``carriers.QuotientCarrier`` finds them for
+whole arrays of image rows by descending the kernel's stabilizer chain (the
+chain stores generators at their smallest moved point, so the greedy
+position-by-position choice is exact); nothing here canonicalizes a single
+element.
 """
 
 from __future__ import annotations
@@ -104,17 +107,6 @@ class QuotientContext:
     @property
     def order(self) -> int:
         return self.parent.order() // self.kernel.order()
-
-    def canonicalize(self, h: Perm) -> Perm:
-        for lv in self.kernel.levels:
-            # group at this level fixes every point below lv.point, so the
-            # image at position lv.point is h[beta] for orbit points beta
-            beta = min(lv.transversal, key=lambda b: h.img[b])
-            h = lv.transversal[beta] * h
-        return h
-
-    def identity(self) -> Perm:
-        return self.canonicalize(Perm.identity(self.parent.degree))
 
 
 def quotient_context(h: BSGS, n: BSGS) -> QuotientContext:

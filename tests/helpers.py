@@ -38,6 +38,36 @@ def brute_closure(g: GenSet) -> set[Perm]:
     return els
 
 
+def transversal_elements(b: bsgs.BSGS) -> list[Perm]:
+    """All elements of a BSGS's group as products of transversal
+    representatives, in a deterministic order."""
+    out = [Perm.identity(b.degree)]
+    for lv in reversed(b.levels):
+        reps = [lv.transversal[x] for x in sorted(lv.transversal)]
+        out = [p * u for p in out for u in reps]
+    return out
+
+
+def elements(carrier) -> list:
+    """A carrier's elements in code order: the coordinate tuples of a
+    vector group, the rows of a permutation group's element table as
+    permutations, the canonical representatives of a quotient's cosets."""
+    if isinstance(carrier, VectorCarrier):
+        grid = np.indices(carrier.moduli).reshape(len(carrier.moduli), -1)
+        return [tuple(int(c) for c in row) for row in grid.T]
+    return list(carrier.decode(carrier.image_rows(slice(None))))
+
+
+def canonicalize(ctx, h: Perm) -> Perm:
+    """The least-image representative of the coset N*h, one kernel level
+    at a time: the level's group fixes every point below its base point,
+    so the image at the base point is h[beta] for an orbit point beta."""
+    for lv in ctx.kernel.levels:
+        beta = min(lv.transversal, key=lambda b: h.img[b])
+        h = lv.transversal[beta] * h
+    return h
+
+
 def brute_commutator_subgroup(elements: set[Perm]) -> set[Perm]:
     """Closure of all commutators of the full element set."""
     els = sorted(elements)
@@ -116,7 +146,7 @@ def elem_inv(carrier, e):
     if isinstance(carrier, VectorCarrier):
         return tuple((-x) % m for x, m in zip(e, carrier.moduli))
     if isinstance(carrier, QuotientCarrier):
-        return carrier.ctx.canonicalize(e.inv())
+        return canonicalize(carrier.ctx, e.inv())
     return e.inv()
 
 
@@ -125,7 +155,7 @@ def elem_mul(carrier, a, b):
     if isinstance(carrier, VectorCarrier):
         return tuple((x + y) % m for x, y, m in zip(a, b, carrier.moduli))
     if isinstance(carrier, QuotientCarrier):
-        return carrier.ctx.canonicalize(a * b)
+        return canonicalize(carrier.ctx, a * b)
     return a * b
 
 
@@ -295,7 +325,7 @@ def level_map(hom, qctx, s: int, live, vec) -> Perm:
             if a and hom.e_table[i][j] > s:
                 acc = acc * (hom.ys[i][j] ** (a * p**s))
         pos += rank
-    return qctx.canonicalize(acc)
+    return canonicalize(qctx, acc)
 
 
 def hom_domain(hom) -> VectorCarrier:
@@ -312,7 +342,7 @@ def hom_apply(hom, vec) -> Perm:
     for pos, a in enumerate(vec):
         if a:
             acc = acc * (hom.ys[pos % rank][pos // rank] ** a)
-    return hom.ctx.canonicalize(acc)
+    return canonicalize(hom.ctx, acc)
 
 
 def field_pow(a, k: int):

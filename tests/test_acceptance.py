@@ -10,9 +10,9 @@ import time
 import numpy as np
 import pytest
 
-from helpers import (aux_from_rotation, dense_lambda2_signed, np_closure,
-                     np_commutator_closure, random_symmetric_multiset,
-                     rv_composition)
+from helpers import (aux_from_rotation, canonicalize, dense_lambda2_signed,
+                     elements, np_closure, np_commutator_closure,
+                     random_symmetric_multiset, rv_composition)
 
 from cayexp import catalog
 from cayexp.abexp import final_R, r_carrier
@@ -95,31 +95,31 @@ def _coset_lift_multiset(g, ctx, qcar, seed):
     """Representatives of every coset, symmetrized in G (so B-hat generates)."""
     import random
     rng = random.Random(seed)
-    els = PermCarrier(ctx.parent).elements()
+    els = elements(PermCarrier(ctx.parent))
     reps = {}
     for p in els:
-        key = ctx.canonicalize(p)
+        key = canonicalize(ctx, p)
         reps.setdefault(key, []).append(p)
     pairs = {}
+    ident = Perm.identity(ctx.parent.degree)
     for key, bucket in sorted(reps.items()):
-        if key == ctx.identity():
+        if key == ident:
             continue
         p = rng.choice(bucket)
         pairs[p] = pairs.get(p, 0) + 1
         q = p.inv()
         pairs[q] = pairs.get(q, 0) + 1
-    ident = Perm.identity(ctx.parent.degree)
     pairs[ident] = pairs.get(ident, 0) + 2
     return multiset(pairs.items())
 
 
 def _uw_geometry_checks(gcar, ctx, a, b, lam):
-    els = gcar.elements()
+    els = elements(gcar)
     n = len(els)
     idx = {p: i for i, p in enumerate(els)}
     coset_of = {}
     for p in els:
-        coset_of[idx[p]] = ctx.canonicalize(p)
+        coset_of[idx[p]] = canonicalize(ctx, p)
     cosets = sorted(set(coset_of.values()))
     cidx = {c: j for j, c in enumerate(cosets)}
     k = len(cosets)
@@ -172,7 +172,7 @@ def test_criterion_2_main_lemma_suite():
         ncar = PermCarrier(ctx.kernel)
         qcar = QuotientCarrier(ctx)
         for seed in range(7):
-            a = random_symmetric_multiset(ncar.elements(), 31 * seed + 1,
+            a = random_symmetric_multiset(elements(ncar), 31 * seed + 1,
                                           k=min(4, ncar.order))
             lam_a = dense_lambda2(ncar, a)
             if lam_a >= 1 - 1e-12:
@@ -207,7 +207,7 @@ def test_criterion_3_derandomized_squaring():
         label_inv=(1, 0, 2))
     for gi, g in enumerate(groups):
         carrier = PermCarrier.of(g)
-        els = carrier.elements()
+        els = elements(carrier)
         for seed in range(7):
             u = random_symmetric_multiset(els, 13 * gi + seed,
                                           k=2 + seed % 3)

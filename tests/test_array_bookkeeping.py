@@ -7,8 +7,9 @@ import random
 import numpy as np
 import pytest
 
-from helpers import (aux_from_rotation, elem_inv, ref_derandomized_square,
-                     ref_pad_to_total, ref_pair_units, ref_symmetrize)
+from helpers import (aux_from_rotation, elem_inv, elements,
+                     ref_derandomized_square, ref_pad_to_total, ref_pair_units,
+                     ref_symmetrize)
 
 from cayexp import catalog
 from cayexp.carriers import PermCarrier, QuotientCarrier, VectorCarrier
@@ -46,7 +47,7 @@ def cases():
     out = []
     for name, carrier in CARRIERS.items():
         rng = random.Random(name)
-        els = carrier.elements()
+        els = elements(carrier)
         ident = carrier.identity()
         pool = [e for e in els if e != ident]
         pairs = [e for e in pool if elem_inv(carrier, e) != e]
@@ -132,14 +133,16 @@ def test_derandomized_square_matches_reference(name, carrier, ms):
             outcome(ref_derandomized_square, carrier, ms, aux)
 
 
-def test_bookkeeping_builds_no_element_table():
-    # A5 and S4/V4 with caps below their orders: the array protocol works
-    # from image rows alone, so none of these calls enumerates the group
-    s4 = derived_series(catalog.s4())
-    a5 = PermCarrier(PermCarrier.of(catalog.a5()).bsgs, cap=59)
-    quo = QuotientCarrier(quotient_context(s4.terms[0], s4.terms[2]), cap=23)
-    for carrier, elems in ((a5, CARRIERS["A5"].elements()[1:30]),
-                           (quo, CARRIERS["S4/V4"].elements()[1:])):
+def test_bookkeeping_builds_no_element_table(monkeypatch):
+    # A5 and S4/V4 under a table cap below both orders: the array protocol
+    # works from image rows alone, so none of these calls enumerates the
+    # group
+    cases = ((CARRIERS["A5"], elements(CARRIERS["A5"])[1:30]),
+             (CARRIERS["S4/V4"], elements(CARRIERS["S4/V4"])[1:]))
+    monkeypatch.setattr("cayexp.carriers.TABLE_CAP", 23)
+    a5 = PermCarrier(cases[0][0].bsgs)
+    quo = QuotientCarrier(cases[1][0].ctx)
+    for carrier, elems in ((a5, cases[0][1]), (quo, cases[1][1])):
         rng = random.Random(5)
         ms = symmetric(carrier, elems[:3], rng,
                        [(carrier.identity(), 1)]).with_cert(0.5)

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from helpers import brute_closure
+from helpers import brute_closure, elements, transversal_elements
 
-from cayexp import catalog
+from cayexp import carriers, catalog
 from cayexp.bsgs import CapacityError, jerrum_reduce, schreier_sims
+from cayexp.carriers import PermCarrier
 from cayexp.perm import GenSet, Perm, parse_perm
 
 
@@ -86,31 +87,35 @@ class TestMembership:
 
 
 class TestEnumerate:
+    """The element table a BSGS's transversals give its carrier."""
+
     def test_trivial(self):
         b = schreier_sims(GenSet(3, ()))
-        assert b.elements(10) == [Perm.identity(3)]
+        assert elements(PermCarrier(b)) == [Perm.identity(3)]
 
     def test_z3(self):
         b = schreier_sims(GenSet(3, (parse_perm("(1 2 3)", 3),)))
-        els = b.elements(10)
+        els = elements(PermCarrier(b))
         assert len(els) == 3
         assert len(set(els)) == 3
 
-    def test_capacity_error(self):
+    def test_capacity_error(self, monkeypatch):
+        monkeypatch.setattr(carriers, "TABLE_CAP", 10)
         b = schreier_sims(catalog.s4())
         with pytest.raises(CapacityError):
-            b.elements(10)
+            elements(PermCarrier(b))
 
     def test_each_element_once(self):
         b = schreier_sims(catalog.sylow2_s8())
-        els = b.elements(1000)
+        els = elements(PermCarrier(b))
         assert len(els) == 128
         assert len(set(els)) == 128
+        assert els == sorted(transversal_elements(b))
 
     def test_deterministic_order(self):
         g = catalog.s4()
-        a = schreier_sims(g).elements(100)
-        b = schreier_sims(g).elements(100)
+        a = elements(PermCarrier(schreier_sims(g)))
+        b = elements(PermCarrier(schreier_sims(g)))
         assert a == b
 
 

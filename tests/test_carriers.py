@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+from helpers import canonicalize, elements, transversal_elements
+
 from cayexp import carriers, catalog
 from cayexp.bsgs import CapacityError
 from cayexp.carriers import PermCarrier, QuotientCarrier, multiset_order_check
@@ -50,8 +52,8 @@ def sample_multiset(els, seed, k=5):
 def test_matches_perm_loop_oracle(name):
     g = GROUPS[name]()
     carrier = PermCarrier.of(g)
-    oracle = sorted(carrier.bsgs.elements())
-    assert carrier.elements() == oracle
+    oracle = sorted(transversal_elements(carrier.bsgs))
+    assert elements(carrier) == oracle
     assert carrier._table[2].dtype.kind == KEY_KIND[name]
     index = {p: i for i, p in enumerate(oracle)}
     assert carrier._indices(oracle).tolist() == list(range(len(oracle)))
@@ -70,7 +72,7 @@ def test_matches_perm_loop_oracle(name):
 ])
 def test_action_tables_span_several_chunks(name, support):
     carrier = PermCarrier.of(GROUPS[name]())
-    oracle = sorted(carrier.bsgs.elements())
+    oracle = sorted(transversal_elements(carrier.bsgs))
     index = {p: i for i, p in enumerate(oracle)}
     rng = random.Random(4)
     ms = multiset([(p, rng.randint(1, 3))
@@ -106,10 +108,11 @@ def test_degree_mismatch_raises():
         carrier.action_tables(multiset([(wrong, 1)]))
 
 
-def test_capacity_error_before_enumeration():
-    carrier = PermCarrier(PermCarrier.of(catalog.s5()).bsgs, cap=100)
+def test_capacity_error_before_enumeration(monkeypatch):
+    monkeypatch.setattr(carriers, "TABLE_CAP", 100)
+    carrier = PermCarrier.of(catalog.s5())
     with pytest.raises(CapacityError):
-        carrier.elements()
+        elements(carrier)
     with pytest.raises(CapacityError):
         carrier._indices([Perm.identity(5)])
 
@@ -117,7 +120,7 @@ def test_capacity_error_before_enumeration():
 def test_trivial_group():
     carrier = PermCarrier.of(GenSet(3, ()))
     e = Perm.identity(3)
-    assert carrier.elements() == [e]
+    assert elements(carrier) == [e]
     tables, _ = carrier.action_tables(multiset([(e, 2)]))
     assert tables.tolist() == [[0]]
 
@@ -133,14 +136,14 @@ def naive_square(ms):
 @pytest.mark.parametrize("name", ["S4", "D8", "A5", "Z2^9 on 300"])
 def test_square_multiset_matches_dict_convolution(name):
     carrier = PermCarrier.of(GROUPS[name]())
-    ms = sample_multiset(carrier.elements(), 2, k=8).with_cert(0.5)
+    ms = sample_multiset(elements(carrier), 2, k=8).with_cert(0.5)
     out = square_multiset(carrier, ms)
     assert out == naive_square(ms).with_cert(0.25)
 
 
 def test_square_multiset_exact_beyond_int64():
     carrier = PermCarrier.of(catalog.s4())
-    ms = sample_multiset(carrier.elements(), 3, k=6)
+    ms = sample_multiset(elements(carrier), 3, k=6)
     big = multiset([(e, m * (1 << 40) + 1) for e, m in ms.pairs()])
     assert big.total ** 2 >= 2**63
     out = square_multiset(carrier, big)
@@ -173,22 +176,21 @@ def test_quotient_matches_canonical_rep_oracle(name, term):
     chain = derived_series(g)
     ctx = quotient_context(chain.terms[0], chain.terms[term])
     carrier = QuotientCarrier(ctx)
-    can = ctx.canonicalize
-    parent = ctx.parent.elements()
-    oracle = sorted({can(p) for p in parent})
-    assert carrier.elements() == oracle
+    parent = transversal_elements(ctx.parent)
+    oracle = sorted({canonicalize(ctx, p) for p in parent})
+    assert elements(carrier) == oracle
     assert carrier.order == len(oracle)
     index = {p: i for i, p in enumerate(oracle)}
     # the support may hold any parent elements, not only representatives
     ms = sample_multiset(parent, 5, k=6).with_cert(0.5)
     tables, weights = carrier.action_tables(ms)
-    assert tables.tolist() == [[index[can(e * s)] for e in oracle]
-                               for s in ms.elems]
+    assert tables.tolist() == [[index[canonicalize(ctx, e * s)]
+                                for e in oracle] for s in ms.elems]
     assert weights.tolist() == [m / ms.total for m in ms.mults]
     acc = {}
     for x, wx in ms.pairs():
         for y, wy in ms.pairs():
-            z = can(x * y)
+            z = canonicalize(ctx, x * y)
             acc[z] = acc.get(z, 0) + wx * wy
     assert square_multiset(carrier, ms) == multiset(acc.items(), cert=0.25)
 
@@ -197,7 +199,7 @@ def test_quotient_membership_is_parent_membership():
     chain = derived_series(catalog.a4())
     ctx = quotient_context(chain.terms[0], chain.terms[1])
     carrier = QuotientCarrier(ctx)
-    inside = multiset([(p, 1) for p in ctx.parent.elements()])
+    inside = multiset([(p, 1) for p in transversal_elements(ctx.parent)])
     assert multiset_order_check(carrier, inside)
     odd = parse_perm("(1 2)", 4)
     assert not multiset_order_check(carrier, multiset([(odd, 1)]))
@@ -205,13 +207,14 @@ def test_quotient_membership_is_parent_membership():
         carrier.action_tables(multiset([(odd, 1)]))
 
 
-def test_quotient_capacity_error_on_parent_order():
+def test_quotient_capacity_error_on_parent_order(monkeypatch):
     # S4/V4 has order 6, but its labels need the 24 rows of S4
     chain = derived_series(catalog.s4())
     ctx = quotient_context(chain.terms[0], chain.terms[2])
-    carrier = QuotientCarrier(ctx, cap=20)
+    monkeypatch.setattr(carriers, "TABLE_CAP", 20)
+    carrier = QuotientCarrier(ctx)
     assert carrier.order == 6
     with pytest.raises(CapacityError):
-        carrier.elements()
+        elements(carrier)
     with pytest.raises(CapacityError):
         carrier.action_tables(multiset([(Perm.identity(4), 1)]))

@@ -380,6 +380,20 @@ def test_epsbias_beyond_method_capacity_exit_6(tmp_path, capsys):
     assert "exceeds" in capsys.readouterr().err
 
 
+def test_epsbias_verify_beyond_method_capacity_exit_6(tmp_path, capsys):
+    # Z_2^21 at 1/4 is built and written, but its 2^21 characters are
+    # above the exhaustive cap, so it cannot be verified
+    out = tmp_path / "x.pts"
+    rc = main(["epsbias", "--d", "2", "--n", "21", "--eps", "0.25",
+               "--out", str(out), "--verify"])
+    assert rc == 6
+    captured = capsys.readouterr()
+    assert captured.out.startswith("size = ")
+    assert captured.err.startswith("error: ")
+    assert "exceeds" in captured.err and captured.err.count("\n") == 1
+    assert out.exists()
+
+
 def test_epsbias_bad_arguments_exit_2(tmp_path):
     assert main(["epsbias", "--d", "1", "--n", "3", "--eps", "0.25",
                  "--out", str(tmp_path / "x.pts")]) == 2

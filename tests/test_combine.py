@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import (analytic_rounds, aux_from_rotation, count_schreier_sims,
-                     elem_mul, random_symmetric_multiset, ref_fold_levels)
+                     elem_mul, elements, random_symmetric_multiset,
+                     ref_fold_levels)
 
 from cayexp import catalog, obs
 from cayexp.bsgs import schreier_sims
@@ -82,7 +83,7 @@ class TestCombine:
         ctx = quotient_context(chain.terms[0], chain.terms[1])
         a4 = chain.groups[1]
         acar = PermCarrier.of(a4)
-        a = random_symmetric_multiset(acar.elements(), 1, k=6)
+        a = random_symmetric_multiset(elements(acar), 1, k=6)
         a = a.with_cert(dense_lambda2(acar, a))
         odd = parse_perm("(1 2)", 4)
         b = multiset([(odd, a.total // 2), (odd.inv(), a.total // 2)])
@@ -241,7 +242,7 @@ class TestAuxFamily:
         monkeypatch.setattr(importlib.import_module("cayexp.combine"),
                             "_AUX_CACHE", {})
         aux = aux_family(1 << t, 0.125)
-        full = multiset([(v, 1) for v in VectorCarrier((2,) * t).elements()])
+        full = multiset([(v, 1) for v in elements(VectorCarrier((2,) * t))])
         ref = aux_from_z2_multiset(full, t)
         assert np.array_equal(aux.neighbors, ref.neighbors)
         assert aux.certified_mu == ref.certified_mu
@@ -319,7 +320,7 @@ class TestFoldSeries:
     def test_single_quotient_returned_unchanged(self):
         chain = derived_series(catalog.z6())
         zcar = PermCarrier.of(catalog.z6())
-        s = random_symmetric_multiset(zcar.elements(), 0, k=2)
+        s = random_symmetric_multiset(elements(zcar), 0, k=2)
         s = s.with_cert(dense_lambda2(zcar, s))
         if s.cert > 0.25:
             s = reduce_to_quarter(zcar, s)
@@ -337,12 +338,12 @@ class TestFoldSeries:
         chain = SubgroupChain(terms, "normal-series", True)
         qcar01 = QuotientCarrier(quotient_context(terms[0], terms[1]))
         subcar = PermCarrier.of(z4sub)
-        top = random_symmetric_multiset(PermCarrier.of(g).elements(), 2, k=4)
+        top = random_symmetric_multiset(elements(PermCarrier.of(g)), 2, k=4)
         top = qcar01.image_multiset(top)
         top = top.with_cert(dense_lambda2(qcar01, top))
         if top.cert > 0.25:
             top = reduce_to_quarter(qcar01, top)
-        bot = random_symmetric_multiset(subcar.elements(), 3, k=2)
+        bot = random_symmetric_multiset(elements(subcar), 3, k=2)
         bot = bot.with_cert(dense_lambda2(subcar, bot))
         if bot.cert > 0.25:
             bot = reduce_to_quarter(subcar, bot)
@@ -487,7 +488,7 @@ class TestCompact:
 
     def test_trim_respects_target_cert(self):
         carrier = VectorCarrier((2,) * 6)
-        ms = multiset([(v, 1) for v in carrier.elements()], cert=0.0)
+        ms = multiset([(v, 1) for v in elements(carrier)], cert=0.0)
         out = compact(carrier, ms, 16, target_cert=0.5)
         assert out.cert <= 0.5
         assert carrier.is_symmetric(out)

@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import naive_bias
+from helpers import elements, naive_bias
 
 from cayexp.carriers import VectorCarrier
 from cayexp.epsbias import (BiasSpace, format_bias_space, verify_bias,
@@ -49,7 +49,7 @@ class TestZdn:
 class TestVerifyBias:
     def test_full_group_is_zero_biased(self):
         carrier = VectorCarrier((2, 2))
-        pts = multiset([(v, 1) for v in carrier.elements()])
+        pts = multiset([(v, 1) for v in elements(carrier)])
         sp = BiasSpace(2, 2, pts, 0.0, "manual")
         assert verify_bias(sp) < 1e-12
 

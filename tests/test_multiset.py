@@ -1,15 +1,18 @@
+import random
+
 import numpy as np
 import pytest
 
-from helpers import elem_inv, symmetric_by_elements
+from helpers import elem_inv, elements, symmetric_by_elements
 
-from cayexp.carriers import (AbelianShape, PermCarrier, VectorCarrier,
-                             require_symmetric)
+from cayexp import catalog
+from cayexp.carriers import (AbelianShape, PermCarrier, PermRows,
+                             VectorCarrier, require_symmetric)
 from cayexp.combine import combine_union
 from cayexp.multiset import (NonSymmetricError, multiset,
                              format_perm_multiset, parse_perm_multiset)
-from cayexp.perm import GenSet, Perm, parse_perm
-from cayexp.spectra import dense_lambda2
+from cayexp.perm import DegreeMismatch, GenSet, Perm, parse_perm
+from cayexp.spectra import dense_lambda2, seed_body
 
 
 def z5_setup():
@@ -89,6 +92,45 @@ def test_perm_multiset_file_roundtrip():
     assert degree == 5
     assert back.counts() == ms.counts()
     assert format_perm_multiset(back, 5) == text
+
+
+@pytest.mark.parametrize("name", ["S4", "Z3xZ4xZ5"])
+def test_pairs_are_stored_as_codes(name):
+    # a multiset built from pairs stores codes like one a carrier builds:
+    # permutations as image rows of their degree, tuples as codes over
+    # their column-wise maxima plus 1
+    carrier = {"S4": PermCarrier.of(catalog.s4()),
+               "Z3xZ4xZ5": VectorCarrier((3, 4, 5))}[name]
+    rng = random.Random(8)
+    pairs = [(e, rng.randint(1, 5)) for e in rng.sample(elements(carrier), 9)]
+    ms = multiset(pairs, cert=0.5)
+    coords = np.array([getattr(e, "img", e) for e, _ in sorted(pairs)])
+    if name == "S4":
+        assert isinstance(ms.space, PermRows) and ms.space.degree == 4
+        assert ms.codes.shape == (9, 4)
+    else:
+        assert ms.space.moduli == tuple((coords.max(axis=0) + 1).tolist())
+        assert ms.codes.shape == (9,)
+    assert not ms.codes.flags.writeable
+    coded = carrier.tally(carrier.codes([e for e, _ in pairs]),
+                          np.array([m for _, m in pairs]), cert=0.5)
+    assert coded.space is carrier
+    assert ms == coded and hash(ms) == hash(coded)
+    assert ms.coordinates().tolist() == coded.coordinates().tolist() \
+        == coords.tolist()
+    assert seed_body(ms) == seed_body(coded)
+    if name == "S4":
+        assert format_perm_multiset(ms, 4) == format_perm_multiset(coded, 4)
+
+
+def test_pairs_of_mixed_shapes_are_refused():
+    t, t5 = Perm((1, 0, 2, 3)), Perm((1, 0, 2, 3, 4))
+    with pytest.raises(DegreeMismatch):
+        multiset([(t, 1), (t5, 1)])
+    with pytest.raises(ValueError, match="mixed widths"):
+        multiset([((1, 0), 1), ((1, 0, 2), 1)])
+    with pytest.raises(ValueError, match="outside its modulus"):
+        multiset([((1, 0), 1), ((0, -1), 1)])
 
 
 def test_add_identity():

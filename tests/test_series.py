@@ -2,11 +2,13 @@ import random
 
 import pytest
 
-from helpers import brute_closure, brute_commutator_subgroup
+from helpers import (brute_closure, brute_commutator_subgroup, canonicalize,
+                     transversal_elements)
 
 from cayexp import catalog
 from cayexp.bsgs import schreier_sims
-from cayexp.perm import GenSet, parse_perm
+from cayexp.carriers import QuotientCarrier
+from cayexp.perm import GenSet, Perm, parse_perm
 from cayexp.series import (NormalityError, derived_series, dixon_bound,
                            quotient_context)
 
@@ -61,6 +63,13 @@ class TestDerivedSeries:
             assert chain.length <= dixon_bound(g.degree), name
 
 
+def canonical(ctx, perms) -> list[Perm]:
+    """The quotient carrier's canonical representatives of perms, computed
+    for all of them at once."""
+    carrier = QuotientCarrier(ctx)
+    return list(carrier.decode(carrier._canonical(carrier.codes(perms))))
+
+
 class TestQuotientContext:
     def test_s4_mod_a4_order_two(self):
         chain = derived_series(catalog.s4())
@@ -71,9 +80,8 @@ class TestQuotientContext:
         s4 = schreier_sims(catalog.s4())
         ctx = quotient_context(s4, s4)
         assert ctx.order == 1
-        els = schreier_sims(catalog.s4()).elements()
-        reps = {ctx.canonicalize(p) for p in els}
-        assert len(reps) == 1
+        els = transversal_elements(schreier_sims(catalog.s4()))
+        assert set(canonical(ctx, els)) == {Perm.identity(4)}
 
     def test_not_normal_is_an_error(self):
         with pytest.raises(NormalityError) as exc:
@@ -86,24 +94,26 @@ class TestQuotientContext:
         chain = derived_series(g)
         v4 = chain.groups[2]
         ctx = quotient_context(chain.terms[0], chain.terms[2])
-        els = schreier_sims(g).elements()
+        els = transversal_elements(schreier_sims(g))
+        can = canonical(ctx, els)
+        assert can == [canonicalize(ctx, h) for h in els]
         nb = schreier_sims(v4)
-        for h1 in els[:8]:
-            for h2 in els:
+        for i, h1 in enumerate(els[:8]):
+            for j, h2 in enumerate(els):
                 same = nb.contains(h1 * h2.inv())
-                assert (ctx.canonicalize(h1) == ctx.canonicalize(h2)) == same
+                assert (can[i] == can[j]) == same
 
     def test_multiplication_well_defined_thousand_pairs(self):
         g = catalog.s4()
         chain = derived_series(g)
         ctx = quotient_context(chain.terms[0], chain.terms[2])
-        els = schreier_sims(g).elements()
+        els = transversal_elements(schreier_sims(g))
         rng = random.Random(5)
-        for _ in range(1000):
-            h1, h2 = rng.choice(els), rng.choice(els)
-            lhs = ctx.canonicalize(h1 * h2)
-            rhs = ctx.canonicalize(ctx.canonicalize(h1) * ctx.canonicalize(h2))
-            assert lhs == rhs
+        pairs = [(rng.choice(els), rng.choice(els)) for _ in range(1000)]
+        lhs = canonical(ctx, [h1 * h2 for h1, h2 in pairs])
+        c1 = canonical(ctx, [h1 for h1, _ in pairs])
+        c2 = canonical(ctx, [h2 for _, h2 in pairs])
+        assert lhs == canonical(ctx, [a * b for a, b in zip(c1, c2)])
 
     def test_index_computation(self):
         g = catalog.sylow2_s8()

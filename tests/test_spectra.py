@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import (count_calls, elem_inv, naive_bias,
+from helpers import (count_calls, elem_inv, elements, naive_bias,
                      naive_cayley_lambda2, projective_line,
                      random_symmetric_multiset)
 
@@ -107,7 +107,7 @@ def catalog_multisets(group, carrier):
     generators with identity weight 2, a disconnected multiset where a
     proper cyclic subgroup exists, and a bipartite one where the group has
     odd permutations."""
-    els = carrier.elements()
+    els = elements(carrier)
     gens = [(p, 1) for p in group.gens] + [(p.inv(), 1) for p in group.gens]
     extra = random_symmetric_multiset(els, 0, k=2, lazy=False)
     out = [("random", multiset(gens + list(extra.pairs()))),
@@ -137,7 +137,7 @@ class TestSecondEigenvalue:
 
     def test_whole_group_is_projection(self):
         g, carrier = z_n_carrier(6)
-        ms = multiset([(e, 1) for e in carrier.elements()])
+        ms = multiset([(e, 1) for e in elements(carrier)])
         assert second_eigenvalue(carrier, ms).lambda2 < 1e-12
 
     def test_bipartite_k2(self):
@@ -187,7 +187,7 @@ class TestSecondEigenvalue:
         for fn in (catalog.s4, catalog.d8, catalog.q8):
             g = fn()
             carrier = PermCarrier.of(g)
-            els = carrier.elements()
+            els = elements(carrier)
             for seed in range(3):
                 ms = random_symmetric_multiset(els, seed)
                 mine = dense_lambda2(carrier, ms)
@@ -208,7 +208,7 @@ class TestPowerIteration:
     def test_larger_group(self):
         g = catalog.s3_x_s4()
         carrier = PermCarrier.of(g)
-        ms = random_symmetric_multiset(carrier.elements(), 0, k=5)
+        ms = random_symmetric_multiset(elements(carrier), 0, k=5)
         d = dense_lambda2(carrier, ms)
         p = power_lambda2(carrier, ms, tol=1e-12).lower
         assert abs(d - p) < 1e-11
@@ -246,7 +246,7 @@ class TestPowerIteration:
                 [(g, 1), (g.inv(), 1), (Perm.identity(n), 1)])))
         carrier = PermCarrier.of(catalog.s3_x_s4())
         cases.append((carrier, random_symmetric_multiset(
-            carrier.elements(), 0, k=5)))
+            elements(carrier), 0, k=5)))
         gens, carrier = hypercube_carrier(10)
         cases.append((carrier, multiset(
             [(gens[i], 1) for i in (0, 3, 5, 6, 9)]
@@ -313,13 +313,13 @@ class TestPowerIteration:
 
     def test_uniform_multiset_exactly_zero(self):
         for carrier in (z_n_carrier(6)[1], PermCarrier.of(catalog.s3_x_s4())):
-            ms = multiset([(e, 1) for e in carrier.elements()])
+            ms = multiset([(e, 1) for e in elements(carrier)])
             with np.errstate(all="raise"):
                 assert power_lambda2(carrier, ms) == (0.0, 0.0, 1)
 
     def test_budget_returns_interval_so_far(self):
         carrier = PermCarrier.of(catalog.s3_x_s4())
-        ms = random_symmetric_multiset(carrier.elements(), 0, k=5)
+        ms = random_symmetric_multiset(elements(carrier), 0, k=5)
         d = dense_lambda2(carrier, ms)
         for itmax in (1, 2, 3, 5):
             lower, upper, matvecs = power_lambda2(carrier, ms, tol=0.0,
@@ -361,7 +361,7 @@ class TestPowerIteration:
 class TestAbelianBias:
     def test_full_group_zero_bias(self):
         carrier = VectorCarrier((2, 2))
-        ms = multiset([(v, 1) for v in carrier.elements()])
+        ms = multiset([(v, 1) for v in elements(carrier)])
         assert abelian_bias(carrier, ms) < 1e-12
 
     def test_half_group_bias_one(self):
@@ -385,11 +385,17 @@ class TestAbelianBias:
         with pytest.raises(ValueError, match="element shape mismatch"):
             abelian_bias(carrier, multiset([(Perm((1, 0)), 1)]))
 
+    def test_permutation_rows_are_not_vector_codes(self):
+        # coding a multiset of Perms once raised TypeError (no len())
+        carrier = VectorCarrier((2, 2))
+        with pytest.raises(ValueError, match="permutation image rows"):
+            carrier.codes(multiset([(Perm((1, 0)), 1)]))
+
     def test_fft_matches_naive_character_sums(self):
         rng = random.Random(2)
         for moduli in [(4,), (2, 3), (2, 2, 3), (5, 5), (8, 3)]:
             carrier = VectorCarrier(moduli)
-            els = carrier.elements()
+            els = elements(carrier)
             pairs = {}
             for _ in range(5):
                 v = tuple(rng.randrange(m) for m in moduli)
@@ -420,7 +426,7 @@ class TestAbelianBias:
 
     def test_sampled_mode_deterministic_lower_bound(self):
         carrier = VectorCarrier((2,) * 8)
-        ms = multiset([(v, 1) for v in carrier.elements()[:32]])
+        ms = multiset([(v, 1) for v in elements(carrier)[:32]])
         a = bias_sampled(carrier, ms, count=2000)
         b = bias_sampled(carrier, ms, count=2000)
         assert a == b
@@ -438,7 +444,7 @@ class TestCertify:
 
     def test_sampled_reports_never_certify(self):
         carrier = VectorCarrier((2,) * 8)
-        ms = multiset([(v, 1) for v in carrier.elements()])
+        ms = multiset([(v, 1) for v in elements(carrier)])
         rep = second_eigenvalue(carrier, ms, method="character-sum-sampled")
         assert not certify(rep, 1.0)
 
@@ -449,7 +455,7 @@ class TestGraphStructure:
         for fn in (catalog.z8, catalog.s4, catalog.d12, catalog.z12):
             g = fn()
             carrier = PermCarrier.of(g)
-            els = carrier.elements()
+            els = elements(carrier)
             for seed in range(6):
                 lazy = rng.random() < 0.5
                 ms = random_symmetric_multiset(els, seed * 7 + 1,
@@ -463,7 +469,7 @@ class TestGraphStructure:
         g = catalog.s4()
         chain = derived_series(g)
         pcar = PermCarrier.of(g)
-        ms = random_symmetric_multiset(pcar.elements(), 3, k=4)
+        ms = random_symmetric_multiset(elements(pcar), 3, k=4)
         for nsub in chain.terms[1:]:
             ctx = quotient_context(chain.terms[0], nsub)
             qcar = QuotientCarrier(ctx)

@@ -12,7 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import (elem_inv, elem_mul, field_pow, inner_product,
+from helpers import (elem_inv, elem_mul, elements, field_pow, inner_product,
                      psi_to_fields, ref_map_elems, symmetric_by_elements)
 
 from cayexp import catalog
@@ -22,8 +22,7 @@ from cayexp.combine import (_pair_units, _trim_support, compact,
                             measure_exact, square_multiset)
 from cayexp.epsbias import (BiasSpace, _crt_digits, format_bias_space,
                             zdn_bias_space)
-from cayexp.multiset import (Multiset, NonSymmetricError, format_rows,
-                             multiset)
+from cayexp.multiset import NonSymmetricError, format_rows, multiset
 from cayexp.perm import DegreeMismatch, Perm
 from cayexp.spectra import instance_seed, seed_body
 
@@ -80,8 +79,8 @@ def oracle_compact(carrier, ms, target_total, target_cert=None):
     if ms.total <= target_total:
         return ms
     scale = target_total / ms.total
-    out = Multiset(ms.elems, tuple(max(1, round(m * scale))
-                                   for m in ms.mults)).gcd_reduced()
+    out = multiset((e, max(1, round(m * scale)))
+                   for e, m in ms.pairs()).gcd_reduced()
     lam = measure_exact(carrier, out)
     if accept is not None and lam > accept:
         return ms
@@ -128,7 +127,7 @@ def trim_cases():
             [((x,), x + 1) for x in range(1, m, 3)])))
     # the element-by-element pairing of the other carriers
     c = PermCarrier.of(catalog.s4())
-    els = c.elements()
+    els = elements(c)
     cases.append(("perm symmetric", c,
                   symmetric(c, rng.sample(els, 8), rng)))
     cases.append(("perm non-symmetric", c, multiset(
@@ -173,13 +172,23 @@ def test_compact_matches_tuple_loop(name, carrier, ms):
 def test_out_of_range_element_is_rejected():
     carrier = VectorCarrier((4, 4))
     for bad in [(4, 0), (0, -1)]:
-        ms = multiset([((1, 1), 1), (bad, 1)])
         with pytest.raises(ValueError):
-            carrier.codes(ms.elems)
-        with pytest.raises(ValueError):
-            _pair_units(carrier, ms)
+            carrier.codes([(1, 1), bad])
+    # a multiset cannot hold a negative coordinate; one of 4 is recoded
+    # from the multiset's own moduli and refused here
+    with pytest.raises(ValueError):
+        multiset([((1, 1), 1), ((0, -1), 1)])
+    ms = multiset([((1, 1), 1), ((4, 0), 1)])
+    with pytest.raises(ValueError):
+        carrier.codes(ms.elems)
+    with pytest.raises(ValueError):
+        carrier.codes(ms)
+    with pytest.raises(ValueError):
+        _pair_units(carrier, ms)
     with pytest.raises(ValueError):
         carrier.codes(((1, 1), (1, 1, 1)))
+    with pytest.raises(ValueError):
+        carrier.codes(multiset([((1, 1, 1), 1)]))
 
 
 def test_seed_body_matches_incremental_hash():
@@ -298,8 +307,8 @@ def oracle_seed_body(ms):
 
 
 def coded_multiset(carrier, count, rng, big=False):
-    """A code-storage multiset of random distinct elements (weights above
-    2^63 when big) and its tuple-built twin."""
+    """A carrier-built multiset of random distinct elements (weights above
+    2^63 when big) and its twin built from pairs."""
     elems = sorted(set(random_elems(carrier.moduli, count, rng)))
     codes = carrier.codes(elems)
     if big:
@@ -396,7 +405,7 @@ def test_format_rows_refuses(template, table):
     [(0, 10), (12, 1)],
 ])
 def test_seed_body_of_tuple_storage_is_repr(elems):
-    # Perms are written as their image tuples
+    # multisets built from pairs; Perms are written as their image tuples
     ms = multiset([(e, 10 ** i + 1) for i, e in enumerate(elems)])
     want = "".join(repr((getattr(e, "img", e), m))
                    for e, m in ms.pairs()).encode()
@@ -423,11 +432,14 @@ def test_vector_text_matches_tuple_loop(factors, big):
     assert seed_body(ms) == oracle_seed_body(twin)
 
 
-def test_code_and_tuple_storage_compare_by_element():
+def test_multisets_compare_by_element():
     rng = random.Random(11)
     carrier = VectorCarrier((3, 4, 5))
     ms, twin = coded_multiset(carrier, 25, rng)
-    assert ms.space is not None and twin.space is None
+    # the pairs are coded over their column-wise maxima plus 1
+    assert ms.space is carrier
+    assert twin.space.moduli == tuple(
+        (twin.coordinates().max(axis=0) + 1).tolist())
     assert ms == twin and hash(ms) == hash(twin)
     assert {ms: 1}[twin] == 1
     assert ms.elems == twin.elems and ms.mults == twin.mults
@@ -472,24 +484,22 @@ def test_perm_symmetry_needs_no_element_table():
     assert not carrier.is_symmetric(multiset([(c, 1), (c.inv(), 2)]))
     assert "_table" not in carrier.__dict__
     # elements of another degree are not coded: they are outside the group
-    c5, t5 = Perm((1, 2, 0, 4, 3)), Perm((1, 0, 2, 3, 4))
+    c5 = Perm((1, 2, 0, 4, 3))
     for ms in (multiset([(c5, 1), (c5.inv(), 1)]),
-               multiset([(c5, 1), (c5.inv(), 2)]),
-               multiset([(t, 1), (t5, 1)])):
+               multiset([(c5, 1), (c5.inv(), 2)])):
         with pytest.raises(DegreeMismatch):
             carrier.is_symmetric(ms)
 
 
-@pytest.mark.parametrize("coded", [False, True])
-def test_proportional_reweight_matches_round_loop(coded):
+def test_proportional_reweight_matches_round_loop():
     # scale 1/2 puts every odd multiplicity on a tie; 2^53 + 1 and 2^60 + 3
     # round on their conversion to float
     carrier = VectorCarrier((8, 8))
     mults = [1, 3, 5, 7, 9, 11, 2**53 + 1, 2**60 + 3]
     elems = [(1, 0), (7, 0), (0, 1), (0, 7), (2, 3), (6, 5), (4, 4), (3, 1)]
     ms = multiset(zip(elems, mults))
-    if coded:
-        ms = carrier.from_codes(carrier.codes(ms), ms.mult_array())
+    # the pairs' moduli are the carrier's: its codes are handed over
+    assert carrier.codes(ms) is ms.codes
     target = ms.total // 2 + (ms.total % 2)
     got = compact(carrier, ms, target)
     want = oracle_compact(carrier, ms, target)
