@@ -42,8 +42,7 @@ from .fields import FieldSpec, construct_field
 from .multiset import Multiset, multiset
 from .perm import GenSet, Perm, commutator, format_perm
 from .series import QuotientContext, SubgroupChain, quotient_context
-from .spectra import (DENSE_CAP, EXHAUSTIVE_CHAR_CAP, bias_exhaustive,
-                      root_tables)
+from .spectra import bias_exhaustive, exact_method, root_tables
 
 GREEDY_ORDER_CAP = 2**18
 GREEDY_FULL_CAP = 1024
@@ -325,7 +324,7 @@ def final_R(n: int, primes, c: int = FINAL_C,
     points = carrier.tally(np.concatenate(codes),
                            np.tile(base.mult_array(), cn), cert=cert)
     assert points.total == cn * base.total
-    if carrier.order <= EXHAUSTIVE_CHAR_CAP:
+    if exact_method(carrier) is not None:
         measured = bias_exhaustive(carrier, points)
         if measured > cert + 1e-9:
             raise CertificationError(
@@ -441,8 +440,8 @@ def abelian_quotient_expander(h: BSGS, n: BSGS,
     r = len(hom.xs), per level of the prime-power series, pushes each
     through the level homomorphism (so nothing larger than H/N is ever
     materialized), and folds the resulting normal series of subgroups of
-    H/N. A level image measured exactly (order at most DENSE_CAP) above
-    its source's bound raises CertificationError.
+    H/N. A level image measured exactly (on the dense route) above its
+    source's bound raises CertificationError.
     """
     hom = build_abelianization(h, n)
     ctx = hom.ctx
@@ -475,9 +474,9 @@ def abelian_quotient_expander(h: BSGS, n: BSGS,
         img = reverify(qcar, qcar.tally(acc, r_points.mult_array(),
                                         r_points.cert))
         # a pushforward along an onto homomorphism cannot raise the bias;
-        # above DENSE_CAP reverify gives the Krylov route's upper end, which
-        # sits above the true bias, so only exact values are compared
-        if (qcar.order <= DENSE_CAP and img.cert is not None
+        # on the Krylov route reverify gives the interval's upper end, which
+        # sits above the true bias, so only dense values are compared
+        if (exact_method(qcar) == "dense" and img.cert is not None
                 and img.cert > r_points.cert + 1e-9):
             raise CertificationError(
                 f"level {s} image bias {img.cert} above its source bound "

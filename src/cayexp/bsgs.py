@@ -7,6 +7,8 @@ what the minimum-image coset canonicalization of
 ``carriers.QuotientCarrier`` descends.
 Transversal representatives u_beta satisfy u_beta[b] = beta, so every group
 element factors uniquely as stab_element * u_beta.
+Nothing here enumerates a group or has a size cap: the element table, and
+the ``MethodCapacityError`` above its cap, are ``carriers.PermCarrier``'s.
 """
 
 from __future__ import annotations
@@ -14,10 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .perm import GenSet, Perm
-
-
-class CapacityError(ValueError):
-    """Dense verification requested beyond the configured size cap."""
 
 
 @dataclass

@@ -33,7 +33,8 @@ coordinates. None of this needs the element table: an (order, degree) image
 array in lexicographic order, built from the BSGS transversals and searched
 by base-point images, from which action tables are numpy gathers (for a
 quotient, relabelled by coset). The carriers list no elements; a group
-above ``TABLE_CAP`` gets no table.
+above ``TABLE_CAP`` gets no table: asking for one raises
+``MethodCapacityError``, the package's one capacity error.
 """
 
 from __future__ import annotations
@@ -44,10 +45,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .bsgs import BSGS, CapacityError, schreier_sims
+from .bsgs import BSGS, schreier_sims
 from .multiset import NOT_SYMMETRIC, Multiset, NonSymmetricError
 from .perm import DegreeMismatch, GenSet, Perm
 from .series import QuotientContext
+
+
+class MethodCapacityError(ValueError):
+    """Group too large for the requested table or measurement method."""
 
 
 @dataclass(frozen=True)
@@ -363,7 +368,8 @@ class PermCarrier(PermRows):
         """(images, base images, keys) with rows in lexicographic order."""
         n = self.order
         if n > TABLE_CAP:
-            raise CapacityError(f"group order {n} exceeds cap {TABLE_CAP}")
+            raise MethodCapacityError(
+                f"group order {n} exceeds the element-table cap {TABLE_CAP}")
         deg = self.degree
         img = np.arange(deg, dtype=self._dtype)[None, :]
         for lv in reversed(self.bsgs.levels):

@@ -32,7 +32,8 @@ from .multiset import (NonSymmetricError, format_perm_multiset,
 from .perm import ParseError, parse_group_file
 from .series import derived_series, dixon_bound
 from .spectra import (FORMAT_VERSION, ITER_CAP, MethodCapacityError,
-                      SpectrumReport, certify, second_eigenvalue)
+                      SpectrumReport, certify, exact_method,
+                      second_eigenvalue)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -98,7 +99,8 @@ def cmd_build_expander(args) -> int:
         print("error: group is not solvable (derived series stabilizes at "
               f"order {chain.orders[-1]})", file=sys.stderr)
         return EXIT_NOT_SOLVABLE
-    if chain.orders[0] > ITER_CAP:
+    carrier = PermCarrier(chain.terms[0])
+    if exact_method(carrier) is None:
         print(f"error: group order {chain.orders[0]} exceeds the "
               f"verification cap {ITER_CAP}; analytic-only certificates are "
               "not emitted", file=sys.stderr)
@@ -114,7 +116,7 @@ def cmd_build_expander(args) -> int:
         return EXIT_TOO_LARGE
     except CONSTRUCTION_FAILURES as e:
         return _construction_failed(e)
-    report = second_eigenvalue(PermCarrier(chain.terms[0]), ms)
+    report = second_eigenvalue(carrier, ms)
     ok = certify(report, args.lam)
     out = Path(args.out)
     out.write_text(format_perm_multiset(ms, gens.degree))

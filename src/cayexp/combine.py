@@ -11,14 +11,15 @@ The three moves, with their certified-bound algebra:
             moves stay affordable; every re-weighting is re-certified.
 
 Certified bounds propagate analytically and are re-measured exactly whenever
-the carrier is small enough for the verifier.
+``spectra.exact_method`` names a route for the carrier; where it names none,
+only the analytic bounds are carried.
 
 Every move is written once over the carriers' array protocol (element codes,
 inverses, products and tallies; see ``carriers``), so permutation groups,
-quotients and vector groups take the same code path. The only choices by
-carrier kind are how a multiset is measured (``measure_exact``,
-``is_measurable``) and how a convolution square is computed
-(``square_multiset``).
+quotients and vector groups take the same code path. How a multiset is
+measured, and whether it is, is ``spectra``'s choice (``measure_exact``
+asks it); the only choice by carrier kind made here is how a convolution
+square is computed (``square_multiset``).
 """
 
 from __future__ import annotations
@@ -34,9 +35,8 @@ from .carriers import (Carrier, PermCarrier, QuotientCarrier, VectorCarrier,
 from .multiset import Multiset, NonSymmetricError, multiset
 from .perm import Perm
 from .series import SubgroupChain, quotient_context
-from .spectra import (DENSE_CAP, EXHAUSTIVE_CHAR_CAP, ITER_CAP,
-                      bias_exhaustive, dense_lambda2, instance_seed,
-                      power_lambda2, seed_body)
+from .spectra import (bias_exhaustive, exact_method, instance_seed, measure,
+                      seed_body)
 
 
 class CertificationError(ValueError):
@@ -62,22 +62,15 @@ CONSTRUCTION_FAILURES = (CertificationError, AmplificationError,
 # exact measurement when the carrier is small enough
 
 def measure_exact(carrier: Carrier, ms: Multiset) -> float | None:
-    """Exact lambda2 when affordable, else None (analytic bookkeeping only).
+    """The certifying bound of spectra's route for the carrier, or None
+    where it has none (analytic bookkeeping only).
 
-    Above DENSE_CAP a permutation carrier gets the upper end of the Krylov
-    route's interval (a Chebyshev-filtered trace bound with its rounding
-    margin), never the Lanczos lower estimate.
+    On the Krylov route that is the upper end of the interval (a
+    Chebyshev-filtered trace bound with its rounding margin), never the
+    Lanczos lower estimate.
     """
-    n = carrier.order
-    if isinstance(carrier, VectorCarrier):
-        if n <= EXHAUSTIVE_CHAR_CAP:
-            return bias_exhaustive(carrier, ms)
-        return None
-    if n <= DENSE_CAP:
-        return dense_lambda2(carrier, ms)
-    if n <= ITER_CAP:
-        return power_lambda2(carrier, ms).upper
-    return None
+    method = exact_method(carrier)
+    return None if method is None else measure(carrier, ms, method).bound
 
 
 def reverify(carrier: Carrier, ms: Multiset) -> Multiset:
@@ -181,7 +174,7 @@ def compact(carrier: Carrier, ms: Multiset, target_total: int,
     ms = ms.gcd_reduced()
     if ms.total <= target_total:
         return ms
-    if not is_measurable(carrier):
+    if exact_method(carrier) is None:
         return ms
     accept = target_cert if target_cert is not None else ms.cert
     if ms.support > target_total:
@@ -383,13 +376,6 @@ def derandomized_square(carrier: Carrier, u: Multiset,
     return carrier.tally(np.concatenate(chunks), cert=cert)
 
 
-def is_measurable(carrier: Carrier) -> bool:
-    n = carrier.order
-    if isinstance(carrier, VectorCarrier):
-        return n <= EXHAUSTIVE_CHAR_CAP
-    return n <= ITER_CAP
-
-
 def square_multiset(carrier: Carrier, ms: Multiset) -> Multiset:
     """The convolution square S*S (total |S|^2), certified lam^2.
 
@@ -403,7 +389,8 @@ def square_multiset(carrier: Carrier, ms: Multiset) -> Multiset:
     if not isinstance(carrier, VectorCarrier):
         return _square_perm(carrier, ms)
     cert = ms.cert * ms.cert if ms.cert is not None else None
-    if carrier.order <= EXHAUSTIVE_CHAR_CAP and ms.total <= 1 << 26:
+    # the FFT holds the order-sized weight tensor the exhaustive bias holds
+    if exact_method(carrier) is not None and ms.total <= 1 << 26:
         w = np.bincount(carrier.codes(ms),
                         weights=ms.mult_array().astype(np.float64),
                         minlength=carrier.order)
@@ -472,7 +459,7 @@ def reduce_to_quarter(carrier: Carrier, u: Multiset, target: float = 0.25,
                       compact_total: int = 512) -> Multiset:
     """Squaring rounds until the certified bound is <= target.
 
-    On a carrier the verifier can measure (is_measurable), each round
+    On a carrier spectra can measure (exact_method names a route), each round
     compacts, squares with the degenerate full-group auxiliary (exact
     convolution, mu = 0) and re-measures lambda2 exactly. On a larger one,
     each round pads to a power-of-2 total and derandomized-squares with a
@@ -487,7 +474,7 @@ def reduce_to_quarter(carrier: Carrier, u: Multiset, target: float = 0.25,
     if u.cert >= 1.0:
         raise AmplificationError(
             "cannot amplify: certified bound is 1 (disconnected or bipartite)")
-    measurable = is_measurable(carrier)
+    measurable = exact_method(carrier) is not None
     rounds = 0
     while True:
         if measurable:
@@ -517,9 +504,9 @@ def reduce_to_quarter(carrier: Carrier, u: Multiset, target: float = 0.25,
 # ---------------------------------------------------------------------------
 # combining a normal subgroup expander with a quotient expander
 
-def combine_union(group: Carrier, a: Multiset, b: Multiset,
-                  verify: bool = True) -> Multiset:
-    """Union multiset with the main-lemma bound, optionally re-measured."""
+def combine_union(group: Carrier, a: Multiset, b: Multiset) -> Multiset:
+    """Union multiset with the main-lemma bound, re-measured where spectra
+    has a route for the group."""
     if a.cert is None or b.cert is None:
         raise CertificationError("combine requires certified inputs")
     lam = max(a.cert, b.cert)
@@ -527,13 +514,12 @@ def combine_union(group: Carrier, a: Multiset, b: Multiset,
     out = group.tally(np.concatenate((group.codes(a), group.codes(b))),
                       np.concatenate((a.mult_array(), b.mult_array())),
                       cert=bound)
-    if verify:
-        measured = measure_exact(group, out)
-        if measured is not None:
-            if measured > bound + 1e-9:
-                raise CertificationError(
-                    f"measured {measured} exceeds combine bound {bound}")
-            out = out.with_cert(measured)
+    measured = measure_exact(group, out)
+    if measured is not None:
+        if measured > bound + 1e-9:
+            raise CertificationError(
+                f"measured {measured} exceeds combine bound {bound}")
+        out = out.with_cert(measured)
     return out
 
 
@@ -637,9 +623,9 @@ def solvable_expander(chain: SubgroupChain,
     """Certified expanding multiset for a solvable permutation group, given
     by its derived series (``series.derived_series``).
 
-    Per-quotient abelian expanders -> series fold. The result is
-    re-verified by a dense eigensolve whenever the group order is within
-    the dense cap.
+    Per-quotient abelian expanders -> series fold, each merge re-measured
+    where spectra has a route. A quotient whose parent is above
+    ``carriers.TABLE_CAP`` raises MethodCapacityError.
     """
     from .abexp import abelian_quotient_expander
     if not 0 < target < 1:

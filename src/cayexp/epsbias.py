@@ -18,7 +18,8 @@ from .carriers import VectorCarrier
 from .combine import (amplified_union, fold_levels, reduce_to_quarter,
                       reverify, symmetrize)
 from .multiset import Multiset, format_rows
-from .spectra import EXHAUSTIVE_CHAR_CAP, MethodCapacityError, bias_exhaustive
+from .spectra import (EXHAUSTIVE_CHAR_CAP, MethodCapacityError,
+                      bias_exhaustive, exact_method)
 
 D_CAP = 10**6
 
@@ -126,14 +127,13 @@ def zdn_bias_space(d: int, n: int, eps: float) -> BiasSpace:
 
     carrier = VectorCarrier((d,) * n)
     pts = reverify(carrier, _crt_digits(out, fac, carrier))
-    method = "character-sum" if carrier.order <= EXHAUSTIVE_CHAR_CAP \
-        else "analytic"
+    method = exact_method(carrier) or "analytic"
     if pts.cert is None:
         raise MethodCapacityError(
             "pipeline produced no certificate (group beyond analytic path)")
 
     if pts.cert > eps:
-        if carrier.order > EXHAUSTIVE_CHAR_CAP:
+        if method == "analytic":
             raise MethodCapacityError(
                 f"amplification to eps={eps} needs exhaustive verification; "
                 f"d^n = {carrier.order} exceeds {EXHAUSTIVE_CHAR_CAP}")
@@ -144,17 +144,10 @@ def zdn_bias_space(d: int, n: int, eps: float) -> BiasSpace:
     return BiasSpace(d, n, pts, float(pts.cert), method)
 
 
-def verify_bias(space: BiasSpace, sampled: bool = False) -> float:
-    """Exact maximal nontrivial character sum of the space."""
-    carrier = VectorCarrier((space.d,) * space.n)
-    if carrier.order > EXHAUSTIVE_CHAR_CAP:
-        if not sampled:
-            raise MethodCapacityError(
-                f"d^n = {carrier.order} exceeds exhaustive cap; pass "
-                f"sampled=True for a non-certifying estimate")
-        from .spectra import bias_sampled
-        return bias_sampled(carrier, space.points)
-    return bias_exhaustive(carrier, space.points)
+def verify_bias(space: BiasSpace) -> float:
+    """Exact maximal nontrivial character sum of the space; above the
+    exhaustive cap, MethodCapacityError."""
+    return bias_exhaustive(VectorCarrier((space.d,) * space.n), space.points)
 
 
 # ---------------------------------------------------------------------------

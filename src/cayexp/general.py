@@ -18,7 +18,7 @@ from .carriers import PermCarrier
 from .combine import measure_exact, reduce_to_quarter
 from .multiset import Multiset, multiset
 from .perm import GenSet, Perm
-from .spectra import ITER_CAP, MethodCapacityError, graph_info
+from .spectra import ITER_CAP, MethodCapacityError, exact_method, graph_info
 
 
 def babai_bound(deg: int, diam: int) -> float:
@@ -56,7 +56,7 @@ def general_expander(g: GenSet, lam: float = 0.25) -> Multiset:
     ms = strong_generator_multiset(bs)
     if carrier.order == 1:
         return ms.with_cert(0.0)
-    if carrier.order > ITER_CAP:
+    if exact_method(carrier) is None:
         raise MethodCapacityError(
             f"group order {carrier.order} exceeds the verification cap "
             f"{ITER_CAP}; analytic-only certificates are not emitted")

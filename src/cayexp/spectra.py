@@ -1,6 +1,10 @@
 """Spectral certification: second eigenvalues and character-sum bias.
 
-Every pipeline output is certified here. Three measurement routes:
+Every pipeline output is certified here, and only here is it decided how,
+and whether, a multiset is measured: ``exact_method`` names a carrier's
+route, or None above its cap (where callers carry analytic bounds only),
+and ``measure`` runs a named route. A route asked for above its cap raises
+``MethodCapacityError`` (defined in ``carriers``). The routes:
 
 * dense      -- build the |G| x |G| normalized adjacency of Cay(G,S) from the
                 right-regular action and run a symmetric eigensolver.
@@ -15,9 +19,9 @@ Every pipeline output is certified here. Three measurement routes:
 * character  -- for abelian carriers the characters diagonalize every Cayley
                 operator, so the bias (maximal nontrivial character sum) *is*
                 lambda2; computed exhaustively as a multidimensional DFT of
-                the weight tensor, or on a deterministic pseudorandom sample
-                of characters above the exhaustive cap (sampled results are
-                lower-bound monitoring, never certificates).
+                the weight tensor. Above the exhaustive cap only
+                ``second_eigenvalue`` samples characters (method
+                "character-sum-sampled"), which ``certify`` refuses.
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .carriers import (AbelianShape, Carrier, VectorCarrier,
-                       multiset_order_check, require_symmetric)
+from .carriers import (AbelianShape, Carrier, MethodCapacityError,
+                       VectorCarrier, multiset_order_check, require_symmetric)
 from .multiset import Multiset, format_rows
 
 DENSE_CAP = 10_000
@@ -43,10 +47,6 @@ SAMPLED_CHAR_COUNT = 100_000
 KRYLOV_GAP = 2e-3
 
 FORMAT_VERSION = 1
-
-
-class MethodCapacityError(ValueError):
-    """Group too large for the requested measurement method."""
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ def bias_exhaustive(carrier: VectorCarrier, ms: Multiset) -> float:
     order = carrier.order
     if order > EXHAUSTIVE_CHAR_CAP:
         raise MethodCapacityError(
-            f"{order} characters exceed the exhaustive cap "
+            f"group order {order} exceeds the exhaustive character cap "
             f"{EXHAUSTIVE_CHAR_CAP}")
     if order == 1:
         return 0.0
@@ -176,14 +176,13 @@ def bias_sampled(carrier: VectorCarrier, ms: Multiset,
 
 
 def abelian_bias(shape: AbelianShape | VectorCarrier, ms: Multiset) -> float:
-    """Max over nontrivial characters of |E_s chi(s)| (= lambda2 of the graph)."""
+    """Max over nontrivial characters of |E_s chi(s)| (= lambda2 of the
+    graph), exactly; above the exhaustive cap, MethodCapacityError."""
     carrier = shape if isinstance(shape, VectorCarrier) else VectorCarrier.of(shape)
     if not multiset_order_check(carrier, ms):
         raise ValueError("element shape mismatch")
     require_symmetric(carrier, ms)
-    if carrier.order <= EXHAUSTIVE_CHAR_CAP:
-        return bias_exhaustive(carrier, ms)
-    return bias_sampled(carrier, ms)
+    return bias_exhaustive(carrier, ms)
 
 
 # ---------------------------------------------------------------------------
@@ -376,49 +375,61 @@ def _chebyshev_upper(tables, weights, mx0, g, lower,
 
 
 # ---------------------------------------------------------------------------
-# unified entry point
+# the measurement route and the unified entry point
+
+def exact_method(carrier: Carrier) -> str | None:
+    """The route that measures lambda2 exactly on the carrier, or None
+    above its cap."""
+    n = carrier.order
+    if isinstance(carrier, VectorCarrier):
+        return "character-sum" if n <= EXHAUSTIVE_CHAR_CAP else None
+    if n <= DENSE_CAP:
+        return "dense"
+    if n <= ITER_CAP:
+        return "power-iteration"
+    return None
+
+
+def measure(carrier: Carrier, ms: Multiset, method: str) -> SpectrumReport:
+    """The report of one named route; the route makes its own checks."""
+    upper = matvecs = None
+    tolerance = 1e-9
+    if method == "dense":
+        lam = dense_lambda2(carrier, ms)
+    elif method == "power-iteration":
+        lam, upper, matvecs = power_lambda2(carrier, ms)
+        tolerance = 0.0     # the upper end carries its rounding margin
+    elif method in ("character-sum", "character-sum-sampled"):
+        if not isinstance(carrier, VectorCarrier):
+            raise ValueError("character-sum method needs an abelian carrier")
+        bias = bias_exhaustive if method == "character-sum" else bias_sampled
+        lam = bias(carrier, ms)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return SpectrumReport(group_order=carrier.order, degree_total=ms.total,
+                          lambda2=lam, method=method, tolerance=tolerance,
+                          lambda2_upper=upper, matvecs=matvecs)
+
 
 def second_eigenvalue(carrier: Carrier, ms: Multiset,
                       method: str = "auto") -> SpectrumReport:
-    """Certified lambda2 of Cay(G, S) for a symmetric multiset S."""
+    """Certified lambda2 of Cay(G, S) for a symmetric multiset S, by
+    ``exact_method``'s route unless a method is named. Above the caps a
+    vector group gets the sampled estimate, any other carrier
+    MethodCapacityError."""
     require_symmetric(carrier, ms)
-    n = carrier.order
     if method == "auto":
-        if isinstance(carrier, VectorCarrier):
-            method = ("character-sum" if n <= EXHAUSTIVE_CHAR_CAP
-                      else "character-sum-sampled")
-        elif n <= DENSE_CAP:
-            method = "dense"
-        elif n <= ITER_CAP:
-            method = "power-iteration"
-        else:
-            raise MethodCapacityError(f"group order {n} exceeds all caps")
+        method = exact_method(carrier)
+        if method is None:
+            if not isinstance(carrier, VectorCarrier):
+                raise MethodCapacityError(
+                    f"group order {carrier.order} exceeds all caps")
+            method = "character-sum-sampled"
     # after the capacity check: a permutation group answers membership from
     # its element table, which the measurement then reuses
     if not multiset_order_check(carrier, ms):
         raise ValueError("multiset contains elements outside the group")
-    upper = matvecs = None
-    if method == "dense":
-        lam = dense_lambda2(carrier, ms)
-        tolerance = 1e-9
-    elif method == "power-iteration":
-        lam, upper, matvecs = power_lambda2(carrier, ms)
-        tolerance = 0.0     # the upper end carries its rounding margin
-    elif method == "character-sum":
-        if not isinstance(carrier, VectorCarrier):
-            raise ValueError("character-sum method needs an abelian carrier")
-        lam = bias_exhaustive(carrier, ms)
-        tolerance = 1e-9
-    elif method == "character-sum-sampled":
-        if not isinstance(carrier, VectorCarrier):
-            raise ValueError("character-sum method needs an abelian carrier")
-        lam = bias_sampled(carrier, ms)
-        tolerance = 1e-9
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return SpectrumReport(group_order=n, degree_total=ms.total,
-                          lambda2=lam, method=method, tolerance=tolerance,
-                          lambda2_upper=upper, matvecs=matvecs)
+    return measure(carrier, ms, method)
 
 
 # ---------------------------------------------------------------------------

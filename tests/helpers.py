@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 import cayexp
-from cayexp import bsgs, obs
+from cayexp import bsgs, obs, spectra
 from cayexp.carriers import QuotientCarrier, VectorCarrier
 from cayexp.combine import AmplificationError, AuxExpander
 from cayexp.multiset import (NOT_SYMMETRIC, Multiset, NonSymmetricError,
@@ -561,6 +561,13 @@ def count_calls(monkeypatch, orig) -> list:
                 if val is orig:
                     monkeypatch.setattr(mod, attr, counted)
     return calls
+
+
+def route_off(monkeypatch) -> None:
+    """Set every cap of ``spectra`` to 0, so ``exact_method`` names no
+    route and the constructions carry analytic bounds only."""
+    for cap in ("DENSE_CAP", "ITER_CAP", "EXHAUSTIVE_CHAR_CAP"):
+        monkeypatch.setattr(spectra, cap, 0)
 
 
 def count_schreier_sims(monkeypatch) -> list[GenSet]:

@@ -12,7 +12,7 @@ import pytest
 
 from helpers import (aux_from_rotation, canonicalize, dense_lambda2_signed,
                      elements, np_closure, np_commutator_closure,
-                     random_symmetric_multiset, rv_composition)
+                     random_symmetric_multiset, route_off, rv_composition)
 
 from cayexp import catalog
 from cayexp.abexp import final_R, r_carrier
@@ -161,7 +161,7 @@ def _uw_geometry_checks(gcar, ctx, a, b, lam):
         assert np.linalg.norm(ma @ qw, 2) <= lam + TOL
 
 
-def test_criterion_2_main_lemma_suite():
+def test_criterion_2_main_lemma_suite(monkeypatch):
     instances = 0
     uw_checked = 0
     for g, nsub in _normal_pairs():
@@ -180,8 +180,11 @@ def test_criterion_2_main_lemma_suite():
             b = _coset_lift_multiset(g, ctx, qcar, 97 * seed + 5)
             lam_b = dense_lambda2(qcar, qcar.image_multiset(b))
             lam = max(lam_a, lam_b)
-            out = combine_union(gcar, a.with_cert(lam_a), b.with_cert(lam_b),
-                                verify=False)
+            # with no route, the union keeps the lemma's analytic bound
+            with monkeypatch.context() as m:
+                route_off(m)
+                out = combine_union(gcar, a.with_cert(lam_a),
+                                    b.with_cert(lam_b))
             measured = dense_lambda2(gcar, out)
             bound = (1 + lam) * max(a.total, b.total) / (a.total + b.total)
             assert out.cert == bound

@@ -5,8 +5,8 @@ import pytest
 from helpers import brute_closure, elements, transversal_elements
 
 from cayexp import carriers, catalog
-from cayexp.bsgs import CapacityError, jerrum_reduce, schreier_sims
-from cayexp.carriers import PermCarrier
+from cayexp.bsgs import jerrum_reduce, schreier_sims
+from cayexp.carriers import MethodCapacityError, PermCarrier
 from cayexp.perm import GenSet, Perm, parse_perm
 
 
@@ -102,7 +102,7 @@ class TestEnumerate:
     def test_capacity_error(self, monkeypatch):
         monkeypatch.setattr(carriers, "TABLE_CAP", 10)
         b = schreier_sims(catalog.s4())
-        with pytest.raises(CapacityError):
+        with pytest.raises(MethodCapacityError):
             elements(PermCarrier(b))
 
     def test_each_element_once(self):

@@ -9,8 +9,8 @@ import pytest
 from helpers import canonicalize, elements, transversal_elements
 
 from cayexp import carriers, catalog
-from cayexp.bsgs import CapacityError
-from cayexp.carriers import PermCarrier, QuotientCarrier, multiset_order_check
+from cayexp.carriers import (MethodCapacityError, PermCarrier, QuotientCarrier,
+                             multiset_order_check)
 from cayexp.combine import square_multiset
 from cayexp.multiset import multiset
 from cayexp.perm import DegreeMismatch, GenSet, Perm, parse_perm
@@ -111,9 +111,9 @@ def test_degree_mismatch_raises():
 def test_capacity_error_before_enumeration(monkeypatch):
     monkeypatch.setattr(carriers, "TABLE_CAP", 100)
     carrier = PermCarrier.of(catalog.s5())
-    with pytest.raises(CapacityError):
+    with pytest.raises(MethodCapacityError):
         elements(carrier)
-    with pytest.raises(CapacityError):
+    with pytest.raises(MethodCapacityError):
         carrier._indices([Perm.identity(5)])
 
 
@@ -214,7 +214,7 @@ def test_quotient_capacity_error_on_parent_order(monkeypatch):
     monkeypatch.setattr(carriers, "TABLE_CAP", 20)
     carrier = QuotientCarrier(ctx)
     assert carrier.order == 6
-    with pytest.raises(CapacityError):
+    with pytest.raises(MethodCapacityError):
         elements(carrier)
-    with pytest.raises(CapacityError):
+    with pytest.raises(MethodCapacityError):
         carrier.action_tables(multiset([(Perm.identity(4), 1)]))

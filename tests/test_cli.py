@@ -391,6 +391,8 @@ def test_epsbias_verify_beyond_method_capacity_exit_6(tmp_path, capsys):
     assert captured.out.startswith("size = ")
     assert captured.err.startswith("error: ")
     assert "exceeds" in captured.err and captured.err.count("\n") == 1
+    # the CLI has no sampled estimate to offer
+    assert "sampled" not in captured.err
     assert out.exists()
 
 

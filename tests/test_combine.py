@@ -7,9 +7,10 @@ from helpers import (analytic_rounds, aux_from_rotation, count_schreier_sims,
                      elem_mul, elements, random_symmetric_multiset,
                      ref_fold_levels)
 
-from cayexp import catalog, obs
+from cayexp import carriers, catalog, obs, spectra
 from cayexp.bsgs import schreier_sims
-from cayexp.carriers import PermCarrier, QuotientCarrier, VectorCarrier
+from cayexp.carriers import (MethodCapacityError, PermCarrier,
+                             QuotientCarrier, VectorCarrier)
 from cayexp.combine import (AmplificationError, AuxExpander,
                             CertificationError, SolvabilityError,
                             aux_family, aux_from_z2_multiset, balance,
@@ -296,9 +297,7 @@ class TestReduce:
                        ((2, 3), 1), ((1, 4), 1), ((2, 1), 1)])
         lam = bias_exhaustive(carrier, ms)
         assert 0.25 < lam <= 0.5
-        # the package exports the function combine under the module's name
-        monkeypatch.setattr(importlib.import_module("cayexp.combine"),
-                            "EXHAUSTIVE_CHAR_CAP", carrier.order - 1)
+        monkeypatch.setattr(spectra, "EXHAUSTIVE_CHAR_CAP", carrier.order - 1)
         with obs.recording() as log:
             out = reduce_to_quarter(carrier, ms.with_cert(lam))
         assert log == [{"op": "derandomized-square", "round": 1,
@@ -463,6 +462,15 @@ class TestSolvableExpander:
         assert len(calls) == 4
         solvable_expander(chain)
         assert len(calls) == 5
+
+    def test_quotient_above_the_table_cap_is_a_capacity_error(self,
+                                                              monkeypatch):
+        # S4/A4 has order 2, but measuring it needs S4's 24-row element
+        # table: above the table cap the construction stops with the
+        # package's one capacity error, which the CLI maps to exit 6
+        monkeypatch.setattr(carriers, "TABLE_CAP", 20)
+        with pytest.raises(MethodCapacityError):
+            solvable_expander(derived_series(catalog.s4()))
 
     def test_symmetrize_noop_on_symmetric(self):
         g, carrier = z_n(5)

@@ -62,12 +62,12 @@ class TestVerifyBias:
         sp = zdn_bias_space(2, 4, 0.25)
         assert verify_bias(sp) <= 0.25
 
-    def test_cap_requires_sampled_flag(self):
+    def test_beyond_the_cap_is_refused(self):
+        # no estimate stands in for the exact bias
         pts = multiset([((0,) * 24, 1), ((1,) * 24, 1)])
         sp = BiasSpace(2, 24, pts, 1.0, "manual")
-        with pytest.raises(MethodCapacityError):
+        with pytest.raises(MethodCapacityError, match="exceeds"):
             verify_bias(sp)
-        assert verify_bias(sp, sampled=True) <= 1.0 + 1e-12
 
 
 class TestFileFormat:

@@ -5,7 +5,7 @@ import pytest
 from helpers import (dense_lambda2_signed, projective_line,
                      random_symmetric_multiset, rv_composition)
 
-from cayexp import catalog, obs
+from cayexp import catalog, obs, spectra
 from cayexp.carriers import PermCarrier
 from cayexp.general import (babai_bound, general_expander,
                             strong_generator_multiset)
@@ -138,13 +138,14 @@ def test_adaptive_certificate_is_its_final_measurement(name, lam,
     g = ADAPTIVE_GROUPS[name]()
     carrier = PermCarrier.of(g)
     measured = []
-    original = combine_mod.dense_lambda2
+    # measure_exact runs the dense route through spectra.measure
+    original = spectra.dense_lambda2
 
     def counting(c, ms):
         measured.append((ms.elems, ms.mults))
         return original(c, ms)
 
-    monkeypatch.setattr(combine_mod, "dense_lambda2", counting)
+    monkeypatch.setattr(spectra, "dense_lambda2", counting)
     out = general_expander(g, lam)
     assert len(measured) == ADAPTIVE_MEASUREMENTS[name, lam]
     # no multiset is measured twice in a row

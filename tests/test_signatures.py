@@ -18,10 +18,10 @@ SIGNATURES = {
     "abexp._compact_r_points": ("n", "primes"),
     "abexp._window_widths": ("ms_list", "lo", "hi"),
     "epsbias.zdn_bias_space": ("d", "n", "eps"),
-    "epsbias.verify_bias": ("space", "sampled"),
+    "epsbias.verify_bias": ("space",),
     "combine.balance": ("carrier", "a", "b"),
     "combine.reduce_to_quarter": ("carrier", "u", "target", "compact_total"),
-    "combine.combine_union": ("group", "a", "b", "verify"),
+    "combine.combine_union": ("group", "a", "b"),
     "combine.amplified_union": ("carrier", "a", "b", "target",
                                 "compact_total"),
     "combine.fold_levels": ("leaves", "merge"),
@@ -29,6 +29,8 @@ SIGNATURES = {
     "combine.solvable_expander": ("chain", "target"),
     "combine.compact": ("carrier", "ms", "target_total", "target_cert"),
     "spectra.second_eigenvalue": ("carrier", "ms", "method"),
+    "spectra.exact_method": ("carrier",),
+    "spectra.measure": ("carrier", "ms", "method"),
     "spectra.power_lambda2": ("carrier", "ms", "tol", "itmax"),
     "spectra.abelian_bias": ("shape", "ms"),
     "spectra.bias_sampled": ("carrier", "ms", "count"),

@@ -15,17 +15,17 @@ from helpers import (count_calls, elem_inv, elements, naive_bias,
                      naive_cayley_lambda2, projective_line,
                      random_symmetric_multiset)
 
-from cayexp import _kernels, catalog
+from cayexp import _kernels, catalog, obs, spectra
 from cayexp.carriers import PermCarrier, QuotientCarrier, VectorCarrier
-from cayexp.combine import measure_exact
+from cayexp.combine import compact, measure_exact, reduce_to_quarter
 from cayexp.multiset import NonSymmetricError, multiset
 from cayexp.perm import GenSet, Perm, parse_perm
 from cayexp.series import derived_series, quotient_context
 from cayexp.spectra import (DENSE_CAP, KRYLOV_GAP, MethodCapacityError,
                             abelian_bias, bias_direct, bias_exhaustive,
                             bias_sampled, certify, dense_lambda2,
-                            dense_spectrum, graph_info, power_lambda2,
-                            second_eigenvalue)
+                            dense_spectrum, exact_method, graph_info,
+                            power_lambda2, second_eigenvalue)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -424,6 +424,19 @@ class TestAbelianBias:
         assert abs(dense_lambda2(pcar, perm_ms)
                    - abelian_bias(vcar, vec_ms)) < 1e-9
 
+    def test_above_the_exhaustive_cap_is_refused(self, monkeypatch):
+        # the sampled estimate is a lower bound, never the exact bias:
+        # abelian_bias refuses where bias_exhaustive does, and only
+        # second_eigenvalue reports the estimate, as one certify refuses
+        carrier = VectorCarrier((2, 2, 2))
+        ms = multiset([((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1)])
+        monkeypatch.setattr(spectra, "EXHAUSTIVE_CHAR_CAP", carrier.order - 1)
+        with pytest.raises(MethodCapacityError):
+            abelian_bias(carrier, ms)
+        rep = second_eigenvalue(carrier, ms)
+        assert rep.method == "character-sum-sampled"
+        assert not certify(rep, 1.0)
+
     def test_sampled_mode_deterministic_lower_bound(self):
         carrier = VectorCarrier((2,) * 8)
         ms = multiset([(v, 1) for v in elements(carrier)[:32]])
@@ -486,3 +499,74 @@ class TestGraphStructure:
         ms = multiset([(parse_perm("(1 2)", 8), 1)])
         with pytest.raises(MethodCapacityError):
             dense_spectrum(carrier, ms)
+
+
+def _route_cases():
+    """(name, carrier, symmetric multiset with 0 < lambda2 < 0.9) on a vector
+    group, a permutation group and a quotient."""
+    vec = VectorCarrier((3, 5))
+    s4 = PermCarrier.of(catalog.s4())
+    ms = random_symmetric_multiset(elements(s4), 0, k=3)
+    ctx = quotient_context(s4.bsgs, derived_series(catalog.s4()).terms[2])
+    quo = QuotientCarrier(ctx)
+    return [("Z3xZ5", vec, multiset([((0, 0), 2), ((0, 1), 1), ((0, 4), 1),
+                                      ((1, 2), 1), ((2, 3), 1), ((1, 4), 1),
+                                      ((2, 1), 1)])),
+            ("S4", s4, ms),
+            ("S4/V4", quo, quo.image_multiset(ms))]
+
+
+# (DENSE_CAP, ITER_CAP, EXHAUSTIVE_CHAR_CAP) as offsets from the order, and
+# the route each kind of carrier then takes
+ROUTES = [((0, 0, 0), "dense", "character-sum"),
+          ((-1, 0, -1), "power-iteration", None),
+          ((-1, -1, 0), None, "character-sum"),
+          ((-1, -1, -1), None, None)]
+
+
+class TestRoute:
+    """spectra.exact_method is the one decision of how, and whether, a
+    multiset is measured: every caller follows it."""
+
+    @pytest.mark.parametrize("caps,perm_route,vector_route", ROUTES)
+    @pytest.mark.parametrize("case", range(3))
+    def test_every_caller_follows_the_route(self, monkeypatch, case, caps,
+                                            perm_route, vector_route):
+        name, carrier, ms = _route_cases()[case]
+        lam = dense_lambda2(carrier, ms) if name != "Z3xZ5" \
+            else bias_exhaustive(carrier, ms)
+        assert 0 < lam < 0.9
+        for cap, offset in zip(("DENSE_CAP", "ITER_CAP",
+                                "EXHAUSTIVE_CHAR_CAP"), caps):
+            monkeypatch.setattr(spectra, cap, carrier.order + offset)
+        route = vector_route if name == "Z3xZ5" else perm_route
+        assert exact_method(carrier) == route
+        if route is None:
+            assert measure_exact(carrier, ms) is None
+            if name == "Z3xZ5":
+                rep = second_eigenvalue(carrier, ms)
+                assert rep.method == "character-sum-sampled"
+                assert not certify(rep, 1.0)
+            else:
+                with pytest.raises(MethodCapacityError):
+                    second_eigenvalue(carrier, ms)
+        else:
+            rep = second_eigenvalue(carrier, ms)
+            assert rep.method == route
+            assert measure_exact(carrier, ms) == rep.bound
+
+        # compact re-weights, and measures the result, exactly when there
+        # is a route
+        ms = ms.gcd_reduced().with_cert(lam)
+        measured = count_calls(monkeypatch, spectra.measure)
+        out = compact(carrier, ms, ms.total - 1)
+        assert (measured == []) == (route is None)
+        if route is None:
+            assert out == ms and out.cert == lam
+        # one round of squaring: exact where measured, else derandomized
+        with obs.recording() as log:
+            out = reduce_to_quarter(carrier, ms, target=lam * lam * 1.01)
+        ops = {event["op"] for event in log}
+        assert ops == ({"derandomized-square"} if route is None
+                       else {"square", "compact"})
+        assert out.cert <= lam * lam * 1.01
