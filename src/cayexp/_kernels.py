@@ -3,7 +3,9 @@
 - ``cayley_matvec`` and ``dense_adjacency``: the normalized Cayley operator
   from action tables, applied to a vector or filled densely.
 - ``char_sums``: direct character sums over a product of cyclic groups,
-  from one integer exponent table per block of characters.
+  from one integer exponent table per block of characters. Nothing in the
+  package calls it: it stays, with its tests, because the benchmark's
+  tracer names it.
 - ``walsh_hadamard``: the exact character spectrum of a weight vector on
   Z_2^L, in place of a complex FFT.
 - ``real_characters``: the real parts of the characters at each candidate,

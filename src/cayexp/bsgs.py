@@ -7,8 +7,9 @@ what the minimum-image coset canonicalization of
 ``carriers.QuotientCarrier`` descends.
 Transversal representatives u_beta satisfy u_beta[b] = beta, so every group
 element factors uniquely as stab_element * u_beta.
-Nothing here enumerates a group or has a size cap: the element table, and
-the ``MethodCapacityError`` above its cap, are ``carriers.PermCarrier``'s.
+Nothing here enumerates a group or has a size cap: the element tables, and
+the ``MethodCapacityError`` above their cap, are the carriers' (a
+permutation group's and a quotient's, each capped at its own order).
 """
 
 from __future__ import annotations

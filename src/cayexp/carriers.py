@@ -30,10 +30,11 @@ multiset stores codes (see ``multiset``), and ``codes(ms)`` hands them over
 when they are the carrier's own kind: codes of the same moduli, or image
 rows of the same degree; vector codes of other moduli are recoded from their
 coordinates. None of this needs the element table: an (order, degree) image
-array in lexicographic order, built from the BSGS transversals and searched
-by base-point images, from which action tables are numpy gathers (for a
-quotient, relabelled by coset). The carriers list no elements; a group
-above ``TABLE_CAP`` gets no table: asking for one raises
+array in lexicographic order, searched by base-point images, from which
+action tables are numpy gathers. A permutation group builds it from its
+BSGS transversals; a quotient enumerates its own coset representatives by
+closure and never lists H. The carriers list no elements; a group or
+quotient above ``TABLE_CAP`` gets no table: asking for one raises
 ``MethodCapacityError``, the package's one capacity error.
 """
 
@@ -323,25 +324,51 @@ class PermRows(_ArrayProtocol):
 TABLE_CAP = 10**6
 
 
-class PermCarrier(PermRows):
-    """A permutation group enumerated in lexicographic image order.
+class _Numbered(PermRows):
+    """A permutation group or quotient numbered by its element table.
 
-    The group is held as an (order, degree) array of 0-based images, built
-    as a vectorised product of the BSGS transversals; row i is the i-th
-    element in lexicographic order, so row 0 is the identity. A group
-    element is determined by its images of the base points (Seress,
-    *Permutation Group Algorithms*, 2003), and two distinct elements first
-    differ at a base point: the base is ascending and the group at a level
-    is the pointwise stabilizer of every point below its base point. Rows
-    sorted by their base images are therefore sorted lexicographically.
-    Lookups key a row by its base images packed as bit fields of one int64,
-    the first base point most significant, and binary-search the sorted
-    keys; where the fields do not fit in 63 bits the key is the images as
-    big-endian bytes viewed as one void scalar. Both keys are
-    collision-free and sort like the base images. Action tables are built
-    a chunk of rows at a time, by one gather and one search per chunk.
-    ``Perm`` objects are made only when asked for.
+    ``_table`` is (image rows, their images at the key points, the
+    ``_row_keys`` of those), sorted by key; ``_key_points`` are the base
+    points of the group (of H, for H/N). An element of the group is
+    determined by its images of the base points (Seress, *Permutation Group
+    Algorithms*, 2003), and two distinct elements first differ at a base
+    point: the base is ascending and the group at a level is the pointwise
+    stabilizer of every point below its base point. So rows sorted by key
+    are sorted lexicographically, and row 0 is the identity.
     """
+
+    def _canonical(self, rows: np.ndarray) -> np.ndarray:
+        """A group element is its own representative."""
+        return rows
+
+    def _find(self, cols: np.ndarray) -> np.ndarray:
+        """Indices of the elements with the given base-image rows."""
+        keys = self._table[2]
+        want = _row_keys(cols, self.degree)
+        pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        if np.any(keys[pos] != want):
+            raise KeyError("element is not in the group")
+        return pos
+
+    def _indices(self, items) -> np.ndarray:
+        """Indices of group elements; foreign elements raise KeyError."""
+        rows = self._canonical(self.codes(items))
+        pos = self._find(rows[:, self._key_points])
+        # a foreign row can share its base images with an element
+        if np.any(self._table[0][pos] != rows):
+            raise KeyError("element is not in the group")
+        return pos
+
+    def image_rows(self, indices) -> np.ndarray:
+        """The image rows of the elements at the given indices."""
+        return self._table[0][indices]
+
+
+class PermCarrier(_Numbered):
+    """A permutation group whose element table is a vectorised product of
+    its BSGS transversals; action tables take one gather of base images and
+    one search per chunk of rows. ``Perm`` objects are made only when asked
+    for."""
 
     def __init__(self, bsgs: BSGS):
         super().__init__(bsgs.degree)
@@ -365,7 +392,6 @@ class PermCarrier(PermRows):
 
     @cached_property
     def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(images, base images, keys) with rows in lexicographic order."""
         n = self.order
         if n > TABLE_CAP:
             raise MethodCapacityError(
@@ -381,32 +407,10 @@ class PermCarrier(PermRows):
         order = np.argsort(keys, kind="stable")
         return img[order], cols[order], keys[order]
 
-    def _find(self, cols: np.ndarray) -> np.ndarray:
-        """Indices of the elements with the given base-image rows."""
-        keys = self._table[2]
-        want = _row_keys(cols, self.degree)
-        pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-        if np.any(keys[pos] != want):
-            raise KeyError("element is not in the group")
-        return pos
-
-    def _indices(self, perms) -> np.ndarray:
-        """Indices of group elements; foreign elements raise KeyError."""
-        rows = self.codes(perms)
-        pos = self._find(rows[:, self._key_points])
-        if np.any(self._table[0][pos] != rows):
-            raise KeyError("element is not in the group")
-        return pos
-
-    def image_rows(self, indices) -> np.ndarray:
-        """The image rows of the elements at the given indices."""
-        return self._table[0][indices]
-
-    def _products(self, support: np.ndarray, rows) -> np.ndarray:
+    def _products(self, support: np.ndarray) -> np.ndarray:
         """Indices of e * s: a row per support index s, a column per
-        element index e in rows."""
+        element index e."""
         images, cols, _ = self._table
-        cols = cols[rows]
         n, k = cols.shape
         sup = images[support]
         out = np.empty((len(sup), n), dtype=np.int64)
@@ -418,8 +422,7 @@ class PermCarrier(PermRows):
         return out
 
     def action_tables(self, ms: Multiset) -> tuple[np.ndarray, np.ndarray]:
-        tables = self._products(self._indices(ms), slice(None))
-        return tables, _weights(ms)
+        return self._products(self._indices(ms)), _weights(ms)
 
 
 def _inverse_closed(keys: np.ndarray, inv_keys: np.ndarray,
@@ -462,12 +465,13 @@ def _row_keys(cols: np.ndarray, degree: int) -> np.ndarray:
     return be.view(np.dtype((np.void, be.itemsize * be.shape[1]))).ravel()
 
 
-class QuotientCarrier(PermRows):
-    """H/N as coset labels on the rows of H's permutation carrier.
+class QuotientCarrier(_Numbered):
+    """H/N numbered by its own cosets.
 
-    A coset is its canonical (minimum-image) representative. H's rows are
-    in lexicographic order, so cosets are numbered in the order of their
-    representatives, and coset 0 is N itself. Multisets on H/N hold
+    A coset is its canonical (minimum-image) representative, an element of
+    H. The element table holds the representatives, enumerated by closure
+    under H's generators and numbered in lexicographic order, so coset 0 is
+    N itself; H's elements are never listed. Multisets on H/N hold
     canonical representatives; the array protocol codes them as their
     image rows in H and makes inverses and products canonical.
     """
@@ -475,7 +479,6 @@ class QuotientCarrier(PermRows):
     def __init__(self, ctx: QuotientContext):
         super().__init__(ctx.parent.degree)
         self.ctx = ctx
-        self.parent = PermCarrier(ctx.parent)
 
     @property
     def order(self) -> int:
@@ -485,6 +488,11 @@ class QuotientCarrier(PermRows):
         """N's canonical representative: the identity is the
         lexicographically least permutation."""
         return Perm.identity(self.degree)
+
+    @property
+    def _key_points(self) -> list[int]:
+        # a representative is an element of H: H's base images determine it
+        return self.ctx.parent.base or [0]
 
     def _canonical(self, rows: np.ndarray) -> np.ndarray:
         """The canonical representatives of the cosets of image rows.
@@ -509,22 +517,50 @@ class QuotientCarrier(PermRows):
         return self._canonical(super().mul_codes(a, b))
 
     @cached_property
-    def _cosets(self) -> tuple[np.ndarray, np.ndarray]:
-        """(coset of every parent row, parent row of each representative)."""
-        canon = self._canonical(self.parent._table[0])
-        rows = self.parent._find(canon[:, self.parent._key_points])
-        reps, labels = np.unique(rows, return_inverse=True)
-        return labels, reps
-
-    def image_rows(self, indices) -> np.ndarray:
-        """The image rows of the canonical representatives of the cosets
-        at the indices."""
-        return self.parent.image_rows(self._cosets[1][indices])
+    def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The representatives by closure: the frontier times each of H's
+        generators, made canonical, keeping the cosets not seen before."""
+        n = self.order
+        if n > TABLE_CAP:
+            raise MethodCapacityError(
+                f"quotient order {n} exceeds the element-table cap "
+                f"{TABLE_CAP}")
+        deg, points = self.degree, self._key_points
+        gens = self.codes(self.ctx.parent.gens.nontrivial_gens())
+        frontier = self.codes([self.identity()])
+        found, seen = [frontier], set(_row_keys(frontier[:, points],
+                                                deg).tolist())
+        while len(frontier):
+            prods = self.mul_codes(np.repeat(frontier, len(gens), axis=0),
+                                   np.tile(gens, (len(frontier), 1)))
+            keys, first = np.unique(_row_keys(prods[:, points], deg),
+                                    return_index=True)
+            keys = keys.tolist()
+            fresh = [i for k, i in zip(keys, first.tolist()) if k not in seen]
+            frontier = prods[fresh]
+            seen.update(keys)
+            found.append(frontier)
+        img = np.concatenate(found)
+        cols = np.ascontiguousarray(img[:, points])
+        keys = _row_keys(cols, deg)
+        order = np.argsort(keys, kind="stable")
+        return img[order], cols[order], keys[order]
 
     def action_tables(self, ms: Multiset) -> tuple[np.ndarray, np.ndarray]:
-        labels, reps = self._cosets
-        rows = self.parent._products(self.parent._indices(ms), reps)
-        return labels[rows], _weights(ms)
+        """Indices of e * s: a row per support element s, a column per
+        coset representative e."""
+        reps = self._table[0]
+        n = len(reps)
+        sup = self.image_rows(self._indices(ms))
+        out = np.empty((len(sup), n), dtype=np.int64)
+        step = max(1, _CHUNK_ENTRIES // n)
+        for j in range(0, len(sup), step):
+            # (e * s)[x] = s[e[x]] for every representative e and row s
+            prods = np.take(sup[j:j + step], reps, axis=1)
+            prods = self._canonical(prods.reshape(-1, self.degree))
+            out[j:j + step] = self._find(
+                prods[:, self._key_points]).reshape(-1, n)
+        return out, _weights(ms)
 
     def image_multiset(self, ms: Multiset,
                        cert: float | None = None) -> Multiset:
@@ -545,12 +581,10 @@ def require_symmetric(carrier: Carrier, ms: Multiset) -> None:
 
 def multiset_order_check(carrier, ms: Multiset) -> bool:
     """True when the multiset's elements all lie in the carrier's group
-    (for a quotient, its parent group): one batched table lookup."""
+    (for a quotient H/N, in H): one batched table lookup."""
     if isinstance(carrier, VectorCarrier):
         return (isinstance(ms.space, VectorCarrier)
                 and len(ms.space.moduli) == len(carrier.moduli))
-    if isinstance(carrier, QuotientCarrier):
-        carrier = carrier.parent
     try:
         carrier._indices(ms)
     except KeyError:

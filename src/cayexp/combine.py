@@ -624,8 +624,9 @@ def solvable_expander(chain: SubgroupChain,
     by its derived series (``series.derived_series``).
 
     Per-quotient abelian expanders -> series fold, each merge re-measured
-    where spectra has a route. A quotient whose parent is above
-    ``carriers.TABLE_CAP`` raises MethodCapacityError.
+    where spectra has a route. Only a measured quotient builds an element
+    table, capped at its own order (``carriers.TABLE_CAP``, else
+    MethodCapacityError); no parent group is listed.
     """
     from .abexp import abelian_quotient_expander
     if not 0 < target < 1:

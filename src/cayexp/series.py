@@ -10,8 +10,8 @@ of N*h is the element of the coset with lexicographically smallest image
 array, so N's is the identity. ``carriers.QuotientCarrier`` finds them for
 whole arrays of image rows by descending the kernel's stabilizer chain (the
 chain stores generators at their smallest moved point, so the greedy
-position-by-position choice is exact); nothing here canonicalizes a single
-element.
+position-by-position choice is exact), and numbers H/N by closure under H's
+generators; nothing here canonicalizes a single element or lists H.
 """
 
 from __future__ import annotations

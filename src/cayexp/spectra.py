@@ -4,7 +4,8 @@ Every pipeline output is certified here, and only here is it decided how,
 and whether, a multiset is measured: ``exact_method`` names a carrier's
 route, or None above its cap (where callers carry analytic bounds only),
 and ``measure`` runs a named route. A route asked for above its cap raises
-``MethodCapacityError`` (defined in ``carriers``). The routes:
+``MethodCapacityError`` (defined in ``carriers``), as ``second_eigenvalue``
+does on any carrier where no route is left. The routes:
 
 * dense      -- build the |G| x |G| normalized adjacency of Cay(G,S) from the
                 right-regular action and run a symmetric eigensolver.
@@ -19,9 +20,7 @@ and ``measure`` runs a named route. A route asked for above its cap raises
 * character  -- for abelian carriers the characters diagonalize every Cayley
                 operator, so the bias (maximal nontrivial character sum) *is*
                 lambda2; computed exhaustively as a multidimensional DFT of
-                the weight tensor. Above the exhaustive cap only
-                ``second_eigenvalue`` samples characters (method
-                "character-sum-sampled"), which ``certify`` refuses.
+                the weight tensor, up to EXHAUSTIVE_CHAR_CAP.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from .multiset import Multiset, format_rows
 DENSE_CAP = 10_000
 ITER_CAP = 1_000_000
 EXHAUSTIVE_CHAR_CAP = 2_000_000
-SAMPLED_CHAR_COUNT = 100_000
 # power_lambda2 stops once its upper end lies this close to its lower end
 KRYLOV_GAP = 2e-3
 
@@ -72,10 +70,6 @@ class SpectrumReport:
         return json.dumps(self.as_dict(), sort_keys=True)
 
     @property
-    def certifying(self) -> bool:
-        return not self.method.endswith("sampled")
-
-    @property
     def bound(self) -> float:
         """The end that certifies: the interval's upper end, if any."""
         return self.lambda2 if self.lambda2_upper is None \
@@ -84,7 +78,7 @@ class SpectrumReport:
 
 def certify(report: SpectrumReport, target: float) -> bool:
     """True iff the measured bound meets the target within tolerance."""
-    return report.certifying and report.bound <= target + report.tolerance
+    return report.bound <= target + report.tolerance
 
 
 # ---------------------------------------------------------------------------
@@ -143,36 +137,6 @@ def bias_exhaustive(carrier: VectorCarrier, ms: Multiset) -> float:
         mags = np.abs(np.fft.fftn(flat.reshape(carrier.moduli))).ravel()
     mags[0] = 0.0
     return float(mags.max() / w.sum())
-
-
-def bias_direct(carrier: VectorCarrier, ms: Multiset,
-                betas: np.ndarray) -> np.ndarray:
-    """Character sums |E_s chi(s)| for the given character rows."""
-    pts = carrier.unravel(carrier.codes(ms))
-    w = ms.mult_array().astype(np.float64)
-    sums = _kernels.char_sums(pts, w, betas, carrier.moduli)
-    return np.abs(sums) / w.sum()
-
-
-def bias_sampled(carrier: VectorCarrier, ms: Multiset,
-                 count: int = SAMPLED_CHAR_COUNT) -> float:
-    """Deterministic pseudorandom character sample; a lower-bound estimate."""
-    rng = np.random.default_rng(instance_seed(carrier.moduli,
-                                             seed_body(ms)))
-    moduli = np.array(carrier.moduli, dtype=np.int64)
-    # keep the kernel work bounded for very large point sets
-    count = max(1000, min(count, 10**8 // max(ms.support, 1)))
-    best = 0.0
-    block = 20_000
-    drawn = 0
-    while drawn < count:
-        b = min(block, count - drawn)
-        betas = rng.integers(0, moduli, size=(b, len(moduli)), dtype=np.int64)
-        betas = betas[np.any(betas != 0, axis=1)]
-        if betas.size:
-            best = max(best, float(bias_direct(carrier, ms, betas).max()))
-        drawn += b
-    return best
 
 
 def abelian_bias(shape: AbelianShape | VectorCarrier, ms: Multiset) -> float:
@@ -399,11 +363,10 @@ def measure(carrier: Carrier, ms: Multiset, method: str) -> SpectrumReport:
     elif method == "power-iteration":
         lam, upper, matvecs = power_lambda2(carrier, ms)
         tolerance = 0.0     # the upper end carries its rounding margin
-    elif method in ("character-sum", "character-sum-sampled"):
+    elif method == "character-sum":
         if not isinstance(carrier, VectorCarrier):
             raise ValueError("character-sum method needs an abelian carrier")
-        bias = bias_exhaustive if method == "character-sum" else bias_sampled
-        lam = bias(carrier, ms)
+        lam = bias_exhaustive(carrier, ms)
     else:
         raise ValueError(f"unknown method {method!r}")
     return SpectrumReport(group_order=carrier.order, degree_total=ms.total,
@@ -414,17 +377,14 @@ def measure(carrier: Carrier, ms: Multiset, method: str) -> SpectrumReport:
 def second_eigenvalue(carrier: Carrier, ms: Multiset,
                       method: str = "auto") -> SpectrumReport:
     """Certified lambda2 of Cay(G, S) for a symmetric multiset S, by
-    ``exact_method``'s route unless a method is named. Above the caps a
-    vector group gets the sampled estimate, any other carrier
+    ``exact_method``'s route unless a method is named. Above the caps
     MethodCapacityError."""
     require_symmetric(carrier, ms)
     if method == "auto":
         method = exact_method(carrier)
         if method is None:
-            if not isinstance(carrier, VectorCarrier):
-                raise MethodCapacityError(
-                    f"group order {carrier.order} exceeds all caps")
-            method = "character-sum-sampled"
+            raise MethodCapacityError(
+                f"group order {carrier.order} exceeds all caps")
     # after the capacity check: a permutation group answers membership from
     # its element table, which the measurement then reuses
     if not multiset_order_check(carrier, ms):

@@ -309,15 +309,12 @@ class TestFinalR:
         with pytest.raises(Exception):
             final_R(4, (2, 3), c=2, eps=0.125)   # 1/c + eps > 1/4
 
-    def test_n16_structural_identity_and_sampled_monitoring(self):
+    def test_n16_structural_identity(self):
         # 6^16 characters exceed the exhaustive cap: the certificate is the
-        # analytic 1/c + eps and sampling gives a non-certifying lower bound
-        from cayexp.spectra import bias_sampled
+        # analytic 1/c + eps
         r = final_R(16, (2, 3), c=8)
         assert r.points.total == 8 * 16 * r.base.total
         assert r.cert <= 0.25 + 1e-9
-        est = bias_sampled(r_carrier(16, (2, 3)), r.points, count=2000)
-        assert est <= r.cert + 1e-9
 
 
 class TestLevelGroups:
@@ -380,6 +377,21 @@ class TestAbelianQuotient:
         assert out.cert <= 0.25 + 1e-9
         report = second_eigenvalue(PermCarrier.of(g), out)
         assert report.lambda2 <= 0.25 + 1e-9
+
+    def test_s4_power_5_quotients_above_the_table_cap(self):
+        # S4^5 (order 7962624) is above the element-table cap, but G/G'
+        # (order 32) and G'/G'' (order 243) number their own cosets
+        cycles = [c for k in range(0, 20, 4)
+                  for c in (f"({k + 1} {k + 2} {k + 3} {k + 4})",
+                            f"({k + 1} {k + 2})")]
+        g = GenSet(20, tuple(parse_perm(c, 20) for c in cycles))
+        chain = derived_series(g)
+        assert chain.orders[:3] == (7962624, 248832, 1024)
+        for h, k in zip(chain.terms[:2], chain.terms[1:3]):
+            out = abelian_quotient_expander(h, k)
+            assert out.cert <= 0.25 + 1e-9
+            qcar = QuotientCarrier(quotient_context(h, k))
+            assert dense_lambda2(qcar, out) <= out.cert + 1e-9
 
 
 class TestLevelRank:

@@ -205,16 +205,33 @@ def test_quotient_membership_is_parent_membership():
     assert not multiset_order_check(carrier, multiset([(odd, 1)]))
     with pytest.raises(KeyError):
         carrier.action_tables(multiset([(odd, 1)]))
+    # (3 4) fixes A4's base points 1 and 2, so its key is the identity's:
+    # only the full rows tell it from A4's elements
+    whole = QuotientCarrier(quotient_context(chain.terms[0],
+                                             chain.terms[-1]))
+    swap = multiset([(parse_perm("(3 4)", 4), 1)])
+    assert whole._table[1][0].tolist() == \
+        swap.codes[0, whole._key_points].tolist()
+    assert not multiset_order_check(whole, swap)
+    with pytest.raises(KeyError):
+        whole.action_tables(swap)
 
 
-def test_quotient_capacity_error_on_parent_order(monkeypatch):
-    # S4/V4 has order 6, but its labels need the 24 rows of S4
+def test_quotient_capacity_error_on_own_order(monkeypatch):
+    # the cap applies to the quotient's own order, not to its parent's: S4/V4
+    # (order 6) builds its tables under a cap below |S4| = 24, S4/1 does not
     chain = derived_series(catalog.s4())
-    ctx = quotient_context(chain.terms[0], chain.terms[2])
     monkeypatch.setattr(carriers, "TABLE_CAP", 20)
-    carrier = QuotientCarrier(ctx)
+    carrier = QuotientCarrier(quotient_context(chain.terms[0],
+                                               chain.terms[2]))
     assert carrier.order == 6
+    assert len(elements(carrier)) == 6
+    tables, _ = carrier.action_tables(multiset([(Perm.identity(4), 1)]))
+    assert tables.tolist() == [list(range(6))]
+    whole = QuotientCarrier(quotient_context(chain.terms[0],
+                                             chain.terms[-1]))
+    assert whole.order == 24
     with pytest.raises(MethodCapacityError):
-        elements(carrier)
+        elements(whole)
     with pytest.raises(MethodCapacityError):
-        carrier.action_tables(multiset([(Perm.identity(4), 1)]))
+        whole.action_tables(multiset([(Perm.identity(4), 1)]))

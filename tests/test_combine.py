@@ -465,9 +465,10 @@ class TestSolvableExpander:
 
     def test_quotient_above_the_table_cap_is_a_capacity_error(self,
                                                               monkeypatch):
-        # S4/A4 has order 2, but measuring it needs S4's 24-row element
-        # table: above the table cap the construction stops with the
-        # package's one capacity error, which the CLI maps to exit 6
+        # the derived quotients (orders 2, 3 and 4) build their own tables,
+        # but the top fold merge measures S4 itself, whose 24 cosets over the
+        # trivial group are above the table cap: the construction stops with
+        # the package's one capacity error, which the CLI maps to exit 6
         monkeypatch.setattr(carriers, "TABLE_CAP", 20)
         with pytest.raises(MethodCapacityError):
             solvable_expander(derived_series(catalog.s4()))

@@ -70,7 +70,8 @@ def test_char_sums_match_root_products(monkeypatch):
     for moduli in [(2,) * 9, (2, 3, 4, 5, 6), (7, 7, 7), (12, 2, 3, 40)]:
         inst = _char_instance(moduli)
         got = K.char_sums(*inst)
-        # sampled sums never certify: agreement to rounding is the contract
+        # no certificate rests on these sums: agreement to rounding is the
+        # contract
         assert np.allclose(got, _root_product_sums(*inst), rtol=0,
                            atol=1e-12)
     pts, w, betas, moduli = _char_instance((3, 5))

@@ -33,7 +33,6 @@ SIGNATURES = {
     "spectra.measure": ("carrier", "ms", "method"),
     "spectra.power_lambda2": ("carrier", "ms", "tol", "itmax"),
     "spectra.abelian_bias": ("shape", "ms"),
-    "spectra.bias_sampled": ("carrier", "ms", "count"),
     "fields.construct_field": ("p", "m"),
     "catalog.cyclic": ("n",),
     "general.general_expander": ("g", "lam"),

@@ -22,10 +22,9 @@ from cayexp.multiset import NonSymmetricError, multiset
 from cayexp.perm import GenSet, Perm, parse_perm
 from cayexp.series import derived_series, quotient_context
 from cayexp.spectra import (DENSE_CAP, KRYLOV_GAP, MethodCapacityError,
-                            abelian_bias, bias_direct, bias_exhaustive,
-                            bias_sampled, certify, dense_lambda2,
-                            dense_spectrum, exact_method, graph_info,
-                            power_lambda2, second_eigenvalue)
+                            abelian_bias, bias_exhaustive, certify,
+                            dense_lambda2, dense_spectrum, exact_method,
+                            graph_info, power_lambda2, second_eigenvalue)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -406,14 +405,6 @@ class TestAbelianBias:
             assert abs(bias_exhaustive(carrier, ms)
                        - naive_bias(moduli, ms)) < 1e-9
 
-    def test_direct_kernel_matches_fft(self):
-        carrier = VectorCarrier((2, 2, 3))
-        ms = multiset([((0, 0, 1), 1), ((0, 0, 2), 1), ((1, 1, 0), 2)])
-        betas = np.array([list(b) for b in np.ndindex(2, 2, 3)][1:],
-                         dtype=np.int64)
-        direct = bias_direct(carrier, ms, betas).max()
-        assert abs(direct - bias_exhaustive(carrier, ms)) < 1e-9
-
     def test_bias_equals_cayley_lambda2(self):
         # characters are the eigenvectors, so the two verifiers must agree
         n = 12
@@ -425,25 +416,15 @@ class TestAbelianBias:
                    - abelian_bias(vcar, vec_ms)) < 1e-9
 
     def test_above_the_exhaustive_cap_is_refused(self, monkeypatch):
-        # the sampled estimate is a lower bound, never the exact bias:
-        # abelian_bias refuses where bias_exhaustive does, and only
-        # second_eigenvalue reports the estimate, as one certify refuses
+        # no estimate stands in for the exact bias: abelian_bias and
+        # second_eigenvalue refuse where bias_exhaustive does
         carrier = VectorCarrier((2, 2, 2))
         ms = multiset([((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1)])
         monkeypatch.setattr(spectra, "EXHAUSTIVE_CHAR_CAP", carrier.order - 1)
         with pytest.raises(MethodCapacityError):
             abelian_bias(carrier, ms)
-        rep = second_eigenvalue(carrier, ms)
-        assert rep.method == "character-sum-sampled"
-        assert not certify(rep, 1.0)
-
-    def test_sampled_mode_deterministic_lower_bound(self):
-        carrier = VectorCarrier((2,) * 8)
-        ms = multiset([(v, 1) for v in elements(carrier)[:32]])
-        a = bias_sampled(carrier, ms, count=2000)
-        b = bias_sampled(carrier, ms, count=2000)
-        assert a == b
-        assert a <= bias_exhaustive(carrier, ms) + 1e-12
+        with pytest.raises(MethodCapacityError):
+            second_eigenvalue(carrier, ms)
 
 
 class TestCertify:
@@ -454,12 +435,6 @@ class TestCertify:
         assert certify(rep, 0.81)
         assert not certify(rep, 0.25)
         assert certify(dataclasses.replace(rep, lambda2=0.24), 0.25)
-
-    def test_sampled_reports_never_certify(self):
-        carrier = VectorCarrier((2,) * 8)
-        ms = multiset([(v, 1) for v in elements(carrier)])
-        rep = second_eigenvalue(carrier, ms, method="character-sum-sampled")
-        assert not certify(rep, 1.0)
 
 
 class TestGraphStructure:
@@ -543,13 +518,8 @@ class TestRoute:
         assert exact_method(carrier) == route
         if route is None:
             assert measure_exact(carrier, ms) is None
-            if name == "Z3xZ5":
-                rep = second_eigenvalue(carrier, ms)
-                assert rep.method == "character-sum-sampled"
-                assert not certify(rep, 1.0)
-            else:
-                with pytest.raises(MethodCapacityError):
-                    second_eigenvalue(carrier, ms)
+            with pytest.raises(MethodCapacityError):
+                second_eigenvalue(carrier, ms)
         else:
             rep = second_eigenvalue(carrier, ms)
             assert rep.method == route
