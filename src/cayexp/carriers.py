@@ -2,9 +2,10 @@
 
 A carrier provides a deterministic element order, group arithmetic on
 element arrays, and action tables (index-level right-multiplication maps)
-for building Cayley operators. Three kinds cover the whole pipeline:
-permutation groups, quotients H/N by canonical coset representatives, and
-products of cyclic groups given by per-coordinate moduli.
+for building Cayley operators. Two kinds cover the whole pipeline:
+quotients H/N of permutation groups by canonical coset representatives (a
+permutation group G is G/1), and products of cyclic groups given by
+per-coordinate moduli.
 
 Every carrier has one array protocol, over which multiset bookkeeping is
 written once: ``codes(ms)`` (the element array, in element order),
@@ -21,21 +22,21 @@ ends in one ``tally`` of the images with the source's multiplicities.
 A vector group codes an element as its mixed-radix index
 (``ravel_multi_index``), its own key. A permutation codes as its row of
 images, keyed by ``_row_keys``: ``PermRows`` is that much of the protocol,
-which needs only the degree; the permutation and quotient carriers
-extend it. A
-quotient H/N codes a coset as the image row of its canonical
-representative, and makes inverses and products canonical per kernel level
-(``QuotientCarrier._canonical``); no element is canonicalized alone. Every
+which needs only the degree; ``QuotientCarrier`` extends it. A quotient
+H/N codes a coset as the image row of its canonical representative, and
+makes inverses and products canonical per kernel level
+(``QuotientCarrier._canonical``, nothing to do over the trivial kernel);
+no element is canonicalized alone. Every
 multiset stores codes (see ``multiset``), and ``codes(ms)`` hands them over
 when they are the carrier's own kind: codes of the same moduli, or image
 rows of the same degree; vector codes of other moduli are recoded from their
 coordinates. None of this needs the element table: an (order, degree) image
 array in lexicographic order, searched by base-point images, from which
-action tables are numpy gathers. A permutation group builds it from its
-BSGS transversals; a quotient enumerates its own coset representatives by
-closure and never lists H. The carriers list no elements; a group or
-quotient above ``TABLE_CAP`` gets no table: asking for one raises
-``MethodCapacityError``, the package's one capacity error.
+action tables are numpy gathers. Over the trivial kernel it is the
+product of H's BSGS transversals; otherwise the quotient enumerates its own
+coset representatives by closure and never lists H. The carriers list no
+elements; a group or quotient above ``TABLE_CAP`` gets no table: asking
+for one raises ``MethodCapacityError``, the package's one capacity error.
 """
 
 from __future__ import annotations
@@ -92,9 +93,8 @@ class AbelianShape:
 
 
 class _ArrayProtocol:
-    """What the three carriers share: code storage, tallies and the
-    symmetry check, over each carrier's codes, inv_codes, keys and
-    decode."""
+    """What the carriers share: code storage, tallies and the symmetry
+    check, over each carrier's codes, inv_codes, keys and decode."""
 
     def from_codes(self, codes: np.ndarray, mults,
                    cert: float | None = None) -> Multiset:
@@ -272,8 +272,8 @@ class VectorCarrier(_ArrayProtocol):
 class PermRows(_ArrayProtocol):
     """Permutations of {0..degree-1} as (k, degree) image rows, keyed by
     ``_row_keys``: the part of the array protocol that needs only the
-    degree. ``multiset(pairs)`` stores permutations here; the permutation
-    and quotient carriers extend it with a group.
+    degree. ``multiset(pairs)`` stores permutations here;
+    ``QuotientCarrier`` extends it with a group.
     """
 
     def __init__(self, degree: int):
@@ -324,107 +324,6 @@ class PermRows(_ArrayProtocol):
 TABLE_CAP = 10**6
 
 
-class _Numbered(PermRows):
-    """A permutation group or quotient numbered by its element table.
-
-    ``_table`` is (image rows, their images at the key points, the
-    ``_row_keys`` of those), sorted by key; ``_key_points`` are the base
-    points of the group (of H, for H/N). An element of the group is
-    determined by its images of the base points (Seress, *Permutation Group
-    Algorithms*, 2003), and two distinct elements first differ at a base
-    point: the base is ascending and the group at a level is the pointwise
-    stabilizer of every point below its base point. So rows sorted by key
-    are sorted lexicographically, and row 0 is the identity.
-    """
-
-    def _canonical(self, rows: np.ndarray) -> np.ndarray:
-        """A group element is its own representative."""
-        return rows
-
-    def _find(self, cols: np.ndarray) -> np.ndarray:
-        """Indices of the elements with the given base-image rows."""
-        keys = self._table[2]
-        want = _row_keys(cols, self.degree)
-        pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-        if np.any(keys[pos] != want):
-            raise KeyError("element is not in the group")
-        return pos
-
-    def _indices(self, items) -> np.ndarray:
-        """Indices of group elements; foreign elements raise KeyError."""
-        rows = self._canonical(self.codes(items))
-        pos = self._find(rows[:, self._key_points])
-        # a foreign row can share its base images with an element
-        if np.any(self._table[0][pos] != rows):
-            raise KeyError("element is not in the group")
-        return pos
-
-    def image_rows(self, indices) -> np.ndarray:
-        """The image rows of the elements at the given indices."""
-        return self._table[0][indices]
-
-
-class PermCarrier(_Numbered):
-    """A permutation group whose element table is a vectorised product of
-    its BSGS transversals; action tables take one gather of base images and
-    one search per chunk of rows. ``Perm`` objects are made only when asked
-    for."""
-
-    def __init__(self, bsgs: BSGS):
-        super().__init__(bsgs.degree)
-        self.bsgs = bsgs
-
-    @staticmethod
-    def of(g: GenSet) -> "PermCarrier":
-        return PermCarrier(schreier_sims(g))
-
-    @property
-    def order(self) -> int:
-        return self.bsgs.order()
-
-    def identity(self) -> Perm:
-        return Perm.identity(self.degree)
-
-    @property
-    def _key_points(self) -> list[int]:
-        # the trivial group has no base; any point keys its one element
-        return self.bsgs.base or [0]
-
-    @cached_property
-    def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        n = self.order
-        if n > TABLE_CAP:
-            raise MethodCapacityError(
-                f"group order {n} exceeds the element-table cap {TABLE_CAP}")
-        deg = self.degree
-        img = np.arange(deg, dtype=self._dtype)[None, :]
-        for lv in reversed(self.bsgs.levels):
-            reps = np.array([u.img for u in lv.transversal.values()],
-                            dtype=self._dtype)
-            img = reps[:, img].reshape(-1, deg)   # (p * u)[x] = u[p[x]]
-        cols = np.ascontiguousarray(img[:, self._key_points])
-        keys = _row_keys(cols, deg)
-        order = np.argsort(keys, kind="stable")
-        return img[order], cols[order], keys[order]
-
-    def _products(self, support: np.ndarray) -> np.ndarray:
-        """Indices of e * s: a row per support index s, a column per
-        element index e."""
-        images, cols, _ = self._table
-        n, k = cols.shape
-        sup = images[support]
-        out = np.empty((len(sup), n), dtype=np.int64)
-        step = max(1, _CHUNK_ENTRIES // n)
-        for j in range(0, len(sup), step):
-            # (e * s)[b] = s[e[b]] for every element e and support row s
-            prods = sup[j:j + step, cols].reshape(-1, k)
-            out[j:j + step] = self._find(prods).reshape(-1, n)
-        return out
-
-    def action_tables(self, ms: Multiset) -> tuple[np.ndarray, np.ndarray]:
-        return self._products(self._indices(ms)), _weights(ms)
-
-
 def _inverse_closed(keys: np.ndarray, inv_keys: np.ndarray,
                     counts: np.ndarray) -> bool:
     """Whether distinct elements with these keys, inverses and counts are
@@ -441,8 +340,9 @@ def _weights(ms: Multiset) -> np.ndarray:
     return weights / weights.sum()
 
 
-# table entries looked up per chunk of action-table rows: bounds the
-# gathered base images and their keys to a few MB for any support size
+# element-table entries looked up per chunk of action-table rows: bounds
+# the gathered images (base images only, over a trivial kernel) and their
+# keys to a few MB for any support size
 _CHUNK_ENTRIES = 1 << 16
 
 
@@ -465,14 +365,20 @@ def _row_keys(cols: np.ndarray, degree: int) -> np.ndarray:
     return be.view(np.dtype((np.void, be.itemsize * be.shape[1]))).ravel()
 
 
-class QuotientCarrier(_Numbered):
-    """H/N numbered by its own cosets.
+class QuotientCarrier(PermRows):
+    """H/N numbered by its own cosets; a permutation group G is G/1
+    (``PermCarrier``).
 
     A coset is its canonical (minimum-image) representative, an element of
-    H. The element table holds the representatives, enumerated by closure
-    under H's generators and numbered in lexicographic order, so coset 0 is
-    N itself; H's elements are never listed. Multisets on H/N hold
-    canonical representatives; the array protocol codes them as their
+    H; over the trivial kernel every element is its own. ``_table`` is
+    (representative rows, their images at H's base points, the
+    ``_row_keys`` of those), sorted by key. An element of H is determined
+    by its images of the base points (Seress, *Permutation Group
+    Algorithms*, 2003), and two distinct elements first differ at a base
+    point: the base is ascending and the group at a level is the pointwise
+    stabilizer of every point below its base point. So rows sorted by key
+    are sorted lexicographically, and coset 0 is N itself. Multisets on H/N
+    hold canonical representatives; the array protocol codes them as their
     image rows in H and makes inverses and products canonical.
     """
 
@@ -491,7 +397,8 @@ class QuotientCarrier(_Numbered):
 
     @property
     def _key_points(self) -> list[int]:
-        # a representative is an element of H: H's base images determine it
+        # a representative is an element of H: H's base images determine
+        # it; the trivial group has no base, and any point keys its element
         return self.ctx.parent.base or [0]
 
     def _canonical(self, rows: np.ndarray) -> np.ndarray:
@@ -518,48 +425,86 @@ class QuotientCarrier(_Numbered):
 
     @cached_property
     def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The representatives by closure: the frontier times each of H's
-        generators, made canonical, keeping the cosets not seen before."""
+        """Over a trivial kernel, H's elements as the vectorised product of
+        its BSGS transversals; otherwise the representatives by closure:
+        the frontier times each of H's generators, made canonical, keeping
+        the cosets not seen before, so H is never listed."""
         n = self.order
         if n > TABLE_CAP:
             raise MethodCapacityError(
-                f"quotient order {n} exceeds the element-table cap "
-                f"{TABLE_CAP}")
+                f"group order {n} exceeds the element-table cap {TABLE_CAP}")
         deg, points = self.degree, self._key_points
-        gens = self.codes(self.ctx.parent.gens.nontrivial_gens())
-        frontier = self.codes([self.identity()])
-        found, seen = [frontier], set(_row_keys(frontier[:, points],
-                                                deg).tolist())
-        while len(frontier):
-            prods = self.mul_codes(np.repeat(frontier, len(gens), axis=0),
-                                   np.tile(gens, (len(frontier), 1)))
-            keys, first = np.unique(_row_keys(prods[:, points], deg),
-                                    return_index=True)
-            keys = keys.tolist()
-            fresh = [i for k, i in zip(keys, first.tolist()) if k not in seen]
-            frontier = prods[fresh]
-            seen.update(keys)
-            found.append(frontier)
-        img = np.concatenate(found)
+        if not self.ctx.kernel.levels:
+            img = np.arange(deg, dtype=self._dtype)[None, :]
+            for lv in reversed(self.ctx.parent.levels):
+                reps = np.array([u.img for u in lv.transversal.values()],
+                                dtype=self._dtype)
+                img = reps[:, img].reshape(-1, deg)   # (p * u)[x] = u[p[x]]
+        else:
+            gens = self.codes(self.ctx.parent.gens.nontrivial_gens())
+            frontier = self.codes([self.identity()])
+            found, seen = [frontier], set(_row_keys(frontier[:, points],
+                                                    deg).tolist())
+            while len(frontier):
+                prods = self.mul_codes(np.repeat(frontier, len(gens), axis=0),
+                                       np.tile(gens, (len(frontier), 1)))
+                keys, first = np.unique(_row_keys(prods[:, points], deg),
+                                        return_index=True)
+                keys = keys.tolist()
+                fresh = [i for k, i in zip(keys, first.tolist())
+                         if k not in seen]
+                frontier = prods[fresh]
+                seen.update(keys)
+                found.append(frontier)
+            img = np.concatenate(found)
         cols = np.ascontiguousarray(img[:, points])
         keys = _row_keys(cols, deg)
         order = np.argsort(keys, kind="stable")
         return img[order], cols[order], keys[order]
 
+    def _find(self, cols: np.ndarray) -> np.ndarray:
+        """Indices of the elements with the given base-image rows."""
+        keys = self._table[2]
+        want = _row_keys(cols, self.degree)
+        pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        if np.any(keys[pos] != want):
+            raise KeyError("element is not in the group")
+        return pos
+
+    def _indices(self, items) -> np.ndarray:
+        """Indices of the cosets of elements of H; foreign elements raise
+        KeyError."""
+        rows = self._canonical(self.codes(items))
+        pos = self._find(rows[:, self._key_points])
+        # a foreign row can share its base images with an element
+        if np.any(self._table[0][pos] != rows):
+            raise KeyError("element is not in the group")
+        return pos
+
+    def image_rows(self, indices) -> np.ndarray:
+        """The image rows of the elements at the given indices."""
+        return self._table[0][indices]
+
     def action_tables(self, ms: Multiset) -> tuple[np.ndarray, np.ndarray]:
         """Indices of e * s: a row per support element s, a column per
-        coset representative e."""
-        reps = self._table[0]
-        n = len(reps)
+        element e of the table. Per chunk, one gather and one search: over
+        a trivial kernel the gather takes base images alone (they determine
+        an element of H), otherwise whole rows, then made canonical."""
+        images, cols, _ = self._table
+        n = len(images)
         sup = self.image_rows(self._indices(ms))
+        trivial = not self.ctx.kernel.levels
+        # np.take casts its indices to intp on every call: once here
+        take = (cols if trivial else images).astype(np.intp)
         out = np.empty((len(sup), n), dtype=np.int64)
         step = max(1, _CHUNK_ENTRIES // n)
         for j in range(0, len(sup), step):
-            # (e * s)[x] = s[e[x]] for every representative e and row s
-            prods = np.take(sup[j:j + step], reps, axis=1)
-            prods = self._canonical(prods.reshape(-1, self.degree))
-            out[j:j + step] = self._find(
-                prods[:, self._key_points]).reshape(-1, n)
+            # (e * s)[x] = s[e[x]] for every element e and support row s
+            prods = np.take(sup[j:j + step], take, axis=1)
+            prods = prods.reshape(-1, take.shape[1])
+            if not trivial:
+                prods = self._canonical(prods)[:, self._key_points]
+            out[j:j + step] = self._find(prods).reshape(-1, n)
         return out, _weights(ms)
 
     def image_multiset(self, ms: Multiset,
@@ -569,7 +514,26 @@ class QuotientCarrier(_Numbered):
                           cert)
 
 
-Carrier = PermCarrier | QuotientCarrier | VectorCarrier
+class PermCarrier(QuotientCarrier):
+    """A permutation group G as the quotient G/1, built from G's BSGS.
+    ``Perm`` objects are made only when asked for."""
+
+    def __init__(self, bsgs: BSGS):
+        # the trivial kernel: a BSGS with no levels, as schreier_sims gives
+        super().__init__(QuotientContext(bsgs, BSGS(GenSet(bsgs.degree))))
+        self.bsgs = bsgs
+
+    @staticmethod
+    def of(g: GenSet) -> "PermCarrier":
+        return PermCarrier(schreier_sims(g))
+
+    # perfbench's tracer wraps the action_tables in each class's own
+    # __dict__: bound here as well, a group's calls count apart from a
+    # proper quotient's
+    action_tables = QuotientCarrier.action_tables
+
+
+Carrier = QuotientCarrier | VectorCarrier   # a PermCarrier is a quotient
 
 
 def require_symmetric(carrier: Carrier, ms: Multiset) -> None:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, obs
-from .carriers import (Carrier, PermCarrier, QuotientCarrier, VectorCarrier,
+from .carriers import (Carrier, QuotientCarrier, VectorCarrier,
                        require_symmetric)
 from .multiset import Multiset, NonSymmetricError, multiset
 from .perm import Perm
@@ -425,8 +425,7 @@ def square_multiset(carrier: Carrier, ms: Multiset) -> Multiset:
 _PAIR_CHUNK = 1 << 20
 
 
-def _square_perm(carrier: PermCarrier | QuotientCarrier,
-                 ms: Multiset) -> Multiset:
+def _square_perm(carrier: QuotientCarrier, ms: Multiset) -> Multiset:
     """square_multiset on a permutation group or quotient, by index arithmetic.
 
     Row j of the action tables maps element i to e_i * s_j and element 0 is
@@ -626,7 +625,8 @@ def solvable_expander(chain: SubgroupChain,
     Per-quotient abelian expanders -> series fold, each merge re-measured
     where spectra has a route. Only a measured quotient builds an element
     table, capped at its own order (``carriers.TABLE_CAP``, else
-    MethodCapacityError); no parent group is listed.
+    MethodCapacityError); a group is listed only as its own quotient by the
+    trivial subgroup, a merge onto G_k/1.
     """
     from .abexp import abelian_quotient_expander
     if not 0 < target < 1:

@@ -2,8 +2,14 @@
 oracles."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from helpers import canonicalize, elements, transversal_elements
@@ -193,6 +199,13 @@ def test_quotient_matches_canonical_rep_oracle(name, term):
             z = canonicalize(ctx, x * y)
             acc[z] = acc.get(z, 0) + wx * wy
     assert square_multiset(carrier, ms) == multiset(acc.items(), cert=0.25)
+    if term == len(chain.terms) - 1:
+        # G/1 numbers G by its transversals: PermCarrier's tables, bit for bit
+        group = PermCarrier(ctx.parent)
+        for mine, theirs in zip(carrier._table, group._table):
+            assert mine.dtype == theirs.dtype
+            assert np.array_equal(mine, theirs)
+        assert np.array_equal(tables, group.action_tables(ms)[0])
 
 
 def test_quotient_membership_is_parent_membership():
@@ -235,3 +248,39 @@ def test_quotient_capacity_error_on_own_order(monkeypatch):
         elements(whole)
     with pytest.raises(MethodCapacityError):
         whole.action_tables(multiset([(Perm.identity(4), 1)]))
+
+
+def test_tracer_counts_each_carrier_apart():
+    # perfbench's tracer wraps action_tables in each class's own __dict__:
+    # a call on a PermCarrier, a QuotientCarrier subclass, must count under
+    # PermCarrier alone. A fresh process keeps the wrappers out of this one.
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    code = textwrap.dedent(f"""
+        import importlib.util
+        from cayexp import catalog
+        from cayexp.carriers import PermCarrier, QuotientCarrier
+        from cayexp.multiset import multiset
+        from cayexp.perm import Perm
+        from cayexp.series import derived_series, quotient_context
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_tracer", {str(tracer)!r})
+        mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)
+        t = mod.Tracer()
+        t.install()
+        chain = derived_series(catalog.s4())
+        ms = multiset([(Perm.identity(4), 1)])
+        PermCarrier(chain.terms[0]).action_tables(ms)
+        QuotientCarrier(quotient_context(chain.terms[0], chain.terms[2])
+                        ).action_tables(ms)
+        spans = t.summary()["spans"]
+        print(spans["carriers.PermCarrier.action_tables"]["calls"],
+              spans["carriers.QuotientCarrier.action_tables"]["calls"])
+    """)
+    src = str(Path(carriers.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1", "1"]
