@@ -13,9 +13,8 @@ from .bsgs import BSGS, schreier_sims, jerrum_reduce
 from .series import derived_series, quotient_context, SubgroupChain, \
     QuotientContext
 from .multiset import Multiset, multiset
-from .carriers import AbelianShape, PermCarrier, QuotientCarrier, \
-    VectorCarrier
-from .spectra import SpectrumReport, second_eigenvalue, abelian_bias, certify
+from .carriers import PermCarrier, QuotientCarrier, VectorCarrier
+from .spectra import SpectrumReport, second_eigenvalue, certify
 
 # The construction modules load on first use of one of their names, so a
 # process that only verifies (``cayexp verify``) does not import them.

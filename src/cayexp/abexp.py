@@ -42,7 +42,7 @@ from .fields import FieldSpec, construct_field
 from .multiset import Multiset, multiset
 from .perm import GenSet, Perm, commutator, format_perm
 from .series import QuotientContext, SubgroupChain, quotient_context
-from .spectra import bias_exhaustive, exact_method, root_tables
+from .spectra import root_tables
 
 GREEDY_ORDER_CAP = 2**18
 GREEDY_FULL_CAP = 1024
@@ -201,7 +201,8 @@ def product_base_expander(primes, m, lam: float = 0.25) -> Multiset:
     the greedy provider through CRT coordinates. Every level s < max(m_j)
     keeps a live prime, so every fold merge joins two nontrivial windows:
     a combine + amplification, certified by exhaustive character sums at
-    every intermediate window.
+    every intermediate window. The last merge (or the one level set) is
+    measured on the whole window, so its certificate is the output's.
     """
     primes = list(primes)
     ms_list = [m] * len(primes) if isinstance(m, int) else list(m)
@@ -229,8 +230,7 @@ def product_base_expander(primes, m, lam: float = 0.25) -> Multiset:
 
     # the level-s quotient window is exactly the live primes' coordinates,
     # so level sets need no re-embedding
-    out = fold_levels([level_set(s) for s in range(depth)], merge)
-    return reverify(_window_carrier(primes, ms_list, 0, depth), out)
+    return fold_levels([level_set(s) for s in range(depth)], merge)
 
 
 # ---------------------------------------------------------------------------
@@ -266,23 +266,21 @@ def final_R(n: int, primes, c: int = FINAL_C,
     """Expanding generating multiset for prod_j Z_{p_j}^n.
 
     The base is product_base_expander's set over prod_j Z_{p_j}^{m_j},
-    certified <= eps and compacted when the compaction keeps that bound.
+    certified <= eps, compacted to target eps.
     T is the first c*n tuples over the fields GF(p_j^{m_j}) in lexicographic
     coefficient order (distinct j give tuples distinct in every coordinate,
     since p_j^{m_j} > c*n); each point of R is, per prime block, the vector
     of inner products <x_j^l, y_j> for l = 0..n-1. |R| = c*n*|base|
     exactly and bias(R) <= 1/c + eps by the polynomial root-counting
-    argument; the bound is re-measured exhaustively when the group is small
-    enough.
+    argument; ``reverify`` measures it exhaustively when the group is
+    small enough, and refuses a measurement above it.
     """
     primes = tuple(primes)
     exps = _field_exponents(n, primes, c)
     fields = tuple(construct_field(p, m) for p, m in zip(primes, exps))
     base = product_base_expander(primes, exps, lam=eps)
-    packed = compact(_window_carrier(primes, exps, 0, max(exps)), base,
-                     256, target_cert=eps)
-    if packed.cert is not None and packed.cert <= eps + 1e-9:
-        base = packed
+    base = compact(_window_carrier(primes, exps, 0, max(exps)), base,
+                   256, target_cert=eps)
     if base.cert is None or base.cert > eps + 1e-9:
         raise CertificationError(
             f"base multiset not certified <= {eps}")
@@ -324,12 +322,7 @@ def final_R(n: int, primes, c: int = FINAL_C,
     points = carrier.tally(np.concatenate(codes),
                            np.tile(base.mult_array(), cn), cert=cert)
     assert points.total == cn * base.total
-    if exact_method(carrier) is not None:
-        measured = bias_exhaustive(carrier, points)
-        if measured > cert + 1e-9:
-            raise CertificationError(
-                f"measured bias {measured} above analytic bound {cert}")
-        points = points.with_cert(measured)
+    points = reverify(carrier, points)
     return FinalR(n, primes, c, fields, base, points, tuples)
 
 
@@ -440,8 +433,9 @@ def abelian_quotient_expander(h: BSGS, n: BSGS,
     r = len(hom.xs), per level of the prime-power series, pushes each
     through the level homomorphism (so nothing larger than H/N is ever
     materialized), and folds the resulting normal series of subgroups of
-    H/N. A level image measured exactly (on the dense route) above its
-    source's bound raises CertificationError.
+    H/N. A pushforward along an onto homomorphism cannot raise the bias, so
+    each level image carries its source's bound into ``reverify``, which
+    refuses an exact measurement above it.
     """
     hom = build_abelianization(h, n)
     ctx = hom.ctx
@@ -473,14 +467,6 @@ def abelian_quotient_expander(h: BSGS, n: BSGS,
                     acc = qcar.mul_codes(acc, powers[coords[:, b * rank + i]])
         img = reverify(qcar, qcar.tally(acc, r_points.mult_array(),
                                         r_points.cert))
-        # a pushforward along an onto homomorphism cannot raise the bias;
-        # on the Krylov route reverify gives the interval's upper end, which
-        # sits above the true bias, so only dense values are compared
-        if (exact_method(qcar) == "dense" and img.cert is not None
-                and img.cert > r_points.cert + 1e-9):
-            raise CertificationError(
-                f"level {s} image bias {img.cert} above its source bound "
-                f"{r_points.cert}")
         img = compact(qcar, img, 2048, target_cert=target)
         if img.cert is None or img.cert > target + 1e-9:
             img = reduce_to_quarter(qcar, img, target=target)

@@ -4,8 +4,9 @@ A carrier provides a deterministic element order, group arithmetic on
 element arrays, and action tables (index-level right-multiplication maps)
 for building Cayley operators. Two kinds cover the whole pipeline:
 quotients H/N of permutation groups by canonical coset representatives (a
-permutation group G is G/1), and products of cyclic groups given by
-per-coordinate moduli.
+permutation group G is G/1), and products of cyclic groups, made from
+their per-coordinate moduli alone (``VectorCarrier(moduli)``; no other
+description of an abelian group is kept).
 
 Every carrier has one array protocol, over which multiset bookkeeping is
 written once: ``codes(ms)`` (the element array, in element order),
@@ -42,7 +43,6 @@ for one raises ``MethodCapacityError``, the package's one capacity error.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -55,41 +55,6 @@ from .series import QuotientContext
 
 class MethodCapacityError(ValueError):
     """Group too large for the requested table or measurement method."""
-
-
-@dataclass(frozen=True)
-class AbelianShape:
-    """Product of cyclic prime-power groups: prod_i Z_{p_i^e_i}^{n_i}."""
-
-    factors: tuple[tuple[int, int, int], ...]   # (prime, exponent, copies)
-
-    def __post_init__(self):
-        primes = [p for p, _, _ in self.factors]
-        if primes != sorted(primes) or len(set(primes)) != len(primes):
-            raise ValueError("primes must be strictly increasing")
-        for p, e, n in self.factors:
-            if e < 1 or n < 1:
-                raise ValueError("exponents and copies must be >= 1")
-            if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
-                raise ValueError(f"{p} is not prime")
-
-    @cached_property
-    def moduli(self) -> tuple[int, ...]:
-        out = []
-        for p, e, n in self.factors:
-            out.extend([p**e] * n)
-        return tuple(out)
-
-    @property
-    def width(self) -> int:
-        return len(self.moduli)
-
-    @property
-    def order(self) -> int:
-        n = 1
-        for m in self.moduli:
-            n *= m
-        return n
 
 
 class _ArrayProtocol:
@@ -154,10 +119,6 @@ class VectorCarrier(_ArrayProtocol):
         if any(m < 1 for m in moduli):
             raise ValueError("moduli must be >= 1")
         self.moduli = tuple(int(m) for m in moduli)
-
-    @staticmethod
-    def of(shape: AbelianShape) -> "VectorCarrier":
-        return VectorCarrier(shape.moduli)
 
     @cached_property
     def order(self) -> int:

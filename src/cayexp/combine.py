@@ -10,16 +10,17 @@ The three moves, with their certified-bound algebra:
             replication, gcd reduction, bounded re-weighting) so the two
             moves stay affordable; every re-weighting is re-certified.
 
-Certified bounds propagate analytically and are re-measured exactly whenever
-``spectra.exact_method`` names a route for the carrier; where it names none,
-only the analytic bounds are carried.
+Certified bounds propagate analytically. A combined or amplified set
+keeps its bound unless ``reverify`` replaces it by a measurement, where
+``spectra.exact_method`` names a route for the carrier; ``reverify`` is the
+one place that compares a measurement with the bound a set carries.
 
 Every move is written once over the carriers' array protocol (element codes,
 inverses, products and tallies; see ``carriers``), so permutation groups,
 quotients and vector groups take the same code path. How a multiset is
-measured, and whether it is, is ``spectra``'s choice (``measure_exact``
-asks it); the only choice by carrier kind made here is how a convolution
-square is computed (``square_multiset``).
+measured, and whether it is, is ``spectra``'s choice (``reverify`` and
+``measure_exact`` ask it); the only choice by carrier kind made here is how
+a convolution square is computed (``square_multiset``).
 """
 
 from __future__ import annotations
@@ -74,11 +75,24 @@ def measure_exact(carrier: Carrier, ms: Multiset) -> float | None:
 
 
 def reverify(carrier: Carrier, ms: Multiset) -> Multiset:
-    """Replace the certificate by an exact measurement when possible."""
-    lam = measure_exact(carrier, ms)
-    if lam is None:
+    """The multiset certified by spectra's route for the carrier, where it
+    has one; elsewhere it keeps the bound it carries.
+
+    This is the one place a construction compares a measurement with the
+    bound it carries. An exact measurement (dense or character-sum) above
+    the carried bound, beyond 1e-9, is a broken certificate and raises
+    CertificationError. The Krylov route's upper end sits up to
+    spectra.KRYLOV_GAP above lambda2, so it replaces the bound unchecked.
+    """
+    method = exact_method(carrier)
+    if method is None:
         return ms
-    return ms.with_cert(lam)
+    report = measure(carrier, ms, method)
+    if (report.lambda2_upper is None and ms.cert is not None
+            and report.lambda2 > ms.cert + 1e-9):
+        raise CertificationError(
+            f"measured {report.lambda2} above its source bound {ms.cert}")
+    return ms.with_cert(report.bound)
 
 
 def symmetrize(carrier: Carrier, ms: Multiset) -> Multiset:
@@ -504,22 +518,16 @@ def reduce_to_quarter(carrier: Carrier, u: Multiset, target: float = 0.25,
 # combining a normal subgroup expander with a quotient expander
 
 def combine_union(group: Carrier, a: Multiset, b: Multiset) -> Multiset:
-    """Union multiset with the main-lemma bound, re-measured where spectra
-    has a route for the group."""
+    """Union multiset with the main-lemma bound
+    (1+lam)*max(|A|,|B|)/(|A|+|B|), lam the larger input certificate,
+    re-certified by ``reverify``."""
     if a.cert is None or b.cert is None:
         raise CertificationError("combine requires certified inputs")
     lam = max(a.cert, b.cert)
     bound = (1 + lam) * max(a.total, b.total) / (a.total + b.total)
-    out = group.tally(np.concatenate((group.codes(a), group.codes(b))),
-                      np.concatenate((a.mult_array(), b.mult_array())),
-                      cert=bound)
-    measured = measure_exact(group, out)
-    if measured is not None:
-        if measured > bound + 1e-9:
-            raise CertificationError(
-                f"measured {measured} exceeds combine bound {bound}")
-        out = out.with_cert(measured)
-    return out
+    return reverify(group, group.tally(
+        np.concatenate((group.codes(a), group.codes(b))),
+        np.concatenate((a.mult_array(), b.mult_array())), cert=bound))
 
 
 # ---------------------------------------------------------------------------
@@ -622,8 +630,9 @@ def solvable_expander(chain: SubgroupChain,
     """Certified expanding multiset for a solvable permutation group, given
     by its derived series (``series.derived_series``).
 
-    Per-quotient abelian expanders -> series fold, each merge re-measured
-    where spectra has a route. Only a measured quotient builds an element
+    Per-quotient abelian expanders -> series fold, each merge re-certified
+    by ``reverify``; a trivial group's one-term chain folds to the identity
+    with certificate 0. Only a measured quotient builds an element
     table, capped at its own order (``carriers.TABLE_CAP``, else
     MethodCapacityError); a group is listed only as its own quotient by the
     trivial subgroup, a merge onto G_k/1.
@@ -635,9 +644,6 @@ def solvable_expander(chain: SubgroupChain,
         raise SolvabilityError(
             "group is not solvable (derived series stabilizes above the "
             "trivial group); use general_expander instead")
-    top = chain.terms[0]
-    if top.order() == 1:
-        return multiset([(Perm.identity(top.degree), 1)], cert=0.0)
     sets = []
     for i in range(chain.length):
         s = abelian_quotient_expander(chain.terms[i], chain.terms[i + 1],

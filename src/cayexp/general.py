@@ -15,7 +15,7 @@ import numpy as np
 from . import obs
 from .bsgs import BSGS, schreier_sims
 from .carriers import PermCarrier
-from .combine import measure_exact, reduce_to_quarter
+from .combine import reduce_to_quarter, reverify
 from .multiset import Multiset, multiset
 from .perm import GenSet, Perm
 from .spectra import ITER_CAP, MethodCapacityError, exact_method, graph_info
@@ -61,15 +61,14 @@ def general_expander(g: GenSet, lam: float = 0.25) -> Multiset:
             f"group order {carrier.order} exceeds the verification cap "
             f"{ITER_CAP}; analytic-only certificates are not emitted")
     info = graph_info(carrier, ms)
-    measured = measure_exact(carrier, ms)
-    if measured >= 1.0 - 1e-12:
+    ms = reverify(carrier, ms)
+    if ms.cert >= 1.0 - 1e-12:
         # bipartite Cayley graph: shift the spectrum with a lazy step
         ident = carrier.codes([carrier.identity()])
-        ms = carrier.tally(np.concatenate((carrier.codes(ms), ident)),
-                           np.append(ms.mult_array(), ms.total))
-        measured = measure_exact(carrier, ms)
-        obs.event("lazify", total=ms.total, cert=measured)
-    ms = ms.with_cert(measured)
+        ms = reverify(carrier, carrier.tally(
+            np.concatenate((carrier.codes(ms), ident)),
+            np.append(ms.mult_array(), ms.total)))
+        obs.event("lazify", total=ms.total, cert=ms.cert)
     obs.event("strong-gens", total=ms.total, cert=ms.cert,
               diameter=info["diameter"],
               babai_bound=babai_bound(ms.total, max(info["diameter"], 1)))

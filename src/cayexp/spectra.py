@@ -5,7 +5,8 @@ and whether, a multiset is measured: ``exact_method`` names a carrier's
 route, or None above its cap (where callers carry analytic bounds only),
 and ``measure`` runs a named route. A route asked for above its cap raises
 ``MethodCapacityError`` (defined in ``carriers``), as ``second_eigenvalue``
-does on any carrier where no route is left. The routes:
+does on any carrier where no route is left. ``second_eigenvalue`` is the
+one public verifier of a multiset, on every carrier kind. The routes:
 
 * dense      -- build the |G| x |G| normalized adjacency of Cay(G,S) from the
                 right-regular action and run a symmetric eigensolver.
@@ -34,8 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .carriers import (AbelianShape, Carrier, MethodCapacityError,
-                       VectorCarrier, multiset_order_check, require_symmetric)
+from .carriers import (Carrier, MethodCapacityError, VectorCarrier,
+                       multiset_order_check, require_symmetric)
 from .multiset import Multiset, format_rows
 
 DENSE_CAP = 10_000
@@ -137,16 +138,6 @@ def bias_exhaustive(carrier: VectorCarrier, ms: Multiset) -> float:
         mags = np.abs(np.fft.fftn(flat.reshape(carrier.moduli))).ravel()
     mags[0] = 0.0
     return float(mags.max() / w.sum())
-
-
-def abelian_bias(shape: AbelianShape | VectorCarrier, ms: Multiset) -> float:
-    """Max over nontrivial characters of |E_s chi(s)| (= lambda2 of the
-    graph), exactly; above the exhaustive cap, MethodCapacityError."""
-    carrier = shape if isinstance(shape, VectorCarrier) else VectorCarrier.of(shape)
-    if not multiset_order_check(carrier, ms):
-        raise ValueError("element shape mismatch")
-    require_symmetric(carrier, ms)
-    return bias_exhaustive(carrier, ms)
 
 
 # ---------------------------------------------------------------------------

@@ -38,9 +38,12 @@ def s5_file(tmp_path):
 def test_build_verify_roundtrip(tmp_path, s4_file, capsys):
     out = tmp_path / "s4.ms"
     rc = main(["build-expander", "--group", str(s4_file),
-               "--lambda", "0.25", "--out", str(out)])
+               "--lambda", "0.25", "--out", str(out), "--json"])
     assert rc == 0
-    cert = json.loads((tmp_path / "s4.ms.cert.json").read_text())
+    sidecar = (tmp_path / "s4.ms.cert.json").read_text()
+    # --json prints the certificate sidecar, byte for byte
+    assert capsys.readouterr().out == sidecar
+    cert = json.loads(sidecar)
     assert cert["lambda2"] <= 0.25 + 1e-9
     rc = main(["verify", "--group", str(s4_file), "--multiset", str(out),
                "--target", "0.25"])
@@ -147,6 +150,12 @@ def test_verify_foreign_element_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "outside the group" in err
     assert len(err.splitlines()) == 1
+    # a multiset of another degree is refused before any measurement
+    ms.write_text("degree 5\n1 (1 2)\n")
+    rc = main(["verify", "--group", str(group), "--multiset", str(ms)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: degree mismatch between group and multiset\n")
 
 
 # a bare "degree" once ended verify in an IndexError traceback (exit 1), and
@@ -251,6 +260,10 @@ def test_series_output(s4_file, capsys):
     assert payload["orders"] == [24, 12, 4, 1]
     assert payload["solvable"] is True
     assert payload["dixon_ok"] is True
+    assert main(["series", "--group", str(s4_file)]) == 0
+    assert capsys.readouterr().out == (
+        "derived series orders: 24 > 12 > 4 > 1\n"
+        f"solvable: true, length 3 <= {payload['dixon_bound']}: true\n")
 
 
 def test_series_nonsolvable(s5_file, capsys):
@@ -274,14 +287,17 @@ def test_epsbias_outputs(tmp_path, capsys):
         assert len(vec) == 3 and all(0 <= c < 6 for c in vec)
 
 
-def test_epsbias_deterministic(tmp_path):
+def test_epsbias_deterministic(tmp_path, capsys):
     a = tmp_path / "a.pts"
     b = tmp_path / "b.pts"
     assert main(["epsbias", "--d", "2", "--n", "5", "--eps", "0.25",
                  "--out", str(a)]) == 0
+    capsys.readouterr()
     assert main(["epsbias", "--d", "2", "--n", "5", "--eps", "0.25",
-                 "--out", str(b)]) == 0
+                 "--out", str(b), "--json"]) == 0
     assert a.read_bytes() == b.read_bytes()
+    # --json prints the sidecar, byte for byte
+    assert capsys.readouterr().out == (tmp_path / "b.pts.json").read_text()
 
 
 def _src_env() -> dict:
@@ -341,10 +357,8 @@ PACKAGE_NAMES = {
     "series": ["derived_series", "quotient_context", "SubgroupChain",
                "QuotientContext"],
     "multiset": ["Multiset", "multiset"],
-    "carriers": ["AbelianShape", "PermCarrier", "QuotientCarrier",
-                 "VectorCarrier"],
-    "spectra": ["SpectrumReport", "second_eigenvalue", "abelian_bias",
-                "certify"],
+    "carriers": ["PermCarrier", "QuotientCarrier", "VectorCarrier"],
+    "spectra": ["SpectrumReport", "second_eigenvalue", "certify"],
     "combine": ["AuxExpander", "aux_family", "balance", "derandomized_square",
                 "fold_series", "reduce_to_quarter", "solvable_expander"],
     "abexp": ["abelian_quotient_expander", "build_abelianization",
@@ -369,6 +383,10 @@ def test_bsgs_command(s4_file, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["order"] == 24
     assert payload["strong_generators"] <= 16
+    assert main(["bsgs", "--group", str(s4_file)]) == 0
+    assert capsys.readouterr().out == (
+        f"order = 24 base = {payload['base']} "
+        f"strong generators = {payload['strong_generators']}\n")
 
 
 def test_epsbias_beyond_method_capacity_exit_6(tmp_path, capsys):

@@ -16,7 +16,7 @@ from cayexp.combine import (AmplificationError, AuxExpander,
                             aux_family, aux_from_z2_multiset, balance,
                             combine_union, compact, derandomized_square,
                             fold_levels, fold_series, pad_to_total,
-                            reduce_to_quarter, solvable_expander,
+                            reduce_to_quarter, reverify, solvable_expander,
                             square_multiset, symmetrize)
 from cayexp.multiset import multiset
 from cayexp.perm import GenSet, Perm, parse_perm
@@ -113,6 +113,34 @@ class TestCombine:
             combine_union(carrier, a, a)
         with pytest.raises(CertificationError):
             combine_union(carrier, a.with_cert(0.5), a)
+
+
+class TestReverify:
+    # reverify's rule on each route, fed falsely low carried certificates
+    def test_dense_route_refuses_a_measurement_above_the_bound(self):
+        carrier = PermCarrier.of(catalog.s4())
+        ms = random_symmetric_multiset(elements(carrier), 3)
+        assert spectra.exact_method(carrier) == "dense"
+        with pytest.raises(CertificationError, match="above its source bound"):
+            reverify(carrier, ms.with_cert(0.0))
+
+    def test_character_sum_route_refuses_a_measurement_above_the_bound(self):
+        carrier = VectorCarrier((2, 2, 2))
+        ms = multiset([((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1)])
+        assert spectra.exact_method(carrier) == "character-sum"
+        with pytest.raises(CertificationError, match="above its source bound"):
+            reverify(carrier, ms.with_cert(0.0))
+
+    def test_krylov_upper_end_replaces_the_bound(self, monkeypatch):
+        # the upper end sits above lambda2, so it is never compared with
+        # the carried bound
+        carrier = PermCarrier.of(catalog.s4())
+        ms = random_symmetric_multiset(elements(carrier), 3)
+        monkeypatch.setattr(spectra, "DENSE_CAP", 0)
+        assert spectra.exact_method(carrier) == "power-iteration"
+        out = reverify(carrier, ms.with_cert(0.0))
+        assert out.cert == second_eigenvalue(carrier, ms).lambda2_upper
+        assert out.counts() == ms.counts()
 
 
 @pytest.mark.parametrize("lam", [0, -1, 1, 1.5])
@@ -448,6 +476,19 @@ class TestSolvableExpander:
         g = catalog.s4()
         out = solvable_expander(derived_series(g))
         assert dense_lambda2(PermCarrier.of(g), out) <= 0.25 + 1e-9
+
+    @pytest.mark.parametrize("name,lam", [
+        ("z12", 1 / 16), ("s3", 1 / 16), ("d8", 1 / 16), ("q8", 1 / 16),
+        ("sylow2_s8", 1 / 4), ("sylow2_s8", 1 / 16)])
+    def test_krylov_route_merges_certify(self, monkeypatch, name, lam):
+        # every merge is measured by the Krylov route, whose upper end may
+        # pass the main lemma's bound while lambda2 stays below it
+        g = getattr(catalog, name)()
+        monkeypatch.setattr(spectra, "DENSE_CAP", 0)
+        out = solvable_expander(derived_series(g), lam)
+        monkeypatch.undo()
+        assert out.cert <= lam + 1e-9
+        assert dense_lambda2(PermCarrier.of(g), out) <= out.cert
 
     def test_nonsolvable_rejected(self):
         with pytest.raises(SolvabilityError):

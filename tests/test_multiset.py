@@ -6,8 +6,8 @@ import pytest
 from helpers import elem_inv, elements, route_off, symmetric_by_elements
 
 from cayexp import catalog
-from cayexp.carriers import (AbelianShape, PermCarrier, PermRows,
-                             VectorCarrier, require_symmetric)
+from cayexp.carriers import (PermCarrier, PermRows, VectorCarrier,
+                             require_symmetric)
 from cayexp.combine import combine_union
 from cayexp.multiset import (NonSymmetricError, multiset,
                              format_perm_multiset, parse_perm_multiset)
@@ -143,13 +143,3 @@ def test_add_identity():
                          np.append(ms.mult_array(), 2))
     assert lazy.counts() == {(0,): 2, (1,): 1, (4,): 1}
     assert lazy.total == 4
-
-
-def test_abelian_shape_validation():
-    with pytest.raises(ValueError):
-        AbelianShape(((4, 1, 1),))          # not prime
-    with pytest.raises(ValueError):
-        AbelianShape(((3, 1, 1), (2, 1, 1)))  # not increasing
-    sh = AbelianShape(((2, 2, 3),))
-    assert sh.moduli == (4, 4, 4)
-    assert VectorCarrier.of(sh).order == 64

@@ -32,7 +32,6 @@ SIGNATURES = {
     "spectra.exact_method": ("carrier",),
     "spectra.measure": ("carrier", "ms", "method"),
     "spectra.power_lambda2": ("carrier", "ms", "tol", "itmax"),
-    "spectra.abelian_bias": ("shape", "ms"),
     "fields.construct_field": ("p", "m"),
     "catalog.cyclic": ("n",),
     "general.general_expander": ("g", "lam"),

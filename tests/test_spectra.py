@@ -22,7 +22,7 @@ from cayexp.multiset import NonSymmetricError, multiset
 from cayexp.perm import GenSet, Perm, parse_perm
 from cayexp.series import derived_series, quotient_context
 from cayexp.spectra import (DENSE_CAP, KRYLOV_GAP, MethodCapacityError,
-                            abelian_bias, bias_exhaustive, certify,
+                            bias_exhaustive, certify,
                             dense_lambda2, dense_spectrum, exact_method,
                             graph_info, power_lambda2, second_eigenvalue)
 
@@ -358,31 +358,32 @@ class TestPowerIteration:
 
 
 class TestAbelianBias:
+    # second_eigenvalue on a vector carrier is the exact bias
     def test_full_group_zero_bias(self):
         carrier = VectorCarrier((2, 2))
         ms = multiset([(v, 1) for v in elements(carrier)])
-        assert abelian_bias(carrier, ms) < 1e-12
+        assert second_eigenvalue(carrier, ms).lambda2 < 1e-12
 
     def test_half_group_bias_one(self):
         carrier = VectorCarrier((2, 2))
         ms = multiset([((0, 0), 1), ((1, 1), 1)])
-        assert abs(abelian_bias(carrier, ms) - 1.0) < 1e-12
+        assert abs(second_eigenvalue(carrier, ms).lambda2 - 1.0) < 1e-12
 
     def test_full_cyclic_zero(self):
         carrier = VectorCarrier((3,))
         ms = multiset([((0,), 1), ((1,), 1), ((2,), 1)])
-        assert abelian_bias(carrier, ms) < 1e-12
+        assert second_eigenvalue(carrier, ms).lambda2 < 1e-12
 
     def test_shape_mismatch(self):
         carrier = VectorCarrier((2, 2))
-        with pytest.raises(ValueError):
-            abelian_bias(carrier, multiset([((0,), 1)]))
+        with pytest.raises(ValueError, match="element width differs"):
+            second_eigenvalue(carrier, multiset([((0,), 1)]))
 
     def test_permutation_elements_are_a_shape_mismatch(self):
         # a Perm has no len(); the order check once raised TypeError on it
         carrier = VectorCarrier((2, 2))
-        with pytest.raises(ValueError, match="element shape mismatch"):
-            abelian_bias(carrier, multiset([(Perm((1, 0)), 1)]))
+        with pytest.raises(ValueError, match="permutation image rows"):
+            second_eigenvalue(carrier, multiset([(Perm((1, 0)), 1)]))
 
     def test_permutation_rows_are_not_vector_codes(self):
         # coding a multiset of Perms once raised TypeError (no len())
@@ -413,16 +414,16 @@ class TestAbelianBias:
         perm_ms = multiset([(g, 1), (g.inv(), 1), (g ** 5, 1), (g ** 7, 1)])
         vec_ms = multiset([((1,), 1), ((n - 1,), 1), ((5,), 1), ((7,), 1)])
         assert abs(dense_lambda2(pcar, perm_ms)
-                   - abelian_bias(vcar, vec_ms)) < 1e-9
+                   - second_eigenvalue(vcar, vec_ms).lambda2) < 1e-9
 
     def test_above_the_exhaustive_cap_is_refused(self, monkeypatch):
-        # no estimate stands in for the exact bias: abelian_bias and
-        # second_eigenvalue refuse where bias_exhaustive does
+        # no estimate stands in for the exact bias: second_eigenvalue
+        # refuses where bias_exhaustive does
         carrier = VectorCarrier((2, 2, 2))
         ms = multiset([((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1)])
         monkeypatch.setattr(spectra, "EXHAUSTIVE_CHAR_CAP", carrier.order - 1)
         with pytest.raises(MethodCapacityError):
-            abelian_bias(carrier, ms)
+            bias_exhaustive(carrier, ms)
         with pytest.raises(MethodCapacityError):
             second_eigenvalue(carrier, ms)
 

@@ -17,7 +17,7 @@ from helpers import (elem_inv, elem_mul, elements, field_pow, inner_product,
 
 from cayexp import catalog
 from cayexp.abexp import final_R
-from cayexp.carriers import AbelianShape, PermCarrier, VectorCarrier
+from cayexp.carriers import PermCarrier, VectorCarrier
 from cayexp.combine import (_pair_units, _trim_support, compact,
                             measure_exact, square_multiset)
 from cayexp.epsbias import (BiasSpace, _crt_digits, format_bias_space,
@@ -419,13 +419,14 @@ def test_seed_body_of_tuple_storage_is_repr(elems):
 @pytest.mark.parametrize("big", [False, True])
 def test_vector_text_matches_tuple_loop(factors, big):
     rng = random.Random(len(factors) + big)
-    shape = AbelianShape(factors)
-    carrier = VectorCarrier.of(shape)
+    # (prime, exponent, copies) per factor
+    carrier = VectorCarrier(tuple(p**e for p, e, k in factors
+                                  for _ in range(k)))
     ms, twin = coded_multiset(carrier, 30, rng, big)
     if big:
         assert ms.total >= 2**63 and ms.mult_array().dtype == object
     # "<m> <coordinates>" per element, from either storage's arrays
-    row = "%d " + ",".join(["%d"] * shape.width) + "\n"
+    row = "%d " + ",".join(["%d"] * len(carrier.moduli)) + "\n"
     for stored in (ms, twin):
         table = np.column_stack((stored.mult_array(), stored.coordinates()))
         assert format_rows(row, table) == oracle_vector_text(twin)
