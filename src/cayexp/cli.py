@@ -1,19 +1,26 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 parse error (or, for verify, a multiset with
-elements outside the group; for build-expander, a --lambda outside (0, 1)),
-3 non-solvable input with --require-solvable (alias --solvable), 4
-certification failure (including a construction that cannot certify or
-amplify its bound, or an unreachable auxiliary mu, with the achievable mu
-printed), 5 non-symmetric multiset, 6 group order above
-the verification cap, which the message states (or, for epsbias, beyond
-the method's capacity). Diagnostics go to stderr, data to files or stdout.
-Re-running a command with identical inputs produces byte-identical output
-files under the same BLAS thread count; manifests differ only in their
-timing fields. Only dense lambda2 bits follow the BLAS thread count
-(``eigvalsh`` sums in an order that depends on it); the Krylov route sums
-with numpy alone. The construction modules are imported by the commands
-that build, so ``verify`` loads only the verifier.
+Exit codes: 0 success, 2 an unreadable or malformed input (for verify,
+also a multiset with elements outside the group or of another degree; for
+build-expander, a --lambda outside (0, 1)), 3 non-solvable input with
+--require-solvable (alias --solvable), 4 certification failure (a
+construction that cannot certify or amplify its bound, or cannot reach its
+auxiliary mu, with the achievable mu printed; a build whose final report
+misses its target; a failed verdict), 5 non-symmetric multiset, 6 a group
+with no measurement route, or a table or method above its cap, which the
+message states.
+
+Commands raise their errors. ``main`` is the one place that prints
+``error: <message>`` for an exception and maps it to its exit code; only
+the exits that are no exception (3, and 4 for a report or a verdict that
+misses its target) are decided in the commands. Diagnostics go to stderr,
+data to files or stdout. Re-running a command with identical inputs
+produces byte-identical output files under the same BLAS thread count;
+manifests differ only in their timing fields. Only dense lambda2 bits
+follow the BLAS thread count (``eigvalsh`` sums in an order that depends on
+it); the Krylov route sums with numpy alone. The construction modules are
+imported by the commands that build, so ``verify`` loads only the
+verifier, on every path.
 """
 
 from __future__ import annotations
@@ -29,11 +36,10 @@ from .bsgs import schreier_sims
 from .carriers import PermCarrier
 from .multiset import (NonSymmetricError, format_perm_multiset,
                        parse_perm_multiset)
-from .perm import ParseError, parse_group_file
+from .perm import parse_group_file
 from .series import derived_series, dixon_bound
-from .spectra import (FORMAT_VERSION, ITER_CAP, MethodCapacityError,
-                      SpectrumReport, certify, exact_method,
-                      second_eigenvalue)
+from .spectra import (FORMAT_VERSION, MethodCapacityError, SpectrumReport,
+                      certify, require_route, second_eigenvalue)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -51,27 +57,31 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _write_manifest(out: Path, command: str, parameters: dict,
-                    inputs: list[Path], outputs: list[Path],
-                    certificates: list[dict], t0: float) -> None:
+def _write_outputs(args, text: str, suffix: str, sidecar: dict,
+                   parameters: dict, inputs: list[Path], summary: str,
+                   t0: float) -> None:
+    """Write a construction's output file, its JSON sidecar (the output's
+    name plus suffix) and the run's manifest; then print the sidecar
+    (--json) or the summary line."""
+    out = Path(args.out)
+    out.write_text(text)
+    side_path = out.with_suffix(out.suffix + suffix)
+    side_path.write_text(_dump_json(sidecar))
     manifest = {
         "format_version": FORMAT_VERSION,
-        "command": command,
+        "command": args.cmd,
         "parameters": parameters,
         "inputs": {str(p): _sha256(p) for p in inputs},
-        "outputs": {str(p): _sha256(p) for p in outputs},
-        "certificates": certificates,
+        "outputs": {str(p): _sha256(p) for p in (out, side_path)},
+        "certificates": [sidecar],
         "timings": {"wall_seconds": round(time.time() - t0, 6)},
     }
-    out.write_text(_dump_json(manifest))
-
-
-def _construction_failed(e: ValueError) -> int:
-    print(f"error: {e}", file=sys.stderr)
-    mu = getattr(e, "achievable_mu", None)
-    if mu is not None:
-        print(f"achievable mu = {mu:.6g}", file=sys.stderr)
-    return EXIT_CERT_FAIL
+    out.with_suffix(out.suffix + ".manifest.json").write_text(
+        _dump_json(manifest))
+    if args.json:
+        print(_dump_json(sidecar), end="")
+    else:
+        print(summary)
 
 
 def _lambda2_text(report: SpectrumReport) -> str:
@@ -84,55 +94,30 @@ def _lambda2_text(report: SpectrumReport) -> str:
 
 def cmd_build_expander(args) -> int:
     if not 0 < args.lam < 1:
-        print("error: lambda must be in (0, 1)", file=sys.stderr)
-        return EXIT_PARSE
-    from .combine import CONSTRUCTION_FAILURES, solvable_expander
+        raise ValueError("lambda must be in (0, 1)")
+    from .combine import solvable_expander
     t0 = time.time()
     group_path = Path(args.group)
-    try:
-        gens = parse_group_file(group_path.read_text())
-    except (OSError, ParseError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
+    gens = parse_group_file(group_path.read_text())
     chain = derived_series(gens)
     if args.require_solvable and not chain.solvable:
         print("error: group is not solvable (derived series stabilizes at "
               f"order {chain.orders[-1]})", file=sys.stderr)
         return EXIT_NOT_SOLVABLE
     carrier = PermCarrier(chain.terms[0])
-    if exact_method(carrier) is None:
-        print(f"error: group order {chain.orders[0]} exceeds the "
-              f"verification cap {ITER_CAP}; analytic-only certificates are "
-              "not emitted", file=sys.stderr)
-        return EXIT_TOO_LARGE
-    try:
-        if chain.solvable:
-            ms = solvable_expander(chain, target=args.lam)
-        else:
-            from .general import general_expander
-            ms = general_expander(gens, lam=args.lam)
-    except MethodCapacityError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_TOO_LARGE
-    except CONSTRUCTION_FAILURES as e:
-        return _construction_failed(e)
-    report = second_eigenvalue(carrier, ms)
-    ok = certify(report, args.lam)
-    out = Path(args.out)
-    out.write_text(format_perm_multiset(ms, gens.degree))
-    cert = dict(report.as_dict(), certified_target=args.lam)
-    cert_path = out.with_suffix(out.suffix + ".cert.json")
-    cert_path.write_text(_dump_json(cert))
-    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"),
-                    "build-expander",
-                    {"lambda": args.lam, "solvable": chain.solvable},
-                    [group_path], [out, cert_path], [cert], t0)
-    if args.json:
-        print(_dump_json(cert), end="")
+    require_route(carrier)
+    if chain.solvable:
+        ms = solvable_expander(chain, target=args.lam)
     else:
-        print(f"{_lambda2_text(report)} (target {args.lam}) "
-              f"size = {ms.total}")
-    if not ok:
+        from .general import general_expander
+        ms = general_expander(gens, lam=args.lam)
+    report = second_eigenvalue(carrier, ms)
+    _write_outputs(args, format_perm_multiset(ms, gens.degree), ".cert.json",
+                   dict(report.as_dict(), certified_target=args.lam),
+                   {"lambda": args.lam, "solvable": chain.solvable},
+                   [group_path], f"{_lambda2_text(report)} (target "
+                   f"{args.lam}) size = {ms.total}", t0)
+    if not certify(report, args.lam):
         print(f"error: certification failed: lambda2 bound {report.bound} > "
               f"{args.lam}", file=sys.stderr)
         return EXIT_CERT_FAIL
@@ -140,30 +125,11 @@ def cmd_build_expander(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        gens = parse_group_file(Path(args.group).read_text())
-        degree, ms = parse_perm_multiset(Path(args.multiset).read_text())
-    except (OSError, ParseError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
+    gens = parse_group_file(Path(args.group).read_text())
+    degree, ms = parse_perm_multiset(Path(args.multiset).read_text())
     if degree != gens.degree:
-        print("error: degree mismatch between group and multiset",
-              file=sys.stderr)
-        return EXIT_PARSE
-    carrier = PermCarrier.of(gens)
-    try:
-        report = second_eigenvalue(carrier, ms)
-    except NonSymmetricError:
-        print("error: multiset is not symmetric (inverse-closed)",
-              file=sys.stderr)
-        return EXIT_NOT_SYMMETRIC
-    except MethodCapacityError:
-        print(f"error: group order {carrier.order} exceeds the verification "
-              f"cap {ITER_CAP}", file=sys.stderr)
-        return EXIT_TOO_LARGE
-    except ValueError as e:     # elements outside the group
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
+        raise ValueError("degree mismatch between group and multiset")
+    report = second_eigenvalue(PermCarrier.of(gens), ms)
     verdict = args.target is None or certify(report, args.target)
     payload = dict(report.as_dict(), certified_target=args.target,
                    verdict=bool(verdict))
@@ -176,11 +142,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_series(args) -> int:
-    try:
-        gens = parse_group_file(Path(args.group).read_text())
-    except (OSError, ParseError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
+    gens = parse_group_file(Path(args.group).read_text())
     chain = derived_series(gens)
     bound = dixon_bound(gens.degree)
     payload = {
@@ -202,39 +164,16 @@ def cmd_series(args) -> int:
 
 
 def cmd_epsbias(args) -> int:
-    from .combine import CONSTRUCTION_FAILURES
     from .epsbias import format_bias_space, verify_bias, zdn_bias_space
     t0 = time.time()
-    try:
-        space = zdn_bias_space(args.d, args.n, args.eps)
-    except MethodCapacityError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_TOO_LARGE
-    except CONSTRUCTION_FAILURES as e:
-        return _construction_failed(e)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    out = Path(args.out)
-    out.write_text(format_bias_space(space))
-    side = dict(space.sidecar(), format_version=FORMAT_VERSION)
-    side_path = out.with_suffix(out.suffix + ".json")
-    side_path.write_text(_dump_json(side))
-    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"),
-                    "epsbias",
-                    {"d": args.d, "n": args.n, "eps": args.eps},
-                    [], [out, side_path], [side], t0)
-    if args.json:
-        print(_dump_json(side), end="")
-    else:
-        print(f"size = {space.size} certified_eps = "
-              f"{space.certified_eps:.6g}")
+    space = zdn_bias_space(args.d, args.n, args.eps)
+    _write_outputs(args, format_bias_space(space), ".json",
+                   dict(space.sidecar(), format_version=FORMAT_VERSION),
+                   {"d": args.d, "n": args.n, "eps": args.eps}, [],
+                   f"size = {space.size} certified_eps = "
+                   f"{space.certified_eps:.6g}", t0)
     if args.verify:
-        try:
-            v = verify_bias(space)
-        except MethodCapacityError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_TOO_LARGE
+        v = verify_bias(space)
         print(f"verified bias = {v:.6g}")
         if v > space.certified_eps + 1e-9:
             return EXIT_CERT_FAIL
@@ -242,11 +181,7 @@ def cmd_epsbias(args) -> int:
 
 
 def cmd_bsgs(args) -> int:
-    try:
-        gens = parse_group_file(Path(args.group).read_text())
-    except (OSError, ParseError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
+    gens = parse_group_file(Path(args.group).read_text())
     b = schreier_sims(gens)
     payload = {
         "order": b.order(),
@@ -260,6 +195,20 @@ def cmd_bsgs(args) -> int:
         print(f"order = {payload['order']} base = {payload['base']} "
               f"strong generators = {payload['strong_generators']}")
     return EXIT_OK
+
+
+def _exit_code(e: Exception) -> int:
+    """The exit code of an error a command raised. A construction failure
+    can only come from a construction module that is already loaded, so
+    ``combine`` is looked up, never imported."""
+    combine = sys.modules.get(f"{__package__}.combine")
+    for kinds, code in ((NonSymmetricError, EXIT_NOT_SYMMETRIC),
+                        (MethodCapacityError, EXIT_TOO_LARGE),
+                        (combine.CONSTRUCTION_FAILURES if combine else (),
+                         EXIT_CERT_FAIL)):
+        if isinstance(e, kinds):
+            return code
+    return EXIT_PARSE
 
 
 def main(argv=None) -> int:
@@ -306,7 +255,14 @@ def main(argv=None) -> int:
     g.set_defaults(fn=cmd_bsgs)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (OSError, ValueError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        mu = getattr(e, "achievable_mu", None)
+        if mu is not None:
+            print(f"achievable mu = {mu:.6g}", file=sys.stderr)
+        return _exit_code(e)
 
 
 if __name__ == "__main__":

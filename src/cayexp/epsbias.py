@@ -3,8 +3,9 @@
 Z_d^n is split by the prime factorization of d into prod_j Z_{p_j^{e_j}}^n;
 each level of the prime-power series gets a final-construction set, the
 levels are folded, and the per-prime coordinates are recombined to digits in
-[0, d) by CRT. For eps < 1/4 the space is amplified by derandomized
-squaring on the abelian Cayley graph, certified by character sums.
+[0, d) by CRT. For eps < 1/4 the space is amplified by squaring rounds,
+each an exact convolution square measured again by character sums; above
+the exhaustive cap amplification is refused (``spectra.require_route``).
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from .carriers import VectorCarrier
 from .combine import (amplified_union, fold_levels, reduce_to_quarter,
                       reverify, symmetrize)
 from .multiset import Multiset, format_rows
-from .spectra import (EXHAUSTIVE_CHAR_CAP, MethodCapacityError,
-                      bias_exhaustive, exact_method)
+from .spectra import (MethodCapacityError, bias_exhaustive, exact_method,
+                      require_route)
 
 D_CAP = 10**6
 
@@ -133,10 +134,7 @@ def zdn_bias_space(d: int, n: int, eps: float) -> BiasSpace:
             "pipeline produced no certificate (group beyond analytic path)")
 
     if pts.cert > eps:
-        if method == "analytic":
-            raise MethodCapacityError(
-                f"amplification to eps={eps} needs exhaustive verification; "
-                f"d^n = {carrier.order} exceeds {EXHAUSTIVE_CHAR_CAP}")
+        require_route(carrier)
         pts = reduce_to_quarter(carrier, pts, target=eps)
     if pts.cert is None or pts.cert > eps + 1e-9:
         raise MethodCapacityError(

@@ -1,11 +1,13 @@
 """Expanding generating sets for arbitrary permutation groups.
 
-Strong generators give a Cayley graph of diameter at most n, so the
-vertex-transitivity bound 1 - 1/(16.5 * d * diam^2) certifies an initial
-spectral gap; squaring rounds then amplify it to any target. Every round is
-re-measured exactly (the group is within the verification cap), so the
-rounds stop at the first measurement that meets the target; no analytic
-round count is computed.
+The symmetrized strong generators of a BSGS are measured exactly; the
+vertex-transitivity bound 1 - 1/(16.5 * d * diam^2), at the diameter found
+by BFS, is only logged beside that measurement, never used as a
+certificate. Squaring rounds then amplify the
+gap: each round is an exact convolution square, compacted and measured
+again, and the rounds stop at the first measurement that meets the target.
+A group above the verification cap is refused (``spectra.require_route``),
+so no round carries an analytic bound.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .carriers import PermCarrier
 from .combine import reduce_to_quarter, reverify
 from .multiset import Multiset, multiset
 from .perm import GenSet, Perm
-from .spectra import ITER_CAP, MethodCapacityError, exact_method, graph_info
+from .spectra import graph_info, require_route
 
 
 def babai_bound(deg: int, diam: int) -> float:
@@ -56,10 +58,7 @@ def general_expander(g: GenSet, lam: float = 0.25) -> Multiset:
     ms = strong_generator_multiset(bs)
     if carrier.order == 1:
         return ms.with_cert(0.0)
-    if exact_method(carrier) is None:
-        raise MethodCapacityError(
-            f"group order {carrier.order} exceeds the verification cap "
-            f"{ITER_CAP}; analytic-only certificates are not emitted")
+    require_route(carrier)
     info = graph_info(carrier, ms)
     ms = reverify(carrier, ms)
     if ms.cert >= 1.0 - 1e-12:

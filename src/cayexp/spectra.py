@@ -4,8 +4,10 @@ Every pipeline output is certified here, and only here is it decided how,
 and whether, a multiset is measured: ``exact_method`` names a carrier's
 route, or None above its cap (where callers carry analytic bounds only),
 and ``measure`` runs a named route. A route asked for above its cap raises
-``MethodCapacityError`` (defined in ``carriers``), as ``second_eigenvalue``
-does on any carrier where no route is left. ``second_eigenvalue`` is the
+``MethodCapacityError`` (defined in ``carriers``). ``require_route`` is the
+one refusal of a carrier with no route left ("group order N exceeds the
+verification cap C"); ``second_eigenvalue``, the CLI's up-front check and
+every construction that must measure call it. ``second_eigenvalue`` is the
 one public verifier of a multiset, on every carrier kind. The routes:
 
 * dense      -- build the |G| x |G| normalized adjacency of Cay(G,S) from the
@@ -345,6 +347,18 @@ def exact_method(carrier: Carrier) -> str | None:
     return None
 
 
+def require_route(carrier: Carrier) -> str:
+    """``exact_method``'s route; above every cap, the package's one
+    refusal to measure, as MethodCapacityError."""
+    method = exact_method(carrier)
+    if method is None:
+        cap = EXHAUSTIVE_CHAR_CAP if isinstance(carrier, VectorCarrier) \
+            else ITER_CAP
+        raise MethodCapacityError(f"group order {carrier.order} exceeds the "
+                                  f"verification cap {cap}")
+    return method
+
+
 def measure(carrier: Carrier, ms: Multiset, method: str) -> SpectrumReport:
     """The report of one named route; the route makes its own checks."""
     upper = matvecs = None
@@ -372,10 +386,7 @@ def second_eigenvalue(carrier: Carrier, ms: Multiset,
     MethodCapacityError."""
     require_symmetric(carrier, ms)
     if method == "auto":
-        method = exact_method(carrier)
-        if method is None:
-            raise MethodCapacityError(
-                f"group order {carrier.order} exceeds all caps")
+        method = require_route(carrier)
     # after the capacity check: a permutation group answers membership from
     # its element table, which the measurement then reuses
     if not multiset_order_check(carrier, ms):

@@ -1,6 +1,8 @@
+import dataclasses
 import importlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,11 +12,11 @@ import pytest
 from helpers import count_schreier_sims
 
 import cayexp
-from cayexp import catalog, combine, epsbias
+from cayexp import carriers, catalog, cli, combine, epsbias
 from cayexp.cli import main
 from cayexp.combine import (AmplificationError, AuxInfeasibleError,
                             CertificationError)
-from cayexp.perm import format_perm
+from cayexp.perm import Perm, format_perm
 
 S4 = "degree 4\n(1 2 3 4)\n(1 2)\n"
 S5 = "degree 5\n(1 2 3 4 5)\n(1 2)\n"
@@ -178,9 +180,10 @@ def test_verify_malformed_multiset_header_exit_2(tmp_path, capsys, s4_file,
 def test_malformed_group_header_exit_2(tmp_path, capsys, header):
     group = tmp_path / "x.grp"
     group.write_text(header + "\n(1 2)\n")
-    assert main(["series", "--group", str(group)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    for command in ("series", "bsgs"):
+        assert main([command, "--group", str(group)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_build_expander_builds_each_group_once(tmp_path, monkeypatch):
@@ -252,6 +255,39 @@ def test_build_beyond_verification_cap_exit_6(tmp_path, capsys, group):
     assert rc == 6
     assert not out.exists()
     assert "exceeds the verification cap" in capsys.readouterr().err
+
+
+def test_build_capacity_error_inside_construction_exit_6(tmp_path, s4_file,
+                                                        capsys, monkeypatch):
+    # order 24 passes the up-front route check (the dense route needs no
+    # element table), but S4's top fold merge tables S4 itself, above a cap
+    # of 20: the construction stops, and nothing is written
+    monkeypatch.setattr(carriers, "TABLE_CAP", 20)
+    out = tmp_path / "s4.ms"
+    rc = main(["build-expander", "--group", str(s4_file), "--out", str(out)])
+    assert rc == 6
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "element-table cap 20" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [s4_file.name]
+
+
+def test_build_report_above_target_exit_4(tmp_path, s4_file, capsys,
+                                          monkeypatch):
+    # the construction certifies, but the final report is faked above the
+    # target: the files are still written, and the command exits 4
+    real = cli.second_eigenvalue
+    monkeypatch.setattr(cli, "second_eigenvalue", lambda carrier, ms:
+                        dataclasses.replace(real(carrier, ms), lambda2=0.5))
+    out = tmp_path / "s4.ms"
+    rc = main(["build-expander", "--group", str(s4_file), "--out", str(out)])
+    assert rc == 4
+    for name in ("s4.ms", "s4.ms.cert.json", "s4.ms.manifest.json"):
+        assert (tmp_path / name).exists()
+    captured = capsys.readouterr()
+    assert captured.out.startswith("lambda2 = 0.5 (target 0.25) size = ")
+    assert captured.err == (
+        "error: certification failed: lambda2 bound 0.5 > 0.25\n")
 
 
 def test_series_output(s4_file, capsys):
@@ -330,23 +366,30 @@ def test_verify_loads_no_construction_module(tmp_path):
     group.write_text(A4)
     ms = tmp_path / "a4.ms"
     ms.write_text("degree 4\n1 (1 2 3)\n1 (1 3 2)\n1 (2 3 4)\n1 (2 4 3)\n")
+    # a failing verify loads no more: (1 2 3) without its inverse exits 5
+    bad = tmp_path / "bad.ms"
+    bad.write_text("degree 4\n1 (1 2 3)\n")
     code = ("import sys\n"
             "from cayexp import cli\n"
-            f"rc = cli.main(['verify', '--group', {str(group)!r}, "
-            f"'--multiset', {str(ms)!r}])\n"
-            "print(rc, *sorted(m for m in sys.modules "
+            f"for ms in {[str(bad), str(ms)]!r}:\n"
+            f"    rc = cli.main(['verify', '--group', {str(group)!r}, "
+            "'--multiset', ms])\n"
+            "    print(rc, *sorted(m for m in sys.modules "
             "if m.startswith('cayexp.')))\n"
             "import cayexp\n"
             "print(cayexp.combine.__name__)\n")
     done = subprocess.run([sys.executable, "-c", code], env=_src_env(),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    assert done.stderr.startswith("error: ")
+    assert len(done.stderr.splitlines()) == 1
     lines = done.stdout.splitlines()
-    assert lines[0].startswith("lambda2 = ")
-    assert lines[1].split() == ["0"] + VERIFIER_MODULES
+    assert lines[0].split() == ["5"] + VERIFIER_MODULES
+    assert lines[1].startswith("lambda2 = ")
+    assert lines[2].split() == ["0"] + VERIFIER_MODULES
     # before any construction module is loaded, cayexp.combine already
     # resolves to the submodule
-    assert lines[2] == "cayexp.combine"
+    assert lines[3] == "cayexp.combine"
 
 
 # every name the package exported when it imported all its modules eagerly
@@ -414,6 +457,22 @@ def test_epsbias_verify_beyond_method_capacity_exit_6(tmp_path, capsys):
     assert out.exists()
 
 
+def test_epsbias_verified_bias_above_certificate_exit_4(tmp_path, capsys,
+                                                        monkeypatch):
+    # a verified bias above the certificate fails the command after the
+    # space is written; the verdict is the stdout line, not an error
+    monkeypatch.setattr(epsbias, "verify_bias", lambda space: 0.9)
+    out = tmp_path / "x.pts"
+    rc = main(["epsbias", "--d", "6", "--n", "3", "--eps", "0.25",
+               "--out", str(out), "--verify"])
+    assert rc == 4
+    captured = capsys.readouterr()
+    assert captured.out.startswith("size = ")
+    assert captured.out.endswith("\nverified bias = 0.9\n")
+    assert captured.err == ""
+    assert out.exists()
+
+
 def test_epsbias_bad_arguments_exit_2(tmp_path):
     assert main(["epsbias", "--d", "1", "--n", "3", "--eps", "0.25",
                  "--out", str(tmp_path / "x.pts")]) == 2
@@ -459,3 +518,43 @@ def test_build_construction_failure_exit_4(tmp_path, s4_file, capsys,
     assert str(err) in stderr
     assert ("achievable mu = 0.3125" in stderr) == \
         isinstance(err, AuxInfeasibleError)
+
+
+# documented exits of build-expander without --require-solvable
+BUILD_EXITS = {2, 4, 5, 6}
+
+
+def _random_group(rng: random.Random) -> str:
+    degree = rng.randint(2, 6)
+    gens = [Perm(rng.sample(range(degree), degree))
+            for _ in range(rng.randint(1, 3))]
+    return f"degree {degree}\n" + "".join(format_perm(p) + "\n"
+                                          for p in gens)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_random_group_builds_certify_or_exit_documented(tmp_path, capsys,
+                                                        seed):
+    # property: on a random group, a build either exits 0, gives the same
+    # bytes when run again and passes verify at its target, or exits with a
+    # documented code and one error line (two with an achievable mu)
+    group = tmp_path / "g.grp"
+    group.write_text(_random_group(random.Random(seed)))
+    for lam in ("0.25", "0.0625"):
+        outs = [tmp_path / f"{run}-{lam}.ms" for run in (1, 2)]
+        build = ["build-expander", "--group", str(group), "--lambda", lam]
+        rc = main(build + ["--out", str(outs[0])])
+        if rc:
+            assert rc in BUILD_EXITS
+            err = capsys.readouterr().err.splitlines()
+            assert err[0].startswith("error: ")
+            assert len(err) == 1 or (
+                len(err) == 2 and err[1].startswith("achievable mu = "))
+            continue
+        assert main(build + ["--out", str(outs[1])]) == 0
+        for suffix in ("", ".cert.json"):
+            a, b = (o.with_suffix(o.suffix + suffix) for o in outs)
+            assert a.read_bytes() == b.read_bytes()
+        assert main(["verify", "--group", str(group), "--multiset",
+                     str(outs[0]), "--target", lam]) == 0
+        assert capsys.readouterr().err == ""
