@@ -34,10 +34,11 @@ import numpy as np
 
 from . import _kernels, obs
 from .bsgs import BSGS, schreier_sims
-from .carriers import QuotientCarrier, VectorCarrier
+from .carriers import MethodCapacityError, QuotientCarrier, VectorCarrier
 from .combine import (AuxInfeasibleError, CertificationError,
                       amplified_union, compact, fold_levels, fold_series,
-                      reduce_to_quarter, reverify, _next_pow2)
+                      reduce_to_quarter, require_fold_route, reverify,
+                      _next_pow2)
 from .fields import FieldSpec, construct_field
 from .multiset import Multiset, multiset
 from .perm import GenSet, Perm, commutator, format_perm
@@ -99,15 +100,15 @@ def greedy_expander(carrier: VectorCarrier, target: float) -> Multiset:
     the maximum, which by itself ties constantly on small groups). Stops at
     a power-of-2 total multiplicity with exact bias <= target (both needed
     downstream); raises AuxInfeasibleError with the best achieved bias if
-    the budget runs out.
+    the budget runs out, and MethodCapacityError above GREEDY_ORDER_CAP.
     """
     order = carrier.order
     if order == 1:
         return multiset([(carrier.identity(), 1)], cert=0.0)
     if order > GREEDY_ORDER_CAP:
-        raise AuxInfeasibleError(
-            f"greedy provider capped at order {GREEDY_ORDER_CAP}, "
-            f"got {order}", achievable_mu=1.0)
+        raise MethodCapacityError(
+            f"group order {order} exceeds the greedy provider's cap "
+            f"{GREEDY_ORDER_CAP}")
     moduli = carrier.moduli
     digits = np.indices(moduli).reshape(len(moduli), -1).T[1:]  # nontrivial
     digits = np.ascontiguousarray(digits, dtype=np.int64)
@@ -444,7 +445,9 @@ def abelian_quotient_expander(h: BSGS, n: BSGS,
                         cert=0.0)
     rank = len(hom.xs)
     groups = _level_groups(hom)
-    depth = len(groups) - 1
+    chain = SubgroupChain(tuple(groups), "normal-series", True)
+    require_fold_route(chain, target)
+    depth = chain.length
     sets = []
     for s in range(depth):
         live = [j for j in range(len(hom.primes)) if hom.exps[j] > s]
@@ -472,7 +475,6 @@ def abelian_quotient_expander(h: BSGS, n: BSGS,
             img = reduce_to_quarter(qcar, img, target=target)
         sets.append(img)
         obs.event("quotient-level", level=s, total=img.total, cert=img.cert)
-    chain = SubgroupChain(tuple(groups), "normal-series", True)
     return fold_series(chain, sets, target=target)
 
 

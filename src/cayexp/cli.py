@@ -4,11 +4,11 @@ Exit codes: 0 success, 2 an unreadable or malformed input (for verify,
 also a multiset with elements outside the group or of another degree; for
 build-expander, a --lambda outside (0, 1)), 3 non-solvable input with
 --require-solvable (alias --solvable), 4 certification failure (a
-construction that cannot certify or amplify its bound, or cannot reach its
-auxiliary mu, with the achievable mu printed; a build whose final report
-misses its target; a failed verdict), 5 non-symmetric multiset, 6 a group
-with no measurement route, or a table or method above its cap, which the
-message states.
+construction that cannot certify or amplify its bound, with the achievable
+mu printed when the greedy provider runs out of budget; a build whose
+final report misses its target; a failed verdict), 5 non-symmetric
+multiset, 6 a group or a construction step with no measurement route, or
+a table or method above its cap, which the message states.
 
 Commands raise their errors. ``main`` is the one place that prints
 ``error: <message>`` for an exception and maps it to its exit code; only

@@ -1,19 +1,24 @@
 """Combining and amplifying expanding generating multisets.
 
-The three moves, with their certified-bound algebra:
+The moves, with their certified-bound algebra:
 
 * combine:  union of a set expanding a normal subgroup N and a set whose
             image expands G/N; bound (1+lam)*max(|A|,|B|)/(|A|+|B|).
-* derandomized squaring: products u_i*u_j along the edges of an auxiliary
-            consistently-labeled expander H; bound lam^2 + mu, degree 2d|U|.
+* square:   the convolution square S*S, bound lam^2, measured again;
+            a round on a carrier with no measurement route is refused.
 * balance/compact: multiplicity bookkeeping (power-of-2 totals, whole-set
             replication, gcd reduction, bounded re-weighting) so the two
             moves stay affordable; every re-weighting is re-certified.
 
+Derandomized squaring (the lam^2 + mu bound along an auxiliary expander)
+is library code that no construction calls.
+
 Certified bounds propagate analytically. A combined or amplified set
 keeps its bound unless ``reverify`` replaces it by a measurement, where
 ``spectra.exact_method`` names a route for the carrier; ``reverify`` is the
-one place that compares a measurement with the bound a set carries.
+one place that compares a measurement with the bound a set carries. A fold
+whose top merge would need a round that cannot be measured is refused
+before its level sets are built (``require_fold_route``).
 
 Every move is written once over the carriers' array protocol (element codes,
 inverses, products and tallies; see ``carriers``), so permutation groups,
@@ -35,9 +40,9 @@ from .carriers import (Carrier, QuotientCarrier, VectorCarrier,
                        require_symmetric)
 from .multiset import Multiset, NonSymmetricError, multiset
 from .perm import Perm
-from .series import SubgroupChain, quotient_context
+from .series import QuotientContext, SubgroupChain, quotient_context
 from .spectra import (bias_exhaustive, exact_method, instance_seed, measure,
-                      seed_body)
+                      require_route, seed_body)
 
 
 class CertificationError(ValueError):
@@ -322,40 +327,24 @@ def aux_from_z2_multiset(ms: Multiset, t: int) -> AuxExpander:
                        tuple(range(len(masks))))
 
 
-_AUX_CACHE: dict[tuple[int, float], AuxExpander] = {}
 _FULL_SQUARE_CAP = 1024
 
 
-def aux_family(vertex_count: int, target_mu: float) -> AuxExpander:
-    """Consistently labeled regular graph on 2^t vertices with mu <= target.
-
-    Small vertex counts use the full group of Z_2^t (mu = 0, the degenerate
-    plain-squaring auxiliary); larger ones use the greedy provider's
-    certified small-bias multiset.
-    """
+def aux_family(vertex_count: int) -> AuxExpander:
+    """The full group of Z_2^t as an auxiliary on 2^t vertices: mu = 0,
+    the degenerate auxiliary of plain squaring. At most _FULL_SQUARE_CAP
+    vertices."""
     if vertex_count < 1 or vertex_count & (vertex_count - 1):
         raise ValueError("vertex count must be a power of 2")
-    key = (vertex_count, round(target_mu, 12))
-    hit = _AUX_CACHE.get(key)
-    if hit is not None:
-        return hit
-    t = vertex_count.bit_length() - 1
+    if vertex_count > _FULL_SQUARE_CAP:
+        raise ValueError(f"auxiliary on {vertex_count} vertices: the full "
+                         f"group is capped at {_FULL_SQUARE_CAP}")
     if vertex_count == 1:
-        aux = AuxExpander(1, 1, np.zeros((1, 1), dtype=np.int64), 0.0, (0,))
-    elif vertex_count <= _FULL_SQUARE_CAP:
-        full = VectorCarrier((2,) * t).from_codes(
-            np.arange(vertex_count), np.ones(vertex_count, dtype=np.int64))
-        aux = aux_from_z2_multiset(full, t)
-    else:
-        from .abexp import greedy_expander
-        ms = greedy_expander(VectorCarrier((2,) * t), target_mu)
-        aux = aux_from_z2_multiset(ms, t)
-    if aux.certified_mu > target_mu:
-        raise AuxInfeasibleError(
-            f"could not reach mu <= {target_mu} on {vertex_count} vertices",
-            achievable_mu=aux.certified_mu)
-    _AUX_CACHE[key] = aux
-    return aux
+        return AuxExpander(1, 1, np.zeros((1, 1), dtype=np.int64), 0.0, (0,))
+    t = vertex_count.bit_length() - 1
+    full = VectorCarrier((2,) * t).from_codes(
+        np.arange(vertex_count), np.ones(vertex_count, dtype=np.int64))
+    return aux_from_z2_multiset(full, t)
 
 
 # ---------------------------------------------------------------------------
@@ -458,13 +447,6 @@ def _square_perm(carrier: QuotientCarrier, ms: Multiset) -> Multiset:
     return carrier.from_codes(carrier.image_rows(nz), counts[nz], cert)
 
 
-def _mu_request(lam: float, target: float) -> float:
-    finishing = target - lam * lam
-    if finishing > 0:
-        return min(0.125, max(finishing / 2, target / 8))
-    return min(0.125, target / 2)
-
-
 MAX_ROUNDS = 64
 
 
@@ -472,13 +454,12 @@ def reduce_to_quarter(carrier: Carrier, u: Multiset, target: float = 0.25,
                       compact_total: int = 512) -> Multiset:
     """Squaring rounds until the certified bound is <= target.
 
-    On a carrier spectra can measure (exact_method names a route), each round
-    compacts, squares with the degenerate full-group auxiliary (exact
-    convolution, mu = 0) and re-measures lambda2 exactly. On a larger one,
-    each round pads to a power-of-2 total and derandomized-squares with a
-    small-degree auxiliary from aux_family, propagating the lam^2 + mu bound
-    only. Each square is logged, and so is each compaction after one, so
-    the last logged total is the returned one.
+    Each round compacts, squares (an exact convolution) and re-measures
+    lambda2 by spectra's route for the carrier. A carrier with no route
+    cannot certify a round, so the first round it needs is refused
+    (``spectra.require_route``, MethodCapacityError). Each square is
+    logged, and so is each compaction after one, so the last logged total
+    is the returned one.
     """
     if u.cert is None:
         u = reverify(carrier, u)
@@ -487,31 +468,19 @@ def reduce_to_quarter(carrier: Carrier, u: Multiset, target: float = 0.25,
     if u.cert >= 1.0:
         raise AmplificationError(
             "cannot amplify: certified bound is 1 (disconnected or bipartite)")
-    measurable = exact_method(carrier) is not None
     rounds = 0
     while True:
-        if measurable:
-            u = compact(carrier, u, compact_total, target_cert=target)
-            if rounds:
-                obs.event("compact", total=u.total, cert=u.cert)
-        if u.cert is not None and u.cert <= target:
+        u = compact(carrier, u, compact_total, target_cert=target)
+        if rounds:
+            obs.event("compact", total=u.total, cert=u.cert)
+        if u.cert <= target:
             return u
         if rounds >= MAX_ROUNDS:
             raise AmplificationError(f"exceeded {MAX_ROUNDS} squaring rounds")
-        if measurable:
-            u = square_multiset(carrier, u)
-            u = reverify(carrier, u)
-            rounds += 1
-            obs.event("square", round=rounds, total=u.total, cert=u.cert,
-                      aux_degree=u.total, aux_mu=0.0)
-            continue
-        u = pad_to_total(carrier, u, _next_pow2(u.total))
-        aux = aux_family(u.total, _mu_request(u.cert, target))
-        u = derandomized_square(carrier, u, aux)
+        require_route(carrier)
+        u = reverify(carrier, square_multiset(carrier, u))
         rounds += 1
-        obs.event("derandomized-square", round=rounds, total=u.total,
-                  cert=u.cert, aux_degree=aux.degree,
-                  aux_mu=aux.certified_mu)
+        obs.event("square", round=rounds, total=u.total, cert=u.cert)
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +540,23 @@ def amplified_union(carrier: Carrier, a: Multiset, b: Multiset,
     a, b = balance(carrier, a, b)
     return reduce_to_quarter(carrier, combine_union(carrier, a, b),
                              target=target, compact_total=compact_total)
+
+
+def require_fold_route(chain: SubgroupChain, target: float) -> None:
+    """Refuse, before any level set is built, a fold of the chain's
+    quotients that cannot be certified at target.
+
+    With two or more nontrivial steps, some merge of ``fold_series`` joins
+    them all on G_0/G_r, and after ``balance`` its union bound is
+    (1+lam)/2 >= 1/2. Below 1/2 that merge needs a squaring round, which
+    ``reduce_to_quarter`` refuses where G_0/G_r has no route; this refuses
+    it up front, with the same MethodCapacityError.
+    """
+    orders = chain.orders
+    steps = sum(a > b for a, b in zip(orders, orders[1:]))
+    if steps >= 2 and target < 0.5:
+        require_route(QuotientCarrier(
+            QuotientContext(chain.terms[0], chain.terms[-1])))
 
 
 def fold_series(chain: SubgroupChain, quotient_sets: list[Multiset],
@@ -644,6 +630,7 @@ def solvable_expander(chain: SubgroupChain,
         raise SolvabilityError(
             "group is not solvable (derived series stabilizes above the "
             "trivial group); use general_expander instead")
+    require_fold_route(chain, target)
     sets = []
     for i in range(chain.length):
         s = abelian_quotient_expander(chain.terms[i], chain.terms[i + 1],

@@ -6,8 +6,7 @@ by BFS, is only logged beside that measurement, never used as a
 certificate. Squaring rounds then amplify the
 gap: each round is an exact convolution square, compacted and measured
 again, and the rounds stop at the first measurement that meets the target.
-A group above the verification cap is refused (``spectra.require_route``),
-so no round carries an analytic bound.
+A group above the verification cap is refused (``spectra.require_route``).
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 Every pipeline output is certified here, and only here is it decided how,
 and whether, a multiset is measured: ``exact_method`` names a carrier's
-route, or None above its cap (where callers carry analytic bounds only),
-and ``measure`` runs a named route. A route asked for above its cap raises
+route, or None above its cap (where a set keeps the bound it carries and
+no squaring round can be certified), and ``measure`` runs a named route. A route asked for above its cap raises
 ``MethodCapacityError`` (defined in ``carriers``). ``require_route`` is the
 one refusal of a carrier with no route left ("group order N exceeds the
 verification cap C"); ``second_eigenvalue``, the CLI's up-front check and

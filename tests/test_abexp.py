@@ -368,8 +368,7 @@ class TestAbelianQuotient:
 
     def test_agl_1_13_certifies(self):
         # degree 13, rank 2: an R at the degree (over Z_13^13) is too large
-        # to measure, and its analytic squaring needs an infeasible
-        # auxiliary graph
+        # to measure, so no squaring round on it could be certified
         g = GenSet(13, (Perm(tuple((x + 1) % 13 for x in range(13))),
                         Perm(tuple((2 * x) % 13 for x in range(13)))))
         assert schreier_sims(g).order() == 156

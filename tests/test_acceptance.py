@@ -218,7 +218,7 @@ def test_criterion_3_derandomized_squaring():
             if u.total == 4 and seed % 2:
                 aux = loopy_c4
             else:
-                aux = aux_family(1 << (u.total - 1).bit_length(), 1.0)
+                aux = aux_family(1 << (u.total - 1).bit_length())
                 if aux.vertex_count != u.total:
                     from cayexp.combine import pad_to_total
                     u = pad_to_total(carrier, u, aux.vertex_count)

@@ -124,7 +124,7 @@ def test_derandomized_square_matches_reference(name, carrier, ms):
     ms = ms.with_cert(0.5)
     if carrier.is_symmetric(ms):
         ms = ref_pad_to_total(carrier, ms, 1 << (ms.total - 1).bit_length())
-    auxes = [aux_family(ms.total, 1.0)]
+    auxes = [aux_family(ms.total)]
     if ms.total == 4:
         # a loopy four-cycle: labels +1 and -1 are mutually inverse
         auxes.append(aux_from_rotation(
@@ -160,7 +160,7 @@ def test_bookkeeping_builds_no_element_table(monkeypatch):
             assert combine_union(carrier, ms, ms) == \
                 ms.scaled(2).with_cert(0.75)
         padded = pad_to_total(carrier, ms, 1 << (ms.total - 1).bit_length())
-        aux = aux_family(padded.total, 1.0)
+        aux = aux_family(padded.total)
         assert derandomized_square(carrier, padded, aux) == \
             ref_derandomized_square(carrier, padded, aux)
         assert "_table" not in carrier.__dict__

@@ -473,6 +473,24 @@ def test_epsbias_verified_bias_above_certificate_exit_4(tmp_path, capsys,
     assert out.exists()
 
 
+@pytest.mark.parametrize("d,n,eps,err", [
+    # the two levels of Z4^11 fold on Z_4^11 (order 4194304, above the
+    # exhaustive cap): the merge's squaring round is refused
+    (4, 11, 0.25, "group order 4194304 exceeds the verification cap 2000000"),
+    # the greedy provider's cyclic base Z_510510 is above its cap 2^18
+    (510510, 2, 0.5,
+     "group order 510510 exceeds the greedy provider's cap 262144"),
+], ids=["z4^11", "z510510^2"])
+def test_epsbias_capacity_inside_construction_exit_6(tmp_path, capsys, d, n,
+                                                     eps, err):
+    out = tmp_path / "x.pts"
+    rc = main(["epsbias", "--d", str(d), "--n", str(n), "--eps", str(eps),
+               "--out", str(out)])
+    assert rc == 6
+    assert capsys.readouterr().err == f"error: {err}\n"
+    assert not out.exists()
+
+
 def test_epsbias_bad_arguments_exit_2(tmp_path):
     assert main(["epsbias", "--d", "1", "--n", "3", "--eps", "0.25",
                  "--out", str(tmp_path / "x.pts")]) == 2

@@ -1,13 +1,11 @@
-import importlib
-
 import numpy as np
 import pytest
 
-from helpers import (analytic_rounds, aux_from_rotation, count_schreier_sims,
-                     elem_mul, elements, random_symmetric_multiset,
-                     ref_fold_levels)
+from helpers import (analytic_rounds, aux_from_rotation, count_calls,
+                     count_schreier_sims, elem_mul, elements,
+                     random_symmetric_multiset, ref_fold_levels)
 
-from cayexp import carriers, catalog, obs, spectra
+from cayexp import abexp, carriers, catalog, combine, obs, spectra
 from cayexp.bsgs import schreier_sims
 from cayexp.carriers import (MethodCapacityError, PermCarrier,
                              QuotientCarrier, VectorCarrier)
@@ -22,6 +20,14 @@ from cayexp.multiset import multiset
 from cayexp.perm import GenSet, Perm, parse_perm
 from cayexp.series import derived_series, quotient_context
 from cayexp.spectra import bias_exhaustive, dense_lambda2, second_eigenvalue
+
+
+def _power(g: GenSet, k: int) -> GenSet:
+    """G^k as k copies of G on disjoint blocks of points."""
+    return GenSet(g.degree * k, tuple(
+        Perm(list(range(i * g.degree)) + [x + i * g.degree for x in p.img]
+             + list(range((i + 1) * g.degree, k * g.degree)))
+        for i in range(k) for p in g.gens))
 
 
 def z_n(n):
@@ -155,7 +161,7 @@ class TestDerandomizedSquare:
         u = multiset([(g, 1), (g.inv(), 1), (g ** 2, 1), (g ** 5, 1)])
         lam = dense_lambda2(carrier, u)
         u = u.with_cert(lam)
-        aux = aux_family(4, 0.5)
+        aux = aux_family(4)
         out = derandomized_square(carrier, u, aux)
         assert out.total == 2 * aux.degree * 4
         assert carrier.is_symmetric(out)
@@ -165,7 +171,7 @@ class TestDerandomizedSquare:
     def test_full_group_aux_is_plain_square(self):
         g, carrier = z_n(5)
         u = multiset([(g, 1), (g.inv(), 1)], cert=1.0)
-        aux = aux_family(2, 1.0)
+        aux = aux_family(2)
         out = derandomized_square(carrier, u, aux)
         conv = square_multiset(carrier, u)
         # same multiset up to the doubled count from the inverse half
@@ -200,7 +206,7 @@ class TestDerandomizedSquare:
         g, carrier = z_n(5)
         u = multiset([(g, 1), (g.inv(), 1)], cert=0.9)
         with pytest.raises(ValueError):
-            derandomized_square(carrier, u, aux_family(4, 1.0))
+            derandomized_square(carrier, u, aux_family(4))
 
     def test_inconsistent_labeling_rejected(self):
         nbrs = np.array([[1, 1], [0, 0], [3, 3], [2, 1]])  # label 1 not a perm
@@ -221,34 +227,20 @@ class TestDerandomizedSquare:
 
 class TestAuxFamily:
     def test_two_vertices_mu_zero(self):
-        aux = aux_family(2, 0.9)
+        aux = aux_family(2)
         assert aux.vertex_count == 2
         assert aux.certified_mu <= 1e-12
 
     def test_sixteen_vertices(self):
-        aux = aux_family(16, 0.5)
-        assert aux.vertex_count == 16
-        assert aux.certified_mu <= 0.5
+        aux = aux_family(16)
+        assert aux.vertex_count == aux.degree == 16
+        assert aux.certified_mu == 0.0
 
     def test_1024_vertices_tight_target(self):
-        aux = aux_family(1024, 0.01)
+        # the full group at the cap: mu = 0 meets any target
+        aux = aux_family(1024)
         assert aux.vertex_count == 1024
-        assert aux.certified_mu <= 0.01
-
-    def test_greedy_branch_certifies(self):
-        aux = aux_family(4096, 0.125)
-        assert aux.vertex_count == 4096
-        assert aux.certified_mu <= 0.125
-        # certified_mu is exactly the exhaustively measured bias
-        t = 12
-        vecs = {}
-        for ell in range(aux.degree):
-            mask = int(aux.neighbors[0, ell])
-            vec = tuple((mask >> (t - 1 - i)) & 1 for i in range(t))
-            vecs[vec] = vecs.get(vec, 0) + 1
-        ms = multiset(vecs.items())
-        assert abs(bias_exhaustive(VectorCarrier((2,) * t), ms)
-                   - aux.certified_mu) < 1e-9
+        assert aux.certified_mu == 0.0
 
     def test_z2_masks_match_bit_loop(self):
         # label l of the expanded multiset moves x to x ^ mask, coordinate 0
@@ -265,12 +257,10 @@ class TestAuxFamily:
         assert np.array_equal(aux.neighbors, expect)
 
     @pytest.mark.parametrize("t", range(1, 11))
-    def test_full_group_from_codes_matches_tuples(self, monkeypatch, t):
+    def test_full_group_from_codes_matches_tuples(self, t):
         # the full Z_2^t multiset built from codes gives the auxiliary the
         # tuple list of every element gave
-        monkeypatch.setattr(importlib.import_module("cayexp.combine"),
-                            "_AUX_CACHE", {})
-        aux = aux_family(1 << t, 0.125)
+        aux = aux_family(1 << t)
         full = multiset([(v, 1) for v in elements(VectorCarrier((2,) * t))])
         ref = aux_from_z2_multiset(full, t)
         assert np.array_equal(aux.neighbors, ref.neighbors)
@@ -278,13 +268,11 @@ class TestAuxFamily:
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):
-            aux_family(12, 0.5)
+            aux_family(12)
 
-    def test_infeasible_reports_achievable_mu(self):
-        from cayexp.combine import AuxInfeasibleError
-        with pytest.raises(AuxInfeasibleError) as exc:
-            aux_family(1 << 19, 0.125)   # beyond the greedy provider cap
-        assert exc.value.achievable_mu <= 1.0
+    def test_above_the_full_group_cap_rejected(self):
+        with pytest.raises(ValueError, match="capped at 1024"):
+            aux_family(2048)
 
 
 class TestReduce:
@@ -316,24 +304,28 @@ class TestReduce:
         assert measured_rounds <= analytic_rounds(lam, 0.0)
 
     def test_analytic_branch_above_the_measurement_cap(self, monkeypatch):
-        # with the cap below the order, Z3 x Z5 cannot be measured: no
-        # compaction and no padding (the total 8 is a power of 2), and one
-        # derandomized square with the full Z2^3 auxiliary (mu = 0) takes
-        # the bound from 0.468 to its square
+        # with the cap below the order, Z3 x Z5 cannot be measured, so the
+        # round its bound of 0.468 needs is refused: nothing is squared,
+        # derandomized or measured
         carrier = VectorCarrier((3, 5))
         ms = multiset([((0, 0), 2), ((0, 1), 1), ((0, 4), 1), ((1, 2), 1),
                        ((2, 3), 1), ((1, 4), 1), ((2, 1), 1)])
         lam = bias_exhaustive(carrier, ms)
         assert 0.25 < lam <= 0.5
         monkeypatch.setattr(spectra, "EXHAUSTIVE_CHAR_CAP", carrier.order - 1)
+        squared = count_calls(monkeypatch, combine.square_multiset)
+        derandomized = count_calls(monkeypatch, combine.derandomized_square)
+        measured = count_calls(monkeypatch, spectra.measure)
         with obs.recording() as log:
-            out = reduce_to_quarter(carrier, ms.with_cert(lam))
-        assert log == [{"op": "derandomized-square", "round": 1,
-                        "total": 128, "cert": lam * lam, "aux_degree": 8,
-                        "aux_mu": 0.0}]
-        assert out.total == 2 * 8 * ms.total and out.cert == lam * lam
-        monkeypatch.undo()
-        assert bias_exhaustive(carrier, out) <= out.cert + 1e-12
+            with pytest.raises(MethodCapacityError,
+                               match="group order 15 exceeds the "
+                                     "verification cap 14"):
+                reduce_to_quarter(carrier, ms.with_cert(lam))
+        assert log == []
+        assert squared == derandomized == measured == []
+        # a bound that already meets the target needs no round, and is kept
+        assert reduce_to_quarter(carrier, ms.with_cert(lam),
+                                 target=0.5) == ms.with_cert(lam)
 
     def test_bipartite_cannot_amplify(self):
         t = parse_perm("(1 2)", 2)
@@ -513,6 +505,42 @@ class TestSolvableExpander:
         monkeypatch.setattr(carriers, "TABLE_CAP", 20)
         with pytest.raises(MethodCapacityError):
             solvable_expander(derived_series(catalog.s4()))
+
+    def test_unmeasurable_fold_refused_before_its_levels(self, monkeypatch):
+        # S4^5's derived quotients have orders 32, 243 and 1024, but its
+        # top merge on S4^5 itself (order 7962624) has no route: refused
+        # before any abelian quotient expander runs
+        quotients = count_calls(monkeypatch, abexp.abelian_quotient_expander)
+        chain = derived_series(_power(catalog.s4(), 5))
+        assert chain.orders == (7962624, 248832, 1024, 1)
+        with pytest.raises(MethodCapacityError, match="group order 7962624 "
+                           "exceeds the verification cap"):
+            solvable_expander(chain)
+        assert quotients == []
+
+    def test_unmeasurable_level_fold_refused_before_its_levels(self,
+                                                               monkeypatch):
+        # Z4^11 is its own abelian quotient, with two levels of order 2048;
+        # their fold on Z4^11 (order 4194304) has no route, so neither
+        # level set is built or measured
+        levels = count_calls(monkeypatch, abexp._compact_r_points)
+        measured = count_calls(monkeypatch, spectra.measure)
+        chain = derived_series(_power(catalog.cyclic(4), 11))
+        with pytest.raises(MethodCapacityError, match="group order 4194304 "
+                           "exceeds the verification cap"):
+            solvable_expander(chain)
+        assert levels == measured == []
+
+    def test_one_level_above_the_caps_keeps_its_analytic_bound(self,
+                                                               monkeypatch):
+        # Z_2^21 (order 2097152 > ITER_CAP) has one level and nothing to
+        # fold: the final construction's bound certifies it, and squares
+        # run only on the small carriers of that construction's base
+        squared = count_calls(monkeypatch, combine.square_multiset)
+        g = _power(catalog.z2(), 21)
+        out = solvable_expander(derived_series(g))
+        assert (out.total, out.cert) == (48384, 0.18055555555555555)
+        assert all(spectra.exact_method(c) is not None for c in squared)
 
     def test_symmetrize_noop_on_symmetric(self):
         g, carrier = z_n(5)

@@ -91,9 +91,9 @@ class TestGeneralExpander:
         assert any(e["op"] == "square" for e in log)
         prev = None
         for entry in log:
-            if entry["op"] in ("square", "derandomized-square"):
+            if entry["op"] == "square":
                 if prev is not None and entry["cert"] is not None:
-                    bound = rv_composition(prev, entry["aux_mu"])
+                    bound = prev * prev
                     assert entry["cert"] <= bound + 1e-9
                 prev = entry["cert"]
             elif entry.get("cert") is not None:

@@ -10,9 +10,9 @@ import hashlib
 
 import pytest
 
-from helpers import projective_line
+from helpers import count_calls, projective_line
 
-from cayexp import catalog
+from cayexp import catalog, combine
 from cayexp.combine import solvable_expander
 from cayexp.epsbias import format_bias_space, zdn_bias_space
 from cayexp.general import general_expander
@@ -22,6 +22,16 @@ from cayexp.series import derived_series
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.fixture(autouse=True)
+def exact_squares_only(monkeypatch):
+    """Every pinned build amplifies by exact squares alone: derandomized
+    squaring and its auxiliaries are library code no construction calls."""
+    squares = count_calls(monkeypatch, combine.derandomized_square)
+    auxes = count_calls(monkeypatch, combine.aux_family)
+    yield
+    assert squares == auxes == []
 
 
 @pytest.mark.parametrize("d,n,eps,digest", [

@@ -28,6 +28,8 @@ SIGNATURES = {
     "combine.fold_series": ("chain", "quotient_sets", "target"),
     "combine.solvable_expander": ("chain", "target"),
     "combine.compact": ("carrier", "ms", "target_total", "target_cert"),
+    "combine.require_fold_route": ("chain", "target"),
+    "combine.aux_family": ("vertex_count",),
     "spectra.second_eigenvalue": ("carrier", "ms", "method"),
     "spectra.exact_method": ("carrier",),
     "spectra.measure": ("carrier", "ms", "method"),

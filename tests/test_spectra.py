@@ -534,10 +534,15 @@ class TestRoute:
         assert (measured == []) == (route is None)
         if route is None:
             assert out == ms and out.cert == lam
-        # one round of squaring: exact where measured, else derandomized
+        # one round of squaring where measured; with no route the round is
+        # refused before anything is squared or logged
         with obs.recording() as log:
-            out = reduce_to_quarter(carrier, ms, target=lam * lam * 1.01)
+            if route is None:
+                with pytest.raises(MethodCapacityError,
+                                   match="exceeds the verification cap"):
+                    reduce_to_quarter(carrier, ms, target=lam * lam * 1.01)
+            else:
+                out = reduce_to_quarter(carrier, ms, target=lam * lam * 1.01)
+                assert out.cert <= lam * lam * 1.01
         ops = {event["op"] for event in log}
-        assert ops == ({"derandomized-square"} if route is None
-                       else {"square", "compact"})
-        assert out.cert <= lam * lam * 1.01
+        assert ops == (set() if route is None else {"square", "compact"})
