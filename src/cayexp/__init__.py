@@ -10,8 +10,7 @@ import importlib
 
 from .perm import GenSet, Perm, parse_perm, format_perm, parse_group_file
 from .bsgs import BSGS, schreier_sims, jerrum_reduce
-from .series import derived_series, quotient_context, SubgroupChain, \
-    QuotientContext
+from .series import derived_series, quotient_context, SubgroupChain
 from .multiset import Multiset, multiset
 from .carriers import PermCarrier, QuotientCarrier, VectorCarrier
 from .spectra import SpectrumReport, second_eigenvalue, certify

@@ -42,7 +42,7 @@ from .combine import (AuxInfeasibleError, CertificationError,
 from .fields import FieldSpec, construct_field
 from .multiset import Multiset, multiset
 from .perm import GenSet, Perm, commutator, format_perm
-from .series import QuotientContext, SubgroupChain, quotient_context
+from .series import SubgroupChain, quotient_context
 from .spectra import root_tables
 
 GREEDY_ORDER_CAP = 2**18
@@ -343,7 +343,7 @@ class AbelianizationHom:
     len(xs): at least 1, and usually far below the permutation degree.
     """
 
-    ctx: QuotientContext
+    quotient: QuotientCarrier
     xs: tuple[Perm, ...]
     orders: tuple[int, ...]
     primes: tuple[int, ...]
@@ -374,7 +374,7 @@ def factorize(d: int) -> list[tuple[int, int]]:
 def build_abelianization(hb: BSGS, nb: BSGS) -> AbelianizationHom:
     """The Appendix-style homomorphism onto an abelian quotient H/N."""
     from .bsgs import jerrum_reduce
-    ctx = quotient_context(hb, nb)
+    quotient = quotient_context(hb, nb)
     h = hb.gens
     for x in h.nontrivial_gens():
         for y in h.nontrivial_gens():
@@ -400,7 +400,7 @@ def build_abelianization(hb: BSGS, nb: BSGS) -> AbelianizationHom:
         ys.append(row_y)
     exps = tuple(max(row[j] for row in e_table)
                  for j in range(len(prime_set)))
-    hom = AbelianizationHom(ctx, tuple(xs), orders, tuple(prime_set),
+    hom = AbelianizationHom(quotient, tuple(xs), orders, tuple(prime_set),
                             exps, tuple(e_table), tuple(ys))
     for i, (x, r) in enumerate(zip(xs, orders)):   # order sanity
         for j, p in enumerate(prime_set):
@@ -412,18 +412,19 @@ def build_abelianization(hb: BSGS, nb: BSGS) -> AbelianizationHom:
 # abelian quotient pipeline
 
 def _level_groups(hom: AbelianizationHom) -> list[BSGS]:
-    """L_s = <N, y_ij^(p_j^s)>; L_0 = H and L_emax = N are the quotient
-    context's own BSGSs, so only the levels between are built."""
-    ctx = hom.ctx
-    out = [ctx.parent]
+    """L_s = <N, y_ij^(p_j^s)>; L_0 = H and L_emax = N are the quotient's
+    own BSGSs, so only the levels between are built."""
+    quotient = hom.quotient
+    out = [quotient.parent]
     for s in range(1, max(hom.exps)):
-        gens = list(ctx.kernel.gens.gens)
+        gens = list(quotient.kernel.gens.gens)
         for i in range(len(hom.xs)):
             for j, p in enumerate(hom.primes):
                 if hom.e_table[i][j] > s:
                     gens.append(hom.ys[i][j] ** (p**s))
-        out.append(schreier_sims(GenSet(ctx.parent.degree, tuple(gens))))
-    return out + [ctx.kernel]
+        out.append(schreier_sims(GenSet(quotient.parent.degree,
+                                        tuple(gens))))
+    return out + [quotient.kernel]
 
 
 def abelian_quotient_expander(h: BSGS, n: BSGS,
@@ -439,13 +440,11 @@ def abelian_quotient_expander(h: BSGS, n: BSGS,
     refuses an exact measurement above it.
     """
     hom = build_abelianization(h, n)
-    ctx = hom.ctx
-    if ctx.order == 1:
-        return multiset([(Perm.identity(ctx.parent.degree), 1)],
-                        cert=0.0)
+    if hom.quotient.order == 1:
+        return multiset([(Perm.identity(h.degree), 1)], cert=0.0)
     rank = len(hom.xs)
     groups = _level_groups(hom)
-    chain = SubgroupChain(tuple(groups), "normal-series", True)
+    chain = SubgroupChain(tuple(groups), True)
     require_fold_route(chain, target)
     depth = chain.length
     sets = []
@@ -453,7 +452,7 @@ def abelian_quotient_expander(h: BSGS, n: BSGS,
         live = [j for j in range(len(hom.primes)) if hom.exps[j] > s]
         live_primes = tuple(hom.primes[j] for j in live)
         r_points = _compact_r_points(rank, live_primes)
-        qcar = QuotientCarrier(quotient_context(groups[s], groups[s + 1]))
+        qcar = quotient_context(groups[s], groups[s + 1])
         # the level map a -> prod y_ij^(a_ij p_j^s), as row gathers: column
         # (j, i) of R picks one of the p_j image rows of y_ij^(a p_j^s)
         coords = r_points.coordinates()

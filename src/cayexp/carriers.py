@@ -12,22 +12,25 @@ Every carrier has one array protocol, over which multiset bookkeeping is
 written once: ``codes(ms)`` (the element array, in element order),
 ``inv_codes`` and ``mul_codes`` (row-by-row inverses and products), ``keys``
 (one sortable scalar per element, ordered like the elements), ``tally``
-(the canonical ``Multiset`` of an element array, repeats merged) and
+(the canonical ``Multiset`` of an element array, repeats merged),
 ``from_codes`` (the ``Multiset`` that stores an ascending element array;
-``decode`` makes its elements only when they are read). The
-construction's pushforwards are written on it too: a map between vector
-groups is arithmetic on coordinate rows (``abexp.vector_map``), and a map
-into a quotient multiplies gathered image rows with ``mul_codes``; either
-ends in one ``tally`` of the images with the source's multiplicities.
+``decode`` makes its elements only when they are read) and
+``inverse_positions`` (the one inverse search, which ``is_symmetric`` and
+combine's inverse-pair units read). The construction's pushforwards are
+written on it too: a map between vector groups is arithmetic on
+coordinate rows (``abexp.vector_map``), and a map into a quotient
+multiplies gathered image rows with ``mul_codes``; either ends in one
+``tally`` of the images with the source's multiplicities.
 
-A vector group codes an element as its mixed-radix index
-(``ravel_multi_index``), its own key. A permutation codes as its row of
-images, keyed by ``_row_keys``: ``PermRows`` is that much of the protocol,
-which needs only the degree; ``QuotientCarrier`` extends it. A quotient
-H/N codes a coset as the image row of its canonical representative, and
-makes inverses and products canonical per kernel level
-(``QuotientCarrier._canonical``, nothing to do over the trivial kernel);
-no element is canonicalized alone. Every
+A vector group codes an element as its mixed-radix index, its own key. A
+permutation codes as its row of images, keyed by ``_row_keys``:
+``PermRows`` is that much of the protocol, which needs only the degree.
+``QuotientCarrier(H, N)``, the package's one quotient object, extends it
+with the BSGSs of H and N; ``series.quotient_context`` makes one after
+checking that N is normal in H. A quotient H/N codes a coset as the image
+row of its canonical representative, and makes inverses and products
+canonical per kernel level (``QuotientCarrier._canonical``, nothing to do
+over the trivial kernel); no element is canonicalized alone. Every
 multiset stores codes (see ``multiset``), and ``codes(ms)`` hands them over
 when they are the carrier's own kind: codes of the same moduli, or image
 rows of the same degree; vector codes of other moduli are recoded from their
@@ -38,6 +41,8 @@ product of H's BSGS transversals; otherwise the quotient enumerates its own
 coset representatives by closure and never lists H. The carriers list no
 elements; a group or quotient above ``TABLE_CAP`` gets no table: asking
 for one raises ``MethodCapacityError``, the package's one capacity error.
+Its lookup (``_indices``, under every ``action_tables``) is the one
+membership check of a permutation element; a vector element's is ``codes``.
 """
 
 from __future__ import annotations
@@ -50,11 +55,15 @@ import numpy as np
 from .bsgs import BSGS, schreier_sims
 from .multiset import NOT_SYMMETRIC, Multiset, NonSymmetricError
 from .perm import DegreeMismatch, GenSet, Perm
-from .series import QuotientContext
 
 
 class MethodCapacityError(ValueError):
     """Group too large for the requested table or measurement method."""
+
+
+# numpy's array dimension limit is 64 (numpy >= 2.0), and ravel_multi_index
+# needs one spare
+_NUMPY_WIDTH = 63
 
 
 class _ArrayProtocol:
@@ -102,14 +111,26 @@ class _ArrayProtocol:
             mults = np.add.reduceat(weights[order], starts)
         return self.from_codes(codes[order[starts]], mults, cert)
 
-    def is_symmetric(self, ms: Multiset) -> bool:
-        """Inverse-closed with matching multiplicities: the inverses' keys
-        looked up among the elements' keys in one search. Needs no element
-        table, so it holds for groups above the cap alike."""
+    def inverse_positions(self, ms: Multiset):
+        """(codes, inverse codes, position of each inverse among the codes,
+        whether it is there): one search of the codes' keys, which canonical
+        storage keeps sorted. Needs no element table."""
         codes = self.codes(ms)
-        return _inverse_closed(self.keys(codes),
-                               self.keys(self.inv_codes(codes)),
-                               ms.mult_array())
+        keys = self.keys(codes)
+        inv = self.inv_codes(codes)
+        inv_keys = self.keys(inv)
+        pos = np.minimum(np.searchsorted(keys, inv_keys), len(keys) - 1)
+        return codes, inv, pos, keys[pos] == inv_keys
+
+    def is_symmetric(self, ms: Multiset) -> bool:
+        """Every inverse found, with its element's count, and the positions
+        paired (two non-canonical representatives of one coset share an
+        inverse; canonical codes always pair)."""
+        _, _, pos, found = self.inverse_positions(ms)
+        counts = ms.mult_array()
+        return bool(found.all()
+                    and np.array_equal(pos[pos], np.arange(len(pos)))
+                    and np.array_equal(counts[pos], counts))
 
 
 class VectorCarrier(_ArrayProtocol):
@@ -135,7 +156,10 @@ class VectorCarrier(_ArrayProtocol):
     # The code of a reduced coordinate tuple is its mixed-radix index, so
     # code order is lexicographic tuple order: sorting, merging and
     # tie-breaking by code is the same as by element. Codes are int64 while
-    # the group order fits, Python ints in an object array beyond.
+    # the group order fits, Python ints in an object array beyond. numpy's
+    # index functions do the arithmetic up to _NUMPY_WIDTH coordinates, a
+    # loop over the columns beyond (only modulus-1 columns keep such a
+    # width's order below 2^63).
 
     def rows(self, elems) -> np.ndarray:
         """(len(elems), width) int64 coordinates of reduced tuples.
@@ -158,19 +182,19 @@ class VectorCarrier(_ArrayProtocol):
         return rows
 
     def ravel(self, rows: np.ndarray) -> np.ndarray:
-        """Codes of reduced coordinate rows."""
-        if not self.moduli:                 # Z^0: one element, code 0
-            return np.zeros(len(rows), dtype=np.int64)
-        if self.order < 2**63:
+        """Codes of reduced coordinate rows (Z^0 codes its one element 0)."""
+        fits = self.order < 2**63
+        if fits and 0 < len(self.moduli) <= _NUMPY_WIDTH:
             return np.ravel_multi_index(tuple(rows.T), self.moduli)
-        code = np.zeros(len(rows), dtype=object)
+        dtype = np.int64 if fits else object
+        code = np.zeros(len(rows), dtype=dtype)
         for t, m in enumerate(self.moduli):
-            code = code * m + rows[:, t].astype(object)
+            code = code * m + rows[:, t].astype(dtype)
         return code
 
     def unravel(self, codes: np.ndarray) -> np.ndarray:
         """Coordinate rows of codes (the inverse of ravel)."""
-        if codes.dtype != object and self.moduli:
+        if codes.dtype != object and 0 < len(self.moduli) <= _NUMPY_WIDTH:
             return np.stack(np.unravel_index(codes, self.moduli), axis=1)
         rows = np.empty((len(codes), len(self.moduli)), dtype=np.int64)
         for t in reversed(range(len(self.moduli))):
@@ -220,13 +244,11 @@ class VectorCarrier(_ArrayProtocol):
         return self.unravel(codes)
 
     def action_tables(self, ms: Multiset) -> tuple[np.ndarray, np.ndarray]:
-        n = self.order
-        shape = self.moduli
-        base = np.indices(shape).reshape(len(shape), -1)
-        tables = np.empty((ms.support, n), dtype=np.int64)
-        for j, v in enumerate(self.unravel(self.codes(ms)).tolist()):
-            shifted = [(base[t] + v[t]) % shape[t] for t in range(len(shape))]
-            tables[j] = np.ravel_multi_index(shifted, shape)
+        base = self.unravel(np.arange(self.order))
+        moduli = np.array(self.moduli)
+        tables = np.empty((ms.support, self.order), dtype=np.int64)
+        for j, v in enumerate(self.unravel(self.codes(ms))):
+            tables[j] = self.ravel((base + v) % moduli)
         return tables, _weights(ms)
 
 
@@ -284,15 +306,7 @@ class PermRows(_ArrayProtocol):
 # group orders above this build no element table (nor action tables)
 TABLE_CAP = 10**6
 
-
-def _inverse_closed(keys: np.ndarray, inv_keys: np.ndarray,
-                    counts: np.ndarray) -> bool:
-    """Whether distinct elements with these keys, inverses and counts are
-    closed under inverses with matching counts: sorted by key, the
-    elements and their inverses must list the same keys and counts."""
-    by_key, by_inv = np.argsort(keys), np.argsort(inv_keys)
-    return (np.array_equal(keys[by_key], inv_keys[by_inv])
-            and np.array_equal(counts[by_key], counts[by_inv]))
+OUTSIDE = "multiset contains elements outside the group"
 
 
 def _weights(ms: Multiset) -> np.ndarray:
@@ -343,13 +357,10 @@ class QuotientCarrier(PermRows):
     image rows in H and makes inverses and products canonical.
     """
 
-    def __init__(self, ctx: QuotientContext):
-        super().__init__(ctx.parent.degree)
-        self.ctx = ctx
-
-    @property
-    def order(self) -> int:
-        return self.ctx.order
+    def __init__(self, parent: BSGS, kernel: BSGS):
+        super().__init__(parent.degree)
+        self.parent, self.kernel = parent, kernel
+        self.order = parent.order() // kernel.order()
 
     def identity(self) -> Perm:
         """N's canonical representative: the identity is the
@@ -360,7 +371,7 @@ class QuotientCarrier(PermRows):
     def _key_points(self) -> list[int]:
         # a representative is an element of H: H's base images determine
         # it; the trivial group has no base, and any point keys its element
-        return self.ctx.parent.base or [0]
+        return self.parent.base or [0]
 
     def _canonical(self, rows: np.ndarray) -> np.ndarray:
         """The canonical representatives of the cosets of image rows.
@@ -370,7 +381,7 @@ class QuotientCarrier(PermRows):
         the least image gives the least image at the base point b; u fixes
         every point below b, so the images chosen there stay.
         """
-        for lv in self.ctx.kernel.levels:
+        for lv in self.kernel.levels:
             trans = np.array([u.img for u in lv.transversal.values()],
                              dtype=rows.dtype)
             pick = np.argmin(rows[:, list(lv.transversal)], axis=1)
@@ -395,14 +406,14 @@ class QuotientCarrier(PermRows):
             raise MethodCapacityError(
                 f"group order {n} exceeds the element-table cap {TABLE_CAP}")
         deg, points = self.degree, self._key_points
-        if not self.ctx.kernel.levels:
+        if not self.kernel.levels:
             img = np.arange(deg, dtype=self._dtype)[None, :]
-            for lv in reversed(self.ctx.parent.levels):
+            for lv in reversed(self.parent.levels):
                 reps = np.array([u.img for u in lv.transversal.values()],
                                 dtype=self._dtype)
                 img = reps[:, img].reshape(-1, deg)   # (p * u)[x] = u[p[x]]
         else:
-            gens = self.codes(self.ctx.parent.gens.nontrivial_gens())
+            gens = self.codes(self.parent.gens.nontrivial_gens())
             frontier = self.codes([self.identity()])
             found, seen = [frontier], set(_row_keys(frontier[:, points],
                                                     deg).tolist())
@@ -429,17 +440,17 @@ class QuotientCarrier(PermRows):
         want = _row_keys(cols, self.degree)
         pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
         if np.any(keys[pos] != want):
-            raise KeyError("element is not in the group")
+            raise ValueError(OUTSIDE)
         return pos
 
     def _indices(self, items) -> np.ndarray:
-        """Indices of the cosets of elements of H; foreign elements raise
-        KeyError."""
+        """Indices of the cosets of elements of H: the package's one
+        membership lookup; a foreign element raises ValueError."""
         rows = self._canonical(self.codes(items))
         pos = self._find(rows[:, self._key_points])
         # a foreign row can share its base images with an element
         if np.any(self._table[0][pos] != rows):
-            raise KeyError("element is not in the group")
+            raise ValueError(OUTSIDE)
         return pos
 
     def image_rows(self, indices) -> np.ndarray:
@@ -454,7 +465,7 @@ class QuotientCarrier(PermRows):
         images, cols, _ = self._table
         n = len(images)
         sup = self.image_rows(self._indices(ms))
-        trivial = not self.ctx.kernel.levels
+        trivial = not self.kernel.levels
         # np.take casts its indices to intp on every call: once here
         take = (cols if trivial else images).astype(np.intp)
         out = np.empty((len(sup), n), dtype=np.int64)
@@ -481,8 +492,7 @@ class PermCarrier(QuotientCarrier):
 
     def __init__(self, bsgs: BSGS):
         # the trivial kernel: a BSGS with no levels, as schreier_sims gives
-        super().__init__(QuotientContext(bsgs, BSGS(GenSet(bsgs.degree))))
-        self.bsgs = bsgs
+        super().__init__(bsgs, BSGS(GenSet(bsgs.degree)))
 
     @staticmethod
     def of(g: GenSet) -> "PermCarrier":
@@ -503,15 +513,3 @@ def require_symmetric(carrier: Carrier, ms: Multiset) -> None:
     if not carrier.is_symmetric(ms):
         raise NonSymmetricError(NOT_SYMMETRIC)
 
-
-def multiset_order_check(carrier, ms: Multiset) -> bool:
-    """True when the multiset's elements all lie in the carrier's group
-    (for a quotient H/N, in H): one batched table lookup."""
-    if isinstance(carrier, VectorCarrier):
-        return (isinstance(ms.space, VectorCarrier)
-                and len(ms.space.moduli) == len(carrier.moduli))
-    try:
-        carrier._indices(ms)
-    except KeyError:
-        return False
-    return True

@@ -40,7 +40,7 @@ from .carriers import (Carrier, QuotientCarrier, VectorCarrier,
                        require_symmetric)
 from .multiset import Multiset, NonSymmetricError, multiset
 from .perm import Perm
-from .series import QuotientContext, SubgroupChain, quotient_context
+from .series import SubgroupChain, quotient_context
 from .spectra import (bias_exhaustive, exact_method, instance_seed, measure,
                       require_route, seed_body)
 
@@ -126,18 +126,13 @@ def _units(carrier: Carrier, ms: Multiset):
     A unit is an element e and, unless e is self-inverse, e^-1. Canonical
     storage sorts the elements, so element order is index order: element i
     opens a unit unless its inverse is element j < i. An inverse missing
-    from a non-symmetric multiset still joins its unit. Returns (codes,
-    inverse codes, position of each inverse among the codes, whether it
-    is there, the unit heads, whether each head is self-inverse).
+    from a non-symmetric multiset still joins its unit. Returns the
+    carrier's ``inverse_positions`` (codes, inverse codes, position of each
+    inverse among the codes, whether it is there), then the unit heads and
+    whether each head is self-inverse.
     """
-    codes = carrier.codes(ms)
-    keys = carrier.keys(codes)
-    n = len(keys)
-    inv = carrier.inv_codes(codes)
-    inv_keys = carrier.keys(inv)
-    pos = np.minimum(np.searchsorted(keys, inv_keys), n - 1)
-    found = keys[pos] == inv_keys
-    heads = np.flatnonzero(~found | (pos >= np.arange(n)))
+    codes, inv, pos, found = carrier.inverse_positions(ms)
+    heads = np.flatnonzero(~found | (pos >= np.arange(len(pos))))
     selfinv = found[heads] & (pos[heads] == heads)
     return codes, inv, pos, found, heads, selfinv
 
@@ -188,7 +183,8 @@ def compact(carrier: Carrier, ms: Multiset, target_total: int,
     budget, a heaviest-first symmetric trim is tried and kept only if its
     measured bound stays within target_cert (or the input's certificate).
     Remaining oversize totals are proportionally re-weighted under the same
-    acceptance rule. Carriers too large to re-measure are returned unchanged.
+    acceptance rule. On a carrier too large to re-measure the multiset comes
+    back gcd-reduced, and nothing more.
     """
     ms = ms.gcd_reduced()
     if ms.total <= target_total:
@@ -216,14 +212,10 @@ def compact(carrier: Carrier, ms: Multiset, target_total: int,
     if ms.total <= target_total:
         return ms
     scale = target_total / ms.total
-    mults = ms.mult_array()
-    if mults.dtype == object:
-        mults = np.array([max(1, round(m * scale)) for m in ms.mults],
-                         dtype=object)
-    else:
-        # round half to even, as Python's round
-        mults = np.maximum(1, np.rint(mults * scale)).astype(np.int64)
-    out = ms.with_mults(mults).gcd_reduced()
+    # float(m) * scale rounded half to even, as Python's round(m * scale),
+    # for int64 and Python-int (object) multiplicities alike
+    mults = np.maximum(1, np.rint(ms.mult_array().astype(np.float64) * scale))
+    out = ms.with_mults(mults.astype(np.int64)).gcd_reduced()
     lam = measure_exact(carrier, out)
     if accept is not None and lam > accept:
         return ms
@@ -555,8 +547,7 @@ def require_fold_route(chain: SubgroupChain, target: float) -> None:
     orders = chain.orders
     steps = sum(a > b for a, b in zip(orders, orders[1:]))
     if steps >= 2 and target < 0.5:
-        require_route(QuotientCarrier(
-            QuotientContext(chain.terms[0], chain.terms[-1])))
+        require_route(QuotientCarrier(chain.terms[0], chain.terms[-1]))
 
 
 def fold_series(chain: SubgroupChain, quotient_sets: list[Multiset],
@@ -595,7 +586,7 @@ def fold_series(chain: SubgroupChain, quotient_sets: list[Multiset],
             return upper
         if orders[k] == orders[l]:      # trivial quotient part
             return lower
-        q = QuotientCarrier(quotient_context(groups[k], groups[m]))
+        q = quotient_context(groups[k], groups[m])
         # A expands G_l/G_m; B's image expands (G_k/G_m)/(G_l/G_m) = G_k/G_l
         a = symmetrize(q, q.image_multiset(lower, cert=lower.cert))
         b = symmetrize(q, q.image_multiset(upper, cert=upper.cert))

@@ -1,19 +1,20 @@
-"""Derived series, normal closure, and quotient-group arithmetic.
+"""Derived series, normal closure, and the checked quotient constructor.
 
 A group is held as its BSGS, which records its generators: a chain keeps
-the BSGS of each term and a quotient context those of parent and kernel, so
-no group is built twice for its order, membership or normality.
+the BSGS of each term and a quotient (``carriers.QuotientCarrier``) those of
+parent and kernel, so no group is built twice for its order, membership or
+normality.
 
-A quotient context checks that N is normal in H and keeps both BSGSs. Its
-elements are canonical coset representatives: the canonical representative
-of N*h is the element of the coset with lexicographically smallest image
-array, so N's is the identity. ``carriers.QuotientCarrier`` finds them for
-whole arrays of image rows by descending the kernel's stabilizer chain (the
-chain stores generators at their smallest moved point, so the greedy
-position-by-position choice is exact). It numbers H/N by closure under H's
-generators, or, when N is trivial, by the product of H's transversals
-(``carriers.PermCarrier`` is H/1); nothing here canonicalizes a single
-element or lists H.
+``quotient_context(H, N)`` checks that N is normal in H and returns the
+quotient carrier H/N, the package's one quotient object. Its elements are
+canonical coset representatives: the canonical representative of N*h is
+the element of the coset with lexicographically smallest image array, so
+N's is the identity. The carrier finds them for whole arrays of image rows
+by descending the kernel's stabilizer chain (the chain stores generators at
+their smallest moved point, so the greedy position-by-position choice is
+exact). It numbers H/N by closure under H's generators, or, when N is
+trivial, by the product of H's transversals (``carriers.PermCarrier`` is
+H/1); nothing here canonicalizes a single element or lists H.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .bsgs import BSGS, schreier_sims
+from .carriers import QuotientCarrier
 from .perm import GenSet, Perm, commutator, format_perm
 
 
@@ -60,7 +62,6 @@ class SubgroupChain:
     generators and orders are read off the terms, so they cannot disagree."""
 
     terms: tuple[BSGS, ...]
-    kind: str                      # "derived-series" or "normal-series"
     solvable: bool
 
     @property
@@ -91,7 +92,7 @@ def derived_series(g: GenSet) -> SubgroupChain:
             solvable = False
             break
         terms.append(nxt)
-    return SubgroupChain(tuple(terms), "derived-series", solvable)
+    return SubgroupChain(tuple(terms), solvable)
 
 
 def dixon_bound(degree: int) -> int:
@@ -99,20 +100,8 @@ def dixon_bound(degree: int) -> int:
     return math.ceil(5 * math.log(max(degree, 2), 3))
 
 
-@dataclass
-class QuotientContext:
-    """Coset arithmetic for H/N with minimum-image canonical representatives."""
-
-    parent: BSGS
-    kernel: BSGS
-
-    @property
-    def order(self) -> int:
-        return self.parent.order() // self.kernel.order()
-
-
-def quotient_context(h: BSGS, n: BSGS) -> QuotientContext:
-    """Canonical coset arithmetic for H/N; verifies N is normal in H."""
+def quotient_context(h: BSGS, n: BSGS) -> QuotientCarrier:
+    """The quotient carrier H/N, after checking that N is normal in H."""
     if h.degree != n.degree:
         raise ValueError("degree mismatch between parent and kernel")
     for x in n.gens.nontrivial_gens():
@@ -126,4 +115,4 @@ def quotient_context(h: BSGS, n: BSGS) -> QuotientContext:
                 raise NormalityError(
                     f"not normal: conjugate {format_perm(conj)} of "
                     f"{format_perm(x)} by {format_perm(g)} lies outside N")
-    return QuotientContext(h, n)
+    return QuotientCarrier(h, n)

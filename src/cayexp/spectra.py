@@ -3,12 +3,15 @@
 Every pipeline output is certified here, and only here is it decided how,
 and whether, a multiset is measured: ``exact_method`` names a carrier's
 route, or None above its cap (where a set keeps the bound it carries and
-no squaring round can be certified), and ``measure`` runs a named route. A route asked for above its cap raises
-``MethodCapacityError`` (defined in ``carriers``). ``require_route`` is the
-one refusal of a carrier with no route left ("group order N exceeds the
-verification cap C"); ``second_eigenvalue``, the CLI's up-front check and
-every construction that must measure call it. ``second_eigenvalue`` is the
-one public verifier of a multiset, on every carrier kind. The routes:
+no squaring round can be certified), and ``measure`` runs a named route.
+A route asked for above its cap raises ``MethodCapacityError`` (defined in
+``carriers``). ``require_route`` is the one refusal of a carrier with no
+route left ("group order N exceeds the verification cap C");
+``second_eigenvalue``, the CLI's up-front check and every construction
+that must measure call it. ``second_eigenvalue``, the one public verifier
+on every carrier kind, checks symmetry, picks the route and measures.
+Membership is checked by the carrier as a route reads the multiset (the
+action tables' lookup, or ``codes`` of a vector group). The routes:
 
 * dense      -- build the |G| x |G| normalized adjacency of Cay(G,S) from the
                 right-regular action and run a symmetric eigensolver.
@@ -38,7 +41,7 @@ import numpy as np
 
 from . import _kernels
 from .carriers import (Carrier, MethodCapacityError, VectorCarrier,
-                       multiset_order_check, require_symmetric)
+                       require_symmetric)
 from .multiset import Multiset, format_rows
 
 DENSE_CAP = 10_000
@@ -237,10 +240,11 @@ def power_lambda2(carrier: Carrier, ms: Multiset, tol: float = 1e-9,
     if n > ITER_CAP:
         raise MethodCapacityError(f"group order {n} exceeds iterative cap "
                                   f"{ITER_CAP}")
+    require_symmetric(carrier, ms)
+    # built even for the trivial group: the tables' lookup checks membership
+    tables, weights = carrier.action_tables(ms)
     if n == 1:
         return MomentInterval(0.0, 0.0, 0)
-    require_symmetric(carrier, ms)
-    tables, weights = carrier.action_tables(ms)
     g = (len(weights) + n.bit_length() + 8) * float(np.finfo(np.float64).eps)
     # M fixes the constant vector, so M x_0 = M delta_0 - 1/n; M delta_0
     # holds one weight per entry, so the uniform multiset gives exactly 0.
@@ -387,10 +391,6 @@ def second_eigenvalue(carrier: Carrier, ms: Multiset,
     require_symmetric(carrier, ms)
     if method == "auto":
         method = require_route(carrier)
-    # after the capacity check: a permutation group answers membership from
-    # its element table, which the measurement then reuses
-    if not multiset_order_check(carrier, ms):
-        raise ValueError("multiset contains elements outside the group")
     return measure(carrier, ms, method)
 
 

@@ -58,11 +58,11 @@ def elements(carrier) -> list:
     return list(carrier.decode(carrier.image_rows(slice(None))))
 
 
-def canonicalize(ctx, h: Perm) -> Perm:
+def canonicalize(quotient, h: Perm) -> Perm:
     """The least-image representative of the coset N*h, one kernel level
     at a time: the level's group fixes every point below its base point,
     so the image at the base point is h[beta] for an orbit point beta."""
-    for lv in ctx.kernel.levels:
+    for lv in quotient.kernel.levels:
         beta = min(lv.transversal, key=lambda b: h.img[b])
         h = lv.transversal[beta] * h
     return h
@@ -146,7 +146,7 @@ def elem_inv(carrier, e):
     if isinstance(carrier, VectorCarrier):
         return tuple((-x) % m for x, m in zip(e, carrier.moduli))
     if isinstance(carrier, QuotientCarrier):
-        return canonicalize(carrier.ctx, e.inv())
+        return canonicalize(carrier, e.inv())
     return e.inv()
 
 
@@ -155,7 +155,7 @@ def elem_mul(carrier, a, b):
     if isinstance(carrier, VectorCarrier):
         return tuple((x + y) % m for x, y, m in zip(a, b, carrier.moduli))
     if isinstance(carrier, QuotientCarrier):
-        return canonicalize(carrier.ctx, a * b)
+        return canonicalize(carrier, a * b)
     return a * b
 
 
@@ -312,11 +312,11 @@ def kfold_embed(vec, fac, n, lo, hi, src_lo, src_hi) -> tuple:
     return tuple(out)
 
 
-def level_map(hom, qctx, s: int, live, vec) -> Perm:
+def level_map(hom, quotient, s: int, live, vec) -> Perm:
     """phi_s(a) = prod y_ij^(a_ij p_j^s) over the live prime blocks of a,
-    each block len(hom.xs) wide, as a canonical representative of qctx."""
+    each block len(hom.xs) wide, as a canonical representative of quotient."""
     rank = len(hom.xs)
-    acc = Perm.identity(qctx.parent.degree)
+    acc = Perm.identity(quotient.parent.degree)
     pos = 0
     for j in live:
         p = hom.primes[j]
@@ -325,7 +325,7 @@ def level_map(hom, qctx, s: int, live, vec) -> Perm:
             if a and hom.e_table[i][j] > s:
                 acc = acc * (hom.ys[i][j] ** (a * p**s))
         pos += rank
-    return canonicalize(qctx, acc)
+    return canonicalize(quotient, acc)
 
 
 def hom_domain(hom) -> VectorCarrier:
@@ -338,11 +338,11 @@ def hom_apply(hom, vec) -> Perm:
     """phi(a): canonical representative of N * prod y_ij^{a_ij}, the
     coordinates of a in prime blocks of len(hom.xs)."""
     rank = len(hom.xs)
-    acc = Perm.identity(hom.ctx.parent.degree)
+    acc = Perm.identity(hom.quotient.parent.degree)
     for pos, a in enumerate(vec):
         if a:
             acc = acc * (hom.ys[pos % rank][pos // rank] ** a)
-    return canonicalize(hom.ctx, acc)
+    return canonicalize(hom.quotient, acc)
 
 
 def field_pow(a, k: int):

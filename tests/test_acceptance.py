@@ -17,7 +17,7 @@ from helpers import (aux_from_rotation, canonicalize, dense_lambda2_signed,
 from cayexp import catalog
 from cayexp.abexp import final_R, r_carrier
 from cayexp.bsgs import schreier_sims
-from cayexp.carriers import PermCarrier, QuotientCarrier, VectorCarrier
+from cayexp.carriers import PermCarrier, VectorCarrier
 from cayexp.combine import (aux_family, combine_union, derandomized_square,
                             solvable_expander)
 from cayexp.epsbias import verify_bias, zdn_bias_space
@@ -91,17 +91,17 @@ def _normal_pairs():
     return pairs
 
 
-def _coset_lift_multiset(g, ctx, qcar, seed):
+def _coset_lift_multiset(g, qcar, seed):
     """Representatives of every coset, symmetrized in G (so B-hat generates)."""
     import random
     rng = random.Random(seed)
-    els = elements(PermCarrier(ctx.parent))
+    els = elements(PermCarrier(qcar.parent))
     reps = {}
     for p in els:
-        key = canonicalize(ctx, p)
+        key = canonicalize(qcar, p)
         reps.setdefault(key, []).append(p)
     pairs = {}
-    ident = Perm.identity(ctx.parent.degree)
+    ident = Perm.identity(qcar.parent.degree)
     for key, bucket in sorted(reps.items()):
         if key == ident:
             continue
@@ -113,13 +113,13 @@ def _coset_lift_multiset(g, ctx, qcar, seed):
     return multiset(pairs.items())
 
 
-def _uw_geometry_checks(gcar, ctx, a, b, lam):
+def _uw_geometry_checks(gcar, qcar, a, b, lam):
     els = elements(gcar)
     n = len(els)
     idx = {p: i for i, p in enumerate(els)}
     coset_of = {}
     for p in els:
-        coset_of[idx[p]] = canonicalize(ctx, p)
+        coset_of[idx[p]] = canonicalize(qcar, p)
     cosets = sorted(set(coset_of.values()))
     cidx = {c: j for j, c in enumerate(cosets)}
     k = len(cosets)
@@ -165,19 +165,18 @@ def test_criterion_2_main_lemma_suite(monkeypatch):
     instances = 0
     uw_checked = 0
     for g, nsub in _normal_pairs():
-        ctx = quotient_context(schreier_sims(g), schreier_sims(nsub))
-        if ctx.order == 1:
+        qcar = quotient_context(schreier_sims(g), schreier_sims(nsub))
+        if qcar.order == 1:
             continue
-        gcar = PermCarrier(ctx.parent)
-        ncar = PermCarrier(ctx.kernel)
-        qcar = QuotientCarrier(ctx)
+        gcar = PermCarrier(qcar.parent)
+        ncar = PermCarrier(qcar.kernel)
         for seed in range(7):
             a = random_symmetric_multiset(elements(ncar), 31 * seed + 1,
                                           k=min(4, ncar.order))
             lam_a = dense_lambda2(ncar, a)
             if lam_a >= 1 - 1e-12:
                 continue
-            b = _coset_lift_multiset(g, ctx, qcar, 97 * seed + 5)
+            b = _coset_lift_multiset(g, qcar, 97 * seed + 5)
             lam_b = dense_lambda2(qcar, qcar.image_multiset(b))
             lam = max(lam_a, lam_b)
             # with no route, the union keeps the lemma's analytic bound
@@ -191,7 +190,7 @@ def test_criterion_2_main_lemma_suite(monkeypatch):
             assert measured <= bound + TOL, (gcar.order, seed)
             instances += 1
             if gcar.order <= 500 and uw_checked < 30:
-                _uw_geometry_checks(gcar, ctx, a, b, lam)
+                _uw_geometry_checks(gcar, qcar, a, b, lam)
                 uw_checked += 1
     assert instances >= 100, instances
     report(2, "main combination lemma",
@@ -263,12 +262,11 @@ def test_criterion_4_quotient_spectrum_containment():
     for g, nsub in pairs:
         if schreier_sims(nsub).order() == 1:
             continue
-        ctx = quotient_context(schreier_sims(g), schreier_sims(nsub))
-        pcar = PermCarrier(ctx.parent)
+        qcar = quotient_context(schreier_sims(g), schreier_sims(nsub))
+        pcar = PermCarrier(qcar.parent)
         if pcar.order > 2000:
             continue
-        qcar = QuotientCarrier(ctx)
-        ms = strong_generator_multiset(ctx.parent)
+        ms = strong_generator_multiset(qcar.parent)
         parent = dense_spectrum(pcar, ms)
         quotient = dense_spectrum(qcar, qcar.image_multiset(ms))
         for ev in quotient:
@@ -337,7 +335,7 @@ def test_criterion_7_babai_bound():
         carrier = PermCarrier.of(g)
         if carrier.order > 10_000 or carrier.order == 1:
             continue
-        ms = strong_generator_multiset(carrier.bsgs)
+        ms = strong_generator_multiset(carrier.parent)
         lam = dense_lambda2_signed(carrier, ms)
         diam = graph_info(carrier, ms)["diameter"]
         assert lam <= babai_bound(ms.total, diam) + TOL, name

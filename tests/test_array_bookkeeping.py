@@ -25,7 +25,7 @@ def carriers():
         "A5": PermCarrier.of(catalog.a5()),
         "S4": PermCarrier.of(catalog.s4()),
         # S4 over V4, its derived term 2: order 6
-        "S4/V4": QuotientCarrier(quotient_context(s4.terms[0], s4.terms[2])),
+        "S4/V4": quotient_context(s4.terms[0], s4.terms[2]),
         "Z2xZ3": VectorCarrier((2, 3)),
     }
 
@@ -142,8 +142,8 @@ def test_bookkeeping_builds_no_element_table(monkeypatch):
     cases = ((CARRIERS["A5"], elements(CARRIERS["A5"])[1:30]),
              (CARRIERS["S4/V4"], elements(CARRIERS["S4/V4"])[1:]))
     monkeypatch.setattr("cayexp.carriers.TABLE_CAP", 23)
-    a5 = PermCarrier(cases[0][0].bsgs)
-    quo = QuotientCarrier(cases[1][0].ctx)
+    a5 = PermCarrier(cases[0][0].parent)
+    quo = QuotientCarrier(cases[1][0].parent, cases[1][0].kernel)
     for carrier, elems in ((a5, cases[0][1]), (quo, cases[1][1])):
         rng = random.Random(5)
         ms = symmetric(carrier, elems[:3], rng,

@@ -397,8 +397,7 @@ PACKAGE_NAMES = {
     "perm": ["GenSet", "Perm", "parse_perm", "format_perm",
              "parse_group_file"],
     "bsgs": ["BSGS", "schreier_sims", "jerrum_reduce"],
-    "series": ["derived_series", "quotient_context", "SubgroupChain",
-               "QuotientContext"],
+    "series": ["derived_series", "quotient_context", "SubgroupChain"],
     "multiset": ["Multiset", "multiset"],
     "carriers": ["PermCarrier", "QuotientCarrier", "VectorCarrier"],
     "spectra": ["SpectrumReport", "second_eigenvalue", "certify"],

@@ -7,8 +7,7 @@ from helpers import (analytic_rounds, aux_from_rotation, count_calls,
 
 from cayexp import abexp, carriers, catalog, combine, obs, spectra
 from cayexp.bsgs import schreier_sims
-from cayexp.carriers import (MethodCapacityError, PermCarrier,
-                             QuotientCarrier, VectorCarrier)
+from cayexp.carriers import MethodCapacityError, PermCarrier, VectorCarrier
 from cayexp.combine import (AmplificationError, AuxExpander,
                             CertificationError, SolvabilityError,
                             aux_family, aux_from_z2_multiset, balance,
@@ -87,14 +86,13 @@ class TestCombine:
         # lam = 1/4 with |A| = |B| gives (1 + 1/4)/2 = 5/8
         g = catalog.s4()
         chain = derived_series(g)
-        ctx = quotient_context(chain.terms[0], chain.terms[1])
+        qcar = quotient_context(chain.terms[0], chain.terms[1])
         a4 = chain.groups[1]
         acar = PermCarrier.of(a4)
         a = random_symmetric_multiset(elements(acar), 1, k=6)
         a = a.with_cert(dense_lambda2(acar, a))
         odd = parse_perm("(1 2)", 4)
         b = multiset([(odd, a.total // 2), (odd.inv(), a.total // 2)])
-        qcar = QuotientCarrier(ctx)
         b = b.with_cert(dense_lambda2(qcar, qcar.image_multiset(b)))
         lam = max(a.cert, b.cert)
         gcar = PermCarrier.of(g)
@@ -354,8 +352,8 @@ class TestFoldSeries:
         z4sub = GenSet(7, (x ** 3,))
         from cayexp.series import SubgroupChain
         terms = tuple(schreier_sims(h) for h in (g, z4sub, GenSet(7, ())))
-        chain = SubgroupChain(terms, "normal-series", True)
-        qcar01 = QuotientCarrier(quotient_context(terms[0], terms[1]))
+        chain = SubgroupChain(terms, True)
+        qcar01 = quotient_context(terms[0], terms[1])
         subcar = PermCarrier.of(z4sub)
         top = random_symmetric_multiset(elements(PermCarrier.of(g)), 2, k=4)
         top = qcar01.image_multiset(top)
@@ -387,7 +385,7 @@ class TestFoldSeries:
         g = catalog.s4()
         bad = GenSet(4, (parse_perm("(1 2)", 4),))   # not normal in S4
         terms = tuple(schreier_sims(h) for h in (g, bad, GenSet(4, ())))
-        chain = SubgroupChain(terms, "normal-series", True)
+        chain = SubgroupChain(terms, True)
         s = multiset([(Perm.identity(4), 1)], cert=0.0)
         with pytest.raises(ValueError, match="not normal"):
             fold_series(chain, [s, s])

@@ -33,7 +33,7 @@ class TestBabai:
             carrier = PermCarrier.of(g)
             if carrier.order > 2000 or carrier.order == 1:
                 continue
-            ms = strong_generator_multiset(carrier.bsgs)
+            ms = strong_generator_multiset(carrier.parent)
             lam = dense_lambda2_signed(carrier, ms)
             diam = graph_info(carrier, ms)["diameter"]
             assert lam <= babai_bound(ms.total, diam) + 1e-9, name
@@ -73,7 +73,7 @@ class TestGeneralExpander:
     def test_zero_rounds_when_target_loose(self):
         g = catalog.s4()
         carrier = PermCarrier.of(g)
-        ms = strong_generator_multiset(carrier.bsgs)
+        ms = strong_generator_multiset(carrier.parent)
         lam = dense_lambda2(carrier, ms)
         out = general_expander(g, min(0.999, lam + 0.2))
         assert out.counts() == ms.counts()

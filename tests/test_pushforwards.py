@@ -106,9 +106,9 @@ def test_level_images_match_reference(monkeypatch, group):
             live = [j for j in range(len(hom.primes)) if hom.exps[j] > s]
             r_points = abexp._compact_r_points(
                 rank, tuple(hom.primes[j] for j in live))
-            qctx = quotient_context(groups[s], groups[s + 1])
+            quotient = quotient_context(groups[s], groups[s + 1])
             want = ref_map_elems(
-                r_points, lambda v: level_map(hom, qctx, s, live, v),
+                r_points, lambda v: level_map(hom, quotient, s, live, v),
                 cert=r_points.cert)
             same(img, reverify(qcar, want))
             levels.add(s)

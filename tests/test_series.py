@@ -7,7 +7,6 @@ from helpers import (brute_closure, brute_commutator_subgroup, canonicalize,
 
 from cayexp import catalog
 from cayexp.bsgs import schreier_sims
-from cayexp.carriers import QuotientCarrier
 from cayexp.perm import GenSet, Perm, parse_perm
 from cayexp.series import (NormalityError, derived_series, dixon_bound,
                            quotient_context)
@@ -63,25 +62,24 @@ class TestDerivedSeries:
             assert chain.length <= dixon_bound(g.degree), name
 
 
-def canonical(ctx, perms) -> list[Perm]:
+def canonical(carrier, perms) -> list[Perm]:
     """The quotient carrier's canonical representatives of perms, computed
     for all of them at once."""
-    carrier = QuotientCarrier(ctx)
     return list(carrier.decode(carrier._canonical(carrier.codes(perms))))
 
 
 class TestQuotientContext:
     def test_s4_mod_a4_order_two(self):
         chain = derived_series(catalog.s4())
-        ctx = quotient_context(chain.terms[0], chain.terms[1])
-        assert ctx.order == 2
+        quo = quotient_context(chain.terms[0], chain.terms[1])
+        assert quo.order == 2
 
     def test_h_equals_n_gives_trivial_quotient(self):
         s4 = schreier_sims(catalog.s4())
-        ctx = quotient_context(s4, s4)
-        assert ctx.order == 1
+        quo = quotient_context(s4, s4)
+        assert quo.order == 1
         els = transversal_elements(schreier_sims(catalog.s4()))
-        assert set(canonical(ctx, els)) == {Perm.identity(4)}
+        assert set(canonical(quo, els)) == {Perm.identity(4)}
 
     def test_not_normal_is_an_error(self):
         with pytest.raises(NormalityError) as exc:
@@ -93,10 +91,10 @@ class TestQuotientContext:
         g = catalog.s4()
         chain = derived_series(g)
         v4 = chain.groups[2]
-        ctx = quotient_context(chain.terms[0], chain.terms[2])
+        quo = quotient_context(chain.terms[0], chain.terms[2])
         els = transversal_elements(schreier_sims(g))
-        can = canonical(ctx, els)
-        assert can == [canonicalize(ctx, h) for h in els]
+        can = canonical(quo, els)
+        assert can == [canonicalize(quo, h) for h in els]
         nb = schreier_sims(v4)
         for i, h1 in enumerate(els[:8]):
             for j, h2 in enumerate(els):
@@ -106,17 +104,17 @@ class TestQuotientContext:
     def test_multiplication_well_defined_thousand_pairs(self):
         g = catalog.s4()
         chain = derived_series(g)
-        ctx = quotient_context(chain.terms[0], chain.terms[2])
+        quo = quotient_context(chain.terms[0], chain.terms[2])
         els = transversal_elements(schreier_sims(g))
         rng = random.Random(5)
         pairs = [(rng.choice(els), rng.choice(els)) for _ in range(1000)]
-        lhs = canonical(ctx, [h1 * h2 for h1, h2 in pairs])
-        c1 = canonical(ctx, [h1 for h1, _ in pairs])
-        c2 = canonical(ctx, [h2 for _, h2 in pairs])
-        assert lhs == canonical(ctx, [a * b for a, b in zip(c1, c2)])
+        lhs = canonical(quo, [h1 * h2 for h1, h2 in pairs])
+        c1 = canonical(quo, [h1 for h1, _ in pairs])
+        c2 = canonical(quo, [h2 for _, h2 in pairs])
+        assert lhs == canonical(quo, [a * b for a, b in zip(c1, c2)])
 
     def test_index_computation(self):
         g = catalog.sylow2_s8()
         chain = derived_series(g)
-        ctx = quotient_context(chain.terms[0], chain.terms[1])
-        assert ctx.order == 128 // chain.orders[1]
+        quo = quotient_context(chain.terms[0], chain.terms[1])
+        assert quo.order == 128 // chain.orders[1]

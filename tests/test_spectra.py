@@ -16,7 +16,7 @@ from helpers import (count_calls, elem_inv, elements, naive_bias,
                      random_symmetric_multiset)
 
 from cayexp import _kernels, catalog, obs, spectra
-from cayexp.carriers import PermCarrier, QuotientCarrier, VectorCarrier
+from cayexp.carriers import PermCarrier, VectorCarrier
 from cayexp.combine import compact, measure_exact, reduce_to_quarter
 from cayexp.multiset import NonSymmetricError, multiset
 from cayexp.perm import GenSet, Perm, parse_perm
@@ -155,6 +155,35 @@ class TestSecondEigenvalue:
         swap = parse_perm("(1 2)", 5)
         with pytest.raises(ValueError):
             second_eigenvalue(carrier, multiset([(swap, 1)]))
+
+    @pytest.mark.parametrize("group", ["Z3", "A4/V4", "trivial"])
+    @pytest.mark.parametrize("route", ["auto", "dense", "power-iteration",
+                                       "dense_lambda2", "graph_info",
+                                       "measure dense",
+                                       "measure power-iteration"])
+    def test_foreign_element_on_every_route(self, group, route):
+        # (1 2) is an involution, but outside Z3, A4 and the trivial group;
+        # the one membership lookup refuses it on every route, the trivial
+        # group's included
+        if group == "A4/V4":
+            chain = derived_series(catalog.a4())
+            carrier = quotient_context(chain.terms[0], chain.terms[1])
+        else:
+            gens = catalog.cyclic(3).gens if group == "Z3" else ()
+            carrier = PermCarrier.of(GenSet(3, gens))
+        ms = carrier.image_multiset(
+            multiset([(parse_perm("(1 2)", carrier.degree), 1)]))
+        assert carrier.is_symmetric(ms)
+        name, _, method = route.partition(" ")
+        with pytest.raises(ValueError,
+                           match="^multiset contains elements outside "
+                                 "the group$"):
+            if name == "measure":
+                spectra.measure(carrier, ms, method)
+            elif name in ("dense_lambda2", "graph_info"):
+                getattr(spectra, name)(carrier, ms)
+            else:
+                second_eigenvalue(carrier, ms, method=name)
 
     def test_capacity_error_before_any_table(self):
         s10 = GenSet(10, (parse_perm("(1 2 3 4 5 6 7 8 9 10)", 10),
@@ -460,8 +489,7 @@ class TestGraphStructure:
         pcar = PermCarrier.of(g)
         ms = random_symmetric_multiset(elements(pcar), 3, k=4)
         for nsub in chain.terms[1:]:
-            ctx = quotient_context(chain.terms[0], nsub)
-            qcar = QuotientCarrier(ctx)
+            qcar = quotient_context(chain.terms[0], nsub)
             qms = qcar.image_multiset(ms)
             parent = dense_spectrum(pcar, ms)
             quotient = dense_spectrum(qcar, qms)
@@ -483,8 +511,7 @@ def _route_cases():
     vec = VectorCarrier((3, 5))
     s4 = PermCarrier.of(catalog.s4())
     ms = random_symmetric_multiset(elements(s4), 0, k=3)
-    ctx = quotient_context(s4.bsgs, derived_series(catalog.s4()).terms[2])
-    quo = QuotientCarrier(ctx)
+    quo = quotient_context(s4.parent, derived_series(catalog.s4()).terms[2])
     return [("Z3xZ5", vec, multiset([((0, 0), 2), ((0, 1), 1), ((0, 4), 1),
                                       ((1, 2), 1), ((2, 3), 1), ((1, 4), 1),
                                       ((2, 1), 1)])),

@@ -24,7 +24,8 @@ from cayexp.epsbias import (BiasSpace, _crt_digits, format_bias_space,
                             zdn_bias_space)
 from cayexp.multiset import NonSymmetricError, format_rows, multiset
 from cayexp.perm import DegreeMismatch, Perm
-from cayexp.spectra import instance_seed, seed_body
+from cayexp.series import derived_series, quotient_context
+from cayexp.spectra import exact_method, instance_seed, seed_body
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +62,7 @@ def oracle_trim(carrier, ms, k, seeded=False):
 
 def oracle_compact(carrier, ms, target_total, target_cert=None):
     ms = ms.gcd_reduced()
-    if ms.total <= target_total:
+    if ms.total <= target_total or exact_method(carrier) is None:
         return ms
     accept = target_cert if target_cert is not None else ms.cert
     if ms.support > target_total:
@@ -132,6 +133,28 @@ def trim_cases():
                   symmetric(c, rng.sample(els, 8), rng)))
     cases.append(("perm non-symmetric", c, multiset(
         [(e, rng.randint(1, 4)) for e in rng.sample(els, 12)])))
+    # every key kind of the one inverse search: void row keys (Z_30 on 30
+    # points), a proper quotient's canonical rows, object vector codes
+    c = PermCarrier.of(catalog.cyclic(30))
+    assert c.keys(c.codes([c.identity()])).dtype.kind == "V"
+    els = elements(c)
+    cases.append(("void keys symmetric", c,
+                  symmetric(c, rng.sample(els, 8), rng)))
+    cases.append(("void keys non-symmetric", c, multiset(
+        [(e, rng.randint(1, 4)) for e in rng.sample(els, 12)])))
+    s4 = derived_series(catalog.s4())
+    c = quotient_context(s4.terms[0], s4.terms[2])
+    els = elements(c)
+    cases.append(("S4/V4 symmetric", c, symmetric(c, els[1:4], rng)))
+    cases.append(("S4/V4 non-symmetric", c, multiset(
+        [(e, rng.randint(1, 4)) for e in els[1:5]])))
+    c = VectorCarrier((2,) * 70)       # every element self-inverse
+    cases.append(("object codes Z2^70", c, multiset(
+        [(e, rng.randint(1, 4)) for e in random_elems(c.moduli, 30, rng)])))
+    c = VectorCarrier((3,) + (2,) * 69)
+    cases.append(("object codes non-symmetric", c, multiset(
+        [(e, rng.randint(1, 4)) for e in random_elems(c.moduli, 30, rng)])))
+    assert all(ms.codes.dtype == object for _, _, ms in cases[-2:])
     return cases
 
 
@@ -492,6 +515,19 @@ def test_perm_symmetry_needs_no_element_table():
             carrier.is_symmetric(ms)
 
 
+def test_quotient_symmetry_needs_paired_positions():
+    # the identity and (1 2)(3 4) are two representatives of A4/V4's
+    # identity coset: both inverses are found (at the identity) with equal
+    # counts, but the positions do not pair, and the stored rows are not
+    # inverse-closed
+    chain = derived_series(catalog.a4())
+    carrier = quotient_context(chain.terms[0], chain.terms[1])
+    ms = multiset([(Perm.identity(4), 1), (Perm((1, 0, 3, 2)), 1)])
+    assert carrier.inverse_positions(ms)[2].tolist() == [0, 0]
+    assert not carrier.is_symmetric(ms)
+    assert carrier.is_symmetric(carrier.image_multiset(ms))
+
+
 def test_proportional_reweight_matches_round_loop():
     # scale 1/2 puts every odd multiplicity on a tie; 2^53 + 1 and 2^60 + 3
     # round on their conversion to float
@@ -510,10 +546,36 @@ def test_proportional_reweight_matches_round_loop():
 
 
 def test_proportional_reweight_of_python_int_multiplicities():
-    carrier = VectorCarrier((8,))
-    ms = multiset([((1,), 2**64 + 1), ((7,), 2**64 + 1), ((4,), 3)])
-    assert ms.mult_array().dtype == object
-    got = compact(carrier, ms, 1000)
-    want = oracle_compact(carrier, ms, 1000)
-    assert (got.elems, got.mults, got.cert) == \
-        (want.elems, want.mults, want.cert)
+    # one float path for int64 and object multiplicities: float(m) * scale
+    # rounded half to even is Python's round(m * scale) on every input
+    rng = random.Random(11)
+    cases = [(VectorCarrier((8,)), multiset(
+        [((1,), 2**64 + 1), ((7,), 2**64 + 1), ((4,), 3)]), 1000)]
+    for _ in range(40):
+        elems = rng.sample(range(16), rng.randint(2, 16))
+        cases.append((VectorCarrier((16,)), multiset(
+            [((x,), rng.randint(1, 2**rng.randint(1, 100))) for x in elems]
+            + [((0,), 2**63)]), rng.randint(256, 2048)))
+    for carrier, ms, target in cases:
+        assert ms.total >= 2**63 and ms.mult_array().dtype == object
+        got = compact(carrier, ms, target)
+        want = oracle_compact(carrier, ms, target)
+        assert (got.elems, got.mults, got.cert) == \
+            (want.elems, want.mults, want.cert)
+
+
+@pytest.mark.parametrize("width", [63, 64, 65])
+def test_codes_wider_than_numpy_index_functions(width):
+    # modulus-1 columns keep the order below 2^63 at any width; past
+    # numpy's dimension limit the codes come from the column loop, int64
+    ms = multiset([((1,) + (0,) * (width - 1), 1)])
+    carrier = ms.space
+    assert carrier.moduli == (2,) + (1,) * (width - 1)
+    assert ms.codes.dtype == np.int64 and ms.codes.tolist() == [1]
+    assert ms.elems == ((1,) + (0,) * (width - 1),)
+    assert carrier.is_symmetric(ms)
+    tables, _ = carrier.action_tables(ms)
+    assert tables.tolist() == [[1, 0]]
+    wide = VectorCarrier((3,) + (1,) * (width - 1))
+    assert wide.codes(ms).tolist() == [1]
+    assert wide.inv_codes(wide.codes(ms)).tolist() == [2]
