@@ -43,6 +43,13 @@ elements; a group or quotient above ``TABLE_CAP`` gets no table: asking
 for one raises ``MethodCapacityError``, the package's one capacity error.
 Its lookup (``_indices``, under every ``action_tables``) is the one
 membership check of a permutation element; a vector element's is ``codes``.
+
+A group or quotient within ``DENSE_CAP``, the order up to which
+``spectra`` measures densely, also keeps its whole Cayley table (int32,
+order x order): one chunked gather and search over all its elements, made
+on its first ``action_tables`` call and kept as long as the carrier. Its
+action tables are then rows of that table. Above the cap each call
+searches the products of its support alone, a chunk of rows at a time.
 """
 
 from __future__ import annotations
@@ -150,6 +157,14 @@ class VectorCarrier(_ArrayProtocol):
 
     def identity(self):
         return (0,) * len(self.moduli)
+
+    @property
+    def fft_shape(self) -> tuple[int, ...]:
+        """The moduli above 1: the weight tensor's shape for an FFT. A
+        size-1 axis is the identity there, and without them any width fits
+        numpy's 64 dimensions below the exhaustive cap (the trivial group
+        keeps one axis)."""
+        return tuple(m for m in self.moduli if m > 1) or (1,)
 
     # -- integer codes -------------------------------------------------------
     #
@@ -305,6 +320,9 @@ class PermRows(_ArrayProtocol):
 
 # group orders above this build no element table (nor action tables)
 TABLE_CAP = 10**6
+# group orders up to this take spectra's dense route, and their carriers
+# keep one whole Cayley table
+DENSE_CAP = 10_000
 
 OUTSIDE = "multiset contains elements outside the group"
 
@@ -457,18 +475,18 @@ class QuotientCarrier(PermRows):
         """The image rows of the elements at the given indices."""
         return self._table[0][indices]
 
-    def action_tables(self, ms: Multiset) -> tuple[np.ndarray, np.ndarray]:
-        """Indices of e * s: a row per support element s, a column per
-        element e of the table. Per chunk, one gather and one search: over
-        a trivial kernel the gather takes base images alone (they determine
-        an element of H), otherwise whole rows, then made canonical."""
+    def _products(self, sup: np.ndarray, dtype) -> np.ndarray:
+        """Indices of e * s: a row per image row s of ``sup``, a column per
+        element e of the table. Per chunk of rows, one gather and one
+        search: over a trivial kernel the gather takes base images alone
+        (they determine an element of H), otherwise whole rows, then made
+        canonical."""
         images, cols, _ = self._table
         n = len(images)
-        sup = self.image_rows(self._indices(ms))
         trivial = not self.kernel.levels
         # np.take casts its indices to intp on every call: once here
         take = (cols if trivial else images).astype(np.intp)
-        out = np.empty((len(sup), n), dtype=np.int64)
+        out = np.empty((len(sup), n), dtype=dtype)
         step = max(1, _CHUNK_ENTRIES // n)
         for j in range(0, len(sup), step):
             # (e * s)[x] = s[e[x]] for every element e and support row s
@@ -477,7 +495,26 @@ class QuotientCarrier(PermRows):
             if not trivial:
                 prods = self._canonical(prods)[:, self._key_points]
             out[j:j + step] = self._find(prods).reshape(-1, n)
-        return out, _weights(ms)
+        return out
+
+    @cached_property
+    def _cayley(self) -> np.ndarray:
+        """The Cayley table C[j, i] = index of e_i * e_j, as int32: at most
+        DENSE_CAP^2 entries, half the dense route's float64 matrix."""
+        return self._products(self._table[0], np.int32)
+
+    def action_tables(self, ms: Multiset) -> tuple[np.ndarray, np.ndarray]:
+        """Indices of e * s: a row per support element s, a column per
+        element e of the table. Up to DENSE_CAP elements they are rows of
+        the carrier's one Cayley table, built on the first call; above it
+        they are searched for the support alone, a chunk of rows at a
+        time."""
+        idx = self._indices(ms)
+        if self.order <= DENSE_CAP:
+            tables = self._cayley[idx]
+        else:
+            tables = self._products(self.image_rows(idx), np.int64)
+        return tables, _weights(ms)
 
     def image_multiset(self, ms: Multiset,
                        cert: float | None = None) -> Multiset:

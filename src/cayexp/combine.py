@@ -394,7 +394,7 @@ def square_multiset(carrier: Carrier, ms: Multiset) -> Multiset:
             spec = _kernels.walsh_hadamard(w)
             conv = _kernels.walsh_hadamard(spec * spec) / carrier.order
         else:
-            spec = np.fft.fftn(w.reshape(carrier.moduli))
+            spec = np.fft.fftn(w.reshape(carrier.fft_shape))
             conv = np.fft.ifftn(spec * spec).real.ravel()
         counts = np.rint(conv).astype(np.int64)
         nz = np.flatnonzero(counts)

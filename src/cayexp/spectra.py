@@ -9,9 +9,12 @@ A route asked for above its cap raises ``MethodCapacityError`` (defined in
 route left ("group order N exceeds the verification cap C");
 ``second_eigenvalue``, the CLI's up-front check and every construction
 that must measure call it. ``second_eigenvalue``, the one public verifier
-on every carrier kind, checks symmetry, picks the route and measures.
-Membership is checked by the carrier as a route reads the multiset (the
-action tables' lookup, or ``codes`` of a vector group). The routes:
+on every carrier kind, picks the route and measures. Symmetry is checked
+once (``require_symmetric``): by the dense and power routes, and by
+``second_eigenvalue`` itself for the character sums, which ``measure``
+also takes as the bias of multisets that are not symmetric. Membership is
+checked by the carrier as a route reads the multiset (the action tables'
+lookup, or ``codes`` of a vector group). The routes:
 
 * dense      -- build the |G| x |G| normalized adjacency of Cay(G,S) from the
                 right-regular action and run a symmetric eigensolver.
@@ -40,11 +43,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .carriers import (Carrier, MethodCapacityError, VectorCarrier,
-                       require_symmetric)
+from .carriers import (DENSE_CAP, Carrier, MethodCapacityError,
+                       VectorCarrier, require_symmetric)
 from .multiset import Multiset, format_rows
 
-DENSE_CAP = 10_000
 ITER_CAP = 1_000_000
 EXHAUSTIVE_CHAR_CAP = 2_000_000
 # power_lambda2 stops once its upper end lies this close to its lower end
@@ -140,7 +142,7 @@ def bias_exhaustive(carrier: VectorCarrier, ms: Multiset) -> float:
     if set(carrier.moduli) == {2} and ms.total < 2**53:
         mags = np.abs(_kernels.walsh_hadamard(flat))
     else:
-        mags = np.abs(np.fft.fftn(flat.reshape(carrier.moduli))).ravel()
+        mags = np.abs(np.fft.fftn(flat.reshape(carrier.fft_shape))).ravel()
     mags[0] = 0.0
     return float(mags.max() / w.sum())
 
@@ -387,10 +389,14 @@ def second_eigenvalue(carrier: Carrier, ms: Multiset,
                       method: str = "auto") -> SpectrumReport:
     """Certified lambda2 of Cay(G, S) for a symmetric multiset S, by
     ``exact_method``'s route unless a method is named. Above the caps
-    MethodCapacityError."""
-    require_symmetric(carrier, ms)
+    MethodCapacityError. A multiset that is not symmetric raises
+    NonSymmetricError, checked once: by the dense and power routes
+    themselves, here for the character sums, which also give the bias of
+    multisets that are not symmetric (``combine.compact``)."""
     if method == "auto":
         method = require_route(carrier)
+    if method == "character-sum":
+        require_symmetric(carrier, ms)
     return measure(carrier, ms, method)
 
 

@@ -7,19 +7,27 @@ come straight from numpy on explicitly built matrices.
 """
 
 import cmath
+import inspect
 import random
 import sys
 
 import numpy as np
 
 import cayexp
-from cayexp import bsgs, obs, spectra
+from cayexp import bsgs, catalog, obs, spectra
 from cayexp.carriers import QuotientCarrier, VectorCarrier
 from cayexp.combine import AmplificationError, AuxExpander
 from cayexp.multiset import (NOT_SYMMETRIC, Multiset, NonSymmetricError,
                              multiset)
 from cayexp.perm import GenSet, Perm
 from cayexp.spectra import dense_spectrum
+
+
+# every named group of the catalog (each lies below DENSE_CAP)
+CATALOG_GROUPS = sorted(
+    name for name, fn in inspect.getmembers(catalog, inspect.isfunction)
+    if fn.__module__ == catalog.__name__ and not name.startswith("_")
+    and not inspect.signature(fn).parameters)
 
 
 def brute_closure(g: GenSet) -> set[Perm]:

@@ -12,11 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import canonicalize, elements, transversal_elements
+from helpers import (CATALOG_GROUPS, canonicalize, elements,
+                     transversal_elements)
 
 from cayexp import carriers, catalog
-from cayexp.carriers import MethodCapacityError, PermCarrier
+from cayexp.carriers import MethodCapacityError, PermCarrier, QuotientCarrier
 from cayexp.combine import square_multiset
+from cayexp.general import general_expander
 from cayexp.multiset import multiset
 from cayexp.perm import DegreeMismatch, GenSet, Perm, parse_perm
 from cayexp.series import derived_series, quotient_context
@@ -75,7 +77,9 @@ def test_matches_perm_loop_oracle(name):
     ("A6", 360),            # integer keys, the whole group as support
     ("Z2^9 on 300", 260),   # byte keys, two full chunks and a short one
 ])
-def test_action_tables_span_several_chunks(name, support):
+def test_action_tables_span_several_chunks(monkeypatch, name, support):
+    # above the cut-over the tables are searched per support, in chunks
+    monkeypatch.setattr(carriers, "DENSE_CAP", 0)
     carrier = PermCarrier.of(GROUPS[name]())
     oracle = sorted(transversal_elements(carrier.parent))
     index = {p: i for i, p in enumerate(oracle)}
@@ -86,6 +90,70 @@ def test_action_tables_span_several_chunks(name, support):
     tables, _ = carrier.action_tables(ms)
     expected = [[index[e * s] for e in oracle] for s in ms.elems]
     assert tables.tolist() == expected
+    assert "_cayley" not in carrier.__dict__
+
+
+# groups on either side of the Cayley-table cut-over: every catalog group,
+# byte row keys and the trivial group (and the quotient S4/V4)
+CUT_OVER = {name: getattr(catalog, name) for name in CATALOG_GROUPS}
+CUT_OVER.update({"Z2^9 on 300": GROUPS["Z2^9 on 300"],
+                 "trivial": lambda: GenSet(3, ())})
+
+
+def cut_over_carrier(name):
+    """A fresh carrier: it has built no tables yet."""
+    if name == "S4/V4":
+        chain = derived_series(catalog.s4())
+        return quotient_context(chain.terms[0], chain.terms[2])
+    return PermCarrier.of(CUT_OVER[name]())
+
+
+@pytest.mark.parametrize("name", sorted(CUT_OVER) + ["S4/V4"])
+def test_cayley_table_rows_equal_support_search(monkeypatch, name):
+    # up to DENSE_CAP the tables are rows of the carrier's one int32 Cayley
+    # table, above it a search per support row: the same indices either way
+    below = cut_over_carrier(name)
+    ms = sample_multiset(elements(below), 2, k=4)
+    tables, weights = below.action_tables(ms)
+    assert tables.dtype == np.int32
+    assert below._cayley.shape == (below.order, below.order)
+    monkeypatch.setattr(carriers, "DENSE_CAP", below.order - 1)
+    above = cut_over_carrier(name)
+    searched, same = above.action_tables(ms)
+    assert "_cayley" not in above.__dict__
+    assert searched.dtype == np.int64
+    assert np.array_equal(tables, searched)
+    assert np.array_equal(weights, same)
+
+
+def test_general_expander_searches_one_cayley_table(monkeypatch):
+    # A5's carrier searches its elements once for its whole Cayley table;
+    # every other search is a lookup of a multiset's support
+    found, looked_up, products = [], [], []
+    find, indices, table = (QuotientCarrier._find, QuotientCarrier._indices,
+                            QuotientCarrier._products)
+
+    def spy_find(self, cols):
+        found.append(len(cols))
+        return find(self, cols)
+
+    def spy_indices(self, items):
+        out = indices(self, items)
+        looked_up.append(len(out))
+        return out
+
+    def spy_products(self, sup, dtype):
+        products.append((self.order, len(sup)))
+        return table(self, sup, dtype)
+
+    monkeypatch.setattr(QuotientCarrier, "_find", spy_find)
+    monkeypatch.setattr(QuotientCarrier, "_indices", spy_indices)
+    monkeypatch.setattr(QuotientCarrier, "_products", spy_products)
+    out = general_expander(catalog.a5(), 1 / 16)
+    assert out.cert <= 1 / 16
+    assert products == [(60, 60)]
+    assert len(looked_up) > 1
+    assert sum(found) == 60 * 60 + sum(looked_up)
 
 
 OUTSIDE = "outside the group"

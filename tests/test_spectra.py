@@ -1,5 +1,4 @@
 import importlib.util
-import inspect
 import json
 import math
 import os
@@ -11,11 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import (count_calls, elem_inv, elements, naive_bias,
-                     naive_cayley_lambda2, projective_line,
+from helpers import (CATALOG_GROUPS, count_calls, elem_inv, elements,
+                     naive_bias, naive_cayley_lambda2, projective_line,
                      random_symmetric_multiset)
 
-from cayexp import _kernels, catalog, obs, spectra
+from cayexp import _kernels, carriers, catalog, obs, spectra
 from cayexp.carriers import PermCarrier, VectorCarrier
 from cayexp.combine import compact, measure_exact, reduce_to_quarter
 from cayexp.multiset import NonSymmetricError, multiset
@@ -45,12 +44,6 @@ def hypercube_carrier(t):
 # upper ends of the moment iteration (lower end a power ratio, upper end
 # (n ||x_k||^2)^{1/(2k)}) on the verify-large items, rounded down
 MOMENT_UPPER_ENDS = {"PSL2_29": 0.82538, "A8": 0.79249, "S8": 0.73842}
-
-# every named group of the catalog (each lies below DENSE_CAP)
-CATALOG_GROUPS = sorted(
-    name for name, fn in inspect.getmembers(catalog, inspect.isfunction)
-    if fn.__module__ == catalog.__name__ and not name.startswith("_")
-    and not inspect.signature(fn).parameters)
 
 
 def _load_perfbench(name):
@@ -149,6 +142,34 @@ class TestSecondEigenvalue:
         g, carrier = z_n_carrier(5)
         with pytest.raises(NonSymmetricError):
             second_eigenvalue(carrier, multiset([(g, 1)]))
+
+    @pytest.mark.parametrize("group,route", [
+        ("S4", "auto"), ("S4", "dense"), ("S4", "power-iteration"),
+        ("Z5", "auto"), ("Z5", "character-sum")])
+    def test_one_symmetry_check_per_route(self, monkeypatch, group, route):
+        # one symmetry check per call, whichever route measures; every
+        # route refuses a multiset that is not symmetric
+        if group == "Z5":
+            carrier = VectorCarrier((5,))
+            ok = multiset([((1,), 1), ((4,), 1)])
+            bad = multiset([((1,), 1)])
+        else:
+            carrier = PermCarrier.of(catalog.s4())
+            g = parse_perm("(1 2 3 4)", 4)
+            ok = multiset([(g, 1), (g.inv(), 1), (parse_perm("(1 2)", 4), 1)])
+            bad = multiset([(g, 1)])
+        calls = []
+        original = carriers._ArrayProtocol.is_symmetric
+
+        def counted(self, ms):
+            calls.append(ms)
+            return original(self, ms)
+
+        monkeypatch.setattr(carriers._ArrayProtocol, "is_symmetric", counted)
+        second_eigenvalue(carrier, ok, method=route)
+        assert calls == [ok]
+        with pytest.raises(NonSymmetricError):
+            second_eigenvalue(carrier, bad, method=route)
 
     def test_rejects_foreign_elements(self):
         _, carrier = z_n_carrier(5)

@@ -25,7 +25,8 @@ from cayexp.epsbias import (BiasSpace, _crt_digits, format_bias_space,
 from cayexp.multiset import NonSymmetricError, format_rows, multiset
 from cayexp.perm import DegreeMismatch, Perm
 from cayexp.series import derived_series, quotient_context
-from cayexp.spectra import exact_method, instance_seed, seed_body
+from cayexp.spectra import (exact_method, instance_seed, second_eigenvalue,
+                            seed_body)
 
 
 # ---------------------------------------------------------------------------
@@ -579,3 +580,7 @@ def test_codes_wider_than_numpy_index_functions(width):
     wide = VectorCarrier((3,) + (1,) * (width - 1))
     assert wide.codes(ms).tolist() == [1]
     assert wide.inv_codes(wide.codes(ms)).tolist() == [2]
+    # the FFTs drop the modulus-1 axes, so the width does not count there
+    assert second_eigenvalue(carrier, ms).lambda2 == 1.0
+    square = square_multiset(carrier, ms)
+    assert square.elems == ((0,) * width,) and square.mults == (1,)
