@@ -7,6 +7,15 @@ what the minimum-image coset canonicalization of
 ``carriers.QuotientCarrier`` descends.
 Transversal representatives u_beta satisfy u_beta[b] = beta, so every group
 element factors uniquely as stab_element * u_beta.
+
+The chain holds image tuples, not ``Perm`` objects: each level keeps its
+strong generators, its transversal and the transversal's inverses as tuples
+(the inverses made once per orbit walk, so a sift step is one product), and
+hands the transversal to the carriers as an image-row array (``rows``, one
+row per orbit point in walk order, the identity first, made when first read
+after a walk). ``Perm`` objects are made only where the API hands them out:
+``strong_gens()``, a level's ``transversal``, and the ``gens`` and the
+argument of ``contains`` that callers hold.
 Nothing here enumerates a group or has a size cap: the element table, and
 the ``MethodCapacityError`` above its cap, are ``carriers.QuotientCarrier``'s
 (a permutation group is its quotient by the trivial subgroup), capped at
@@ -15,16 +24,68 @@ the quotient's own order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import itemgetter
+
+import numpy as np
 
 from .perm import GenSet, Perm
 
 
-@dataclass
+def _mul(p: tuple, q: tuple) -> tuple:
+    """The images of p * q: (p * q)[x] = q[p[x]]. A group with a level has
+    degree 2 or more, so the getter returns a tuple."""
+    return itemgetter(*p)(q)
+
+
+def _inv(p: tuple) -> tuple:
+    out = [0] * len(p)
+    for i, j in enumerate(p):
+        out[j] = i
+    return tuple(out)
+
+
 class _Level:
-    point: int
-    gens: list[Perm] = field(default_factory=list)
-    transversal: dict[int, Perm] = field(default_factory=dict)
+    """A base point, the strong generators stored there, and the
+    transversal of the point's orbit under the group at this level:
+    ``reps[beta]`` is the image tuple of u_beta, ``inverses[beta]`` that of
+    its inverse, in the order the orbit walk found them."""
+
+    def __init__(self, point: int):
+        self.point = point
+        self.gens: list[tuple] = []
+        self.reps: dict[int, tuple] = {}
+        self.inverses: dict[int, tuple] = {}
+        self._arrays: tuple[np.ndarray, np.ndarray] | None = None
+
+    def set_transversal(self, reps: dict[int, tuple]) -> None:
+        self.reps = reps
+        self.inverses = {b: _inv(u) for b, u in reps.items()}
+        self._arrays = None
+
+    def _orbit_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._arrays is None:
+            reps = list(self.reps.values())
+            dtype = np.min_scalar_type(len(reps[0]) - 1)
+            self._arrays = (np.fromiter(self.reps, dtype=np.intp),
+                            np.array(reps, dtype=dtype))
+        return self._arrays
+
+    @property
+    def points(self) -> np.ndarray:
+        """The orbit of the base point, in walk order (the point first)."""
+        return self._orbit_arrays()[0]
+
+    @property
+    def rows(self) -> np.ndarray:
+        """(orbit, degree) image rows of the transversal, one per orbit
+        point, the identity first; the smallest unsigned dtype that holds
+        the points, as the carriers store image rows."""
+        return self._orbit_arrays()[1]
+
+    @property
+    def transversal(self) -> dict[int, Perm]:
+        """The transversal as permutations, keyed by orbit point."""
+        return {b: Perm(u) for b, u in self.reps.items()}
 
 
 class BSGS:
@@ -35,6 +96,7 @@ class BSGS:
         self.gens = gens
         self.degree = gens.degree
         self.levels: list[_Level] = []
+        self._identity = tuple(range(self.degree))
 
     # -- construction -------------------------------------------------------
     #
@@ -43,44 +105,44 @@ class BSGS:
     # so orbits and Schreier generators at level i must range over that
     # whole suffix.
 
-    def _level_gens(self, i: int) -> list[Perm]:
+    def _level_gens(self, i: int) -> list[tuple]:
         return [g for lv in self.levels[i:] for g in lv.gens]
 
     def _rebuild_orbit(self, i: int) -> None:
         lv = self.levels[i]
         gens = self._level_gens(i)
-        trans = {lv.point: Perm.identity(self.degree)}
+        reps = {lv.point: self._identity}
         frontier = [lv.point]
         while frontier:
             nxt = []
             for a in frontier:
-                u = trans[a]
+                u = reps[a]
                 for gen in gens:
-                    b = gen.img[a]
-                    if b not in trans:
-                        trans[b] = u * gen
+                    b = gen[a]
+                    if b not in reps:
+                        reps[b] = _mul(u, gen)
                         nxt.append(b)
             frontier = sorted(nxt)
-        lv.transversal = trans
+        lv.set_transversal(reps)
 
-    def _sift(self, p: Perm) -> tuple[Perm, int]:
-        """Reduce p through the chain; returns (residue, failing level)."""
-        for i, lv in enumerate(self.levels):
-            beta = p.img[lv.point]
+    def _sift(self, p: tuple) -> tuple:
+        """The residue of p reduced through the chain."""
+        for lv in self.levels:
+            beta = p[lv.point]
             if beta == lv.point:
                 continue
-            u = lv.transversal.get(beta)
-            if u is None:
-                return p, i
-            p = p * u.inv()
-        return p, len(self.levels)
+            inv = lv.inverses.get(beta)
+            if inv is None:
+                return p
+            p = _mul(p, inv)
+        return p
 
-    def _add(self, p: Perm) -> bool:
+    def _add(self, p: tuple) -> bool:
         """Add an element to the generated group; True if it was new."""
-        residue, _ = self._sift(p)
-        if residue.is_identity():
+        residue = self._sift(p)
+        if residue == self._identity:
             return False
-        moved = min(x for x in range(self.degree) if residue.img[x] != x)
+        moved = next(x for x, y in enumerate(residue) if x != y)
         i = 0
         while i < len(self.levels) and self.levels[i].point < moved:
             i += 1
@@ -98,18 +160,19 @@ class BSGS:
             changed = False
             for i in reversed(range(len(self.levels))):
                 lv = self.levels[i]
-                for beta in sorted(lv.transversal):
-                    u = lv.transversal[beta]
+                for beta in sorted(lv.reps):
+                    u = lv.reps[beta]
                     for gen in self._level_gens(i):
-                        rep = lv.transversal[gen.img[beta]]
-                        schreier = u * gen * rep.inv()
+                        # u * gen * rep^-1, rep the representative of
+                        # gen[beta] in the level's current transversal
+                        schreier = _mul(_mul(u, gen), lv.inverses[gen[beta]])
                         if self._add(schreier):
                             changed = True
 
     def adjoin(self, p: Perm) -> None:
         """Add p to the generators; the chain stays complete."""
         self.gens = GenSet(self.degree, self.gens.gens + (p,))
-        self._add(p)
+        self._add(p.img)
         self._complete()
 
     # -- queries -------------------------------------------------------------
@@ -125,26 +188,25 @@ class BSGS:
             for g in lv.gens:
                 if g not in seen:
                     seen.add(g)
-                    out.append(g)
+                    out.append(Perm(g))
         return out
 
     def order(self) -> int:
         n = 1
         for lv in self.levels:
-            n *= len(lv.transversal)
+            n *= len(lv.reps)
         return n
 
     def contains(self, p: Perm) -> bool:
         if p.degree != self.degree:
             raise ValueError(f"degree mismatch: {p.degree} vs {self.degree}")
-        residue, _ = self._sift(p)
-        return residue.is_identity()
+        return self._sift(p.img) == self._identity
 
 
 def schreier_sims(g: GenSet) -> BSGS:
     b = BSGS(g)
     for p in g.nontrivial_gens():
-        b._add(p)
+        b._add(p.img)
     b._complete()
     return b
 

@@ -37,8 +37,9 @@ rows of the same degree; vector codes of other moduli are recoded from their
 coordinates. None of this needs the element table: an (order, degree) image
 array in lexicographic order, searched by base-point images, from which
 action tables are numpy gathers. Over the trivial kernel it is the
-product of H's BSGS transversals; otherwise the quotient enumerates its own
-coset representatives by closure and never lists H. The carriers list no
+product of H's BSGS transversals, read as the image rows the chain keeps
+(``bsgs``); otherwise the quotient enumerates its own coset representatives
+by closure and never lists H. The carriers list no
 elements; a group or quotient above ``TABLE_CAP`` gets no table: asking
 for one raises ``MethodCapacityError``, the package's one capacity error.
 Its lookup (``_indices``, under every ``action_tables``) is the one
@@ -46,10 +47,13 @@ membership check of a permutation element; a vector element's is ``codes``.
 
 A group or quotient within ``DENSE_CAP``, the order up to which
 ``spectra`` measures densely, also keeps its whole Cayley table (int32,
-order x order): one chunked gather and search over all its elements, made
-on its first ``action_tables`` call and kept as long as the carrier. Its
-action tables are then rows of that table. Above the cap each call
-searches the products of its support alone, a chunk of rows at a time.
+order x order), made on its first ``action_tables`` call and kept as long
+as the carrier. It is composed, not searched: one search gives the rows
+of H's generators, and breadth-first along them every other row is a
+gather of a known one, row(g * s) = row(s)[row(g)] (``_cayley``); a
+group is the quotient G/1 and composes alike. Its action tables are then
+rows of that table. Above the cap each call searches the products of its
+support alone, a chunk of rows at a time.
 """
 
 from __future__ import annotations
@@ -400,11 +404,9 @@ class QuotientCarrier(PermRows):
         every point below b, so the images chosen there stay.
         """
         for lv in self.kernel.levels:
-            trans = np.array([u.img for u in lv.transversal.values()],
-                             dtype=rows.dtype)
-            pick = np.argmin(rows[:, list(lv.transversal)], axis=1)
+            pick = np.argmin(rows[:, lv.points], axis=1)
             # (u * p)[x] = p[u[x]]; u moves the base point to p's argmin
-            rows = np.take_along_axis(rows, trans[pick], axis=1)
+            rows = np.take_along_axis(rows, lv.rows[pick], axis=1)
         return rows
 
     def inv_codes(self, rows: np.ndarray) -> np.ndarray:
@@ -427,9 +429,8 @@ class QuotientCarrier(PermRows):
         if not self.kernel.levels:
             img = np.arange(deg, dtype=self._dtype)[None, :]
             for lv in reversed(self.parent.levels):
-                reps = np.array([u.img for u in lv.transversal.values()],
-                                dtype=self._dtype)
-                img = reps[:, img].reshape(-1, deg)   # (p * u)[x] = u[p[x]]
+                # (p * u)[x] = u[p[x]]
+                img = lv.rows[:, img].reshape(-1, deg)
         else:
             gens = self.codes(self.parent.gens.nontrivial_gens())
             frontier = self.codes([self.identity()])
@@ -500,8 +501,47 @@ class QuotientCarrier(PermRows):
     @cached_property
     def _cayley(self) -> np.ndarray:
         """The Cayley table C[j, i] = index of e_i * e_j, as int32: at most
-        DENSE_CAP^2 entries, half the dense route's float64 matrix."""
-        return self._products(self._table[0], np.int32)
+        DENSE_CAP^2 entries, half the dense route's float64 matrix.
+
+        Composed, not searched: row(g * s) = row(s)[row(g)], since
+        e_i * g * s = (e_i * g) * s. One ``_products`` search gives the
+        rows of H's generators. Row 0, of N itself, is the identity's, and
+        breadth-first along the generators every other row is a gather of
+        a known one: the products of the last layer with each generator
+        that land on a coset not seen yet, written straight into the table
+        a chunk of rows at a time.
+        """
+        n = self.order
+        # searched before the table exists, so the search's chunk buffers
+        # and the table are never held at once (a group with no nontrivial
+        # generator searches its identity)
+        steps = self._products(self.codes(
+            self.parent.gens.nontrivial_gens() or [self.identity()]),
+            np.int32)
+        table = np.empty((n, n), dtype=np.int32)
+        table[0] = np.arange(n)
+        seen = np.zeros(n, dtype=bool)
+        seen[0] = True
+        frontier = np.zeros(1, dtype=np.intp)
+        chunk = max(1, _CHUNK_ENTRIES // n)
+        flat = steps.ravel()
+        while len(frontier):
+            # the index of e_f * s is row(s)[f]; when several products land
+            # on one coset, any of them may write its row, as all give the
+            # same
+            dst = steps[:, frontier].ravel()
+            source = np.full(n, -1, dtype=np.intp)
+            source[dst] = np.arange(len(dst))
+            fresh = np.flatnonzero((source >= 0) & ~seen)
+            step, at = np.divmod(source[fresh], len(frontier))
+            seen[fresh] = True
+            offset = step * n   # where each product's step row starts
+            for j in range(0, len(fresh), chunk):
+                rows = (table[frontier[at[j:j + chunk]]]
+                        + offset[j:j + chunk, None])
+                table[fresh[j:j + chunk]] = np.take(flat, rows)
+            frontier = fresh
+        return table
 
     def action_tables(self, ms: Multiset) -> tuple[np.ndarray, np.ndarray]:
         """Indices of e * s: a row per support element s, a column per

@@ -187,7 +187,7 @@ def cmd_bsgs(args) -> int:
         "order": b.order(),
         "base": [p + 1 for p in b.base],
         "strong_generators": len(b.strong_gens()),
-        "orbit_sizes": [len(lv.transversal) for lv in b.levels],
+        "orbit_sizes": [len(lv.reps) for lv in b.levels],
     }
     if args.json:
         print(_dump_json(payload), end="")

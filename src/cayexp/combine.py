@@ -185,6 +185,11 @@ def compact(carrier: Carrier, ms: Multiset, target_total: int,
     Remaining oversize totals are proportionally re-weighted under the same
     acceptance rule. On a carrier too large to re-measure the multiset comes
     back gcd-reduced, and nothing more.
+
+    A candidate equal to one already measured in this call (a trim that
+    keeps every unit repeats at each larger budget, and re-weighting
+    all-ones multiplicities changes nothing) reuses that measurement, so
+    each distinct candidate is measured once.
     """
     ms = ms.gcd_reduced()
     if ms.total <= target_total:
@@ -192,6 +197,18 @@ def compact(carrier: Carrier, ms: Multiset, target_total: int,
     if exact_method(carrier) is None:
         return ms
     accept = target_cert if target_cert is not None else ms.cert
+    measured: list[tuple[Multiset, float]] = []
+
+    def measure_once(candidate: Multiset) -> float:
+        for seen, lam in measured:
+            if (np.array_equal(seen.codes, candidate.codes)
+                    and np.array_equal(seen.mult_array(),
+                                       candidate.mult_array())):
+                return lam
+        lam = measure_exact(carrier, candidate)
+        measured.append((candidate, lam))
+        return lam
+
     if ms.support > target_total:
         units = _pair_units(carrier, ms)
         body = None
@@ -203,7 +220,7 @@ def compact(carrier: Carrier, ms: Multiset, target_total: int,
                     body = seed_body(ms)
                 trimmed = _trim_support(units, budget,
                                         body if seeded else None)
-                lam = measure_exact(carrier, trimmed)
+                lam = measure_once(trimmed)
                 if accept is None or lam <= accept:
                     ms = trimmed.with_cert(lam)
                     done = True
@@ -216,7 +233,7 @@ def compact(carrier: Carrier, ms: Multiset, target_total: int,
     # for int64 and Python-int (object) multiplicities alike
     mults = np.maximum(1, np.rint(ms.mult_array().astype(np.float64) * scale))
     out = ms.with_mults(mults.astype(np.int64)).gcd_reduced()
-    lam = measure_exact(carrier, out)
+    lam = measure_once(out)
     if accept is not None and lam > accept:
         return ms
     return out.with_cert(lam)

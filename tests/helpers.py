@@ -46,12 +46,19 @@ def brute_closure(g: GenSet) -> set[Perm]:
     return els
 
 
+def transversal(level) -> dict[int, Perm]:
+    """A chain level's transversal read off its image rows: orbit point ->
+    representative, in walk order."""
+    return {b: Perm(u) for b, u in zip(level.points.tolist(),
+                                         level.rows.tolist())}
+
+
 def transversal_elements(b: bsgs.BSGS) -> list[Perm]:
     """All elements of a BSGS's group as products of transversal
     representatives, in a deterministic order."""
     out = [Perm.identity(b.degree)]
     for lv in reversed(b.levels):
-        reps = [lv.transversal[x] for x in sorted(lv.transversal)]
+        reps = [u for _, u in sorted(transversal(lv).items())]
         out = [p * u for p in out for u in reps]
     return out
 
@@ -71,8 +78,9 @@ def canonicalize(quotient, h: Perm) -> Perm:
     at a time: the level's group fixes every point below its base point,
     so the image at the base point is h[beta] for an orbit point beta."""
     for lv in quotient.kernel.levels:
-        beta = min(lv.transversal, key=lambda b: h.img[b])
-        h = lv.transversal[beta] * h
+        reps = transversal(lv)
+        beta = min(reps, key=lambda b: h.img[b])
+        h = reps[beta] * h
     return h
 
 

@@ -1,13 +1,17 @@
+import hashlib
+import json
 import random
 
 import pytest
 
-from helpers import brute_closure, elements, transversal_elements
+from helpers import (CATALOG_GROUPS, brute_closure, elements,
+                     transversal_elements)
 
 from cayexp import carriers, catalog
 from cayexp.bsgs import jerrum_reduce, schreier_sims
 from cayexp.carriers import MethodCapacityError, PermCarrier
 from cayexp.perm import GenSet, Perm, parse_perm
+from cayexp.series import derived_series
 
 
 class TestSchreierSims:
@@ -55,6 +59,43 @@ class TestSchreierSims:
             g = fn()
             b = schreier_sims(g)
             assert b.order() == len(brute_closure(g))
+
+
+def chain_record(b) -> list:
+    """A chain as plain lists: base, each level's generators, each level's
+    orbit points with their transversal rows, and the strong generators
+    in ``strong_gens()`` order."""
+    return [b.base,
+            [[list(g) for g in lv.gens] for lv in b.levels],
+            [[lv.points.tolist(), lv.rows.tolist()] for lv in b.levels],
+            [list(p.img) for p in b.strong_gens()]]
+
+
+def random_groups(count: int, seed: int) -> list[GenSet]:
+    """Groups of degree 2-10 on one to three random permutations."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(2, 10)
+        out.append(GenSet(n, tuple(Perm(rng.sample(range(n), n))
+                                   for _ in range(rng.randint(1, 3)))))
+    return out
+
+
+def test_chains_are_pinned():
+    # every term of the derived series of every catalog group and of 60
+    # random groups: term 0 is schreier_sims itself, the others come from
+    # normal closures, which adjoin conjugates to a finished chain. The
+    # digest was recorded with the Perm-based Schreier-Sims, so the chains
+    # (base, level generators, transversal rows and their order, strong
+    # generators) are the same ones, operation for operation.
+    groups = [getattr(catalog, name)() for name in CATALOG_GROUPS]
+    groups += random_groups(60, 29)
+    records = [chain_record(term) for g in groups
+               for term in derived_series(g).terms]
+    assert len(records) == 169
+    assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == \
+        "ec5f4413c92449b76a3ddf9654b33854d0992e69732819d14ff9da59ecfad57c"
 
 
 class TestMembership:

@@ -94,29 +94,38 @@ def test_action_tables_span_several_chunks(monkeypatch, name, support):
 
 
 # groups on either side of the Cayley-table cut-over: every catalog group,
-# byte row keys and the trivial group (and the quotient S4/V4)
+# byte row keys and the trivial group (and the quotients below)
 CUT_OVER = {name: getattr(catalog, name) for name in CATALOG_GROUPS}
 CUT_OVER.update({"Z2^9 on 300": GROUPS["Z2^9 on 300"],
                  "trivial": lambda: GenSet(3, ())})
 
 
+# dense proper quotients H/N: H and the derived-series term of N
+QUOTIENT_TERMS = {"S4/V4": (catalog.s4, 2), "A4/V4": (catalog.a4, 1),
+                  "Syl2(S8)/Syl2(S8)'": (catalog.sylow2_s8, 1)}
+
+
 def cut_over_carrier(name):
     """A fresh carrier: it has built no tables yet."""
-    if name == "S4/V4":
-        chain = derived_series(catalog.s4())
-        return quotient_context(chain.terms[0], chain.terms[2])
+    if name in QUOTIENT_TERMS:
+        group, term = QUOTIENT_TERMS[name]
+        chain = derived_series(group())
+        return quotient_context(chain.terms[0], chain.terms[term])
     return PermCarrier.of(CUT_OVER[name]())
 
 
-@pytest.mark.parametrize("name", sorted(CUT_OVER) + ["S4/V4"])
+@pytest.mark.parametrize("name", sorted(CUT_OVER) + sorted(QUOTIENT_TERMS))
 def test_cayley_table_rows_equal_support_search(monkeypatch, name):
     # up to DENSE_CAP the tables are rows of the carrier's one int32 Cayley
-    # table, above it a search per support row: the same indices either way
+    # table, above it a search per support row: the same indices either way;
+    # the table composed from the generators' rows is the order^2 search of
+    # every product e_i * e_j, entry for entry
     below = cut_over_carrier(name)
     ms = sample_multiset(elements(below), 2, k=4)
     tables, weights = below.action_tables(ms)
     assert tables.dtype == np.int32
-    assert below._cayley.shape == (below.order, below.order)
+    assert np.array_equal(below._cayley, below._products(
+        below.image_rows(slice(None)), np.int32))
     monkeypatch.setattr(carriers, "DENSE_CAP", below.order - 1)
     above = cut_over_carrier(name)
     searched, same = above.action_tables(ms)
@@ -127,8 +136,9 @@ def test_cayley_table_rows_equal_support_search(monkeypatch, name):
 
 
 def test_general_expander_searches_one_cayley_table(monkeypatch):
-    # A5's carrier searches its elements once for its whole Cayley table;
-    # every other search is a lookup of a multiset's support
+    # A5's carrier searches its elements once for the rows of its two
+    # generators, from which it composes its whole Cayley table; every other
+    # search is a lookup of a multiset's support
     found, looked_up, products = [], [], []
     find, indices, table = (QuotientCarrier._find, QuotientCarrier._indices,
                             QuotientCarrier._products)
@@ -151,9 +161,9 @@ def test_general_expander_searches_one_cayley_table(monkeypatch):
     monkeypatch.setattr(QuotientCarrier, "_products", spy_products)
     out = general_expander(catalog.a5(), 1 / 16)
     assert out.cert <= 1 / 16
-    assert products == [(60, 60)]
+    assert products == [(60, 2)]
     assert len(looked_up) > 1
-    assert sum(found) == 60 * 60 + sum(looked_up)
+    assert sum(found) == 2 * 60 + sum(looked_up)
 
 
 OUTSIDE = "outside the group"

@@ -18,6 +18,7 @@ from cayexp.combine import (AmplificationError, AuxExpander,
 from cayexp.multiset import multiset
 from cayexp.perm import GenSet, Perm, parse_perm
 from cayexp.series import derived_series, quotient_context
+from cayexp.epsbias import zdn_bias_space
 from cayexp.spectra import bias_exhaustive, dense_lambda2, second_eigenvalue
 
 
@@ -561,6 +562,44 @@ class TestCompact:
         out = compact(carrier, ms, 64)
         assert out.total <= 64 + len(out.elems)
         assert abs(dense_lambda2(carrier, out) - out.cert) < 1e-12
+
+    def test_each_distinct_candidate_measured_once(self, monkeypatch):
+        # Z_2^6 uniform: the trims at budgets 16 and 32 are refused, the
+        # one at 64 keeps every unit and certifies 0, and re-weighting its
+        # all-ones multiplicities to 16 gives that multiset back, which
+        # was measured a second time before
+        carrier = VectorCarrier((2,) * 6)
+        ms = multiset([(v, 1) for v in elements(carrier)], cert=0.0)
+        measured = []
+        measure = combine.measure_exact
+
+        def spy(carrier, candidate):
+            measured.append((candidate.codes.tobytes(),
+                             candidate.mult_array().tobytes()))
+            return measure(carrier, candidate)
+
+        monkeypatch.setattr(combine, "measure_exact", spy)
+        out = compact(carrier, ms, 16, target_cert=0.0)
+        assert (out.codes.tolist(), out.mults, out.cert) == \
+            (ms.codes.tolist(), ms.mults, 0.0)
+        assert len(measured) == len(set(measured)) == 5
+
+    def test_no_candidate_measured_twice_in_a_call(self, monkeypatch):
+        # compact is measure_exact's only caller: in a Z_4^6 bias space
+        # build at 1/16, no compact call measures one candidate twice
+        measured = []
+        measure = combine.measure_exact
+
+        def spy(carrier, candidate):
+            measured.append((len(calls), candidate.codes.tobytes(),
+                             candidate.mult_array().tobytes()))
+            return measure(carrier, candidate)
+
+        monkeypatch.setattr(combine, "measure_exact", spy)
+        calls = count_calls(monkeypatch, combine.compact)
+        zdn_bias_space(4, 6, 1 / 16)
+        assert len(calls) > 1 and measured
+        assert len(measured) == len(set(measured))
 
     def test_trim_respects_target_cert(self):
         carrier = VectorCarrier((2,) * 6)
