@@ -19,9 +19,10 @@ The construction chain, bottom up:
 Every pushforward is one array map. Maps between vector groups (the CRT
 split of a cyclic level, the window embeds of a fold, and the k-fold embeds
 of ``epsbias``) are ``vector_map``: column picks and scalings of the
-coordinate rows. A level map onto a quotient gathers, per coordinate of R,
-one of p precomputed image rows and multiplies them with the quotient's
-``mul_codes``.
+coordinate rows. A level map onto a quotient H/N gathers, per coordinate
+of R, one of p precomputed image rows, multiplies them as permutations of
+H and pushes their tally down to H/N once: N is normal, so the coset of a
+product depends only on the cosets of its factors.
 """
 
 from __future__ import annotations
@@ -34,11 +35,11 @@ import numpy as np
 
 from . import _kernels, obs
 from .bsgs import BSGS, schreier_sims
-from .carriers import MethodCapacityError, QuotientCarrier, VectorCarrier
+from .carriers import (MethodCapacityError, PermRows, QuotientCarrier,
+                       VectorCarrier)
 from .combine import (AuxInfeasibleError, CertificationError,
                       amplified_union, compact, fold_levels, fold_series,
-                      reduce_to_quarter, require_fold_route, reverify,
-                      _next_pow2)
+                      reduce_to_quarter, require_fold_route, reverify)
 from .fields import FieldSpec, construct_field
 from .multiset import Multiset, multiset
 from .perm import GenSet, Perm, commutator, format_perm
@@ -98,9 +99,9 @@ def greedy_expander(carrier: VectorCarrier, target: float) -> Multiset:
     candidate minimizing the 8th-moment potential of the partial character
     sums over all nontrivial characters (a smooth pessimistic estimator for
     the maximum, which by itself ties constantly on small groups). Stops at
-    a power-of-2 total multiplicity with exact bias <= target (both needed
-    downstream); raises AuxInfeasibleError with the best achieved bias if
-    the budget runs out, and MethodCapacityError above GREEDY_ORDER_CAP.
+    the first total multiplicity with exact bias <= target; raises
+    AuxInfeasibleError with the best achieved bias if the budget runs out,
+    and MethodCapacityError above GREEDY_ORDER_CAP.
     """
     order = carrier.order
     if order == 1:
@@ -122,15 +123,9 @@ def greedy_expander(carrier: VectorCarrier, target: float) -> Multiset:
 
     for _ in range(GREEDY_MAX_ADDS):
         reps, invs, rows, mults = next(supply)
-        total = len(picked)
-        deficit = (_next_pow2(total) - total) if total else 0
-        if deficit % 2 == 1:
-            live = mults == 1.0
-        else:
-            live = np.ones(len(reps), dtype=bool)
-        scores = _kernels.greedy_scores(c, digits, rows[live], mults[live],
-                                        mod_arr, roots, offsets)
-        pick = int(np.flatnonzero(live)[int(np.argmin(scores))])
+        scores = _kernels.greedy_scores(c, digits, rows, mults, mod_arr,
+                                        roots, offsets)
+        pick = int(np.argmin(scores))
         picked.append(reps[pick])
         if mults[pick] == 2.0:
             picked.append(invs[pick])
@@ -140,7 +135,7 @@ def greedy_expander(carrier: VectorCarrier, target: float) -> Multiset:
         total = len(picked)
         bias = float(np.abs(c).max()) / total
         best_seen = min(best_seen, bias)
-        if bias <= target and total & (total - 1) == 0:
+        if bias <= target:
             return carrier.tally(np.array(picked), cert=bias)
     raise AuxInfeasibleError(
         f"greedy budget {GREEDY_MAX_ADDS} exhausted at bias {best_seen:.4f} "
@@ -453,22 +448,23 @@ def abelian_quotient_expander(h: BSGS, n: BSGS,
         live_primes = tuple(hom.primes[j] for j in live)
         r_points = _compact_r_points(rank, live_primes)
         qcar = quotient_context(groups[s], groups[s + 1])
-        # the level map a -> prod y_ij^(a_ij p_j^s), as row gathers: column
-        # (j, i) of R picks one of the p_j image rows of y_ij^(a p_j^s)
+        # the level map a -> prod y_ij^(a_ij p_j^s), as row gathers in H:
+        # column (j, i) of R picks one of the p_j image rows of
+        # y_ij^(a p_j^s); N is normal, so one push-down makes it a map to
+        # H/N
         coords = r_points.coordinates()
-        ident = qcar.codes([qcar.identity()])
-        acc = np.repeat(ident, len(coords), axis=0)
+        rows = PermRows(h.degree)
+        acc = np.repeat(rows.codes([Perm.identity(h.degree)]), len(coords),
+                        axis=0)
         for b, j in enumerate(live):
             p = hom.primes[j]
             for i in range(rank):
                 if hom.e_table[i][j] > s:
                     y = hom.ys[i][j] ** (p**s)
-                    # mul_codes makes each product canonical, and N is
-                    # normal, so the power rows need not be canonical
-                    powers = qcar.codes([y**a for a in range(p)])
-                    acc = qcar.mul_codes(acc, powers[coords[:, b * rank + i]])
-        img = reverify(qcar, qcar.tally(acc, r_points.mult_array(),
-                                        r_points.cert))
+                    powers = rows.codes([y**a for a in range(p)])
+                    acc = rows.mul_codes(acc, powers[coords[:, b * rank + i]])
+        raw = rows.tally(acc, r_points.mult_array())
+        img = reverify(qcar, qcar.image_multiset(raw, cert=r_points.cert))
         img = compact(qcar, img, 2048, target_cert=target)
         if img.cert is None or img.cert > target + 1e-9:
             img = reduce_to_quarter(qcar, img, target=target)

@@ -6,9 +6,10 @@ The moves, with their certified-bound algebra:
             image expands G/N; bound (1+lam)*max(|A|,|B|)/(|A|+|B|).
 * square:   the convolution square S*S, bound lam^2, measured again;
             a round on a carrier with no measurement route is refused.
-* balance/compact: multiplicity bookkeeping (power-of-2 totals, whole-set
-            replication, gcd reduction, bounded re-weighting) so the two
-            moves stay affordable; every re-weighting is re-certified.
+* balance/compact: multiplicity bookkeeping (equal totals by replication
+            and identity padding, gcd reduction, bounded re-weighting) so
+            the two moves stay affordable; every re-weighting is
+            re-certified.
 
 Derandomized squaring (the lam^2 + mu bound along an auxiliary expander)
 is library code that no construction calls.
@@ -38,7 +39,7 @@ import numpy as np
 from . import _kernels, obs
 from .carriers import (Carrier, QuotientCarrier, VectorCarrier,
                        require_symmetric)
-from .multiset import Multiset, NonSymmetricError, multiset
+from .multiset import Multiset, multiset
 from .perm import Perm
 from .series import SubgroupChain, quotient_context
 from .spectra import (bias_exhaustive, exact_method, instance_seed, measure,
@@ -120,31 +121,20 @@ def symmetrize(carrier: Carrier, ms: Multiset) -> Multiset:
 # ---------------------------------------------------------------------------
 # multiplicity bookkeeping
 
-def _units(carrier: Carrier, ms: Multiset):
-    """A multiset's inverse-pair units, in element order.
+def _pair_units(carrier: Carrier, ms: Multiset
+                ) -> tuple[np.ndarray, Callable[[np.ndarray], Multiset]]:
+    """A multiset's inverse-pair units, heaviest first, ties by element.
 
     A unit is an element e and, unless e is self-inverse, e^-1. Canonical
     storage sorts the elements, so element order is index order: element i
     opens a unit unless its inverse is element j < i. An inverse missing
-    from a non-symmetric multiset still joins its unit. Returns the
-    carrier's ``inverse_positions`` (codes, inverse codes, position of each
-    inverse among the codes, whether it is there), then the unit heads and
-    whether each head is self-inverse.
+    from a non-symmetric multiset still joins its unit. Returns (sizes,
+    members): sizes[u] is unit u's element count and members(us) the
+    multiset of the elements of units us, each with weight 1.
     """
     codes, inv, pos, found = carrier.inverse_positions(ms)
     heads = np.flatnonzero(~found | (pos >= np.arange(len(pos))))
     selfinv = found[heads] & (pos[heads] == heads)
-    return codes, inv, pos, found, heads, selfinv
-
-
-def _pair_units(carrier: Carrier, ms: Multiset
-                ) -> tuple[np.ndarray, Callable[[np.ndarray], Multiset]]:
-    """A multiset's inverse-pair units (see _units), heaviest first, ties
-    by element. Returns (sizes, members): sizes[u] is unit u's element
-    count and members(us) the multiset of the elements of units us, each
-    with weight 1.
-    """
-    codes, inv, _, _, heads, selfinv = _units(carrier, ms)
 
     def build(us):
         h = heads[us]
@@ -239,58 +229,47 @@ def compact(carrier: Carrier, ms: Multiset, target_total: int,
     return out.with_cert(lam)
 
 
-def _next_pow2(n: int) -> int:
-    return 1 << max(0, (n - 1).bit_length())
-
-
 def pad_to_total(carrier: Carrier, ms: Multiset, target: int) -> Multiset:
-    """Reach exactly `target` total multiplicity by replication + padding.
+    """Reach exactly `target` total multiplicity: the whole multiset
+    replicated q times plus r copies of the carrier's identity, where
+    (q, r) = divmod(target, total).
 
-    The whole multiset is replicated floor(target/total) times; the remainder
-    is spread two copies at a time over its inverse-pair units (see _units),
-    pairs in element order and then self-inverse elements, one copy first to
-    the first self-inverse element if the remainder is odd, so no element
-    exceeds twice its replicated share. The certified bound becomes
-    (q*total*cert + r)/target; the carrier argument is only used for inverse
-    pairing, so the certificate keeps referring to whatever graph it was
-    measured on (callers re-verify where they know the right carrier).
+    The identity copies are a lazy step: they move every eigenvalue mu of
+    the replicated set to (q*total*mu + r)/target, so the certified bound
+    becomes (q*total*cert + r)/target. A multiset already at the target
+    comes back as it is. The side must be inverse-closed with matching
+    multiplicities, padded or not (NonSymmetricError). The carrier supplies
+    only that check and the identity, so the certificate keeps referring
+    to whatever graph it was measured on (callers re-verify where they know
+    the right carrier).
     """
     total = ms.total
     if target < total:
         raise ValueError("target below current total")
+    require_symmetric(carrier, ms)
+    if target == total:
+        return ms
     q, r = divmod(target, total)
     counts = ms.mult_array()
     if target >= 2**63:
         counts = counts.astype(object)
-    counts = counts * q
-    if r:
-        _, _, pos, found, heads, selfinv = _units(carrier, ms)
-        if not found.all():
-            raise NonSymmetricError(
-                "cannot pad a multiset that is not inverse-closed")
-        pairs, selfs = heads[~selfinv], heads[selfinv]
-        if r % 2:
-            if not len(selfs):
-                raise AssertionError(
-                    "odd remainder with no self-inverse element")
-            counts[selfs[0]] += 1
-            r -= 1
-        cycle = np.concatenate((pairs, selfs))
-        turns, extra = divmod(r // 2, len(cycle))
-        adds = turns + (np.arange(len(cycle)) < extra)
-        counts[cycle] += adds * np.repeat((1, 2), (len(pairs), len(selfs)))
-        counts[pos[pairs]] += adds[:len(pairs)]
     cert = None
     if ms.cert is not None:
-        pad = target - q * total
-        cert = (q * total * ms.cert + pad) / target
-    return ms.with_mults(counts, cert)
+        cert = (q * total * ms.cert + r) / target
+    if not r:
+        return ms.with_mults(counts * q, cert)
+    return carrier.tally(
+        np.concatenate((carrier.codes(ms),
+                        carrier.codes([carrier.identity()]))),
+        np.append(counts * q, r), cert)
 
 
 def balance(carrier: Carrier, a: Multiset,
             b: Multiset) -> tuple[Multiset, Multiset]:
-    """Bring both multisets to the same power-of-2 total multiplicity."""
-    target = _next_pow2(max(a.total, b.total))
+    """Pad the side of smaller total to the larger total (pad_to_total):
+    the combine bound needs only equal totals. Both sides must be
+    symmetric."""
+    target = max(a.total, b.total)
     return pad_to_total(carrier, a, target), pad_to_total(carrier, b, target)
 
 
@@ -571,7 +550,8 @@ def fold_series(chain: SubgroupChain, quotient_sets: list[Multiset],
                 target: float = 0.25) -> Multiset:
     """Fold per-quotient expanders into one for the whole group.
 
-    chain is a normal series G_0 |> ... |> G_r = 1 and quotient_sets[i] is
+    chain is a normal series G_0 |> ... |> G_r = 1, every term normal in
+    G_0 (NormalityError otherwise), and quotient_sets[i] is
     certified <= target for G_i/G_{i+1} with representatives in G_i; a
     one-term chain (r = 0) gives the identity with certificate 0. Each merge
     combines on G_k/G_m with N = G_l/G_m, then amplifies back to the target;
@@ -584,14 +564,8 @@ def fold_series(chain: SubgroupChain, quotient_sets: list[Multiset],
         if s.cert is None or s.cert > target + 1e-9:
             raise CertificationError(
                 f"quotient set {i} is not certified <= {target}")
-    # every term must be normal in the top group
-    top_gens = groups[0].gens.nontrivial_gens()
-    for i, sub in enumerate(groups[1:], start=1):
-        for x in sub.gens.nontrivial_gens():
-            for g in top_gens:
-                if not sub.contains(x.conjugate(g)):
-                    raise ValueError(
-                        f"chain term {i} is not normal in the top group")
+    for sub in groups[1:]:
+        quotient_context(groups[0], sub)   # NormalityError unless normal
     if not quotient_sets:
         return multiset([(Perm.identity(groups[0].degree), 1)], cert=0.0)
     orders = [b.order() for b in groups]

@@ -214,40 +214,24 @@ def ref_pair_units(carrier, ms: Multiset):
 
 
 def ref_pad_to_total(carrier, ms: Multiset, target: int) -> Multiset:
-    """Replicate, then spread the remainder over inverse pairs in order."""
+    """Refuse a non-symmetric multiset; replicate, then put the remainder
+    on the identity. A multiset already at the target comes back as it
+    is."""
     total = ms.total
     if target < total:
         raise ValueError("target below current total")
+    if not symmetric_by_elements(carrier, ms):
+        raise NonSymmetricError(NOT_SYMMETRIC)
+    if target == total:
+        return ms
     q, r = divmod(target, total)
     out_counts = {e: m * q for e, m in ms.pairs()}
     if r:
-        pairs, selfinv, seen = [], [], set()
-        for e, _ in ms.pairs():
-            if e in seen:
-                continue
-            f = elem_inv(carrier, e)
-            if f not in out_counts:
-                raise NonSymmetricError(
-                    "cannot pad a multiset that is not inverse-closed")
-            seen.update((e, f))
-            if f == e:
-                selfinv.append(e)
-            else:
-                pairs.append((e, f))
-        if r % 2:
-            if not selfinv:
-                raise AssertionError(
-                    "odd remainder with no self-inverse element")
-            out_counts[selfinv[0]] += 1
-            r -= 1
-        cyc = pairs + [(e, e) for e in selfinv]
-        for idx in range(r // 2):
-            e, f = cyc[idx % len(cyc)]
-            out_counts[e] += 1
-            out_counts[f] += 1
+        ident = carrier.identity()
+        out_counts[ident] = out_counts.get(ident, 0) + r
     cert = None
     if ms.cert is not None:
-        cert = (q * total * ms.cert + target - q * total) / target
+        cert = (q * total * ms.cert + r) / target
     return multiset(out_counts.items(), cert=cert)
 
 

@@ -15,7 +15,7 @@ from cayexp.combine import (AmplificationError, AuxExpander,
                             fold_levels, fold_series, pad_to_total,
                             reduce_to_quarter, reverify, solvable_expander,
                             square_multiset, symmetrize)
-from cayexp.multiset import multiset
+from cayexp.multiset import NonSymmetricError, multiset
 from cayexp.perm import GenSet, Perm, parse_perm
 from cayexp.series import derived_series, quotient_context
 from cayexp.epsbias import zdn_bias_space
@@ -44,23 +44,48 @@ class TestBalance:
         a2, b2 = balance(carrier, a, b)
         assert a2.counts() == a.counts() and b2.counts() == b.counts()
 
-    def test_three_and_five_to_eight(self):
+    def test_three_and_five_to_five(self):
         g, carrier = z_n(7)
         a = multiset([(g, 1), (g.inv(), 1), (Perm.identity(7), 1)])
         b = multiset([(g ** 2, 2), (g ** 5, 2), (Perm.identity(7), 1)])
         lam_a = dense_lambda2(carrier, a)
         lam_b = dense_lambda2(carrier, b)
         a2, b2 = balance(carrier, a.with_cert(lam_a), b.with_cert(lam_b))
-        assert a2.total == b2.total == 8
-        # padding never exceeds a 2x multiplicity skew per element
-        for ms, orig in ((a2, a), (b2, b)):
-            q = ms.total // orig.total
-            for e, m in orig.pairs():
-                assert m * q <= ms.counts()[e] <= 2 * m * q
+        assert a2.total == b2.total == 5
+        # the larger side is untouched; the smaller side's remainder goes
+        # to the identity
+        assert b2.counts() == b.counts()
+        assert a2.counts() == {g: 1, g.inv(): 1, Perm.identity(7): 3}
         # both stay symmetric and the certified bound is honored
         for ms in (a2, b2):
             assert carrier.is_symmetric(ms)
             assert dense_lambda2(carrier, ms) <= ms.cert + 1e-9
+
+    def test_pairs_only_side_pads_with_the_identity(self):
+        # a side with no self-inverse element and an odd remainder: the
+        # remainder cannot be spread over inverse pairs
+        g, carrier = z_n(7)
+        a = multiset([(g, 2), (g.inv(), 2)])
+        b = multiset([(g ** 2, 2), (g ** 5, 2), (Perm.identity(7), 1)])
+        a = a.with_cert(dense_lambda2(carrier, a))
+        b = b.with_cert(dense_lambda2(carrier, b))
+        a2, b2 = balance(carrier, a, b)
+        assert a2.total == b2.total == 5
+        assert a2.counts() == {g: 2, g.inv(): 2, Perm.identity(7): 1}
+        assert b2 is b
+        for ms in (a2, b2):
+            assert carrier.is_symmetric(ms)
+            assert dense_lambda2(carrier, ms) <= ms.cert + 1e-9
+
+    def test_non_symmetric_side_refused_without_padding(self):
+        g, carrier = z_n(7)
+        odd = multiset([(g, 1), (g ** 2, 1)], cert=0.5)
+        even = multiset([(g, 1), (g.inv(), 1)], cert=0.5)
+        with pytest.raises(NonSymmetricError):
+            pad_to_total(carrier, odd, odd.total)
+        for a, b in ((odd, even), (even, odd)):
+            with pytest.raises(NonSymmetricError):
+                balance(carrier, a, b)
 
     def test_single_involution_doubles_exactly(self):
         t = parse_perm("(1 2)", 2)

@@ -38,12 +38,16 @@ def exact_squares_only(monkeypatch):
 
 @pytest.mark.parametrize("d,n,eps,digest", [
     (12, 3, 0.25,
-     "6f78bf9222287cb9ad13545b59b2eac31f8383e6719da398b1b0c73289dadd09"),
+     "00c2f8dd6a03f87db17aece0f03259075f44cd0430c74d1605d0aa0e48e4ba9e"),
+    # d = 6 at 1/4: 32800 points, each fold merge padded to its larger
+    # side's total
+    (6, 4, 0.25,
+     "12ed69cc128c090781ef6e748a18819d04cd14309a01ddf697f1aa41c596a36a"),
     (6, 4, 0.0625,
-     "db993aac9c0dfdcd87f0e7002ac0c8aef971ca77d66998aa08381efceddf6547"),
+     "9fd3fd7bd60dec0074f5c4a1c6c87d0ac91be5df5ef1ea7c82950699222e9360"),
     # d = 8: depth 3, so the k-fold pads one trivial level
     (8, 3, 0.25,
-     "9ad39b57bdc7841e0906082be2d9b531afbe7219f1489289b480fa1f87b088e0"),
+     "e2e14f2a1a411375f19c85829e07c0ac63979c3838c626c210adaac9bcc1daff"),
     (3, 8, 0.25,
      "48d9c477d8e7617cd693bddb8d1a3540cc808a93397f15a1185afa8253a45ace"),
     # d = 2: the Walsh-Hadamard route of bias_exhaustive and the FFT square
@@ -59,7 +63,7 @@ def test_bias_space_digest(d, n, eps, digest):
 def test_solvable_a4_digest():
     out = solvable_expander(derived_series(catalog.a4()), 0.25)
     assert sha256(format_perm_multiset(out, 4)) == \
-        "cc7d2528b80ca41bec16f38ce03969c8efc74457773d8759170c6fd6cee41daa"
+        "50065fb04a1048844617cee3f17e307d19f5d97c81a12a4abc523524b6f7e552"
 
 
 # the solvable pipeline: quotient carriers of every fold and abelian level
@@ -67,7 +71,7 @@ def test_solvable_a4_digest():
     ("Syl2(S8)", catalog.sylow2_s8,
      "6acec9c340a2accb50ac0aea257dad2f46eaf0ab3b56999ab92273cd8a756aa9"),
     ("S4", catalog.s4,
-     "164e7eb6fb394cc1f93c9fb80bcb333731ebe79825aa4ca0611da2b988e3e8a0"),
+     "265d85f3360b66a314dcc3c9c3fde5ed2855f793789e5cd7b4f7730aa77b9fda"),
 ])
 def test_solvable_expander_digest(name, group, digest):
     g = group()

@@ -20,6 +20,7 @@ SIGNATURES = {
     "epsbias.zdn_bias_space": ("d", "n", "eps"),
     "epsbias.verify_bias": ("space",),
     "combine.balance": ("carrier", "a", "b"),
+    "combine.pad_to_total": ("carrier", "ms", "target"),
     "combine.reduce_to_quarter": ("carrier", "u", "target", "compact_total"),
     "combine.combine_union": ("group", "a", "b"),
     "combine.amplified_union": ("carrier", "a", "b", "target",
