@@ -4,8 +4,9 @@ The moves, with their certified-bound algebra:
 
 * combine:  union of a set expanding a normal subgroup N and a set whose
             image expands G/N; bound (1+lam)*max(|A|,|B|)/(|A|+|B|).
-* square:   the convolution square S*S, bound lam^2, measured again;
-            a round on a carrier with no measurement route is refused.
+* square:   the convolution square S*S, bound lam^2 (its eigenvalues are
+            the squares of S's); a round on a carrier with no
+            measurement route is refused.
 * balance/compact: multiplicity bookkeeping (equal totals by replication
             and identity padding, gcd reduction, bounded re-weighting) so
             the two moves stay affordable; every re-weighting is
@@ -152,8 +153,8 @@ def _trim_support(units: tuple[np.ndarray, Callable], k: int,
     elements are. When the top weights align with a structured subset
     (convolution squares concentrate on subgroups, which do not expand),
     the seeded variant (seed_body given, see spectra.seed_body) keeps units
-    in a deterministic pseudorandom order instead; both are re-measured by
-    the caller before acceptance.
+    in a deterministic pseudorandom order instead; the caller certifies
+    either before acceptance.
     """
     sizes, members = units
     order = np.arange(len(sizes))
@@ -167,19 +168,18 @@ def _trim_support(units: tuple[np.ndarray, Callable], k: int,
 
 def compact(carrier: Carrier, ms: Multiset, target_total: int,
             target_cert: float | None = None) -> Multiset:
-    """Shrink a multiset, re-certifying every lossy step exactly.
+    """Shrink a multiset, certifying every lossy step by a measurement.
 
     gcd reduction is spectrum-invariant. When the support itself exceeds the
-    budget, a heaviest-first symmetric trim is tried and kept only if its
-    measured bound stays within target_cert (or the input's certificate).
+    budget, symmetric trims (heaviest-first, then seeded) are tried at
+    doubling budgets, and the first whose bound stays within target_cert
+    (or the input's certificate) comes back, all its weights 1. A budget at
+    which a trim keeps every unit is the last: larger ones repeat that trim.
     Remaining oversize totals are proportionally re-weighted under the same
-    acceptance rule. On a carrier too large to re-measure the multiset comes
-    back gcd-reduced, and nothing more.
-
-    A candidate equal to one already measured in this call (a trim that
-    keeps every unit repeats at each larger budget, and re-weighting
-    all-ones multiplicities changes nothing) reuses that measurement, so
-    each distinct candidate is measured once.
+    acceptance rule. A candidate equal to the input (a trim that keeps all
+    of an all-ones input, or its re-weighting) takes the input's bound, so
+    a bound changes here only by a measurement. On a carrier too large to
+    measure the multiset comes back gcd-reduced, and nothing more.
     """
     ms = ms.gcd_reduced()
     if ms.total <= target_total:
@@ -187,43 +187,38 @@ def compact(carrier: Carrier, ms: Multiset, target_total: int,
     if exact_method(carrier) is None:
         return ms
     accept = target_cert if target_cert is not None else ms.cert
-    measured: list[tuple[Multiset, float]] = []
-
-    def measure_once(candidate: Multiset) -> float:
-        for seen, lam in measured:
-            if (np.array_equal(seen.codes, candidate.codes)
-                    and np.array_equal(seen.mult_array(),
-                                       candidate.mult_array())):
-                return lam
-        lam = measure_exact(carrier, candidate)
-        measured.append((candidate, lam))
-        return lam
-
     if ms.support > target_total:
         units = _pair_units(carrier, ms)
+        whole = int(units[0].sum())
         body = None
         budget = target_total
-        done = False
-        while not done and budget < 2 * ms.support:
+        kept_all = False
+        while not kept_all and budget < 2 * ms.support:
             for seeded in (False, True):
                 if seeded and body is None:
                     body = seed_body(ms)
                 trimmed = _trim_support(units, budget,
                                         body if seeded else None)
-                lam = measure_once(trimmed)
+                if trimmed.support == whole:    # keeps every unit
+                    if kept_all:    # the heaviest-first trim, again
+                        break
+                    kept_all = True
+                if (ms.cert is not None and ms.total == ms.support
+                        and np.array_equal(trimmed.codes, ms.codes)):
+                    lam = ms.cert       # the input itself
+                else:
+                    lam = measure_exact(carrier, trimmed)
                 if accept is None or lam <= accept:
-                    ms = trimmed.with_cert(lam)
-                    done = True
-                    break
+                    return trimmed.with_cert(lam)
             budget *= 2
-    if ms.total <= target_total:
+    if ms.total == ms.support:      # re-weighting all-ones changes nothing
         return ms
     scale = target_total / ms.total
     # float(m) * scale rounded half to even, as Python's round(m * scale),
     # for int64 and Python-int (object) multiplicities alike
     mults = np.maximum(1, np.rint(ms.mult_array().astype(np.float64) * scale))
     out = ms.with_mults(mults.astype(np.int64)).gcd_reduced()
-    lam = measure_once(out)
+    lam = measure_exact(carrier, out)
     if accept is not None and lam > accept:
         return ms
     return out.with_cert(lam)
@@ -442,12 +437,16 @@ def reduce_to_quarter(carrier: Carrier, u: Multiset, target: float = 0.25,
                       compact_total: int = 512) -> Multiset:
     """Squaring rounds until the certified bound is <= target.
 
-    Each round compacts, squares (an exact convolution) and re-measures
-    lambda2 by spectra's route for the carrier. A carrier with no route
-    cannot certify a round, so the first round it needs is refused
-    (``spectra.require_route``, MethodCapacityError). Each square is
-    logged, and so is each compaction after one, so the last logged total
-    is the returned one.
+    Each round compacts and squares (an exact convolution). A square carries
+    its input's bound squared: Cay(G, S*S) is the square of Cay(G, S) for a
+    symmetric S, so lambda2(S*S) = lambda2(S)^2. Only the multiset about to
+    be returned is measured, by spectra's route for the carrier, and only
+    while it still carries a square's bound (``compact`` changes a bound
+    only by measuring); a measurement above the target continues the rounds.
+    A carrier with no route cannot certify a round, so the first round it
+    needs is refused (``spectra.require_route``, MethodCapacityError). Each
+    square is logged, and so is each compaction after one, so the last
+    logged total and bound are the returned ones.
     """
     if u.cert is None:
         u = reverify(carrier, u)
@@ -458,15 +457,17 @@ def reduce_to_quarter(carrier: Carrier, u: Multiset, target: float = 0.25,
             "cannot amplify: certified bound is 1 (disconnected or bipartite)")
     rounds = 0
     while True:
-        u = compact(carrier, u, compact_total, target_cert=target)
+        c = compact(carrier, u, compact_total, target_cert=target)
         if rounds:
-            obs.event("compact", total=u.total, cert=u.cert)
-        if u.cert <= target:
-            return u
+            if c.cert == u.cert and c.cert <= target:   # the square's bound
+                c = reverify(carrier, c)
+            obs.event("compact", total=c.total, cert=c.cert)
+        if c.cert <= target:
+            return c
         if rounds >= MAX_ROUNDS:
             raise AmplificationError(f"exceeded {MAX_ROUNDS} squaring rounds")
         require_route(carrier)
-        u = reverify(carrier, square_multiset(carrier, u))
+        u = square_multiset(carrier, c)
         rounds += 1
         obs.event("square", round=rounds, total=u.total, cert=u.cert)
 

@@ -3,9 +3,9 @@
 Z_d^n is split by the prime factorization of d into prod_j Z_{p_j^{e_j}}^n;
 each level of the prime-power series gets a final-construction set, the
 levels are folded, and the per-prime coordinates are recombined to digits in
-[0, d) by CRT. For eps < 1/4 the space is amplified by squaring rounds,
-each an exact convolution square measured again by character sums. Above
-the exhaustive cap every squaring round is refused
+[0, d) by CRT. For eps < 1/4 the space is amplified by squaring rounds of
+exact convolution squares, and the result is measured by character sums.
+Above the exhaustive cap every squaring round is refused
 (``spectra.require_route``), fold merges of a composite d included; a
 squarefree d has no merge and keeps the construction's analytic bound.
 """

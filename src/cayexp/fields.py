@@ -60,26 +60,9 @@ def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
     for d in range(1, m // 2 + 1):
         for idx in range(p**d):
             divisor = _from_index(idx, d, p) + (1,)
-            if _poly_divides(divisor, poly, p):
+            if not any(_polymod(poly, divisor, p)):
                 return False
     return True
-
-
-def _poly_divides(d: tuple[int, ...], a: tuple[int, ...], p: int) -> bool:
-    rem = _poly_remainder(a, d, p)
-    return all(c == 0 for c in rem)
-
-
-def _poly_remainder(a, d, p):
-    a = list(a)
-    dd = len(d) - 1
-    inv_lead = pow(d[-1], -1, p)
-    for i in range(len(a) - 1, dd - 1, -1):
-        c = (a[i] * inv_lead) % p
-        if c:
-            for j in range(dd + 1):
-                a[i - dd + j] = (a[i - dd + j] - c * d[j]) % p
-    return a[:dd] if dd else []
 
 
 def _from_index(idx: int, length: int, p: int) -> tuple[int, ...]:

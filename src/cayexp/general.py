@@ -3,10 +3,10 @@
 The symmetrized strong generators of a BSGS are measured exactly; the
 vertex-transitivity bound 1 - 1/(16.5 * d * diam^2), at the diameter found
 by BFS, is only logged beside that measurement, never used as a
-certificate. Squaring rounds then amplify the
-gap: each round is an exact convolution square, compacted and measured
-again, and the rounds stop at the first measurement that meets the target.
-A group above the verification cap is refused (``spectra.require_route``).
+certificate. Squaring rounds then amplify the gap: each round is an
+exact convolution square, which carries its input's bound squared, and the
+rounds stop once the returned multiset's measurement meets the target. A
+group above the verification cap is refused (``spectra.require_route``).
 """
 
 from __future__ import annotations
@@ -45,10 +45,10 @@ def general_expander(g: GenSet, lam: float = 0.25) -> Multiset:
     """Certified lam-spectral expanding multiset for any <g>.
 
     Pipeline: strong generators, measured exactly (the Babai bound is
-    logged beside the measurement) -> squaring rounds, each re-measured
-    exactly (the group is within the verification cap). Bipartite starting
-    graphs (e.g. a single transposition) are lazified with identity
-    self-loops first.
+    logged beside the measurement) -> squaring rounds (``reduce_to_quarter``,
+    whose result is measured exactly: the group is within the verification
+    cap). Bipartite starting graphs (e.g. a single transposition) are
+    lazified with identity self-loops first.
     """
     if not 0 < lam < 1:
         raise ValueError("lambda must be in (0, 1)")

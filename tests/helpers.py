@@ -528,6 +528,14 @@ def np_commutator_closure(els: np.ndarray) -> np.ndarray:
     return out
 
 
+def group_power(g: GenSet, k: int) -> GenSet:
+    """G^k as k copies of G on disjoint blocks of points."""
+    return GenSet(g.degree * k, tuple(
+        Perm(list(range(i * g.degree)) + [x + i * g.degree for x in p.img]
+             + list(range((i + 1) * g.degree, k * g.degree)))
+        for i in range(k) for p in g.gens))
+
+
 def projective_line(q: int, mult: int) -> GenSet:
     """x -> x+1, x -> mult*x, x -> -1/x on GF(q) u {inf} (point q = inf).
 
@@ -542,8 +550,9 @@ def projective_line(q: int, mult: int) -> GenSet:
                                for f in maps))
 
 
-def count_calls(monkeypatch, orig) -> list:
-    """Record the first argument of every call of a package function.
+def count_calls(monkeypatch, orig, record=lambda first, *rest: first) -> list:
+    """Record every call of a package function, by default its first
+    argument, else record(*positional arguments).
 
     ``orig`` is rebound for the rest of a test under every name a
     ``cayexp`` module holds it by, so calls through ``from .bsgs import
@@ -552,7 +561,7 @@ def count_calls(monkeypatch, orig) -> list:
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args[0])
+        calls.append(record(*args))
         return orig(*args, **kwargs)
 
     for name, mod in list(sys.modules.items()):
@@ -561,6 +570,16 @@ def count_calls(monkeypatch, orig) -> list:
                 if val is orig:
                     monkeypatch.setattr(mod, attr, counted)
     return calls
+
+
+def count_measurements(monkeypatch) -> list[tuple]:
+    """Record every ``spectra.measure`` call for the rest of a test as
+    (group, codes, multiplicities): a vector group by its moduli, any other
+    carrier by itself."""
+    return count_calls(
+        monkeypatch, spectra.measure,
+        lambda carrier, ms, method: (getattr(carrier, "moduli", carrier),
+                                     ms.codes.tobytes(), ms.mults))
 
 
 def route_off(monkeypatch) -> None:

@@ -1,8 +1,12 @@
+import bisect
+import random
+
 import numpy as np
 import pytest
 
-from helpers import (analytic_rounds, aux_from_rotation, count_calls,
-                     count_schreier_sims, elem_mul, elements,
+from helpers import (CATALOG_GROUPS, analytic_rounds, aux_from_rotation,
+                     count_calls, count_measurements, count_schreier_sims,
+                     elem_inv, elem_mul, elements, group_power,
                      random_symmetric_multiset, ref_fold_levels)
 
 from cayexp import abexp, carriers, catalog, combine, obs, spectra
@@ -12,22 +16,14 @@ from cayexp.combine import (AmplificationError, AuxExpander,
                             CertificationError, SolvabilityError,
                             aux_family, aux_from_z2_multiset, balance,
                             combine_union, compact, derandomized_square,
-                            fold_levels, fold_series, pad_to_total,
-                            reduce_to_quarter, reverify, solvable_expander,
-                            square_multiset, symmetrize)
+                            fold_levels, fold_series, measure_exact,
+                            pad_to_total, reduce_to_quarter, reverify,
+                            solvable_expander, square_multiset, symmetrize)
 from cayexp.multiset import NonSymmetricError, multiset
 from cayexp.perm import GenSet, Perm, parse_perm
 from cayexp.series import derived_series, quotient_context
 from cayexp.epsbias import zdn_bias_space
 from cayexp.spectra import bias_exhaustive, dense_lambda2, second_eigenvalue
-
-
-def _power(g: GenSet, k: int) -> GenSet:
-    """G^k as k copies of G on disjoint blocks of points."""
-    return GenSet(g.degree * k, tuple(
-        Perm(list(range(i * g.degree)) + [x + i * g.degree for x in p.img]
-             + list(range((i + 1) * g.degree, k * g.degree)))
-        for i in range(k) for p in g.gens))
 
 
 def z_n(n):
@@ -299,6 +295,61 @@ class TestAuxFamily:
             aux_family(2048)
 
 
+# carriers whose squares are measured: every catalog group, two dense
+# quotients (the group and the derived-series term of N) and two vector
+# groups
+SQUARE_QUOTIENTS = {"S4/V4": (catalog.s4, 2),
+                    "Syl2(S8)/Syl2(S8)'": (catalog.sylow2_s8, 1)}
+SQUARE_VECTORS = {"Z3xZ5": (3, 5), "Z2^3xZ4": (2, 2, 2, 4)}
+SQUARE_PERMS = CATALOG_GROUPS + sorted(SQUARE_QUOTIENTS)
+
+
+def square_case(name):
+    """A carrier and a lazy symmetric multiset on it: random elements (up
+    to eight, at most half the group), their inverses and the identity
+    twice."""
+    if name in SQUARE_QUOTIENTS:
+        group, term = SQUARE_QUOTIENTS[name]
+        chain = derived_series(group())
+        carrier = quotient_context(chain.terms[0], chain.terms[term])
+    elif name in SQUARE_VECTORS:
+        carrier = VectorCarrier(SQUARE_VECTORS[name])
+    else:
+        carrier = PermCarrier.of(getattr(catalog, name)())
+    els = elements(carrier)
+    picks = random.Random(0).sample(els[1:], min(8, len(els) // 2))
+    return carrier, multiset([(e, 1) for e in picks]
+                             + [(elem_inv(carrier, e), 1) for e in picks]
+                             + [(els[0], 2)])
+
+
+class TestSquareCertificate:
+    """A square carries its input's bound squared, unmeasured; these check
+    that bound against a measurement of the square."""
+
+    @pytest.mark.parametrize("name", SQUARE_PERMS + sorted(SQUARE_VECTORS))
+    def test_carried_bound_is_the_square_measured(self, name):
+        carrier, ms = square_case(name)
+        measure = bias_exhaustive if isinstance(carrier, VectorCarrier) \
+            else dense_lambda2
+        sq = square_multiset(carrier, ms.with_cert(measure(carrier, ms)))
+        assert abs(sq.cert - measure(carrier, sq)) <= 1e-12
+
+    @pytest.mark.parametrize("name", SQUARE_PERMS)
+    def test_krylov_upper_end_squared(self, monkeypatch, name):
+        # U^2 proves the square's bound, at or above its lower end; what
+        # reduce_to_quarter returns carries its own measurement
+        carrier, ms = square_case(name)
+        monkeypatch.setattr(spectra, "DENSE_CAP", 0)
+        assert spectra.exact_method(carrier) == "power-iteration"
+        u = ms.with_cert(measure_exact(carrier, ms))
+        sq = square_multiset(carrier, u)
+        lower, _, _ = spectra.power_lambda2(carrier, sq)
+        assert sq.cert == u.cert * u.cert >= lower
+        out = reduce_to_quarter(carrier, u, target=1 / 16)
+        assert out.cert == measure_exact(carrier, out) <= 1 / 16
+
+
 class TestReduce:
     def test_already_good_returned_unchanged(self):
         g, carrier = z_n(8)
@@ -535,7 +586,7 @@ class TestSolvableExpander:
         # top merge on S4^5 itself (order 7962624) has no route: refused
         # before any abelian quotient expander runs
         quotients = count_calls(monkeypatch, abexp.abelian_quotient_expander)
-        chain = derived_series(_power(catalog.s4(), 5))
+        chain = derived_series(group_power(catalog.s4(), 5))
         assert chain.orders == (7962624, 248832, 1024, 1)
         with pytest.raises(MethodCapacityError, match="group order 7962624 "
                            "exceeds the verification cap"):
@@ -549,7 +600,7 @@ class TestSolvableExpander:
         # level set is built or measured
         levels = count_calls(monkeypatch, abexp._compact_r_points)
         measured = count_calls(monkeypatch, spectra.measure)
-        chain = derived_series(_power(catalog.cyclic(4), 11))
+        chain = derived_series(group_power(catalog.cyclic(4), 11))
         with pytest.raises(MethodCapacityError, match="group order 4194304 "
                            "exceeds the verification cap"):
             solvable_expander(chain)
@@ -561,7 +612,7 @@ class TestSolvableExpander:
         # fold: the final construction's bound certifies it, and squares
         # run only on the small carriers of that construction's base
         squared = count_calls(monkeypatch, combine.square_multiset)
-        g = _power(catalog.z2(), 21)
+        g = group_power(catalog.z2(), 21)
         out = solvable_expander(derived_series(g))
         assert (out.total, out.cert) == (48384, 0.18055555555555555)
         assert all(spectra.exact_method(c) is not None for c in squared)
@@ -589,42 +640,60 @@ class TestCompact:
         assert abs(dense_lambda2(carrier, out) - out.cert) < 1e-12
 
     def test_each_distinct_candidate_measured_once(self, monkeypatch):
-        # Z_2^6 uniform: the trims at budgets 16 and 32 are refused, the
-        # one at 64 keeps every unit and certifies 0, and re-weighting its
-        # all-ones multiplicities to 16 gives that multiset back, which
-        # was measured a second time before
+        # Z_2^6 uniform: the trims at budgets 16 and 32 are refused, and the
+        # one at 64 keeps every unit: it is the input, which keeps its
+        # bound 0 unmeasured
         carrier = VectorCarrier((2,) * 6)
         ms = multiset([(v, 1) for v in elements(carrier)], cert=0.0)
-        measured = []
-        measure = combine.measure_exact
-
-        def spy(carrier, candidate):
-            measured.append((candidate.codes.tobytes(),
-                             candidate.mult_array().tobytes()))
-            return measure(carrier, candidate)
-
-        monkeypatch.setattr(combine, "measure_exact", spy)
+        measured = count_measurements(monkeypatch)
         out = compact(carrier, ms, 16, target_cert=0.0)
         assert (out.codes.tolist(), out.mults, out.cert) == \
             (ms.codes.tolist(), ms.mults, 0.0)
-        assert len(measured) == len(set(measured)) == 5
+        assert len(measured) == len(set(measured)) == 4
+
+    def test_a_trim_that_keeps_every_unit_is_the_last(self, monkeypatch):
+        # 27 elements of Z_3^4 in 13 inverse pairs and the heavy identity:
+        # at budget 26 both trims keep every unit, so they are one
+        # candidate, measured once, and no larger budget is tried; nothing
+        # meets a target_cert of 0
+        carrier = VectorCarrier((3,) * 4)
+        els = elements(carrier)
+        heads = [e for e in els[1:] if e < elem_inv(carrier, e)]
+        rng = random.Random(1)
+        pairs = [(els[0], 5)]
+        for e in rng.sample(heads, 13):
+            w = rng.randint(1, 3)
+            pairs += [(e, w), (elem_inv(carrier, e), w)]
+        ms = multiset(pairs, cert=0.5)
+        assert ms.support == 27
+        measured = count_measurements(monkeypatch)
+        out = compact(carrier, ms, 26, target_cert=0.0)
+        assert out == ms
+        assert measured and len(measured) == len(set(measured))
 
     def test_no_candidate_measured_twice_in_a_call(self, monkeypatch):
-        # compact is measure_exact's only caller: in a Z_4^6 bias space
-        # build at 1/16, no compact call measures one candidate twice
-        measured = []
-        measure = combine.measure_exact
-
-        def spy(carrier, candidate):
-            measured.append((len(calls), candidate.codes.tobytes(),
-                             candidate.mult_array().tobytes()))
-            return measure(carrier, candidate)
-
-        monkeypatch.setattr(combine, "measure_exact", spy)
-        calls = count_calls(monkeypatch, combine.compact)
+        # in a Z_4^6 bias space build at 1/16, no compact call measures one
+        # candidate twice; every measurement that reverify does not make is
+        # compact's, in the last call begun before it
+        measured = count_measurements(monkeypatch)
+        starts = count_calls(monkeypatch, combine.compact,
+                             lambda *args: len(measured))
+        reverified = count_calls(monkeypatch, combine.reverify,
+                                 lambda *args: len(measured))
         zdn_bias_space(4, 6, 1 / 16)
-        assert len(calls) > 1 and measured
-        assert len(measured) == len(set(measured))
+        ours = [(bisect.bisect_right(starts, i), m)
+                for i, m in enumerate(measured) if i not in reverified]
+        assert len(starts) > 1 and ours
+        assert len(ours) == len(set(ours))
+
+    def test_warm_bias_space_measures_each_multiset_once(self, monkeypatch):
+        # a square carries its bound and a trim equal to compact's input
+        # keeps the input's, so a warm Z_12^3 build at 1/16 measures no
+        # multiset twice
+        zdn_bias_space(12, 3, 1 / 16)
+        measured = count_measurements(monkeypatch)
+        zdn_bias_space(12, 3, 1 / 16)
+        assert measured and len(measured) == len(set(measured))
 
     def test_trim_respects_target_cert(self):
         carrier = VectorCarrier((2,) * 6)

@@ -10,7 +10,8 @@ import hashlib
 
 import pytest
 
-from helpers import CATALOG_GROUPS, count_calls, projective_line
+from helpers import (CATALOG_GROUPS, count_calls, group_power,
+                     projective_line)
 
 from cayexp import catalog, combine
 from cayexp.cli import main
@@ -77,6 +78,16 @@ def test_solvable_expander_digest(name, group, digest):
     g = group()
     out = solvable_expander(derived_series(g), 0.25)
     assert sha256(format_perm_multiset(out, g.degree)) == digest, name
+
+
+def test_solvable_s4_cubed_krylov_digest():
+    # S4^3 (order 13824, above DENSE_CAP): the fold's top merges are
+    # measured on the Krylov route
+    out = solvable_expander(derived_series(group_power(catalog.s4(), 3)),
+                            0.25)
+    assert (out.total, out.cert) == (1024, 0.08178792181453104)
+    assert sha256(format_perm_multiset(out, 12)) == \
+        "35dcd5df8ff22372ecc6bb7c093fd1c726456620694aa9b45451b0606548b37f"
 
 
 # the general pipeline: permutation carriers, squaring over perms, compact
