@@ -3,8 +3,10 @@
 Z_d^n is split by the prime factorization of d into prod_j Z_{p_j^{e_j}}^n;
 each level of the prime-power series gets a final-construction set, the
 levels are folded, and the per-prime coordinates are recombined to digits in
-[0, d) by CRT. For eps < 1/4 the space is amplified by squaring rounds of
-exact convolution squares, and the result is measured by character sums.
+[0, d) by CRT and measured. A prime power d has nothing to recombine: the
+fold already runs on Z_d^n, and its output keeps the fold's measurement.
+For eps < 1/4 the space is amplified by squaring rounds of exact convolution
+squares, and the result is measured by character sums.
 Above the exhaustive cap every squaring round is refused
 (``spectra.require_route``), fold merges of a composite d included; a
 squarefree d has no merge and keeps the construction's analytic bound.
@@ -98,7 +100,13 @@ def _crt_digits(ms: Multiset, fac, carrier: VectorCarrier) -> Multiset:
 
 
 def zdn_bias_space(d: int, n: int, eps: float) -> BiasSpace:
-    """Certified eps-bias space for Z_d^n."""
+    """Certified eps-bias space for Z_d^n.
+
+    A composite d's fold output is recombined by CRT and measured on
+    Z_d^n; a prime power's is already over (d,)*n, measured there by the
+    fold's last step (``final_R``'s or ``reduce_to_quarter``'s), and is
+    kept as it is. Above eps it is amplified by ``reduce_to_quarter``.
+    """
     if d < 2 or n < 1 or not (0 < eps < 1):
         raise ValueError("need d >= 2, n >= 1, 0 < eps < 1")
     if d > D_CAP:
@@ -129,7 +137,13 @@ def zdn_bias_space(d: int, n: int, eps: float) -> BiasSpace:
     out = fold_levels([level_set(s) for s in range(depth)], merge)
 
     carrier = VectorCarrier((d,) * n)
-    pts = reverify(carrier, _crt_digits(out, fac, carrier))
+    if len(fac) == 1:
+        # one prime: the fold ran on (d,)*n, so the CRT is the identity, and
+        # its output carries its measurement there (or, with no route, the
+        # bound reverify would keep)
+        pts = out
+    else:
+        pts = reverify(carrier, _crt_digits(out, fac, carrier))
     method = exact_method(carrier) or "analytic"
     if pts.cert is None:
         raise MethodCapacityError(
@@ -155,8 +169,9 @@ def verify_bias(space: BiasSpace) -> float:
 
 def format_bias_space(space: BiasSpace) -> str:
     """One line of comma-separated coordinates per point, a point of
-    multiplicity m on m equal lines."""
+    multiplicity m on m equal lines; each distinct point is formatted once
+    and its line repeated."""
     points = space.points
     coords = points.coordinates().astype(np.min_scalar_type(space.d - 1))
     row = ",".join(["%d"] * coords.shape[1]) + "\n"
-    return format_rows(row, coords.repeat(points.mult_array(), axis=0))
+    return format_rows(row, coords, points.mult_array())

@@ -3,10 +3,11 @@
 The symmetrized strong generators of a BSGS are measured exactly; the
 vertex-transitivity bound 1 - 1/(16.5 * d * diam^2), at the diameter found
 by BFS, is only logged beside that measurement, never used as a
-certificate. Squaring rounds then amplify the gap: each round is an
-exact convolution square, which carries its input's bound squared, and the
-rounds stop once the returned multiset's measurement meets the target. A
-group above the verification cap is refused (``spectra.require_route``).
+certificate, so the BFS runs only inside ``obs.recording()``. Squaring
+rounds then amplify the gap: each round is an exact convolution square,
+which carries its input's bound squared, and the rounds stop once the
+returned multiset's measurement meets the target. A group above the
+verification cap is refused (``spectra.require_route``).
 """
 
 from __future__ import annotations
@@ -44,11 +45,11 @@ def strong_generator_multiset(bs: BSGS) -> Multiset:
 def general_expander(g: GenSet, lam: float = 0.25) -> Multiset:
     """Certified lam-spectral expanding multiset for any <g>.
 
-    Pipeline: strong generators, measured exactly (the Babai bound is
-    logged beside the measurement) -> squaring rounds (``reduce_to_quarter``,
-    whose result is measured exactly: the group is within the verification
-    cap). Bipartite starting graphs (e.g. a single transposition) are
-    lazified with identity self-loops first.
+    Pipeline: strong generators, measured exactly (inside a recording,
+    the Babai bound is logged beside the measurement) -> squaring rounds
+    (``reduce_to_quarter``, whose result is measured exactly: the group is
+    within the verification cap). Bipartite starting graphs (e.g. a single
+    transposition) are lazified with identity self-loops first.
     """
     if not 0 < lam < 1:
         raise ValueError("lambda must be in (0, 1)")
@@ -58,7 +59,8 @@ def general_expander(g: GenSet, lam: float = 0.25) -> Multiset:
     if carrier.order == 1:
         return ms.with_cert(0.0)
     require_route(carrier)
-    info = graph_info(carrier, ms)
+    # the diameter is only logged: no BFS outside a recording
+    info = graph_info(carrier, ms) if obs.active() else None
     ms = reverify(carrier, ms)
     if ms.cert >= 1.0 - 1e-12:
         # bipartite Cayley graph: shift the spectrum with a lazy step
@@ -67,9 +69,10 @@ def general_expander(g: GenSet, lam: float = 0.25) -> Multiset:
             np.concatenate((carrier.codes(ms), ident)),
             np.append(ms.mult_array(), ms.total)))
         obs.event("lazify", total=ms.total, cert=ms.cert)
-    obs.event("strong-gens", total=ms.total, cert=ms.cert,
-              diameter=info["diameter"],
-              babai_bound=babai_bound(ms.total, max(info["diameter"], 1)))
+    if info is not None:
+        obs.event("strong-gens", total=ms.total, cert=ms.cert,
+                  diameter=info["diameter"],
+                  babai_bound=babai_bound(ms.total, max(info["diameter"], 1)))
     if ms.cert <= lam:
         return ms
     # every certificate is an exact measurement

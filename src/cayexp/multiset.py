@@ -202,8 +202,11 @@ def parse_perm_multiset(text: str) -> tuple[int, Multiset]:
     return degree, multiset(pairs)
 
 
-def format_rows(template: str, table: np.ndarray) -> str:
-    """template % tuple(row) for every row of a 2-D table, concatenated.
+def format_rows(template: str, table: np.ndarray,
+                repeats: np.ndarray | None = None) -> str:
+    """template % tuple(row) for every row of a 2-D table, concatenated;
+    with repeats, row i is written repeats[i] times in a row, as for
+    ``np.repeat(table, repeats, axis=0)``.
 
     The template is ASCII literal text with one ``%d`` per column of the
     table and no other ``%``; the table holds non-negative integers, of an
@@ -213,7 +216,8 @@ def format_rows(template: str, table: np.ndarray) -> str:
     The text is written as bytes, a column at a time: a column's digits fill
     a block as wide as its largest value, computed in the column's own
     dtype, the literals are broadcast blocks, and one concatenation joins
-    them. Where a column also holds shorter values, one boolean compress
+    them. Each row is formatted once: repeats copy its padded bytes and its
+    pad mask. Where a column also holds shorter values, one boolean compress
     drops their leading pad slots.
     """
     pieces = template.split("%d")
@@ -247,10 +251,13 @@ def format_rows(template: str, table: np.ndarray) -> str:
             padded.append((at, col, width))
         at += width
     text = np.concatenate(blocks, axis=1)
-    if padded:
-        keep = np.ones(text.shape, dtype=bool)
-        for first, col, width in padded:
-            for s in range(width - 1):
-                keep[:, first + s] = col >= 10 ** (width - 1 - s)
+    keep = np.ones(text.shape, dtype=bool) if padded else None
+    for first, col, width in padded:
+        for s in range(width - 1):
+            keep[:, first + s] = col >= 10 ** (width - 1 - s)
+    if repeats is not None:
+        text = text.repeat(repeats, axis=0)
+        keep = None if keep is None else keep.repeat(repeats, axis=0)
+    if keep is not None:
         text = text[keep]
     return text.tobytes().decode("ascii")

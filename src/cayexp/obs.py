@@ -31,6 +31,12 @@ def recording():
         _log.reset(token)
 
 
+def active() -> bool:
+    """Whether a recording is open: work done only for an event can wait
+    on it."""
+    return _log.get() is not None
+
+
 def event(op: str, **fields) -> None:
     """Append {"op": op, **fields} to the active recording, if any."""
     log = _log.get()

@@ -1,10 +1,13 @@
 import pytest
 
-from helpers import elements, naive_bias
+from helpers import count_calls, count_measurements, elements, naive_bias
 
+from cayexp import combine, epsbias
+from cayexp.abexp import factorize
 from cayexp.carriers import VectorCarrier
-from cayexp.epsbias import (BiasSpace, format_bias_space, verify_bias,
-                            zdn_bias_space)
+from cayexp.combine import measure_exact, reverify
+from cayexp.epsbias import (BiasSpace, _crt_digits, format_bias_space,
+                            verify_bias, zdn_bias_space)
 from cayexp.multiset import multiset
 from cayexp.spectra import MethodCapacityError
 
@@ -44,6 +47,73 @@ class TestZdn:
         b = zdn_bias_space(6, 3, 0.25)
         assert a.points.counts() == b.points.counts()
         assert format_bias_space(a) == format_bias_space(b)
+
+
+def build_with_fold(monkeypatch, d, n, eps):
+    """zdn_bias_space(d, n, eps) and the fold output it was built from."""
+    folds = []
+
+    def fold(*args):
+        folds.append(combine.fold_levels(*args))
+        return folds[-1]
+    monkeypatch.setattr(epsbias, "fold_levels", fold)
+    space = zdn_bias_space(d, n, eps)
+    assert len(folds) == 1
+    return space, folds[0]
+
+
+def same_multiset(a, b):
+    return (a.codes.tolist(), a.mults, a.cert) == \
+        (b.codes.tolist(), b.mults, b.cert)
+
+
+# every prime-power d of the benchmark's pool, and depths 1 to 4
+PRIME_POWERS = [(2, 12), (2, 16), (3, 8), (4, 6), (5, 6), (7, 4),
+                (2, 5), (4, 3), (8, 3), (9, 3), (16, 2)]
+
+
+class TestPrimePower:
+    """A prime power d has nothing to recombine: its fold runs on
+    (d,)*n, so the CRT is the identity and the fold's output already
+    carries its measurement there."""
+
+    @pytest.mark.parametrize("eps", [0.25, 0.0625])
+    @pytest.mark.parametrize("d,n", PRIME_POWERS)
+    def test_fold_output_is_recombined_and_measured(self, monkeypatch, d,
+                                                    n, eps):
+        space, out = build_with_fold(monkeypatch, d, n, eps)
+        carrier = VectorCarrier((d,) * n)
+        assert same_multiset(_crt_digits(out, factorize(d), carrier), out)
+        assert out.cert == measure_exact(carrier, out)     # bit for bit
+        if out.cert <= eps:
+            assert space.points is out
+
+    def test_above_the_cap_keeps_the_analytic_bound(self, monkeypatch):
+        # Z_2^22 lies above the exhaustive cap: no route, and the final
+        # construction's bound is the space's
+        space, out = build_with_fold(monkeypatch, 2, 22, 0.25)
+        carrier = VectorCarrier((2,) * 22)
+        assert measure_exact(carrier, out) is None
+        crt = _crt_digits(out, factorize(2), carrier)
+        assert same_multiset(crt, out) and same_multiset(
+            reverify(carrier, crt), out)
+        assert space.method == "analytic"
+        assert space.points is out and space.certified_eps == out.cert
+
+    def test_warm_build_measures_each_multiset_once(self, monkeypatch):
+        # the last merge's output is kept, not measured again on Z_4^6: 10
+        # measurements, all distinct
+        zdn_bias_space(4, 6, 1 / 16)
+        measured = count_measurements(monkeypatch)
+        zdn_bias_space(4, 6, 1 / 16)
+        assert len(measured) == len(set(measured)) == 10
+
+    def test_only_a_composite_d_is_recombined(self, monkeypatch):
+        recombined = count_calls(monkeypatch, epsbias._crt_digits,
+                                 lambda ms, fac, carrier: carrier.moduli)
+        zdn_bias_space(9, 3, 0.25)
+        zdn_bias_space(6, 3, 0.25)
+        assert recombined == [(6, 6, 6)]
 
 
 class TestVerifyBias:

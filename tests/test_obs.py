@@ -1,7 +1,9 @@
 """The construction log: which steps each pipeline records, and that
 nothing is recorded outside ``obs.recording()``."""
 
-from cayexp import catalog, obs
+from helpers import count_calls
+
+from cayexp import _kernels, catalog, obs
 from cayexp.combine import reduce_to_quarter, solvable_expander
 from cayexp.epsbias import zdn_bias_space
 from cayexp.general import general_expander
@@ -68,6 +70,18 @@ def test_nothing_recorded_outside_recording():
     general_expander(catalog.s4(), 0.05)
     assert log == []
     assert obs._log.get() is None
+
+
+def test_diameter_search_runs_only_inside_recording(monkeypatch):
+    # the BFS behind the logged diameter is skipped where nothing is logged
+    bfs = count_calls(monkeypatch, _kernels.bfs_distances)
+    assert not obs.active()
+    general_expander(catalog.s4(), 0.05)
+    assert bfs == []
+    with obs.recording() as log:
+        assert obs.active()
+        general_expander(catalog.s4(), 0.05)
+    assert len(bfs) == 1 and log[0]["op"] == "strong-gens"
 
 
 def test_nested_recording_takes_its_events():

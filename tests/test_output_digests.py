@@ -51,6 +51,12 @@ def exact_squares_only(monkeypatch):
      "e2e14f2a1a411375f19c85829e07c0ac63979c3838c626c210adaac9bcc1daff"),
     (3, 8, 0.25,
      "48d9c477d8e7617cd693bddb8d1a3540cc808a93397f15a1185afa8253a45ace"),
+    # many repeated points: 27648 lines from 1888 points, and 14112 lines
+    # from 3741
+    (2, 12, 0.25,
+     "793001b9618a09ebaa1a4d714e4ba2cda4208d05bb37aab5e84018509cfccaff"),
+    (5, 6, 0.25,
+     "5239966463bc2fe2ec0a40595c6fe38f54f766028212ea16c6d1994d4ed73861"),
     # d = 2: the Walsh-Hadamard route of bias_exhaustive and the FFT square
     (2, 12, 0.0625,
      "59632fd2a325c01a1759112699f9a24a51c12d4253b6ce115f8ea04ac154500e"),

@@ -411,6 +411,43 @@ def test_format_rows_random_tables():
         assert format_rows(template, table) == oracle_rows(template, table)
 
 
+PADDED = np.arange(121, dtype=np.int64)
+
+
+@pytest.mark.parametrize("template,table,repeats", [
+    # widths 1 to 3 down one column, beside a zero column
+    ("%d,%d\n", np.column_stack((PADDED, np.zeros_like(PADDED))),
+     np.arange(121) % 7 + 1),
+    ("%d;%d\n", np.column_stack((PADDED[::-1], PADDED)),
+     np.ones(121, dtype=np.int64)),
+    ("%d %d\n", np.column_stack((PADDED, PADDED % 10)),
+     np.arange(121) ** 2 + 1),
+    ("%d,%d\n", np.array([[0, 120]], dtype=np.int64), np.array([5000])),
+    ("%d\n", np.array([[7]], dtype=np.uint8), np.array([1])),
+    ("[%d %d]", np.array([[2**63 + k, k] for k in (0, 1, 9, 10, 12345)],
+                         dtype=object), np.array([1, 3, 1, 250, 2])),
+])
+def test_format_rows_repeats_each_formatted_row(template, table, repeats):
+    repeated = np.repeat(table, repeats, axis=0)
+    want = oracle_rows(template, repeated)
+    assert format_rows(template, table, repeats) == want
+    assert format_rows(template, repeated) == want
+
+
+def test_format_rows_random_repeats():
+    rng = random.Random(32)
+    for _ in range(100):
+        rows, cols = rng.randint(1, 12), rng.randint(1, 4)
+        table = np.array([[rng.randrange(rng.choice([1, 10, 121, 2**40]))
+                           for _ in range(cols)] for _ in range(rows)],
+                         dtype=np.int64)
+        repeats = np.array([rng.choice([1, 1, 2, 17, 300])
+                            for _ in range(rows)])
+        template = ",".join(["%d"] * cols) + "\n"
+        assert format_rows(template, table, repeats) == \
+            oracle_rows(template, np.repeat(table, repeats, axis=0))
+
+
 @pytest.mark.parametrize("template,table", [
     ("%d,%d\n", np.array([[1, 2], [3, -4]], dtype=np.int64)),
     ("%d\n", np.array([[2**64], [-1]], dtype=object)),
