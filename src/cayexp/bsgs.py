@@ -11,11 +11,11 @@ element factors uniquely as stab_element * u_beta.
 The chain holds image tuples, not ``Perm`` objects: each level keeps its
 strong generators, its transversal and the transversal's inverses as tuples
 (the inverses made once per orbit walk, so a sift step is one product), and
-hands the transversal to the carriers as an image-row array (``rows``, one
-row per orbit point in walk order, the identity first, made when first read
-after a walk). ``Perm`` objects are made only where the API hands them out:
-``strong_gens()``, a level's ``transversal``, and the ``gens`` and the
-argument of ``contains`` that callers hold.
+hands the transversal to the carriers as a read-only image-row array
+(``rows``, one row per orbit point in walk order, the identity first, made
+when first read after a walk). ``Perm`` objects are made only where the
+API hands them out: ``strong_gens()``, a level's ``transversal``, and the
+``gens`` and the argument of ``contains`` that callers hold.
 Nothing here enumerates a group or has a size cap: the element table, and
 the ``MethodCapacityError`` above its cap, are ``carriers.QuotientCarrier``'s
 (a permutation group is its quotient by the trivial subgroup), capped at
@@ -66,8 +66,11 @@ class _Level:
         if self._arrays is None:
             reps = list(self.reps.values())
             dtype = np.min_scalar_type(len(reps[0]) - 1)
-            self._arrays = (np.fromiter(self.reps, dtype=np.intp),
-                            np.array(reps, dtype=dtype))
+            points = np.fromiter(self.reps, dtype=np.intp)
+            rows = np.array(reps, dtype=dtype)
+            # read-only: a group's chain is shared by its carrier's holders
+            points.flags.writeable = rows.flags.writeable = False
+            self._arrays = points, rows
         return self._arrays
 
     @property
@@ -204,6 +207,9 @@ class BSGS:
 
 
 def schreier_sims(g: GenSet) -> BSGS:
+    """A new chain for <g> on every call: ``series.normal_closure`` grows
+    the one it gets in place (``BSGS.adjoin``), so a chain that is shared,
+    a group's own, is kept by ``carriers.PermCarrier.of``, never here."""
     b = BSGS(g)
     for p in g.nontrivial_gens():
         b._add(p.img)

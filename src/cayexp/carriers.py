@@ -54,6 +54,14 @@ gather of a known one, row(g * s) = row(s)[row(g)] (``_cayley``); a
 group is the quotient G/1 and composes alike. Its action tables are then
 rows of that table. Above the cap each call searches the products of its
 support alone, a chunk of rows at a time.
+
+A permutation group has one carrier per ``GenSet`` object:
+``PermCarrier.of(g)`` builds it on the first call and keeps it on g for as
+long as g lives, so a construction, its re-check and the command line's
+report share g's BSGS, element table and Cayley table, each made once;
+only the measurements are made anew. Shared, those tables are read-only,
+as are the chain's transversal arrays; ``action_tables`` and
+``image_rows`` hand out arrays of the caller's own.
 """
 
 from __future__ import annotations
@@ -451,7 +459,12 @@ class QuotientCarrier(PermRows):
         cols = np.ascontiguousarray(img[:, points])
         keys = _row_keys(cols, deg)
         order = np.argsort(keys, kind="stable")
-        return img[order], cols[order], keys[order]
+        img, cols, keys = img[order], cols[order], keys[order]
+        # read-only, like every table a carrier keeps: a group's carrier is
+        # shared by everyone who asks ``PermCarrier.of`` for it
+        img.flags.writeable = cols.flags.writeable = False
+        keys.flags.writeable = False
+        return img, cols, keys
 
     def _find(self, cols: np.ndarray) -> np.ndarray:
         """Indices of the elements with the given base-image rows."""
@@ -473,8 +486,11 @@ class QuotientCarrier(PermRows):
         return pos
 
     def image_rows(self, indices) -> np.ndarray:
-        """The image rows of the elements at the given indices."""
-        return self._table[0][indices]
+        """The image rows of the elements at the given indices, as an
+        array of the caller's own (a slice of the read-only table is
+        copied)."""
+        rows = self._table[0][indices]
+        return rows if rows.flags.writeable else rows.copy()
 
     def _products(self, sup: np.ndarray, dtype) -> np.ndarray:
         """Indices of e * s: a row per image row s of ``sup``, a column per
@@ -541,6 +557,7 @@ class QuotientCarrier(PermRows):
                         + offset[j:j + chunk, None])
                 table[fresh[j:j + chunk]] = np.take(flat, rows)
             frontier = fresh
+        table.flags.writeable = False
         return table
 
     def action_tables(self, ms: Multiset) -> tuple[np.ndarray, np.ndarray]:
@@ -573,7 +590,16 @@ class PermCarrier(QuotientCarrier):
 
     @staticmethod
     def of(g: GenSet) -> "PermCarrier":
-        return PermCarrier(schreier_sims(g))
+        """g's one carrier: built from ``schreier_sims(g)`` on the first
+        call and kept on g itself, outside its compared fields, for as long
+        as g lives. Every later call on the same object returns it, so g's
+        BSGS (``parent``), element table and Cayley table are each made once;
+        an equal but distinct ``GenSet`` gets a carrier of its own."""
+        carrier = vars(g).get("_carrier")
+        if carrier is None:
+            carrier = PermCarrier(schreier_sims(g))
+            object.__setattr__(g, "_carrier", carrier)
+        return carrier
 
     # perfbench's tracer wraps the action_tables in each class's own
     # __dict__: bound here as well, a group's calls count apart from a

@@ -104,7 +104,7 @@ def cmd_build_expander(args) -> int:
         print("error: group is not solvable (derived series stabilizes at "
               f"order {chain.orders[-1]})", file=sys.stderr)
         return EXIT_NOT_SOLVABLE
-    carrier = PermCarrier(chain.terms[0])
+    carrier = PermCarrier.of(gens)
     require_route(carrier)
     if chain.solvable:
         ms = solvable_expander(chain, target=args.lam)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import obs
-from .bsgs import BSGS, schreier_sims
+from .bsgs import BSGS
 from .carriers import PermCarrier
 from .combine import reduce_to_quarter, reverify
 from .multiset import Multiset, multiset
@@ -49,13 +49,14 @@ def general_expander(g: GenSet, lam: float = 0.25) -> Multiset:
     the Babai bound is logged beside the measurement) -> squaring rounds
     (``reduce_to_quarter``, whose result is measured exactly: the group is
     within the verification cap). Bipartite starting graphs (e.g. a single
-    transposition) are lazified with identity self-loops first.
+    transposition) are lazified with identity self-loops first. The
+    strong generators and every measurement come from g's one carrier,
+    ``PermCarrier.of(g)``, which a re-check on the same g then reuses.
     """
     if not 0 < lam < 1:
         raise ValueError("lambda must be in (0, 1)")
-    bs = schreier_sims(g)
-    carrier = PermCarrier(bs)
-    ms = strong_generator_multiset(bs)
+    carrier = PermCarrier.of(g)
+    ms = strong_generator_multiset(carrier.parent)
     if carrier.order == 1:
         return ms.with_cert(0.0)
     require_route(carrier)

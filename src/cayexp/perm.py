@@ -185,6 +185,8 @@ class GenSet:
     """A permutation group given by generators of a common degree.
 
     The empty generator list denotes the trivial group of the stated degree.
+    ``carriers.PermCarrier.of`` keeps the group's carrier on the object,
+    outside the fields that equality, hashing and repr read.
     """
 
     degree: int

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .bsgs import BSGS, schreier_sims
-from .carriers import QuotientCarrier
+from .carriers import PermCarrier, QuotientCarrier
 from .perm import GenSet, Perm, commutator, format_perm
 
 
@@ -82,9 +82,11 @@ def derived_series(g: GenSet) -> SubgroupChain:
 
     Terminates at the trivial group iff <g> is solvable; a non-solvable
     input is not an error, the series simply stabilizes above trivial and
-    the solvable flag is cleared.
+    the solvable flag is cleared. Term 0 is the BSGS of g's one carrier
+    (``PermCarrier.of(g).parent``), built once per group object; the terms
+    below it are normal closures, each grown on a chain of its own.
     """
-    terms = [schreier_sims(g)]
+    terms = [PermCarrier.of(g).parent]
     solvable = True
     while terms[-1].order() > 1:
         nxt = commutator_subgroup(terms[-1].gens)

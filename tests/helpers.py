@@ -555,8 +555,10 @@ def count_calls(monkeypatch, orig, record=lambda first, *rest: first) -> list:
     argument, else record(*positional arguments).
 
     ``orig`` is rebound for the rest of a test under every name a
-    ``cayexp`` module holds it by, so calls through ``from .bsgs import
-    schreier_sims`` and through ``_kernels.cayley_matvec`` count alike.
+    ``cayexp`` module, or a class it defines, holds it by, so calls through
+    ``from .bsgs import schreier_sims`` and through
+    ``_kernels.cayley_matvec`` count alike, and a method such as
+    ``QuotientCarrier._products`` records its instance first.
     """
     calls = []
 
@@ -566,9 +568,12 @@ def count_calls(monkeypatch, orig, record=lambda first, *rest: first) -> list:
 
     for name, mod in list(sys.modules.items()):
         if name == cayexp.__name__ or name.startswith("cayexp."):
-            for attr, val in list(vars(mod).items()):
-                if val is orig:
-                    monkeypatch.setattr(mod, attr, counted)
+            owners = [mod] + [v for v in vars(mod).values()
+                              if isinstance(v, type) and v.__module__ == name]
+            for owner in owners:
+                for attr, val in list(vars(owner).items()):
+                    if val is orig:
+                        monkeypatch.setattr(owner, attr, counted)
     return calls
 
 

@@ -1,12 +1,14 @@
 """The index-native permutation and quotient carriers against Perm-loop
 oracles."""
 
+import gc
 import math
 import os
 import random
 import subprocess
 import sys
 import textwrap
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ from helpers import (CATALOG_GROUPS, canonicalize, elements,
                      transversal_elements)
 
 from cayexp import carriers, catalog
+from cayexp.bsgs import BSGS
 from cayexp.carriers import MethodCapacityError, PermCarrier, QuotientCarrier
 from cayexp.combine import square_multiset
 from cayexp.general import general_expander
@@ -106,7 +109,10 @@ QUOTIENT_TERMS = {"S4/V4": (catalog.s4, 2), "A4/V4": (catalog.a4, 1),
 
 
 def cut_over_carrier(name):
-    """A fresh carrier: it has built no tables yet."""
+    """A fresh carrier: it has built no tables yet. ``PermCarrier.of``
+    keeps a group's carrier on the ``GenSet`` object, so the group is built
+    anew on every call: a carrier taken under a patched ``DENSE_CAP`` or
+    ``TABLE_CAP`` must not be one an earlier call has filled."""
     if name in QUOTIENT_TERMS:
         group, term = QUOTIENT_TERMS[name]
         chain = derived_series(group())
@@ -209,6 +215,75 @@ def test_trivial_group():
     assert elements(carrier) == [e]
     tables, _ = carrier.action_tables(multiset([(e, 2)]))
     assert tables.tolist() == [[0]]
+
+
+def test_of_is_the_groups_one_carrier():
+    # kept on the GenSet object itself: an equal but distinct one gets its
+    # own, and nothing outside the group keeps the carrier alive
+    g = catalog.a5()
+    carrier = PermCarrier.of(g)
+    assert PermCarrier.of(g) is carrier
+    twin = catalog.a5()
+    assert twin == g and hash(twin) == hash(g)
+    assert PermCarrier.of(twin) is not carrier
+    carrier.action_tables(multiset([(Perm.identity(5), 1)]))
+    ref = weakref.ref(carrier)
+    del g, carrier
+    gc.collect()
+    assert ref() is None
+
+
+def test_derived_series_starts_from_the_groups_carrier(monkeypatch):
+    # A5 is perfect: its commutator subgroup is grown by BSGS.adjoin to all
+    # of A5, on a chain of its own; the carrier's chain is term 0, unchanged
+    adjoined = []
+    adjoin = BSGS.adjoin
+
+    def spy(self, p):
+        adjoined.append(self)
+        return adjoin(self, p)
+
+    monkeypatch.setattr(BSGS, "adjoin", spy)
+    g = catalog.a5()
+    chain = derived_series(g)
+    assert chain.orders == (60,) and adjoined
+    carrier = PermCarrier.of(g)
+    assert carrier.parent is chain.terms[0]
+    assert all(b is not carrier.parent for b in adjoined)
+    assert carrier.order == carrier.parent.order() == 60
+
+
+def test_shared_tables_are_read_only():
+    # every holder of the group's carrier reads the same arrays, so an
+    # in-place write into any of them raises
+    carrier = PermCarrier.of(catalog.a5())
+    carrier.action_tables(multiset([(Perm.identity(5), 1)]))
+    shared = [*carrier._table, carrier._cayley]
+    for lv in carrier.parent.levels:
+        shared += [lv.points, lv.rows]
+    for a in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
+
+
+@pytest.mark.parametrize("dense", [True, False])
+def test_tables_handed_out_are_the_callers(monkeypatch, dense):
+    # action_tables and image_rows return arrays the caller may write
+    # into; doing so changes nothing the carrier keeps
+    if not dense:
+        monkeypatch.setattr(carriers, "DENSE_CAP", 0)
+    carrier = PermCarrier.of(catalog.a5())
+    ms = sample_multiset(elements(carrier), 3)
+    tables, _ = carrier.action_tables(ms)
+    rows = [carrier.image_rows(slice(None)), carrier.image_rows([0, 1]),
+            carrier.image_rows(np.arange(3))]
+    before = [tables.copy()] + [r.copy() for r in rows]
+    for a in [tables] + rows:
+        assert a.flags.writeable
+        a[...] = 0
+    assert np.array_equal(carrier.action_tables(ms)[0], before[0])
+    assert np.array_equal(carrier.image_rows(slice(None)), before[1])
+    assert np.array_equal(carrier.image_rows([0, 1]), before[2])
 
 
 def naive_square(ms):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import count_schreier_sims
+from helpers import count_calls, count_schreier_sims
 
 import cayexp
 from cayexp import carriers, catalog, cli, combine, epsbias
@@ -200,6 +200,23 @@ def test_build_expander_builds_each_group_once(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "syl.ms")]) == 0
     assert len(calls) == 4
     assert calls[0] == g
+
+
+def test_build_expander_sets_up_a_nonsolvable_group_once(tmp_path,
+                                                         monkeypatch):
+    # A5: the route check, the construction and the final report share the
+    # input's one carrier, so its BSGS is built once and its Cayley table
+    # searched once (the derived series' other build is A5' on commutators)
+    g = catalog.a5()
+    group = tmp_path / "a5.grp"
+    group.write_text(f"degree {g.degree}\n"
+                     + "".join(format_perm(p) + "\n" for p in g.gens))
+    builds = count_schreier_sims(monkeypatch)
+    searches = count_calls(monkeypatch, carriers.QuotientCarrier._products)
+    assert main(["build-expander", "--group", str(group), "--lambda",
+                 str(1 / 16), "--out", str(tmp_path / "a5.ms")]) == 0
+    assert [b for b in builds if b == g] == [g]
+    assert len(searches) == 1
 
 
 def test_verify_power_route_prints_interval(tmp_path, capsys):

@@ -2,17 +2,17 @@ import importlib
 
 import pytest
 
-from helpers import (count_measurements, dense_lambda2_signed,
-                     projective_line, random_symmetric_multiset,
-                     rv_composition)
+from helpers import (count_calls, count_measurements, count_schreier_sims,
+                     dense_lambda2_signed, projective_line,
+                     random_symmetric_multiset, rv_composition)
 
 from cayexp import catalog, obs
-from cayexp.carriers import PermCarrier
+from cayexp.carriers import PermCarrier, QuotientCarrier
 from cayexp.general import (babai_bound, general_expander,
                             strong_generator_multiset)
-from cayexp.multiset import multiset
-from cayexp.perm import GenSet, parse_perm
-from cayexp.spectra import dense_lambda2, graph_info
+from cayexp.multiset import format_perm_multiset, multiset
+from cayexp.perm import GenSet, format_perm, parse_group_file, parse_perm
+from cayexp.spectra import dense_lambda2, graph_info, second_eigenvalue
 
 
 class TestBabai:
@@ -130,6 +130,34 @@ ADAPTIVE_GROUPS = {
     "PSL(2,7)": lambda: projective_line(7, 4),
     "PGL(2,5)": lambda: projective_line(5, 2),
 }
+
+
+def _request(g: GenSet, lam: float) -> tuple[str, str]:
+    """A build and its re-check on the group's carrier: the output's bytes
+    and the report's JSON."""
+    ms = general_expander(g, lam)
+    report = second_eigenvalue(PermCarrier.of(g), ms)
+    return format_perm_multiset(ms, g.degree), report.to_json()
+
+
+@pytest.mark.parametrize("name", ["A5", "PSL(2,7)"])
+def test_repeated_request_sets_up_its_group_once(name, monkeypatch):
+    # the same GenSet served twice: the first request builds the group's
+    # BSGS and searches its Cayley table once for the build and its re-check,
+    # the second neither; both give what a freshly parsed group gives
+    g = ADAPTIVE_GROUPS[name]()
+    builds = count_schreier_sims(monkeypatch)
+    searches = count_calls(monkeypatch, QuotientCarrier._products)
+    first = _request(g, 1 / 16)
+    assert builds == [g] and len(searches) == 1
+    builds.clear()
+    searches.clear()
+    again = _request(g, 1 / 16)
+    assert builds == [] and searches == []
+    monkeypatch.undo()
+    text = f"degree {g.degree}\n" + "".join(format_perm(p) + "\n"
+                                            for p in g.gens)
+    assert again == first == _request(parse_group_file(text), 1 / 16)
 
 
 @pytest.mark.parametrize("name,lam", sorted(ADAPTIVE_MEASUREMENTS))
