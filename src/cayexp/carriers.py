@@ -58,8 +58,11 @@ support alone, a chunk of rows at a time.
 A permutation group has one carrier per ``GenSet`` object:
 ``PermCarrier.of(g)`` builds it on the first call and keeps it on g for as
 long as g lives, so a construction, its re-check and the command line's
-report share g's BSGS, element table and Cayley table, each made once;
-only the measurements are made anew. Shared, those tables are read-only,
+report share g's BSGS, element table and Cayley table, each made once
+(``combine.fold_series`` merges onto G/1 on it when the chain's term 0 is
+g's BSGS). ``general.general_expander`` keeps its measured starting set
+there as well; every other measurement, a re-check's included, is made
+anew. Shared, those tables are read-only,
 as are the chain's transversal arrays; ``action_tables`` and
 ``image_rows`` hand out arrays of the caller's own.
 """
@@ -595,11 +598,16 @@ class PermCarrier(QuotientCarrier):
         as g lives. Every later call on the same object returns it, so g's
         BSGS (``parent``), element table and Cayley table are each made once;
         an equal but distinct ``GenSet`` gets a carrier of its own."""
-        carrier = vars(g).get("_carrier")
+        carrier = PermCarrier.kept(g)
         if carrier is None:
             carrier = PermCarrier(schreier_sims(g))
             object.__setattr__(g, "_carrier", carrier)
         return carrier
+
+    @staticmethod
+    def kept(g: GenSet) -> "PermCarrier | None":
+        """g's carrier if ``of`` has built one, else None; builds nothing."""
+        return vars(g).get("_carrier")
 
     # perfbench's tracer wraps the action_tables in each class's own
     # __dict__: bound here as well, a group's calls count apart from a

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, obs
-from .carriers import (Carrier, QuotientCarrier, VectorCarrier,
+from .carriers import (Carrier, PermCarrier, QuotientCarrier, VectorCarrier,
                        require_symmetric)
 from .multiset import Multiset, multiset
 from .perm import Perm
@@ -557,6 +557,9 @@ def fold_series(chain: SubgroupChain, quotient_sets: list[Multiset],
     one-term chain (r = 0) gives the identity with certificate 0. Each merge
     combines on G_k/G_m with N = G_l/G_m, then amplifies back to the target;
     a merge whose N-part or quotient part is trivial returns its other side.
+    The merge onto G_0/1 runs on the group's own carrier when one was built
+    on term 0 (``PermCarrier.kept``), so the group's Cayley table is searched
+    once per group object; no carrier is built for it.
     """
     groups = chain.terms
     if len(quotient_sets) != len(groups) - 1:
@@ -570,6 +573,9 @@ def fold_series(chain: SubgroupChain, quotient_sets: list[Multiset],
     if not quotient_sets:
         return multiset([(Perm.identity(groups[0].degree), 1)], cert=0.0)
     orders = [b.order() for b in groups]
+    own = PermCarrier.kept(groups[0].gens)
+    if own is not None and own.parent is not groups[0]:
+        own = None
 
     def merge(lo: int, mid: int, hi: int, upper: Multiset,
               lower: Multiset) -> Multiset:
@@ -578,7 +584,10 @@ def fold_series(chain: SubgroupChain, quotient_sets: list[Multiset],
             return upper
         if orders[k] == orders[l]:      # trivial quotient part
             return lower
-        q = quotient_context(groups[k], groups[m])
+        if k == 0 and orders[m] == 1 and own is not None:
+            q = own
+        else:
+            q = quotient_context(groups[k], groups[m])
         # A expands G_l/G_m; B's image expands (G_k/G_m)/(G_l/G_m) = G_k/G_l
         a = symmetrize(q, q.image_multiset(lower, cert=lower.cert))
         b = symmetrize(q, q.image_multiset(upper, cert=upper.cert))

@@ -1,6 +1,8 @@
 """Expanding generating sets for arbitrary permutation groups.
 
-The symmetrized strong generators of a BSGS are measured exactly; the
+The symmetrized strong generators of a BSGS are measured exactly, once per
+group: the measured start is kept on g's one carrier
+(``PermCarrier.of(g)``), like its chain and tables. The
 vertex-transitivity bound 1 - 1/(16.5 * d * diam^2), at the diameter found
 by BFS, is only logged beside that measurement, never used as a
 certificate, so the BFS runs only inside ``obs.recording()``. Squaring
@@ -42,6 +44,28 @@ def strong_generator_multiset(bs: BSGS) -> Multiset:
     return multiset([(p, 1) for p in sorted(sym)])
 
 
+def _measured_start(carrier: PermCarrier) -> tuple[Multiset, Multiset, bool]:
+    """The group's starting set, made on the first call for a carrier and
+    kept on it for every later one: (the symmetrized strong generators,
+    their exact measurement, whether it was lazified). A bipartite start
+    gets identity self-loops weighing as much as the generators, which
+    shift the spectrum. The multisets' arrays are read-only."""
+    kept = vars(carrier).get("_start")
+    if kept is None:
+        gens = strong_generator_multiset(carrier.parent)
+        ms = reverify(carrier, gens)
+        lazy = ms.cert >= 1.0 - 1e-12
+        if lazy:
+            ident = carrier.codes([carrier.identity()])
+            ms = reverify(carrier, carrier.tally(
+                np.concatenate((carrier.codes(ms), ident)),
+                np.append(ms.mult_array(), ms.total)))
+        kept = gens, ms, lazy
+        # kept as long as the carrier, which g keeps
+        vars(carrier)["_start"] = kept
+    return kept
+
+
 def general_expander(g: GenSet, lam: float = 0.25) -> Multiset:
     """Certified lam-spectral expanding multiset for any <g>.
 
@@ -50,30 +74,25 @@ def general_expander(g: GenSet, lam: float = 0.25) -> Multiset:
     (``reduce_to_quarter``, whose result is measured exactly: the group is
     within the verification cap). Bipartite starting graphs (e.g. a single
     transposition) are lazified with identity self-loops first. The
-    strong generators and every measurement come from g's one carrier,
-    ``PermCarrier.of(g)``, which a re-check on the same g then reuses.
+    measured start is made once per group, past the route check, and kept
+    on g's one carrier, ``PermCarrier.of(g)``; every call logs it alike,
+    and makes its squaring rounds and their measurement anew.
     """
     if not 0 < lam < 1:
         raise ValueError("lambda must be in (0, 1)")
     carrier = PermCarrier.of(g)
-    ms = strong_generator_multiset(carrier.parent)
     if carrier.order == 1:
-        return ms.with_cert(0.0)
+        return strong_generator_multiset(carrier.parent).with_cert(0.0)
     require_route(carrier)
-    # the diameter is only logged: no BFS outside a recording
-    info = graph_info(carrier, ms) if obs.active() else None
-    ms = reverify(carrier, ms)
-    if ms.cert >= 1.0 - 1e-12:
-        # bipartite Cayley graph: shift the spectrum with a lazy step
-        ident = carrier.codes([carrier.identity()])
-        ms = reverify(carrier, carrier.tally(
-            np.concatenate((carrier.codes(ms), ident)),
-            np.append(ms.mult_array(), ms.total)))
+    gens, ms, lazy = _measured_start(carrier)
+    if lazy:
         obs.event("lazify", total=ms.total, cert=ms.cert)
-    if info is not None:
+    if obs.active():
+        # the diameter is only logged: no BFS outside a recording
+        diameter = graph_info(carrier, gens)["diameter"]
         obs.event("strong-gens", total=ms.total, cert=ms.cert,
-                  diameter=info["diameter"],
-                  babai_bound=babai_bound(ms.total, max(info["diameter"], 1)))
+                  diameter=diameter,
+                  babai_bound=babai_bound(ms.total, max(diameter, 1)))
     if ms.cert <= lam:
         return ms
     # every certificate is an exact measurement

@@ -219,6 +219,22 @@ def test_build_expander_sets_up_a_nonsolvable_group_once(tmp_path,
     assert len(searches) == 1
 
 
+@pytest.mark.parametrize("name", ["a4", "s4", "sylow2_s8"])
+def test_build_expander_searches_a_solvable_group_once(name, tmp_path,
+                                                       monkeypatch):
+    # the fold's top merge onto G_0/1 and the final report share the
+    # input's one carrier, so G's Cayley table is searched once
+    g = getattr(catalog, name)()
+    order = carriers.PermCarrier.of(g).order
+    group = tmp_path / "g.grp"
+    group.write_text(f"degree {g.degree}\n"
+                     + "".join(format_perm(p) + "\n" for p in g.gens))
+    searches = count_calls(monkeypatch, carriers.QuotientCarrier._products)
+    assert main(["build-expander", "--group", str(group), "--lambda", "0.25",
+                 "--out", str(tmp_path / "g.ms")]) == 0
+    assert [c.order for c in searches].count(order) == 1
+
+
 def test_verify_power_route_prints_interval(tmp_path, capsys):
     # Z_2^14 on 28 points is above the dense cap; with identity weight 2
     # its lambda2 is exactly 0.875, and only the interval's upper end may

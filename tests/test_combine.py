@@ -571,6 +571,28 @@ class TestSolvableExpander:
         solvable_expander(chain)
         assert len(calls) == 5
 
+    def test_top_merge_takes_the_groups_own_carrier(self, monkeypatch):
+        # the merge onto G_0/1 uses g's carrier when term 0 is its chain,
+        # and otherwise a quotient of its own, never building a carrier
+        g = catalog.s4()
+        chain = derived_series(g)
+        searches = count_calls(monkeypatch,
+                               carriers.QuotientCarrier._products)
+        out = solvable_expander(chain)
+        second_eigenvalue(PermCarrier.of(g), out)
+        assert [c.order for c in searches].count(24) == 1
+        assert any(c is PermCarrier.of(g) for c in searches)
+        fresh = GenSet(g.degree, g.gens)
+        own_chain = type(chain)((schreier_sims(fresh),) + chain.terms[1:],
+                                chain.solvable)
+        assert solvable_expander(own_chain) == out
+        assert PermCarrier.kept(fresh) is None
+        # a carrier whose chain is not term 0 is not taken
+        PermCarrier.of(fresh)
+        searches.clear()
+        assert solvable_expander(own_chain) == out
+        assert all(c is not PermCarrier.kept(fresh) for c in searches)
+
     def test_quotient_above_the_table_cap_is_a_capacity_error(self,
                                                               monkeypatch):
         # the derived quotients (orders 2, 3 and 4) build their own tables,

@@ -4,10 +4,10 @@ import pytest
 
 from helpers import (count_calls, count_measurements, count_schreier_sims,
                      dense_lambda2_signed, projective_line,
-                     random_symmetric_multiset, rv_composition)
+                     random_symmetric_multiset, route_off, rv_composition)
 
 from cayexp import catalog, obs
-from cayexp.carriers import PermCarrier, QuotientCarrier
+from cayexp.carriers import MethodCapacityError, PermCarrier, QuotientCarrier
 from cayexp.general import (babai_bound, general_expander,
                             strong_generator_multiset)
 from cayexp.multiset import format_perm_multiset, multiset
@@ -148,12 +148,17 @@ def test_repeated_request_sets_up_its_group_once(name, monkeypatch):
     g = ADAPTIVE_GROUPS[name]()
     builds = count_schreier_sims(monkeypatch)
     searches = count_calls(monkeypatch, QuotientCarrier._products)
+    measured = count_measurements(monkeypatch)
     first = _request(g, 1 / 16)
     assert builds == [g] and len(searches) == 1
+    # the second request measures all but the group's starting set again
+    start, rest = measured[0], measured[1:]
     builds.clear()
     searches.clear()
+    measured.clear()
     again = _request(g, 1 / 16)
     assert builds == [] and searches == []
+    assert measured == rest and start not in measured
     monkeypatch.undo()
     text = f"degree {g.degree}\n" + "".join(format_perm(p) + "\n"
                                             for p in g.gens)
@@ -175,3 +180,60 @@ def test_adaptive_certificate_is_its_final_measurement(name, lam,
     monkeypatch.undo()
     assert out.cert == combine_mod.measure_exact(carrier, out)
     assert out.cert <= lam
+
+
+@pytest.mark.parametrize("name,lam", sorted(ADAPTIVE_MEASUREMENTS))
+def test_repeated_call_measures_only_its_rounds(name, lam, monkeypatch):
+    # the starting set is measured on the first call for the group and
+    # kept on its carrier; a second call makes every other measurement again
+    g = ADAPTIVE_GROUPS[name]()
+    measured = count_measurements(monkeypatch)
+    first = general_expander(g, lam)
+    assert len(measured) == ADAPTIVE_MEASUREMENTS[name, lam]
+    start = measured[0]
+    measured.clear()
+    again = general_expander(g, lam)
+    assert len(measured) == ADAPTIVE_MEASUREMENTS[name, lam] - 1
+    assert start not in measured
+    assert again == first
+
+
+@pytest.mark.parametrize("make,lam,ops", [
+    (catalog.s4, 0.05, {"strong-gens", "square", "compact"}),
+    (catalog.z2, 0.25, {"lazify", "strong-gens"})])
+def test_repeated_call_logs_the_same_events(make, lam, ops):
+    # the kept start is logged on every call: its lazy step, and inside a
+    # recording the strong generators with their diameter
+    g = make()
+    with obs.recording() as first:
+        out = general_expander(g, lam)
+    with obs.recording() as again:
+        assert general_expander(g, lam) == out
+    assert {e["op"] for e in first} == ops
+    assert again == first
+
+
+@pytest.mark.parametrize("make,lam", [(catalog.s4, 0.999),
+                                      (catalog.z2, 0.25)])
+def test_kept_start_is_read_only(make, lam):
+    # a target the start already meets returns the kept start itself (Z2's
+    # is the lazy one), so its arrays must refuse a write
+    g = make()
+    out = general_expander(g, lam)
+    assert general_expander(g, lam) is out
+    for arr in (out.codes, out.mult_array()):
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+
+
+def test_refused_call_keeps_no_start(monkeypatch):
+    # a group the route check refuses keeps nothing: once a route exists,
+    # the next call measures its start like a first call
+    g = ADAPTIVE_GROUPS["A5"]()
+    route_off(monkeypatch)
+    with pytest.raises(MethodCapacityError):
+        general_expander(g, 0.25)
+    monkeypatch.undo()
+    measured = count_measurements(monkeypatch)
+    general_expander(g, 0.25)
+    assert len(measured) == ADAPTIVE_MEASUREMENTS["A5", 0.25]
