@@ -8,9 +8,9 @@
   tracer names it.
 - ``walsh_hadamard``: the exact character spectrum of a weight vector on
   Z_2^L, in place of a complex FFT.
-- ``real_characters``: the real parts of the characters at each candidate,
-  as exact +-1 signs on Z_2^t; ``greedy_scores``: the greedy selection
-  potential built from them.
+- ``greedy_scores``: the greedy selection potential on a cyclic group
+  Z_m, reading every character's real part from one table of the real
+  parts of the m-th roots of unity.
 - ``bfs_distances``: BFS distances over a Cayley graph.
 
 Per-element work is ordered deterministically, so every kernel returns the
@@ -163,59 +163,21 @@ def walsh_hadamard(flat):
 
 
 # ---------------------------------------------------------------------------
-# real character columns and greedy selection scores
+# greedy selection scores on Z_m, m = len(re_roots)
 #
-# real_characters yields, for each candidate row g, the column
-# Re chi_j(g) = Re prod_t roots_t[(digits[j,t]*g[t]) mod m_t] over the
-# characters j (digits[j] = mixed-radix digits of character j).
-#
-# On Z_2^t the roots are 1 and exp(i pi) = -1 + 1.2e-16i; the real part of
-# a product of t of them is off +-1 by about t * 1.5e-32, so it rounds to
-# exactly +-1. There Re chi_j(g) = (-1)^popcount(digit mask j & g) gives the
-# same bits without complex arithmetic.
-
-def _bit_masks(rows):
-    """Integer masks of 0/1 coordinate rows: bit t is coordinate t."""
-    return rows @ (1 << np.arange(rows.shape[1], dtype=np.int64))
-
-
-def _sign_characters(masks, g):
-    """Re chi_j(g) = (-1)^popcount(masks[j] & g) on Z_2^t, as +-1.0."""
-    return 1.0 - 2.0 * (np.bitwise_count(masks & g) & 1)
-
-
-def real_characters(digits, cands, moduli, roots, offsets):
-    digits = np.ascontiguousarray(digits, dtype=np.int64)
-    cands = np.ascontiguousarray(cands, dtype=np.int64)
-    moduli = np.ascontiguousarray(moduli, dtype=np.int64)
-    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-    if set(moduli.tolist()) == {2}:
-        dmasks = _bit_masks(digits)
-        for g in _bit_masks(cands):
-            yield _sign_characters(dmasks, g)
-        return
-    for g in cands:
-        val = np.ones(digits.shape[0], dtype=np.complex128)
-        for t in range(digits.shape[1]):
-            idx = (digits[:, t] * g[t]) % moduli[t]
-            val *= roots[offsets[t] + idx]
-        yield val.real
-
-
-# Running real character sums C over all nontrivial characters. For each
-# candidate row g with pair multiplier mult (2 for a {g,-g} pair, 1 for
+# Running real sums C of the characters j in chars. Character j at g is
+# exp(2 pi i jg / m), whose real part is re_roots[jg mod m]. For each
+# candidate g with pair multiplier mult (2 for a {g,-g} pair, 1 for
 # self-inverse g), the score is the conditional-expectation potential
-#     sum_j (C[j] + mult * Re chi_j(g))^8;
-# minimizing an even moment instead of the max norm avoids the massive ties
-# the max produces on small groups.
+#     sum_j (C[j] + mult * Re chi_j(g))^8.
 
-def greedy_scores(c, digits, cands, mults, moduli, roots, offsets):
+def greedy_scores(c, chars, cands, mults, re_roots):
     c = np.ascontiguousarray(c, dtype=np.float64)
     mults = np.ascontiguousarray(mults, dtype=np.float64)
+    m = len(re_roots)
     scores = np.empty(len(cands), dtype=np.float64)
-    cols = real_characters(digits, cands, moduli, roots, offsets)
-    for p, re in enumerate(cols):
-        v = c + mults[p] * re
+    for p, g in enumerate(cands):
+        v = c + mults[p] * re_roots[chars * g % m]
         v2 = v * v
         v4 = v2 * v2
         scores[p] = float((v4 * v4).sum())

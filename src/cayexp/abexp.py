@@ -3,7 +3,7 @@
 The construction chain, bottom up:
 
 * greedy_expander / cyclic_expander: deterministic greedy selection over a
-  small abelian group, tracking all character sums exactly; the certificate
+  cyclic group Z_m, tracking its character sums exactly; the certificate
   is the exhaustively evaluated bias.
 * product_base_expander: folds the coordinate-window normal series of
   prod_j Z_{p_j}^{m_j} down to cyclic quotients fed by the greedy provider.
@@ -27,6 +27,7 @@ product depends only on the cosets of its factors.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -44,7 +45,7 @@ from .fields import FieldSpec, construct_field
 from .multiset import Multiset, multiset
 from .perm import GenSet, Perm, commutator, format_perm
 from .series import SubgroupChain, quotient_context
-from .spectra import root_tables
+from .spectra import CERT_SLACK
 
 GREEDY_ORDER_CAP = 2**18
 GREEDY_FULL_CAP = 1024
@@ -57,83 +58,69 @@ FINAL_EPS = 0.125
 
 
 # ---------------------------------------------------------------------------
-# greedy small-bias provider
+# greedy small-bias provider on Z_m
 
-def _pack_candidates(carrier: VectorCarrier, codes: np.ndarray):
-    """Inverse-pair representatives of candidate codes, ascending with the
-    identity (code 0) last: the smaller code of v and v^-1, its inverse's
-    code, its coordinate rows and its pair multiplicity (1 for a
-    self-inverse element, 2 otherwise)."""
-    reps = np.sort(np.minimum(codes, carrier.inv_codes(codes)))
+def _pack_candidates(m: int, codes: np.ndarray):
+    """Inverse-pair representatives (the smaller of v and -v) of candidates
+    in Z_m, ascending with 0 last, and the sizes of their pairs (1 or 2)."""
+    reps = np.sort(np.minimum(codes, -codes % m))
     reps = reps[np.append(True, reps[1:] != reps[:-1])]
     reps = np.append(reps[reps != 0], reps[reps == 0])
-    inv = carrier.inv_codes(reps)
-    return reps, inv, carrier.unravel(reps), np.where(inv == reps, 1.0, 2.0)
+    return reps, np.where(-reps % m == reps, 1.0, 2.0)
 
 
-def _candidate_supply(carrier: VectorCarrier, seed: int):
-    """Yields deterministic candidate batches, identity ordered last.
-
-    Small groups enumerate every inverse-pair representative once; larger
-    ones redraw a seeded pseudorandom pool each step (units always included
-    so generation stays reachable).
-    """
-    if carrier.order <= GREEDY_FULL_CAP:
-        packed = _pack_candidates(carrier, np.arange(carrier.order))
-        while True:
-            yield packed
+def _candidate_supply(m: int, seed: int):
+    """Yields deterministic candidate batches of Z_m, identity ordered last:
+    every inverse-pair representative of a small group, else a seeded
+    pseudorandom pool redrawn each step, with the unit 1 so generation
+    stays reachable."""
+    if m <= GREEDY_FULL_CAP:
+        yield from itertools.repeat(_pack_candidates(m, np.arange(m)))
     rng = np.random.default_rng(seed)
-    moduli = np.array(carrier.moduli, dtype=np.int64)
-    units = carrier.ravel(np.eye(len(moduli), dtype=np.int64) % moduli)
     while True:
-        raw = rng.integers(0, moduli, size=(GREEDY_POOL, len(moduli)),
-                           dtype=np.int64)
-        yield _pack_candidates(carrier, np.concatenate(
-            (carrier.ravel(raw), units, [0])))
+        raw = rng.integers(0, np.array([m]), size=(GREEDY_POOL, 1))
+        yield _pack_candidates(m, np.append(raw, [1, 0]))
 
 
 def greedy_expander(carrier: VectorCarrier, target: float) -> Multiset:
-    """Greedy conditional-expectation selection with exact bias tracking.
+    """Greedy conditional-expectation selection with exact bias tracking on
+    Z_m, a carrier with one modulus (ValueError for more).
 
     Elements are added in inverse-closed pairs, each step picking the
-    candidate minimizing the 8th-moment potential of the partial character
-    sums over all nontrivial characters (a smooth pessimistic estimator for
-    the maximum, which by itself ties constantly on small groups). Stops at
+    candidate minimizing the 8th-moment potential of the partial sums of
+    the characters j = 1..m-1 (a smooth pessimistic estimator for the
+    maximum, which by itself ties constantly on small groups). Stops at
     the first total multiplicity with exact bias <= target; raises
     AuxInfeasibleError with the best achieved bias if the budget runs out,
     and MethodCapacityError above GREEDY_ORDER_CAP.
     """
-    order = carrier.order
-    if order == 1:
+    if len(carrier.moduli) > 1:
+        raise ValueError(f"not one cyclic group: moduli {carrier.moduli}")
+    m = carrier.order
+    if m == 1:
         return multiset([(carrier.identity(), 1)], cert=0.0)
-    if order > GREEDY_ORDER_CAP:
+    if m > GREEDY_ORDER_CAP:
         raise MethodCapacityError(
-            f"group order {order} exceeds the greedy provider's cap "
+            f"group order {m} exceeds the greedy provider's cap "
             f"{GREEDY_ORDER_CAP}")
-    moduli = carrier.moduli
-    digits = np.indices(moduli).reshape(len(moduli), -1).T[1:]  # nontrivial
-    digits = np.ascontiguousarray(digits, dtype=np.int64)
-    roots, offsets = root_tables(moduli)
-    mod_arr = np.array(moduli, dtype=np.int64)
-    supply = _candidate_supply(carrier, seed=order * 1000003 + 7)
+    chars = np.arange(1, m, dtype=np.int64)     # the nontrivial characters
+    # Re chi_j(g) = re_roots[j * g % m]
+    re_roots = np.exp(2j * np.pi * np.arange(m) / m).real
+    supply = _candidate_supply(m, seed=m * 1000003 + 7)
 
-    c = np.zeros(digits.shape[0], dtype=np.float64)
+    c = np.zeros(m - 1, dtype=np.float64)
     picked = []
     best_seen = 1.0
 
     for _ in range(GREEDY_MAX_ADDS):
-        reps, invs, rows, mults = next(supply)
-        scores = _kernels.greedy_scores(c, digits, rows, mults, mod_arr,
-                                        roots, offsets)
+        reps, mults = next(supply)
+        scores = _kernels.greedy_scores(c, chars, reps, mults, re_roots)
         pick = int(np.argmin(scores))
         picked.append(reps[pick])
         if mults[pick] == 2.0:
-            picked.append(invs[pick])
-        col = _kernels.real_characters(digits, rows[pick:pick + 1], mod_arr,
-                                       roots, offsets)
-        c = c + mults[pick] * next(col)
-        total = len(picked)
-        bias = float(np.abs(c).max()) / total
+            picked.append(-reps[pick] % m)
+        c = c + mults[pick] * re_roots[chars * reps[pick] % m]
+        bias = float(np.abs(c).max()) / len(picked)
         best_seen = min(best_seen, bias)
         if bias <= target:
             return carrier.tally(np.array(picked), cert=bias)
@@ -144,8 +131,6 @@ def greedy_expander(carrier: VectorCarrier, target: float) -> Multiset:
 
 def cyclic_expander(t: int, lam: float) -> Multiset:
     """Certified expanding multiset for Z_t (elements are 1-tuples)."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
     return greedy_expander(VectorCarrier((t,)), lam)
 
 
@@ -167,10 +152,9 @@ def vector_map(ms: Multiset, dst: VectorCarrier, cols,
 # is one coordinate per surviving prime, i.e. Z_{p_1 x ... x p_k} by CRT.
 
 def _window_carrier(primes, ms_list, lo: int, hi: int) -> VectorCarrier:
-    moduli = []
-    for p, m in zip(primes, ms_list):
-        moduli.extend([p] * max(0, min(hi, m) - lo))
-    return VectorCarrier(tuple(moduli)) if moduli else VectorCarrier((1,))
+    widths = _window_widths(ms_list, lo, hi)
+    moduli = tuple(p for p, w in zip(primes, widths) for _ in range(w))
+    return VectorCarrier(moduli or (1,))
 
 
 def _window_widths(ms_list, lo, hi):
@@ -208,8 +192,7 @@ def product_base_expander(primes, m, lam: float = 0.25) -> Multiset:
 
     def level_set(s: int) -> Multiset:
         live = [p for p, mm in zip(primes, ms_list) if mm > s]
-        prod = math.prod(live)
-        cyc = greedy_expander(VectorCarrier((prod,)), lam)
+        cyc = cyclic_expander(math.prod(live), lam)
         q = VectorCarrier(tuple(live))
         # the CRT split x -> (x mod p)_p of Z_{p_1...p_k}
         return reverify(q, vector_map(cyc, q, [0] * len(live)))
@@ -277,10 +260,10 @@ def final_R(n: int, primes, c: int = FINAL_C,
     base = product_base_expander(primes, exps, lam=eps)
     base = compact(_window_carrier(primes, exps, 0, max(exps)), base,
                    256, target_cert=eps)
-    if base.cert is None or base.cert > eps + 1e-9:
+    if base.cert is None or base.cert > eps + CERT_SLACK:
         raise CertificationError(
             f"base multiset not certified <= {eps}")
-    if 1 / c + base.cert > 0.25 + 1e-9:
+    if 1 / c + base.cert > 0.25 + CERT_SLACK:
         raise CertificationError(
             f"1/c + eps = {1 / c + base.cert:.4f} exceeds 1/4")
     coords = base.coordinates()
@@ -447,7 +430,8 @@ def abelian_quotient_expander(h: BSGS, n: BSGS,
         live = [j for j in range(len(hom.primes)) if hom.exps[j] > s]
         live_primes = tuple(hom.primes[j] for j in live)
         r_points = _compact_r_points(rank, live_primes)
-        qcar = quotient_context(groups[s], groups[s + 1])
+        # L_{s+1} <= L_s contain N and H/N is abelian: no normality check
+        qcar = QuotientCarrier(groups[s], groups[s + 1])
         # the level map a -> prod y_ij^(a_ij p_j^s), as row gathers in H:
         # column (j, i) of R picks one of the p_j image rows of
         # y_ij^(a p_j^s); N is normal, so one push-down makes it a map to
@@ -466,7 +450,7 @@ def abelian_quotient_expander(h: BSGS, n: BSGS,
         raw = rows.tally(acc, r_points.mult_array())
         img = reverify(qcar, qcar.image_multiset(raw, cert=r_points.cert))
         img = compact(qcar, img, 2048, target_cert=target)
-        if img.cert is None or img.cert > target + 1e-9:
+        if img.cert is None or img.cert > target + CERT_SLACK:
             img = reduce_to_quarter(qcar, img, target=target)
         sets.append(img)
         obs.event("quotient-level", level=s, total=img.total, cert=img.cert)

@@ -38,8 +38,9 @@ from .multiset import (NonSymmetricError, format_perm_multiset,
                        parse_perm_multiset)
 from .perm import parse_group_file
 from .series import derived_series, dixon_bound
-from .spectra import (FORMAT_VERSION, MethodCapacityError, SpectrumReport,
-                      certify, require_route, second_eigenvalue)
+from .spectra import (CERT_SLACK, FORMAT_VERSION, MethodCapacityError,
+                      SpectrumReport, certify, require_route,
+                      second_eigenvalue)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -175,7 +176,7 @@ def cmd_epsbias(args) -> int:
     if args.verify:
         v = verify_bias(space)
         print(f"verified bias = {v:.6g}")
-        if v > space.certified_eps + 1e-9:
+        if v > space.certified_eps + CERT_SLACK:
             return EXIT_CERT_FAIL
     return EXIT_OK
 

@@ -42,9 +42,9 @@ from .carriers import (Carrier, PermCarrier, QuotientCarrier, VectorCarrier,
                        require_symmetric)
 from .multiset import Multiset, multiset
 from .perm import Perm
-from .series import SubgroupChain, quotient_context
-from .spectra import (bias_exhaustive, exact_method, instance_seed, measure,
-                      require_route, seed_body)
+from .series import SubgroupChain, quotient_context, require_subgroup
+from .spectra import (CERT_SLACK, bias_exhaustive, exact_method,
+                      instance_seed, measure, require_route, seed_body)
 
 
 class CertificationError(ValueError):
@@ -87,7 +87,7 @@ def reverify(carrier: Carrier, ms: Multiset) -> Multiset:
 
     This is the one place a construction compares a measurement with the
     bound it carries. An exact measurement (dense or character-sum) above
-    the carried bound, beyond 1e-9, is a broken certificate and raises
+    the carried bound, beyond CERT_SLACK, is a broken certificate and raises
     CertificationError. The Krylov route's upper end sits up to
     spectra.KRYLOV_GAP above lambda2, so it replaces the bound unchecked.
     """
@@ -96,7 +96,7 @@ def reverify(carrier: Carrier, ms: Multiset) -> Multiset:
         return ms
     report = measure(carrier, ms, method)
     if (report.lambda2_upper is None and ms.cert is not None
-            and report.lambda2 > ms.cert + 1e-9):
+            and report.lambda2 > ms.cert + CERT_SLACK):
         raise CertificationError(
             f"measured {report.lambda2} above its source bound {ms.cert}")
     return ms.with_cert(report.bound)
@@ -551,12 +551,13 @@ def fold_series(chain: SubgroupChain, quotient_sets: list[Multiset],
                 target: float = 0.25) -> Multiset:
     """Fold per-quotient expanders into one for the whole group.
 
-    chain is a normal series G_0 |> ... |> G_r = 1, every term normal in
-    G_0 (NormalityError otherwise), and quotient_sets[i] is
-    certified <= target for G_i/G_{i+1} with representatives in G_i; a
-    one-term chain (r = 0) gives the identity with certificate 0. Each merge
-    combines on G_k/G_m with N = G_l/G_m, then amplifies back to the target;
-    a merge whose N-part or quotient part is trivial returns its other side.
+    chain is a normal series G_0 |> ... |> G_r = 1, each term inside the
+    one above and normal in G_0 (NormalityError otherwise, checked once),
+    and quotient_sets[i] is certified <= target for G_i/G_{i+1} with
+    representatives in G_i; a one-term chain (r = 0) gives the identity
+    with certificate 0. Each merge combines on G_k/G_m, unchecked, with
+    N = G_l/G_m, then amplifies back to the target; a merge whose N-part
+    or quotient part is trivial returns its other side.
     The merge onto G_0/1 runs on the group's own carrier when one was built
     on term 0 (``PermCarrier.kept``), so the group's Cayley table is searched
     once per group object; no carrier is built for it.
@@ -565,11 +566,12 @@ def fold_series(chain: SubgroupChain, quotient_sets: list[Multiset],
     if len(quotient_sets) != len(groups) - 1:
         raise ValueError("need one quotient set per series step")
     for i, s in enumerate(quotient_sets):
-        if s.cert is None or s.cert > target + 1e-9:
+        if s.cert is None or s.cert > target + CERT_SLACK:
             raise CertificationError(
                 f"quotient set {i} is not certified <= {target}")
-    for sub in groups[1:]:
-        quotient_context(groups[0], sub)   # NormalityError unless normal
+    for above, sub in zip(groups, groups[1:]):
+        require_subgroup(above, sub)       # NormalityError unless nested
+        quotient_context(groups[0], sub)   # and normal in G_0
     if not quotient_sets:
         return multiset([(Perm.identity(groups[0].degree), 1)], cert=0.0)
     orders = [b.order() for b in groups]
@@ -587,7 +589,7 @@ def fold_series(chain: SubgroupChain, quotient_sets: list[Multiset],
         if k == 0 and orders[m] == 1 and own is not None:
             q = own
         else:
-            q = quotient_context(groups[k], groups[m])
+            q = QuotientCarrier(groups[k], groups[m])
         # A expands G_l/G_m; B's image expands (G_k/G_m)/(G_l/G_m) = G_k/G_l
         a = symmetrize(q, q.image_multiset(lower, cert=lower.cert))
         b = symmetrize(q, q.image_multiset(upper, cert=upper.cert))

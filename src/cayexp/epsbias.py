@@ -23,8 +23,8 @@ from .carriers import VectorCarrier
 from .combine import (amplified_union, fold_levels, reduce_to_quarter,
                       reverify, symmetrize)
 from .multiset import Multiset, format_rows
-from .spectra import (MethodCapacityError, bias_exhaustive, exact_method,
-                      require_route)
+from .spectra import (CERT_SLACK, MethodCapacityError, bias_exhaustive,
+                      exact_method, require_route)
 
 D_CAP = 10**6
 
@@ -152,7 +152,7 @@ def zdn_bias_space(d: int, n: int, eps: float) -> BiasSpace:
     if pts.cert > eps:
         require_route(carrier)
         pts = reduce_to_quarter(carrier, pts, target=eps)
-    if pts.cert is None or pts.cert > eps + 1e-9:
+    if pts.cert is None or pts.cert > eps + CERT_SLACK:
         raise MethodCapacityError(
             f"could not certify eps={eps}: reached {pts.cert}")
     return BiasSpace(d, n, pts, float(pts.cert), method)

@@ -102,14 +102,19 @@ def dixon_bound(degree: int) -> int:
     return math.ceil(5 * math.log(max(degree, 2), 3))
 
 
-def quotient_context(h: BSGS, n: BSGS) -> QuotientCarrier:
-    """The quotient carrier H/N, after checking that N is normal in H."""
+def require_subgroup(h: BSGS, n: BSGS) -> None:
+    """NormalityError unless N is a subgroup of H."""
     if h.degree != n.degree:
         raise ValueError("degree mismatch between parent and kernel")
     for x in n.gens.nontrivial_gens():
         if not h.contains(x):
             raise NormalityError(
                 f"kernel generator {format_perm(x)} is not in the parent group")
+
+
+def quotient_context(h: BSGS, n: BSGS) -> QuotientCarrier:
+    """The quotient carrier H/N, after checking that N is normal in H."""
+    require_subgroup(h, n)
     for x in n.gens.nontrivial_gens():
         for g in h.gens.nontrivial_gens():
             conj = x.conjugate(g)

@@ -51,6 +51,8 @@ ITER_CAP = 1_000_000
 EXHAUSTIVE_CHAR_CAP = 2_000_000
 # power_lambda2 stops once its upper end lies this close to its lower end
 KRYLOV_GAP = 2e-3
+# how far a measured bound may pass a target or carried bound (rounding)
+CERT_SLACK = 1e-9
 
 FORMAT_VERSION = 1
 
@@ -87,22 +89,6 @@ class SpectrumReport:
 def certify(report: SpectrumReport, target: float) -> bool:
     """True iff the measured bound meets the target within tolerance."""
     return report.bound <= target + report.tolerance
-
-
-# ---------------------------------------------------------------------------
-# root-of-unity tables for the greedy character columns
-
-def root_tables(moduli) -> tuple[np.ndarray, np.ndarray]:
-    offsets = np.zeros(len(moduli), dtype=np.int64)
-    total = 0
-    for t, m in enumerate(moduli):
-        offsets[t] = total
-        total += m
-    roots = np.empty(total, dtype=np.complex128)
-    for t, m in enumerate(moduli):
-        k = np.arange(m)
-        roots[offsets[t]:offsets[t] + m] = np.exp(2j * np.pi * k / m)
-    return roots, offsets
 
 
 def seed_body(ms: Multiset) -> bytes:
@@ -368,7 +354,7 @@ def require_route(carrier: Carrier) -> str:
 def measure(carrier: Carrier, ms: Multiset, method: str) -> SpectrumReport:
     """The report of one named route; the route makes its own checks."""
     upper = matvecs = None
-    tolerance = 1e-9
+    tolerance = CERT_SLACK
     if method == "dense":
         lam = dense_lambda2(carrier, ms)
     elif method == "power-iteration":

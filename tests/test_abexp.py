@@ -35,7 +35,7 @@ class TestFactorize:
 
 class TestGreedyProvider:
     def test_certificate_is_exhaustive_bias(self):
-        for moduli in [(5,), (2, 3), (2,) * 6, (3, 3)]:
+        for moduli in [(5,), (6,), (64,), (9,)]:
             carrier = VectorCarrier(moduli)
             ms = greedy_expander(carrier, 0.25)
             assert abs(bias_exhaustive(carrier, ms) - ms.cert) < 1e-9
@@ -43,9 +43,15 @@ class TestGreedyProvider:
             assert carrier.is_symmetric(ms)
 
     def test_small_case_matches_naive_oracle(self):
-        carrier = VectorCarrier((2, 3))
+        carrier = VectorCarrier((6,))
         ms = greedy_expander(carrier, 0.25)
-        assert abs(naive_bias((2, 3), ms) - ms.cert) < 1e-9
+        assert abs(naive_bias((6,), ms) - ms.cert) < 1e-9
+
+    @pytest.mark.parametrize("moduli", [(2, 3), (2, 2), (1, 1)])
+    def test_rejects_more_than_one_modulus(self, moduli):
+        # the provider works on one cyclic group Z_m
+        with pytest.raises(ValueError, match="one cyclic group"):
+            greedy_expander(VectorCarrier(moduli), 0.25)
 
     def test_trivial_group(self):
         ms = greedy_expander(VectorCarrier((1,)), 0.25)

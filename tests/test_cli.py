@@ -12,7 +12,7 @@ import pytest
 from helpers import count_calls, count_schreier_sims
 
 import cayexp
-from cayexp import carriers, catalog, cli, combine, epsbias
+from cayexp import carriers, catalog, cli, combine, epsbias, series
 from cayexp.cli import main
 from cayexp.combine import (AmplificationError, AuxInfeasibleError,
                             CertificationError)
@@ -233,6 +233,16 @@ def test_build_expander_searches_a_solvable_group_once(name, tmp_path,
     assert main(["build-expander", "--group", str(group), "--lambda", "0.25",
                  "--out", str(tmp_path / "g.ms")]) == 0
     assert [c.order for c in searches].count(order) == 1
+
+
+def test_build_expander_checks_each_quotient_once(s4_file, tmp_path,
+                                                  monkeypatch):
+    # fold_series checks its chain once up front, so neither its merges nor
+    # the abelian levels of a derived quotient check normality again
+    checks = count_calls(monkeypatch, series.quotient_context)
+    assert main(["build-expander", "--group", str(s4_file), "--lambda",
+                 "0.25", "--out", str(tmp_path / "s4.ms")]) == 0
+    assert len(checks) <= 10
 
 
 def test_verify_power_route_prints_interval(tmp_path, capsys):

@@ -467,6 +467,21 @@ class TestFoldSeries:
         with pytest.raises(ValueError, match="not normal"):
             fold_series(chain, [s, s])
 
+    def test_chain_that_is_not_nested_rejected(self):
+        # A = <(1 2)> and B = <(3 4)> are both normal in G = <(1 2), (3 4)>,
+        # but B is not inside A, so (G, A, B, 1) is no series; the level
+        # sets are lazy on a generator of each step
+        from cayexp.series import NormalityError, SubgroupChain
+        gens = {p: parse_perm(p, 4) for p in ("(1 2)", "(3 4)", "(1 2)(3 4)")}
+        terms = tuple(schreier_sims(GenSet(4, tuple(gens[p] for p in ps)))
+                      for ps in (("(1 2)", "(3 4)"), ("(1 2)",), ("(3 4)",),
+                                 ()))
+        chain = SubgroupChain(terms, True)
+        sets = [multiset([(Perm.identity(4), 1), (gens[p], 1)], cert=0.0)
+                for p in ("(1 2)(3 4)", "(1 2)", "(3 4)")]
+        with pytest.raises(NormalityError, match="not in the parent group"):
+            fold_series(chain, sets)
+
 
 class TestFoldLevels:
     @staticmethod
