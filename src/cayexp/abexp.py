@@ -390,8 +390,10 @@ def build_abelianization(hb: BSGS, nb: BSGS) -> AbelianizationHom:
 # abelian quotient pipeline
 
 def _level_groups(hom: AbelianizationHom) -> list[BSGS]:
-    """L_s = <N, y_ij^(p_j^s)>; L_0 = H and L_emax = N are the quotient's
-    own BSGSs, so only the levels between are built."""
+    """L_s = <N, y_ij^(p_j^s)>; L_0 = H and the last, N, are the quotient's
+    own BSGSs, so only the levels between are built. The series stops at N:
+    L_s/L_{s+1} is the sum over p of p^s A_p / p^(s+1) A_p (A = H/N), so a
+    step is trivial only once every p^s A_p is 0, that is, once L_s = N."""
     quotient = hom.quotient
     out = [quotient.parent]
     for s in range(1, max(hom.exps)):
@@ -400,8 +402,10 @@ def _level_groups(hom: AbelianizationHom) -> list[BSGS]:
             for j, p in enumerate(hom.primes):
                 if hom.e_table[i][j] > s:
                     gens.append(hom.ys[i][j] ** (p**s))
-        out.append(schreier_sims(GenSet(quotient.parent.degree,
-                                        tuple(gens))))
+        level = schreier_sims(GenSet(quotient.parent.degree, tuple(gens)))
+        if level.order() == quotient.kernel.order():
+            break
+        out.append(level)
     return out + [quotient.kernel]
 
 
@@ -410,12 +414,13 @@ def abelian_quotient_expander(h: BSGS, n: BSGS,
     """Certified expanding multiset on the abelian quotient H/N.
 
     Builds the final-construction sets R over prod_j Z_{p_j}^r, with
-    r = len(hom.xs), per level of the prime-power series, pushes each
-    through the level homomorphism (so nothing larger than H/N is ever
-    materialized), and folds the resulting normal series of subgroups of
-    H/N. A pushforward along an onto homomorphism cannot raise the bias, so
-    each level image carries its source's bound into ``reverify``, which
-    refuses an exact measurement above it.
+    r = len(hom.xs), per level of the prime-power series (which stops at
+    N: every level is nontrivial), pushes each through the level
+    homomorphism (so nothing larger than H/N is ever materialized), and
+    folds the resulting normal series of subgroups of H/N. A pushforward
+    along an onto homomorphism cannot raise the bias, so each level image
+    carries its source's bound into ``reverify``, which refuses an exact
+    measurement above it.
     """
     hom = build_abelianization(h, n)
     if hom.quotient.order == 1:

@@ -5,8 +5,9 @@ The moves, with their certified-bound algebra:
 * combine:  union of a set expanding a normal subgroup N and a set whose
             image expands G/N; bound (1+lam)*max(|A|,|B|)/(|A|+|B|).
 * square:   the convolution square S*S, bound lam^2 (its eigenvalues are
-            the squares of S's); a round on a carrier with no
-            measurement route is refused.
+            the squares of S's): an FFT on a vector group of total up to
+            2^26, else one scatter of the support's pairwise products; a
+            carrier with no measurement route is refused.
 * balance/compact: multiplicity bookkeeping (equal totals by replication
             and identity padding, gcd reduction, bounded re-weighting) so
             the two moves stay affordable; every re-weighting is
@@ -365,18 +366,23 @@ def derandomized_square(carrier: Carrier, u: Multiset,
 def square_multiset(carrier: Carrier, ms: Multiset) -> Multiset:
     """The convolution square S*S (total |S|^2), certified lam^2.
 
-    This is derandomized squaring with the degenerate full-group auxiliary
-    (mu = 0): every index pair contributes, and since S is symmetric the
-    inverse-indexed half coincides with the direct half. Vector carriers use
-    an FFT convolution, permutation groups and their quotients their action
-    tables. On Z_2^L with order * total^2 below 2^53 the convolution is two
-    exact Walsh-Hadamard transforms, which give the FFT's bits.
+    Derandomized squaring with the full-group auxiliary (mu = 0): every
+    index pair contributes, and as S is symmetric the inverse-indexed half
+    is the direct half. Refused on a carrier with no measurement route
+    (``spectra.require_route``): both ways hold an order-sized array. A
+    vector group of total up to 2^26 takes an FFT convolution (on Z_2^L with
+    order * total^2 below 2^53, two exact Walsh-Hadamard transforms, which
+    give the FFT's bits). Every other square scatters the weight products
+    of the support's pairs, a block of left factors at a time, as exact
+    integers (int64 while no count can reach 2**63, Python ints beyond). A
+    vector code is its own index; on a quotient tables[j, tables[l, 0]]
+    indexes s_l * s_j, as row j of the action tables maps e_i to e_i * s_j
+    and e_0 is the identity.
     """
-    if not isinstance(carrier, VectorCarrier):
-        return _square_perm(carrier, ms)
+    require_route(carrier)
     cert = ms.cert * ms.cert if ms.cert is not None else None
-    # the FFT holds the order-sized weight tensor the exhaustive bias holds
-    if exact_method(carrier) is not None and ms.total <= 1 << 26:
+    vector = isinstance(carrier, VectorCarrier)
+    if vector and ms.total <= 1 << 26:
         w = np.bincount(carrier.codes(ms),
                         weights=ms.mult_array().astype(np.float64),
                         minlength=carrier.order)
@@ -390,44 +396,30 @@ def square_multiset(carrier: Carrier, ms: Multiset) -> Multiset:
         counts = np.rint(conv).astype(np.int64)
         nz = np.flatnonzero(counts)
         return carrier.from_codes(nz, counts[nz], cert=cert)
-    # every pair of elements, a block of left factors at a time, each block
-    # merged before the next
-    codes, w = carrier.codes(ms), ms.mult_array()
-    if w.dtype != object and ms.total ** 2 >= 2**63:
-        w = w.astype(object)
-    k = len(codes)
-    parts = []
+    if vector:
+        codes = carrier.codes(ms)
+    else:
+        tables, _ = carrier.action_tables(ms)
+    dtype = np.int64 if ms.total ** 2 < 2**63 else object
+    w = ms.mult_array().astype(dtype)
+    k = len(w)
+    counts = np.zeros(carrier.order, dtype=dtype)
     step = max(1, _PAIR_CHUNK // k)
-    for i0 in range(0, k, step):
-        i, j = np.divmod(np.arange(i0 * k, min(k, i0 + step) * k), k)
-        part = carrier.tally(carrier.mul_codes(codes[i], codes[j]),
-                             w[i] * w[j])
-        parts.append((carrier.codes(part), part.mult_array()))
-    return carrier.tally(np.concatenate([c for c, _ in parts]),
-                         np.concatenate([m for _, m in parts]), cert=cert)
+    for l0 in range(0, k, step):
+        left = slice(l0, l0 + step)
+        if vector:      # [j, l]: the code of s_j + s_l
+            prods = carrier.mul_codes(np.repeat(codes, len(w[left])),
+                                      np.tile(codes[left], k))
+        else:           # [j, l]: the index of s_l * s_j
+            prods = tables[:, tables[left, 0]]
+        np.add.at(counts, prods.ravel(), np.outer(w, w[left]).ravel())
+    nz = np.flatnonzero(counts)
+    return carrier.from_codes(nz if vector else carrier.image_rows(nz),
+                              counts[nz], cert)
 
 
 # element pairs multiplied per block of square_multiset's pairwise route
 _PAIR_CHUNK = 1 << 20
-
-
-def _square_perm(carrier: QuotientCarrier, ms: Multiset) -> Multiset:
-    """square_multiset on a permutation group or quotient, by index arithmetic.
-
-    Row j of the action tables maps element i to e_i * s_j and element 0 is
-    the identity, so tables[j, tables[l, 0]] is the index of s_l * s_j. The
-    weight products are scattered as exact integers: int64 while no count
-    can reach 2**63, Python ints beyond.
-    """
-    tables, _ = carrier.action_tables(ms)
-    prods = tables[:, tables[:, 0]]
-    dtype = np.int64 if ms.total ** 2 < 2**63 else object
-    w = ms.mult_array().astype(dtype)
-    counts = np.zeros(carrier.order, dtype=dtype)
-    np.add.at(counts, prods.ravel(), np.outer(w, w).ravel())
-    nz = np.flatnonzero(counts)
-    cert = ms.cert * ms.cert if ms.cert is not None else None
-    return carrier.from_codes(carrier.image_rows(nz), counts[nz], cert)
 
 
 MAX_ROUNDS = 64

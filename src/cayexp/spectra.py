@@ -121,8 +121,6 @@ def bias_exhaustive(carrier: VectorCarrier, ms: Multiset) -> float:
         raise MethodCapacityError(
             f"group order {order} exceeds the exhaustive character cap "
             f"{EXHAUSTIVE_CHAR_CAP}")
-    if order == 1:
-        return 0.0
     w = ms.mult_array().astype(np.float64)
     flat = np.bincount(carrier.codes(ms), weights=w, minlength=order)
     if set(carrier.moduli) == {2} and ms.total < 2**53:

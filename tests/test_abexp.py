@@ -341,6 +341,31 @@ class TestLevelGroups:
         orders = [b.order() for b in _level_groups(hom)]
         assert orders == [12, 2, 1]    # e = (2, 1): primes 3 dies first
 
+    def test_s4_mod_a4_stops_at_a4(self):
+        # (1 2 3 4) gives the prime 2 exponent 2, but its square lies in A4:
+        # the series stops there, with no trivial level A4/A4
+        from cayexp.abexp import _level_groups
+        chain = derived_series(catalog.s4())
+        hom = build_abelianization(chain.terms[0], chain.terms[1])
+        assert max(hom.exps) == 2
+        assert [b.order() for b in _level_groups(hom)] == [24, 12]
+
+    def test_levels_strictly_decrease_to_the_kernel(self):
+        from cayexp.abexp import _level_groups
+        checked = 0
+        for name, fn in catalog.FULL_CATALOG.items():
+            chain = derived_series(fn())
+            if not chain.solvable:
+                continue
+            for h, n in zip(chain.terms, chain.terms[1:]):
+                orders = [b.order() for b in
+                          _level_groups(build_abelianization(h, n))]
+                assert orders[0] == h.order() and orders[-1] == n.order()
+                assert all(a > b for a, b in zip(orders, orders[1:])), \
+                    (name, orders)
+                checked += 1
+        assert checked >= 26    # the derived quotients of 15 groups
+
     def test_fold_trace_logs_merges(self):
         g = catalog.s4()
         from cayexp import obs

@@ -17,9 +17,10 @@ import pytest
 from helpers import (CATALOG_GROUPS, canonicalize, elements,
                      transversal_elements)
 
-from cayexp import carriers, catalog
+from cayexp import carriers, catalog, combine, spectra
 from cayexp.bsgs import BSGS
-from cayexp.carriers import MethodCapacityError, PermCarrier, QuotientCarrier
+from cayexp.carriers import (MethodCapacityError, PermCarrier,
+                             QuotientCarrier, VectorCarrier)
 from cayexp.combine import square_multiset
 from cayexp.general import general_expander
 from cayexp.multiset import multiset
@@ -322,6 +323,32 @@ def test_square_multiset_int64_edge():
     out = square_multiset(carrier, ms)
     assert out.elems == (Perm.identity(4),)
     assert out.mults == (total * total,)
+
+
+@pytest.mark.parametrize("group,term", [(catalog.s4, 2), (catalog.a5, 0)])
+def test_square_multiset_blocks_give_one_block(monkeypatch, group, term):
+    # a quotient S4/V4 and the group A5 itself, over k support elements:
+    # blocks of one left factor, of three and of k - 1 (a last block of one)
+    chain = derived_series(group())
+    carrier = (quotient_context(chain.terms[0], chain.terms[term]) if term
+               else PermCarrier.of(group()))
+    ms = sample_multiset(elements(carrier), 4, k=8).with_cert(0.5)
+    k = ms.support
+    one = square_multiset(carrier, ms)
+    for step in (1, 3, k - 1):
+        monkeypatch.setattr(combine, "_PAIR_CHUNK", step * k)
+        assert square_multiset(carrier, ms) == one
+
+
+def test_square_multiset_refused_without_a_route(monkeypatch):
+    # the pairwise scatter holds an order-sized array: a carrier with no
+    # measurement route is refused before any square is made
+    carrier = VectorCarrier((3, 5))
+    ms = multiset([((0, 1), 1), ((0, 4), 1), ((1, 2), 1), ((2, 1), 1)])
+    monkeypatch.setattr(spectra, "EXHAUSTIVE_CHAR_CAP", carrier.order - 1)
+    with pytest.raises(MethodCapacityError,
+                       match="group order 15 exceeds the verification cap 14"):
+        square_multiset(carrier, ms)
 
 
 # G/G_i for every term G_i of the derived series: G_0 = G gives the trivial

@@ -456,6 +456,17 @@ class TestAbelianBias:
             assert abs(bias_exhaustive(carrier, ms)
                        - naive_bias(moduli, ms)) < 1e-9
 
+    @pytest.mark.parametrize("moduli", [(1,), (1, 1), ()])
+    @pytest.mark.parametrize("weight", [1, 3, 2**62])
+    def test_trivial_group_has_bias_zero(self, moduli, weight):
+        # the FFT of one weight is that weight, at the trivial character,
+        # which is left out
+        carrier = VectorCarrier(moduli)
+        ms = carrier.from_codes(carrier.codes([carrier.identity()]),
+                                [weight])
+        assert bias_exhaustive(carrier, ms) == 0.0
+        assert second_eigenvalue(carrier, ms).lambda2 == 0.0
+
     def test_bias_equals_cayley_lambda2(self):
         # characters are the eigenvectors, so the two verifiers must agree
         n = 12

@@ -15,7 +15,7 @@ import pytest
 from helpers import (elem_inv, elem_mul, elements, field_pow, inner_product,
                      psi_to_fields, ref_map_elems, symmetric_by_elements)
 
-from cayexp import catalog
+from cayexp import catalog, combine
 from cayexp.abexp import final_R
 from cayexp.carriers import PermCarrier, VectorCarrier
 from cayexp.combine import (_pair_units, _trim_support, compact,
@@ -252,12 +252,59 @@ def test_square_matches_pairwise_sums():
     rng = random.Random(5)
     carrier = VectorCarrier((3, 4, 6))
     ms = symmetric(carrier, random_elems(carrier.moduli, 10, rng), rng)
+    assert square_multiset(carrier, ms) == dict_square(carrier, ms)
+
+
+def dict_square(carrier, ms):
     acc = Counter()
     for x, wx in ms.pairs():
         for y, wy in ms.pairs():
             acc[elem_mul(carrier, x, y)] += wx * wy
+    return multiset(acc.items(),
+                    cert=None if ms.cert is None else ms.cert * ms.cert)
+
+
+def heavy_symmetric(carrier, count, scale, rng):
+    """A symmetric multiset whose weights reach scale."""
+    pairs = []
+    for e in random_elems(carrier.moduli, count, rng):
+        m = rng.randint(scale // 2, scale)
+        pairs += [(e, m), (elem_inv(carrier, e), m)]
+    return multiset(pairs, cert=0.5)
+
+
+@pytest.mark.parametrize("moduli,scale,exact", [
+    ((3, 4, 6), 1 << 22, np.int64),    # total above 2^26: no FFT
+    ((5, 5), 1 << 37, object),         # total^2 above 2^63: Python ints
+])
+def test_pairwise_square_matches_dict_convolution(moduli, scale, exact):
+    rng = random.Random(11)
+    carrier = VectorCarrier(moduli)
+    ms = heavy_symmetric(carrier, 20, scale, rng)
+    assert ms.total > 1 << 26
+    assert (ms.total ** 2 < 2**63) == (exact is np.int64)
     sq = square_multiset(carrier, ms)
-    assert sq == multiset(acc.items())
+    assert sq == dict_square(carrier, ms)
+    assert sq.total == ms.total ** 2
+    if exact is object:
+        assert all(type(m) is int for m in sq.mults)
+    else:
+        assert sq.mult_array().dtype == np.int64
+
+
+def test_pairwise_square_blocks_give_one_block(monkeypatch):
+    # k support elements: blocks of one left factor, of four (the last one
+    # short unless 4 divides k) and of k - 1 (a last block of one)
+    rng = random.Random(12)
+    carrier = VectorCarrier((3, 4, 6))
+    ms = heavy_symmetric(carrier, 10, 1 << 23, rng)
+    assert ms.total > 1 << 26     # no FFT
+    k = ms.support
+    one = square_multiset(carrier, ms)
+    assert one == dict_square(carrier, ms)
+    for step in (1, 4, k - 1):
+        monkeypatch.setattr(combine, "_PAIR_CHUNK", step * k)
+        assert square_multiset(carrier, ms) == one
 
 
 # ---------------------------------------------------------------------------
